@@ -3,7 +3,7 @@
 //
 // The paper's engine is built for "user-defined queries"; the common
 // restriction patterns are a time window (one quarter of a crisis) and a
-// country slice. This bench shows that a materialized row set amortizes:
+// country slice. This bench shows that a selection bitmap amortizes:
 // select once, run several aggregates over the subset.
 #include <algorithm>
 
@@ -38,12 +38,12 @@ BENCHMARK(BM_SelectQuarterWindow);
 
 void BM_FilteredAggregate(benchmark::State& state) {
   const auto& db = Db();
-  const auto rows = engine::SelectMentions(db, QuarterWindowFilter());
+  const auto sel = engine::SelectMentionsBitmap(db, QuarterWindowFilter());
   for (auto _ : state) {
-    auto report = engine::CountryCrossReporting(db, rows);
+    auto report = engine::CountryCrossReporting(db, sel);
     benchmark::DoNotOptimize(report);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(rows.size()) *
+  state.SetItemsProcessed(static_cast<std::int64_t>(sel.CountSet()) *
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FilteredAggregate);
@@ -113,8 +113,8 @@ void Print() {
                   static_cast<double>(db.num_mentions()));
 
   // One JSON record per configuration: scalar-vs-SIMD toggle on the
-  // vectorized selection, the legacy two-pass row baseline, and the
-  // morsel-size sweep over the filter→aggregate chain.
+  // vectorized selection and the morsel-size sweep over the
+  // filter→aggregate chain.
   BenchJsonWriter writer("ablation_filter");
   constexpr int kReps = 5;
   const int threads = MaxThreads();
@@ -138,20 +138,13 @@ void Print() {
                 threads, simd_s);
   engine::SetSimdEnabled(saved_simd);
 
-  const double baseline_s = BestOf(kReps, [&] {
-    auto out = engine::SelectMentionsBaseline(db, f);
-    benchmark::DoNotOptimize(out);
-  });
-  writer.Record("select_rows_baseline_two_pass", threads, baseline_s);
-
   std::printf("\nvectorized selection (interval+confidence passes):\n"
               "  scalar bitmap   : %8.3f ms\n"
               "  simd bitmap     : %8.3f ms%s\n"
-              "  two-pass rows   : %8.3f ms\n"
               "  simd vs scalar  : %.2fx\n",
               scalar_s * 1e3, simd_s * 1e3,
               simd_available ? "" : "  (AVX2 unavailable: scalar fallback)",
-              baseline_s * 1e3, scalar_s / simd_s);
+              scalar_s / simd_s);
 
   // Morsel-size sweep: selection + one bitmap aggregate per size, so the
   // sweep sees both the word-parallel passes and the aggregate reuse.

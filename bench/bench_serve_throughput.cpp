@@ -73,13 +73,11 @@ double MeasureOnce(serve::Server& server, std::vector<double>& latencies_ms) {
 /// full-table co-reporting requests while one foreground client sends
 /// `count` cheap top-sources requests; returns the foreground latencies.
 /// The result cache is off, so every request renders.
-std::vector<double> MeasureInteractiveUnderLoad(bool use_morsel_pool,
-                                                int count) {
+std::vector<double> MeasureInteractiveUnderLoad(int count) {
   serve::ServerOptions options = ServeOptions(/*cache_entries=*/0);
-  // One execution worker: the contrast under test is pure scheduling —
-  // FIFO behind the batch scan vs the priority lane passing it.
+  // One execution worker, so the interactive requests pass the batch
+  // scans only through the priority lane.
   options.scheduler.workers = 1;
-  options.scheduler.use_morsel_pool = use_morsel_pool;
   serve::Server server(Db(), nullptr, options);
   if (!server.Start().ok()) return {};
 
@@ -257,21 +255,12 @@ void Print() {
   writer.RecordLatencies("cold_traced_" + std::to_string(total) + "req",
                          kClients, traced_s, traced_lat);
 
-  // Interactive latency under a saturating batch query: the morsel-pool
-  // scheduler (priority lane + shared pool) vs the thread-per-query
-  // baseline (FIFO queue, private OpenMP teams). Same load, same
-  // requests; the p99 gap is the scheduling win the ISSUE asks for.
+  // Interactive latency under a saturating batch query (priority lane +
+  // shared pool).
   constexpr int kInteractiveCount = 200;
-  const auto pool_lat =
-      MeasureInteractiveUnderLoad(/*use_morsel_pool=*/true,
-                                  kInteractiveCount);
-  const auto baseline_lat =
-      MeasureInteractiveUnderLoad(/*use_morsel_pool=*/false,
-                                  kInteractiveCount);
+  const auto pool_lat = MeasureInteractiveUnderLoad(kInteractiveCount);
   writer.RecordLatencies("interactive_under_batch_morsel_pool", 1,
                          /*wall_seconds=*/0.0, pool_lat);
-  writer.RecordLatencies("interactive_under_batch_thread_per_query", 1,
-                         /*wall_seconds=*/0.0, baseline_lat);
 
   // Doomed-flood: goodput with cooperative cancellation on vs off. The
   // acceptance bar (ISSUE 8) is >=2x goodput with cancellation on.
@@ -304,14 +293,6 @@ void Print() {
   std::printf("  morsel pool      : p50 %7.1fms  p95 %7.1fms  p99 %7.1fms\n",
               Percentile(pool_lat, 0.50), Percentile(pool_lat, 0.95),
               Percentile(pool_lat, 0.99));
-  std::printf("  thread-per-query : p50 %7.1fms  p95 %7.1fms  p99 %7.1fms\n",
-              Percentile(baseline_lat, 0.50), Percentile(baseline_lat, 0.95),
-              Percentile(baseline_lat, 0.99));
-  const double p99_pool = Percentile(pool_lat, 0.99);
-  const double p99_base = Percentile(baseline_lat, 0.99);
-  if (p99_pool > 0.0 && p99_base > 0.0) {
-    std::printf("  p99 improvement  : %.2fx\n", p99_base / p99_pool);
-  }
 
   std::printf("\n--- doomed flood: 50%% of requests carry a 1ms deadline "
               "onto a full-table scan ---\n");

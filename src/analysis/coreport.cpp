@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "convert/binary_format.hpp"
-#include "engine/queries.hpp"
 #include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
@@ -80,138 +79,95 @@ void DenseEventsRange(const CsrSetIndex& index,
   }
 }
 
-/// Tiled kernel, dense flavor: each worker accumulates into a private
-/// n*n matrix (upper triangle only), merged deterministically in
-/// part/slot order (integer sums commute, so work stealing cannot
-/// change the result).
+/// Tiled kernel, dense flavor: each pool slot accumulates into a private
+/// n*n matrix (upper triangle only), merged deterministically in slot
+/// order (integer sums commute, so work stealing cannot change the
+/// result).
 void TiledDense(const engine::Database& db, const CsrSetIndex& index,
                 const std::vector<std::int32_t>& slot, std::size_t n,
-                std::size_t num_parts, const TiledCoReportOptions& options,
-                CoReportMatrix& matrix) {
-  std::vector<std::vector<std::uint32_t>> locals;
+                const TiledCoReportOptions& options, CoReportMatrix& matrix) {
+  std::vector<std::vector<std::uint32_t>> locals(parallel::PoolSlots());
   {
     TRACE_SPAN("coreport.tiles");
-    if (options.use_morsel_pool) {
-      locals.resize(parallel::PoolSlots());
-      std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
-      parallel::PoolParallelFor(
-          db.num_events(),
-          [&](IndexRange r, std::size_t s) {
-            auto& local = locals[s];
-            if (local.size() != n * n) local.assign(n * n, 0);
-            DenseEventsRange(index, slot, n, r, scratch[s], local);
-          },
-          /*morsel_rows=*/0, options.cancel);
-    } else {
-      const auto parts = SplitRange(db.num_events(), num_parts);
-      locals.resize(parts.size());
-      ParallelFor(parts.size(), [&](std::size_t p) {
-        auto& local = locals[p];
-        local.assign(n * n, 0);
-        std::vector<std::uint32_t> slots;
-        DenseEventsRange(index, slot, n, parts[p], slots, local,
-                         options.cancel);
-      });
-    }
+    std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
+    parallel::PoolParallelFor(
+        db.num_events(),
+        [&](IndexRange r, std::size_t s) {
+          auto& local = locals[s];
+          if (local.size() != n * n) local.assign(n * n, 0);
+          DenseEventsRange(index, slot, n, r, scratch[s], local);
+        },
+        /*morsel_rows=*/0, options.cancel);
   }
   TRACE_SPAN("coreport.merge");
   MergeTiledPartials(std::span<std::uint32_t>(matrix.mutable_counts()),
                      locals, options.tile_elems);
 }
 
-/// Tiled kernel, sparse flavor for large n: per-part hash accumulation
+/// Tiled kernel, sparse flavor for large n: per-slot hash accumulation
 /// compressed to key-sorted runs, then merged into the dense result by
 /// disjoint row tiles — each tile is written by exactly one task, runs are
-/// visited in part order, so the merge is atomic-free and deterministic.
+/// visited in slot order, so the merge is atomic-free and deterministic.
 void TiledSparse(const engine::Database& db, const CsrSetIndex& index,
                  const std::vector<std::int32_t>& slot, std::size_t n,
-                 std::size_t num_parts, const TiledCoReportOptions& options,
-                 CoReportMatrix& matrix) {
+                 const TiledCoReportOptions& options, CoReportMatrix& matrix) {
   using Run = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
-  std::vector<Run> runs;
-  if (options.use_morsel_pool) {
-    // Per-slot hash accumulation across morsels, compressed to sorted
-    // runs afterwards. The tile merge below visits runs in slot order,
-    // and per-tile sums commute, so the counts match the OpenMP flavor.
-    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> accs(
-        parallel::PoolSlots());
-    std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
-    parallel::PoolParallelFor(
-        db.num_events(),
-        [&](IndexRange r, std::size_t s) {
-          auto& acc = accs[s];
-          auto& slots = scratch[s];
-          for (std::size_t e = r.begin; e < r.end; ++e) {
-            SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
-            for (std::size_t a = 0; a < slots.size(); ++a) {
-              ++acc[UpperKey(slots[a], slots[a])];
-              for (std::size_t b = a + 1; b < slots.size(); ++b) {
-                ++acc[UpperKey(slots[a], slots[b])];
-              }
+  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> accs(
+      parallel::PoolSlots());
+  std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
+  parallel::PoolParallelFor(
+      db.num_events(),
+      [&](IndexRange r, std::size_t s) {
+        auto& acc = accs[s];
+        auto& slots = scratch[s];
+        for (std::size_t e = r.begin; e < r.end; ++e) {
+          SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
+          for (std::size_t a = 0; a < slots.size(); ++a) {
+            ++acc[UpperKey(slots[a], slots[a])];
+            for (std::size_t b = a + 1; b < slots.size(); ++b) {
+              ++acc[UpperKey(slots[a], slots[b])];
             }
           }
-        },
-        /*morsel_rows=*/0, options.cancel);
-    runs.resize(accs.size());
-    parallel::PoolParallelFor(
-        accs.size(),
-        [&](IndexRange r, std::size_t) {
-          for (std::size_t p = r.begin; p < r.end; ++p) {
-            runs[p].assign(accs[p].begin(), accs[p].end());
-            std::sort(runs[p].begin(), runs[p].end());
-          }
-        },
-        /*morsel_rows=*/1, options.cancel);
-  } else {
-    const auto parts = SplitRange(db.num_events(), num_parts);
-    runs.resize(parts.size());
-    ParallelFor(parts.size(), [&](std::size_t p) {
-      std::unordered_map<std::uint64_t, std::uint32_t> acc;
-      std::vector<std::uint32_t> slots;
-      for (std::size_t e = parts[p].begin; e < parts[p].end; ++e) {
-        if ((e & 255) == 0 && util::Cancelled(options.cancel)) break;
-        SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
-        for (std::size_t a = 0; a < slots.size(); ++a) {
-          ++acc[UpperKey(slots[a], slots[a])];
-          for (std::size_t b = a + 1; b < slots.size(); ++b) {
-            ++acc[UpperKey(slots[a], slots[b])];
-          }
         }
-      }
-      runs[p].assign(acc.begin(), acc.end());
-      std::sort(runs[p].begin(), runs[p].end());
-    });
-  }
+      },
+      /*morsel_rows=*/0, options.cancel);
+  std::vector<Run> runs(accs.size());
+  parallel::PoolParallelFor(
+      accs.size(),
+      [&](IndexRange r, std::size_t) {
+        for (std::size_t p = r.begin; p < r.end; ++p) {
+          runs[p].assign(accs[p].begin(), accs[p].end());
+          std::sort(runs[p].begin(), runs[p].end());
+        }
+      },
+      /*morsel_rows=*/1, options.cancel);
 
   auto* counts = matrix.mutable_counts().data();
   const std::size_t tile_rows =
       std::max<std::size_t>(1, options.tile_elems / std::max<std::size_t>(n, 1));
   const std::size_t num_tiles = (n + tile_rows - 1) / tile_rows;
-  const auto merge_tile = [&](std::size_t t) {
-    const std::uint64_t row_begin = t * tile_rows;
-    const std::uint64_t row_end =
-        std::min<std::uint64_t>(n, row_begin + tile_rows);
-    const std::uint64_t key_begin = row_begin << 32;
-    const std::uint64_t key_end = row_end << 32;
-    for (const Run& run : runs) {
-      auto it = std::lower_bound(
-          run.begin(), run.end(), key_begin,
-          [](const auto& entry, std::uint64_t key) { return entry.first < key; });
-      for (; it != run.end() && it->first < key_end; ++it) {
-        counts[(it->first >> 32) * n + (it->first & 0xFFFFFFFFu)] += it->second;
-      }
-    }
-  };
-  if (options.use_morsel_pool) {
-    parallel::PoolParallelFor(
-        num_tiles,
-        [&](IndexRange r, std::size_t) {
-          for (std::size_t t = r.begin; t < r.end; ++t) merge_tile(t);
-        },
-        /*morsel_rows=*/1, options.cancel);
-  } else {
-    ParallelFor(num_tiles, merge_tile);
-  }
+  parallel::PoolParallelFor(
+      num_tiles,
+      [&](IndexRange r, std::size_t) {
+        for (std::size_t t = r.begin; t < r.end; ++t) {
+          const std::uint64_t row_begin = t * tile_rows;
+          const std::uint64_t row_end =
+              std::min<std::uint64_t>(n, row_begin + tile_rows);
+          const std::uint64_t key_begin = row_begin << 32;
+          const std::uint64_t key_end = row_end << 32;
+          for (const Run& run : runs) {
+            auto it = std::lower_bound(run.begin(), run.end(), key_begin,
+                                       [](const auto& entry, std::uint64_t key) {
+                                         return entry.first < key;
+                                       });
+            for (; it != run.end() && it->first < key_end; ++it) {
+              counts[(it->first >> 32) * n + (it->first & 0xFFFFFFFFu)] +=
+                  it->second;
+            }
+          }
+        }
+      },
+      /*morsel_rows=*/1, options.cancel);
 }
 
 }  // namespace
@@ -231,16 +187,14 @@ CoReportMatrix ComputeCoReporting(const engine::Database& db,
     return db.event_distinct_sources();
   }();
 
-  const auto num_parts = static_cast<std::size_t>(MaxThreads());
-  // The pool path keeps one partial per pool slot (workers + callers),
-  // so its footprint, not the OpenMP team's, drives the dense/sparse cut.
-  const std::size_t num_partials =
-      options.use_morsel_pool ? parallel::PoolSlots() : num_parts;
-  const std::size_t dense_bytes = num_partials * n * n * sizeof(std::uint32_t);
+  // One partial per pool slot (workers + callers): that footprint drives
+  // the dense/sparse cut.
+  const std::size_t dense_bytes =
+      parallel::PoolSlots() * n * n * sizeof(std::uint32_t);
   if (dense_bytes <= options.dense_partials_budget_bytes) {
-    TiledDense(db, index, slot, n, num_parts, options, matrix);
+    TiledDense(db, index, slot, n, options, matrix);
   } else {
-    TiledSparse(db, index, slot, n, num_parts, options, matrix);
+    TiledSparse(db, index, slot, n, options, matrix);
   }
   MirrorLowerTriangle(matrix.mutable_counts().data(), n);
   return matrix;
@@ -313,273 +267,6 @@ CoReportMatrix ComputeCoReporting(const engine::Database& db,
   }
   MirrorLowerTriangle(counts.data(), n);
   return matrix;
-}
-
-CoReportMatrix ComputeCoReportingDenseAtomic(
-    const engine::Database& db, std::span<const std::uint32_t> subset) {
-  const auto slot = SlotMap(db, subset);
-  const std::size_t n = subset.empty() ? db.num_sources() : subset.size();
-  CoReportMatrix matrix(n);
-  if (n == 0) return matrix;
-  const auto& index = db.event_distinct_sources();
-  auto* counts = matrix.mutable_counts().data();
-
-  // gdelt-lint: allow(raw-omp) — deliberate holdout: the contended-atomics
-  // baseline of the representation ablation (bench_ablation_coreport_repr).
-#pragma omp parallel
-  {
-    std::vector<std::uint32_t> slots;
-    // gdelt-astcheck: allow(cancel-poll) — re-audited: still bench-only.
-    // gdelt-lint: allow(cancel-blind-loop) — ablation holdout, never runs
-    // under the server; benches want the uninterrupted full scan.
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t e = 0; e < static_cast<std::int64_t>(db.num_events());
-         ++e) {
-      SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
-      // Update the shared symmetric matrix: diagonal carries e_i.
-      for (std::size_t a = 0; a < slots.size(); ++a) {
-        {
-          std::uint32_t& diag =
-              counts[static_cast<std::size_t>(slots[a]) * n + slots[a]];
-#pragma omp atomic
-          ++diag;
-        }
-        for (std::size_t b = a + 1; b < slots.size(); ++b) {
-          const std::uint64_t key = UpperKey(slots[a], slots[b]);
-          std::uint32_t& upper = counts[(key >> 32) * n + (key & 0xFFFFFFFFu)];
-#pragma omp atomic
-          ++upper;
-        }
-      }
-    }
-  }
-  MirrorLowerTriangle(counts, n);
-  return matrix;
-}
-
-CoReportMatrix ComputeCoReportingSparse(const engine::Database& db,
-                                        std::span<const std::uint32_t> subset) {
-  const auto slot = SlotMap(db, subset);
-  const std::size_t n = subset.empty() ? db.num_sources() : subset.size();
-  CoReportMatrix matrix(n);
-  if (n == 0) return matrix;
-  const auto& index = db.event_distinct_sources();
-
-  // Per-thread sparse accumulation keyed by packed (i, j), merged at the
-  // end. Same result as the dense path; trades atomics for hashing.
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> locals(nt);
-  // gdelt-lint: allow(raw-omp) — deliberate holdout: the hash-based
-  // baseline of the representation ablation (bench_ablation_coreport_repr).
-#pragma omp parallel
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    auto& local = locals[tid];
-    std::vector<std::uint32_t> slots;
-    // gdelt-astcheck: allow(cancel-poll) — re-audited: still bench-only.
-    // gdelt-lint: allow(cancel-blind-loop) — ablation holdout, never runs
-    // under the server; benches want the uninterrupted full scan.
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t e = 0; e < static_cast<std::int64_t>(db.num_events());
-         ++e) {
-      SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
-      for (std::size_t a = 0; a < slots.size(); ++a) {
-        ++local[UpperKey(slots[a], slots[a])];
-        for (std::size_t b = a + 1; b < slots.size(); ++b) {
-          ++local[UpperKey(slots[a], slots[b])];
-        }
-      }
-    }
-  }
-  auto& counts = matrix.mutable_counts();
-  for (const auto& local : locals) {
-    for (const auto& [key, count] : local) {
-      const std::size_t i = key >> 32;
-      const std::size_t j = key & 0xFFFFFFFFu;
-      counts[i * n + j] += count;
-    }
-  }
-  MirrorLowerTriangle(counts.data(), n);
-  return matrix;
-}
-
-graph::SparseMatrix ComputeCoReportingTimeSliced(const engine::Database& db) {
-  const std::size_t n = db.num_sources();
-  const auto added = db.event_added_interval();
-  const auto& index = db.event_distinct_sources();
-
-  // Slice events by the quarter they entered the database.
-  const auto w = engine::QuartersOf(db);
-  const auto nq = static_cast<std::size_t>(std::max(w.count, 1));
-  std::vector<std::vector<std::uint32_t>> slice_events(nq);
-  // gdelt-astcheck: allow(cancel-poll) — re-audited: still bench-only.
-  // gdelt-lint: allow(cancel-blind-loop) — time-sliced ablation kernel
-  // (bench-only, no token plumbed); the slicing pass is cheap relative
-  // to the per-slice matrix build.
-  for (std::size_t e = 0; e < db.num_events(); ++e) {
-    std::int64_t q =
-        QuarterOfUnixSeconds(IntervalStartUnixSeconds(added[e])) - w.first;
-    q = std::clamp<std::int64_t>(q, 0, static_cast<std::int64_t>(nq) - 1);
-    slice_events[static_cast<std::size_t>(q)].push_back(
-        static_cast<std::uint32_t>(e));
-  }
-
-  // One compressed sparse matrix per time slice (upper triangle + diag),
-  // built in parallel across slices. The memoized index hands every event
-  // its distinct sources already sorted, so keys come out ordered per
-  // event without any per-event sort.
-  std::vector<graph::SparseMatrix> slices(nq);
-  // gdelt-lint: allow(raw-omp) — deliberate holdout: the paper's literal
-  // time-sliced scale-out plan, kept on its own OpenMP team as published.
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic)
-    for (std::int64_t qi = 0; qi < static_cast<std::int64_t>(nq); ++qi) {
-      std::unordered_map<std::uint64_t, std::uint32_t> acc;
-      for (const std::uint32_t e : slice_events[static_cast<std::size_t>(qi)]) {
-        const auto slots = index.ValuesOf(e);
-        for (std::size_t a = 0; a < slots.size(); ++a) {
-          for (std::size_t b = a; b < slots.size(); ++b) {
-            ++acc[static_cast<std::uint64_t>(slots[a]) << 32 | slots[b]];
-          }
-        }
-      }
-      // Compress this slice to CSR (sorted keys give sorted columns).
-      std::vector<std::pair<std::uint64_t, std::uint32_t>> entries(
-          acc.begin(), acc.end());
-      std::sort(entries.begin(), entries.end());
-      graph::SparseMatrix& m = slices[static_cast<std::size_t>(qi)];
-      m.rows = n;
-      m.cols = n;
-      m.row_offsets.assign(n + 1, 0);
-      m.col_index.reserve(entries.size());
-      m.values.reserve(entries.size());
-      for (const auto& [key, count] : entries) {
-        ++m.row_offsets[(key >> 32) + 1];
-        m.col_index.push_back(static_cast<std::uint32_t>(key));
-        m.values.push_back(static_cast<double>(count));
-      }
-      for (std::size_t r = 0; r < n; ++r) {
-        m.row_offsets[r + 1] += m.row_offsets[r];
-      }
-    }
-  }
-
-  // Assemble: sum the per-slice sparse matrices by merging row streams.
-  graph::SparseMatrix global;
-  global.rows = n;
-  global.cols = n;
-  global.row_offsets.assign(n + 1, 0);
-  std::vector<std::vector<std::uint32_t>> row_cols(n);
-  std::vector<std::vector<double>> row_vals(n);
-  // gdelt-lint: allow(raw-omp) — deliberate holdout: assembly stage of the
-  // time-sliced baseline above.
-#pragma omp parallel
-  {
-    std::vector<double> acc(n, 0.0);
-    std::vector<std::uint32_t> touched;
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t r = 0; r < static_cast<std::int64_t>(n); ++r) {
-      touched.clear();
-      for (const auto& m : slices) {
-        for (std::uint64_t k = m.row_offsets[r]; k < m.row_offsets[r + 1];
-             ++k) {
-          const std::uint32_t c = m.col_index[k];
-          if (acc[c] == 0.0) touched.push_back(c);
-          acc[c] += m.values[k];
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& cols = row_cols[static_cast<std::size_t>(r)];
-      auto& vals = row_vals[static_cast<std::size_t>(r)];
-      for (const std::uint32_t c : touched) {
-        cols.push_back(c);
-        vals.push_back(acc[c]);
-        acc[c] = 0.0;
-      }
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    global.row_offsets[r + 1] = global.row_offsets[r] + row_cols[r].size();
-  }
-  global.col_index.reserve(global.row_offsets.back());
-  global.values.reserve(global.row_offsets.back());
-  for (std::size_t r = 0; r < n; ++r) {
-    global.col_index.insert(global.col_index.end(), row_cols[r].begin(),
-                            row_cols[r].end());
-    global.values.insert(global.values.end(), row_vals[r].begin(),
-                         row_vals[r].end());
-  }
-  // Mirror the upper triangle sparsely: build the transpose of the
-  // strictly-upper part with a counting sort (columns stay sorted within
-  // rows), then merge the two sorted row streams.
-  graph::SparseMatrix lower;
-  lower.rows = n;
-  lower.cols = n;
-  lower.row_offsets.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::uint64_t k = global.row_offsets[r]; k < global.row_offsets[r + 1];
-         ++k) {
-      if (global.col_index[k] != r) ++lower.row_offsets[global.col_index[k] + 1];
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    lower.row_offsets[r + 1] += lower.row_offsets[r];
-  }
-  lower.col_index.resize(lower.row_offsets.back());
-  lower.values.resize(lower.row_offsets.back());
-  {
-    std::vector<std::uint64_t> cursor(lower.row_offsets.begin(),
-                                      lower.row_offsets.end() - 1);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::uint64_t k = global.row_offsets[r];
-           k < global.row_offsets[r + 1]; ++k) {
-        const std::uint32_t c = global.col_index[k];
-        if (c == r) continue;
-        lower.col_index[cursor[c]] = static_cast<std::uint32_t>(r);
-        lower.values[cursor[c]] = global.values[k];
-        ++cursor[c];
-      }
-    }
-  }
-
-  graph::SparseMatrix full;
-  full.rows = n;
-  full.cols = n;
-  full.row_offsets.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    // Disjoint column sets (strictly-upper + diag vs strictly-lower), so
-    // the merged row size is just the sum.
-    full.row_offsets[r + 1] =
-        full.row_offsets[r] +
-        (global.row_offsets[r + 1] - global.row_offsets[r]) +
-        (lower.row_offsets[r + 1] - lower.row_offsets[r]);
-  }
-  full.col_index.resize(full.row_offsets.back());
-  full.values.resize(full.row_offsets.back());
-  ParallelFor(n, [&](std::size_t r) {
-    std::uint64_t at = full.row_offsets[r];
-    std::uint64_t ku = global.row_offsets[r];
-    std::uint64_t kl = lower.row_offsets[r];
-    const std::uint64_t eu = global.row_offsets[r + 1];
-    const std::uint64_t el = lower.row_offsets[r + 1];
-    while (ku < eu || kl < el) {
-      const bool take_lower =
-          ku >= eu ||
-          (kl < el && lower.col_index[kl] < global.col_index[ku]);
-      if (take_lower) {
-        full.col_index[at] = lower.col_index[kl];
-        full.values[at] = lower.values[kl];
-        ++kl;
-      } else {
-        full.col_index[at] = global.col_index[ku];
-        full.values[at] = global.values[ku];
-        ++ku;
-      }
-      ++at;
-    }
-  });
-  return full;
 }
 
 }  // namespace gdelt::analysis

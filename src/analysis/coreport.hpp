@@ -10,10 +10,9 @@
 // Every kernel below consumes the database's memoized event ->
 // distinct-source index (engine::Database::event_distinct_sources()), so
 // the per-event sort/dedup is paid once per database, not once per query.
-// The default kernel is the atomic-free tiled one; the shared-matrix
-// atomic kernel and the hash-based sparse kernel stay available as the
-// representation ablation (bench_ablation_coreport_repr), which quantifies
-// the win. All kernels produce bitwise-identical count matrices.
+// The kernel is the atomic-free tiled one on the shared morsel pool;
+// EXPERIMENTS.md (bench_ablation_coreport_repr) records why it beats
+// shared-matrix atomics and per-thread hash maps.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "engine/database.hpp"
-#include "graph/matrix.hpp"
 #include "util/cancel.hpp"
 
 namespace gdelt::analysis {
@@ -58,29 +56,24 @@ class CoReportMatrix {
 /// Tuning knobs for the tiled kernel; the defaults are right for
 /// production use — tests lower them to force the large-n sparse path.
 struct TiledCoReportOptions {
-  /// Ceiling on the total size of per-thread dense partial matrices
-  /// (threads * n * n * 4 bytes). Below it each thread accumulates into a
-  /// private dense upper-triangular matrix; above it threads accumulate
-  /// sparse (hashed) partials compressed to sorted runs instead.
+  /// Ceiling on the total size of per-slot dense partial matrices
+  /// (pool slots * n * n * 4 bytes). Below it each pool slot accumulates
+  /// into a private dense upper-triangular matrix; above it slots
+  /// accumulate sparse (hashed) partials compressed to sorted runs instead.
   std::size_t dense_partials_budget_bytes = std::size_t{512} << 20;
   /// Merge granularity: elements per output tile (dense merge) and the
   /// basis for the row-tile width (sparse merge).
   std::size_t tile_elems = std::size_t{1} << 14;
-  /// Run event morsels on the shared work-stealing pool (default) or on
-  /// a private OpenMP team (scheduling-ablation baseline). Both produce
-  /// bitwise-identical matrices.
-  bool use_morsel_pool = true;
-  /// Cooperative cancellation: polled per morsel (pool path) or per
-  /// iteration chunk (OpenMP path). A cancelled run returns an
-  /// unspecified partial matrix — the caller must check the token and
+  /// Cooperative cancellation, polled per morsel. A cancelled run returns
+  /// an unspecified partial matrix — the caller must check the token and
   /// discard it (see util/cancel.hpp).
   const util::CancelToken* cancel = nullptr;
 };
 
 /// Computes co-reporting over a subset of sources (empty subset = all).
 /// `subset[k]` is the source id occupying matrix row/col k.
-/// This is the atomic-free tiled kernel: parallel over event ranges with
-/// per-thread private accumulation, merged deterministically in tile
+/// This is the atomic-free tiled kernel: event morsels on the shared pool
+/// with per-slot private accumulation, merged deterministically in tile
 /// order (parallel/MergeTiledPartials) — no atomics on the hot path and
 /// bitwise-reproducible output at any thread count.
 CoReportMatrix ComputeCoReporting(const engine::Database& db,
@@ -109,29 +102,5 @@ CoReportMatrix ComputeCoReporting(const engine::Database& db,
                                   std::span<const std::uint32_t> subset,
                                   std::span<const std::uint64_t> rows,
                                   const util::CancelToken* cancel = nullptr);
-
-/// The pre-tiling baseline kept for the representation ablation: a shared
-/// dense matrix updated with per-pair atomics. Identical counts,
-/// contended at high thread counts.
-CoReportMatrix ComputeCoReportingDenseAtomic(
-    const engine::Database& db, std::span<const std::uint32_t> subset = {});
-
-/// Hash-based alternative (the ablation of DESIGN.md section 5):
-/// accumulates per-thread hash maps of pair counts and merges them.
-/// Produces identical counts; compared for speed/memory in the bench.
-CoReportMatrix ComputeCoReportingSparse(
-    const engine::Database& db, std::span<const std::uint32_t> subset = {});
-
-/// The paper's literal scale-out plan (Section VI-B): "a global
-/// co-reporting matrix can be assembled from smaller matrices that cover
-/// only a limited time span. These matrices can then be compressed into a
-/// sparse format and assembled into a larger sparse matrix."
-///
-/// Events are sliced by the quarter of their DATEADDED (each event lands
-/// wholly in one slice, so the assembled counts equal the dense result
-/// exactly); every slice builds its own compressed sparse matrix over all
-/// sources, and the slices are summed into one global sparse matrix.
-/// Returns the symmetric pair-count matrix (diagonal = e_i) in CSR form.
-graph::SparseMatrix ComputeCoReportingTimeSliced(const engine::Database& db);
 
 }  // namespace gdelt::analysis

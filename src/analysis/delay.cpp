@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
 
@@ -51,7 +52,6 @@ void OneSourceDelayStats(const engine::Database& db,
 }  // namespace
 
 std::vector<DelayStats> PerSourceDelayStats(const engine::Database& db,
-                                            parallel::Backend backend,
                                             const util::CancelToken* cancel) {
   TRACE_SPAN("delay.per_source");
   const auto when = db.mention_interval();
@@ -60,38 +60,19 @@ std::vector<DelayStats> PerSourceDelayStats(const engine::Database& db,
   std::vector<DelayStats> stats(ns);
   db.mentions_by_source();  // force the memoized index outside the region
 
-  if (backend == parallel::Backend::kMorselPool) {
-    // Per-source work is skewed (article counts follow a power law), so
-    // sources get small morsels: the pool's stealing does the balancing
-    // the old schedule(dynamic, 16) did.
-    std::vector<std::vector<std::int64_t>> scratch(parallel::PoolSlots());
-    parallel::PoolParallelFor(
-        ns,
-        [&](IndexRange r, std::size_t slot) {
-          auto& delays = scratch[slot];
-          for (std::size_t s = r.begin; s < r.end; ++s) {
-            OneSourceDelayStats(db, when, event_when,
-                                static_cast<std::uint32_t>(s), delays,
-                                stats[s]);
-          }
-        },
-        /*morsel_rows=*/64, cancel);
-    return stats;
-  }
-
-  // Ablation baseline: private OpenMP team.
-  // gdelt-lint: allow(raw-omp) — deliberate holdout, the kOpenMp backend
-  // of the morsel-pool migration (DESIGN.md section 5c).
-#pragma omp parallel
-  {
-    std::vector<std::int64_t> delays;
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(ns); ++s) {
-      if ((s & 255) == 0 && util::Cancelled(cancel)) continue;
-      OneSourceDelayStats(db, when, event_when, static_cast<std::uint32_t>(s),
-                          delays, stats[static_cast<std::size_t>(s)]);
-    }
-  }
+  // Per-source work is skewed (article counts follow a power law), so
+  // sources get small morsels and the pool's stealing does the balancing.
+  std::vector<std::vector<std::int64_t>> scratch(parallel::PoolSlots());
+  parallel::PoolParallelFor(
+      ns,
+      [&](IndexRange r, std::size_t slot) {
+        auto& delays = scratch[slot];
+        for (std::size_t s = r.begin; s < r.end; ++s) {
+          OneSourceDelayStats(db, when, event_when,
+                              static_cast<std::uint32_t>(s), delays, stats[s]);
+        }
+      },
+      /*morsel_rows=*/64, cancel);
   return stats;
 }
 

@@ -11,7 +11,7 @@
 
 #include "engine/database.hpp"
 #include "engine/queries.hpp"
-#include "parallel/morsel.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::analysis {
 
@@ -27,11 +27,9 @@ struct DelayStats {
 /// Delay statistics for every source id. Sources with no valid articles
 /// have article_count == 0. Parallel over sources via the source index;
 /// each source is computed wholly within one morsel, so the float
-/// average is bitwise identical on both backends.
+/// average is bitwise identical at any morsel size and thread count.
 std::vector<DelayStats> PerSourceDelayStats(
-    const engine::Database& db,
-    parallel::Backend backend = parallel::Backend::kMorselPool,
-    const util::CancelToken* cancel = nullptr);
+    const engine::Database& db, const util::CancelToken* cancel = nullptr);
 
 /// Partial-aggregate kernel for scatter-gather serving: delay stats for
 /// only the sources with `s % of == shard`; all other entries stay

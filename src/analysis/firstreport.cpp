@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 
 namespace gdelt::analysis {
@@ -87,7 +88,6 @@ void FirstReportEventsRange(const engine::Database& db, IndexRange r,
 
 FirstReportStats ComputeFirstReports(const engine::Database& db,
                                      int histogram_bins,
-                                     parallel::Backend backend,
                                      const util::CancelToken* cancel) {
   const std::size_t ns = db.num_sources();
   const auto bins = static_cast<std::size_t>(histogram_bins);
@@ -97,39 +97,15 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
   stats.repeat_events.assign(ns, 0);
   stats.repeat_articles.assign(ns, 0);
 
-  std::vector<FirstReportLocal> locals;
-  if (backend == parallel::Backend::kMorselPool) {
-    locals.resize(parallel::PoolSlots());
-    parallel::PoolParallelFor(
-        db.num_events(),
-        [&](IndexRange r, std::size_t slot) {
-          auto& local = locals[slot];
-          local.EnsureSized(ns, bins);
-          FirstReportEventsRange(db, r, local);
-        },
-        /*morsel_rows=*/0, cancel);
-  } else {
-    // Ablation baseline: private OpenMP team.
-    locals.resize(static_cast<std::size_t>(MaxThreads()));
-    // gdelt-lint: allow(raw-omp) — deliberate holdout, the kOpenMp
-    // backend of the morsel-pool migration (DESIGN.md section 5c).
-#pragma omp parallel
-    {
-      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-      FirstReportLocal& local = locals[tid];
-      local.EnsureSized(ns, bins);
-#pragma omp for schedule(dynamic, 256)
-      for (std::int64_t e = 0; e < static_cast<std::int64_t>(db.num_events());
-           ++e) {
-        if ((e & 255) == 0 && util::Cancelled(cancel)) continue;
-        FirstReportEventsRange(
-            db,
-            IndexRange{static_cast<std::size_t>(e),
-                       static_cast<std::size_t>(e) + 1},
-            local);
-      }
-    }
-  }
+  std::vector<FirstReportLocal> locals(parallel::PoolSlots());
+  parallel::PoolParallelFor(
+      db.num_events(),
+      [&](IndexRange r, std::size_t slot) {
+        auto& local = locals[slot];
+        local.EnsureSized(ns, bins);
+        FirstReportEventsRange(db, r, local);
+      },
+      /*morsel_rows=*/0, cancel);
 
   // Slot-ordered merge (integer sums, so the result is independent of
   // which worker ran which morsel).

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
-#include "parallel/morsel.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::analysis {
 
@@ -51,11 +51,10 @@ struct FirstReportStats {
 /// Computes all first-reporter statistics in one pass over the event
 /// index. Events whose first delay is negative (the Table II defect) are
 /// excluded from the delay histogram but still count for first-reports.
-/// Integer partials merged in scratch-slot order — bitwise identical on
-/// both backends.
+/// Integer partials merged in scratch-slot order — bitwise identical at
+/// any morsel size and thread count.
 FirstReportStats ComputeFirstReports(
     const engine::Database& db, int histogram_bins = 18,
-    parallel::Backend backend = parallel::Backend::kMorselPool,
     const util::CancelToken* cancel = nullptr);
 
 /// Partial-aggregate kernel for scatter-gather serving: the same

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/queries.hpp"
+#include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
 
@@ -71,7 +72,6 @@ void FollowEventsRange(const engine::Database& db,
 
 FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
                                           std::span<const std::uint32_t> subset,
-                                          parallel::Backend backend,
                                           const util::CancelToken* cancel) {
   TRACE_SPAN("followreport.compute");
   FollowReportMatrix result;
@@ -92,43 +92,17 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
   // Per-slot count matrices merged in slot order: no atomics on the hot
   // path and deterministic output under any scheduling (integer sums
   // commute across morsels).
-  if (backend == parallel::Backend::kMorselPool) {
-    const std::size_t slots = parallel::PoolSlots();
-    std::vector<std::vector<std::uint64_t>> locals(slots);
-    std::vector<FollowScratch> scratch(slots);
-    parallel::PoolParallelFor(
-        db.num_events(),
-        [&](IndexRange r, std::size_t s) {
-          auto& local = locals[s];
-          if (local.size() != n * n) local.assign(n * n, 0);
-          FollowEventsRange(db, slot, n, r, scratch[s], local);
-        },
-        /*morsel_rows=*/0, cancel);
-    MergeTiledPartials(std::span<std::uint64_t>(result.follow_counts), locals);
-    return result;
-  }
-
-  // Ablation baseline: private OpenMP team.
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::vector<std::uint64_t>> locals(nt);
-  std::vector<FollowScratch> scratch(nt);
-  // gdelt-lint: allow(raw-omp) — deliberate holdout, the kOpenMp backend
-  // of the morsel-pool migration (DESIGN.md section 5c).
-#pragma omp parallel
-  {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    auto& local = locals[tid];
-    local.assign(n * n, 0);
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t e = 0; e < static_cast<std::int64_t>(db.num_events());
-         ++e) {
-      if ((e & 255) == 0 && util::Cancelled(cancel)) continue;
-      FollowEventsRange(db, slot, n,
-                        IndexRange{static_cast<std::size_t>(e),
-                                   static_cast<std::size_t>(e) + 1},
-                        scratch[tid], local);
-    }
-  }
+  const std::size_t slots = parallel::PoolSlots();
+  std::vector<std::vector<std::uint64_t>> locals(slots);
+  std::vector<FollowScratch> scratch(slots);
+  parallel::PoolParallelFor(
+      db.num_events(),
+      [&](IndexRange r, std::size_t s) {
+        auto& local = locals[s];
+        if (local.size() != n * n) local.assign(n * n, 0);
+        FollowEventsRange(db, slot, n, r, scratch[s], local);
+      },
+      /*morsel_rows=*/0, cancel);
   MergeTiledPartials(std::span<std::uint64_t>(result.follow_counts), locals);
   return result;
 }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
-#include "parallel/morsel.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::analysis {
 
@@ -45,10 +45,10 @@ struct FollowReportMatrix {
 /// Computes follow-reporting over `subset` (matrix order = subset order).
 /// An article counts as following i if i published on the same event in a
 /// strictly earlier capture interval. Partial count matrices are merged
-/// in scratch-slot order, so both backends are bitwise identical.
+/// in scratch-slot order, so the result is bitwise identical at any
+/// morsel size and thread count.
 FollowReportMatrix ComputeFollowReporting(
     const engine::Database& db, std::span<const std::uint32_t> subset,
-    parallel::Backend backend = parallel::Backend::kMorselPool,
     const util::CancelToken* cancel = nullptr);
 
 /// Partial-aggregate kernel for scatter-gather serving: follow counts

@@ -18,26 +18,6 @@
 namespace gdelt::engine {
 namespace {
 
-/// Evaluates the conjunction for one mention row (scalar reference; the
-/// bitmap passes below must agree with this bit-for-bit).
-bool Matches(const Database& db, const MentionFilter& f, std::uint64_t i) {
-  const std::int64_t at = db.mention_interval()[i];
-  if (at < f.begin_interval || at >= f.end_interval) return false;
-  if (db.mention_confidence()[i] < f.min_confidence) return false;
-  if (f.publisher_country != kNoCountry &&
-      db.source_country()[db.mention_source_id()[i]] != f.publisher_country) {
-    return false;
-  }
-  const std::uint32_t row = db.mention_event_row()[i];
-  if (row == convert::kOrphanEventRow) {
-    if (f.exclude_orphans || f.event_country != kNoCountry) return false;
-  } else if (f.event_country != kNoCountry &&
-             db.event_country()[row] != f.event_country) {
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // SIMD dispatch
 // ---------------------------------------------------------------------------
@@ -322,49 +302,6 @@ std::vector<std::uint64_t> SelectMentions(const Database& db,
   return SelectMentionsBitmap(db, filter).ToRows();
 }
 
-std::vector<std::uint64_t> SelectMentionsBaseline(const Database& db,
-                                                  const MentionFilter& filter) {
-  TRACE_SPAN("engine.select_mentions.baseline");
-  const std::size_t n = db.num_mentions();
-  // Pass 1: per-chunk match counts; pass 2: scatter rows in order.
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::uint64_t> chunk_counts(nt, 0);
-  std::vector<IndexRange> chunk_ranges(nt);
-  ParallelForChunks(n, [&](IndexRange r, int tid) {
-    chunk_ranges[static_cast<std::size_t>(tid)] = r;
-    std::uint64_t count = 0;
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      if (Matches(db, filter, i)) ++count;
-    }
-    chunk_counts[static_cast<std::size_t>(tid)] = count;
-  });
-  std::vector<std::uint64_t> offsets(nt, 0);
-  std::uint64_t total = 0;
-  for (std::size_t t = 0; t < nt; ++t) {
-    offsets[t] = total;
-    total += chunk_counts[t];
-  }
-  std::vector<std::uint64_t> rows(total);
-  ParallelForChunks(n, [&](IndexRange r, int tid) {
-    // Ranges are deterministic, so this chunk matches pass 1's.
-    std::uint64_t at = offsets[static_cast<std::size_t>(tid)];
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      if (Matches(db, filter, i)) rows[at++] = i;
-    }
-  });
-  return rows;
-}
-
-std::vector<std::uint64_t> ArticlesPerSource(
-    const Database& db, std::span<const std::uint64_t> rows) {
-  TRACE_SPAN("engine.articles_per_source.filtered");
-  const auto src = db.mention_source_id();
-  return ParallelHistogram(rows.size(), db.num_sources(),
-                           [&](std::size_t k) -> std::size_t {
-                             return src[rows[k]];
-                           });
-}
-
 std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
                                              const SelectionBitmap& sel) {
   TRACE_SPAN("engine.articles_per_source.filtered");
@@ -398,32 +335,6 @@ CountryCrossReport CrossReportFromHistogram(std::size_t nc, Hist&& histogram) {
 }
 
 }  // namespace
-
-CountryCrossReport CountryCrossReporting(
-    const Database& db, std::span<const std::uint64_t> rows) {
-  TRACE_SPAN("engine.cross_report.filtered");
-  const std::size_t nc = Countries().size();
-  const auto event_row = db.mention_event_row();
-  const auto src = db.mention_source_id();
-  const auto event_country = db.event_country();
-  const auto source_country = db.source_country();
-  const auto bin_of = [&](std::uint64_t i, std::size_t matrix_bins,
-                          std::size_t ncs) -> std::size_t {
-    const std::uint16_t pub = source_country[src[i]];
-    if (pub == kNoCountry) return SIZE_MAX;
-    const std::uint32_t row = event_row[i];
-    if (row == convert::kOrphanEventRow) return matrix_bins + pub;
-    const std::uint16_t rep = event_country[row];
-    if (rep == kNoCountry) return matrix_bins + pub;
-    return static_cast<std::size_t>(rep) * ncs + pub;
-  };
-  return CrossReportFromHistogram(nc, [&](std::size_t matrix_bins) {
-    return ParallelHistogram(rows.size(), matrix_bins + nc,
-                             [&](std::size_t k) -> std::size_t {
-                               return bin_of(rows[k], matrix_bins, nc);
-                             });
-  });
-}
 
 CountryCrossReport CountryCrossReporting(const Database& db,
                                          const SelectionBitmap& sel) {

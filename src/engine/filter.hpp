@@ -61,7 +61,7 @@ struct SelectionBitmap {
 /// Column-at-a-time vectorized selection: AVX2 compare kernels for the
 /// interval-window and min-confidence columns, zero-word-skipping scalar
 /// passes for the gather-dependent country/orphan predicates. Runs on
-/// the shared morsel pool; byte-identical to SelectMentionsBaseline.
+/// the shared morsel pool.
 SelectionBitmap SelectMentionsBitmap(const Database& db,
                                      const MentionFilter& filter);
 
@@ -70,26 +70,12 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
 std::vector<std::uint64_t> SelectMentions(const Database& db,
                                           const MentionFilter& filter);
 
-/// Row-at-a-time scalar baseline (OpenMP two-pass build). Kept for the
-/// scalar-vs-SIMD ablation bench and the golden equivalence tests.
-std::vector<std::uint64_t> SelectMentionsBaseline(const Database& db,
-                                                  const MentionFilter& filter);
-
 /// Runtime SIMD toggle. Defaults to CPU detection, and
 /// GDELT_DISABLE_SIMD=1 pins it off for the whole process; benches and
 /// tests flip it per measurement to compare code paths in one run.
 /// Enabling is a no-op on hosts without AVX2.
 void SetSimdEnabled(bool enabled) noexcept;
 bool SimdEnabled() noexcept;
-
-/// Article count per source over a row subset.
-std::vector<std::uint64_t> ArticlesPerSource(
-    const Database& db, std::span<const std::uint64_t> rows);
-
-/// Country cross-reporting over a row subset (same semantics as the
-/// full-table kernel).
-CountryCrossReport CountryCrossReporting(
-    const Database& db, std::span<const std::uint64_t> rows);
 
 /// Articles per quarter over a row subset.
 QuarterSeries ArticlesPerQuarter(const Database& db,
@@ -99,8 +85,9 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
 std::uint64_t DistinctEvents(const Database& db,
                              std::span<const std::uint64_t> rows);
 
-// Bitmap-consuming aggregate overloads: identical results to the
-// row-vector versions over ToRows(), without materializing the rows.
+// Bitmap-consuming aggregate overloads: aggregate the selected rows
+// without materializing them. Cross-reporting has the same semantics as
+// the full-table kernel.
 std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
                                              const SelectionBitmap& sel);
 CountryCrossReport CountryCrossReporting(const Database& db,

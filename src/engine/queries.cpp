@@ -8,33 +8,11 @@
 
 namespace gdelt::engine {
 
-std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
-                                             Schedule schedule) {
+std::vector<std::uint64_t> ArticlesPerSource(const Database& db) {
   TRACE_SPAN("engine.articles_per_source");
   const auto src = db.mention_source_id();
-  const std::size_t n_sources = db.num_sources();
-  // ParallelHistogram is static-scheduled internally; for the ablation we
-  // also offer a per-thread-accumulator variant under other schedules.
-  if (schedule == Schedule::kStatic) {
-    return ParallelHistogram(src.size(), n_sources,
-                             [&](std::size_t i) -> std::size_t {
-                               return src[i];
-                             });
-  }
-  // Per-thread accumulators merged in thread order: no atomics, and the
-  // counts are identical whichever schedule dealt out the iterations.
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::vector<std::uint64_t>> locals(nt);
-  for (auto& local : locals) local.assign(n_sources, 0);
-  ParallelFor(
-      src.size(),
-      [&](std::size_t i) {
-        ++locals[static_cast<std::size_t>(omp_get_thread_num())][src[i]];
-      },
-      schedule);
-  std::vector<std::uint64_t> counts(n_sources, 0);
-  MergeTiledPartials(std::span<std::uint64_t>(counts), locals);
-  return counts;
+  return ParallelHistogram(src.size(), db.num_sources(),
+                           [&](std::size_t i) -> std::size_t { return src[i]; });
 }
 
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
@@ -186,8 +164,7 @@ std::vector<QuarterSeries> SourceArticlesPerQuarter(
   return out;
 }
 
-CountryCrossReport CountryCrossReporting(const Database& db,
-                                         Schedule schedule) {
+CountryCrossReport CountryCrossReporting(const Database& db) {
   TRACE_SPAN("engine.cross_report");
   const std::size_t nc = Countries().size();
   const auto event_row = db.mention_event_row();
@@ -215,7 +192,6 @@ CountryCrossReport CountryCrossReporting(const Database& db,
     // cheap pass below.
     return static_cast<std::size_t>(rep) * nc + pub;
   };
-  (void)schedule;  // one-pass histogram is static; ablation uses kernels
   flat = ParallelHistogram(event_row.size(), total_bins, binner);
 
   report.counts.assign(flat.begin(),

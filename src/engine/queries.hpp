@@ -15,8 +15,7 @@
 namespace gdelt::engine {
 
 /// Article count per source id (Fig 6 input). One parallel histogram scan.
-std::vector<std::uint64_t> ArticlesPerSource(
-    const Database& db, Schedule schedule = Schedule::kStatic);
+std::vector<std::uint64_t> ArticlesPerSource(const Database& db);
 
 /// Source ids with the most articles, descending (ties by id).
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
@@ -86,9 +85,7 @@ struct CountryCrossReport {
 };
 
 /// Runs the aggregated query with the current OpenMP thread count.
-/// `schedule` is exposed for the scheduling ablation bench.
-CountryCrossReport CountryCrossReporting(
-    const Database& db, Schedule schedule = Schedule::kStatic);
+CountryCrossReport CountryCrossReporting(const Database& db);
 
 /// Countries ranked by located events (the Table VI row ordering).
 std::vector<CountryId> CountriesByReportedEvents(const Database& db,

@@ -1,9 +1,7 @@
 #include "engine/sharded.hpp"
 
 #include "convert/binary_format.hpp"
-#include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
-#include "trace/trace.hpp"
 
 namespace gdelt::engine {
 
@@ -76,78 +74,6 @@ CrossReportPartial CrossReportingOnShard(const Database& db,
     }
   }
   return partial;
-}
-
-CountryCrossReport ReduceCrossReport(
-    const std::vector<CrossReportPartial>& partials) {
-  TRACE_SPAN("engine.sharded.reduce");
-  const std::size_t nc = Countries().size();
-  CountryCrossReport report;
-  report.num_countries = nc;
-  report.counts.assign(nc * nc, 0);
-  report.articles_per_publisher.assign(nc, 0);
-  for (const auto& partial : partials) {
-    for (std::size_t k = 0; k < nc * nc; ++k) {
-      report.counts[k] += partial.counts[k];
-    }
-    for (std::size_t c = 0; c < nc; ++c) {
-      report.articles_per_publisher[c] += partial.articles_per_publisher[c];
-    }
-  }
-  // Publisher totals include located articles (column sums), as in the
-  // single-node kernel.
-  for (std::size_t rep = 0; rep < nc; ++rep) {
-    for (std::size_t pub = 0; pub < nc; ++pub) {
-      report.articles_per_publisher[pub] += report.counts[rep * nc + pub];
-    }
-  }
-  return report;
-}
-
-CountryCrossReport ShardedCountryCrossReporting(
-    const Database& db, std::size_t num_shards,
-    const util::CancelToken* cancel) {
-  TRACE_SPAN("engine.sharded.cross_report");
-  const auto shards = MakeTimeShards(db, num_shards);
-  std::vector<CrossReportPartial> partials(shards.size());
-  // One-shard morsels on the shared pool — the local stand-in for one rank
-  // each; stealing balances shards with uneven mention density.
-  parallel::PoolParallelFor(
-      shards.size(),
-      [&](IndexRange r, std::size_t) {
-        for (std::size_t s = r.begin; s < r.end; ++s) {
-          partials[s] = CrossReportingOnShard(db, shards[s], cancel);
-        }
-      },
-      /*morsel_rows=*/1, cancel);
-  return ReduceCrossReport(partials);
-}
-
-std::vector<std::uint64_t> ShardedArticlesPerSource(
-    const Database& db, std::size_t num_shards,
-    const util::CancelToken* cancel) {
-  const auto shards = MakeTimeShards(db, num_shards);
-  const auto src = db.mention_source_id();
-  std::vector<std::vector<std::uint64_t>> partials(
-      shards.size(), std::vector<std::uint64_t>(db.num_sources(), 0));
-  parallel::PoolParallelFor(
-      shards.size(),
-      [&](IndexRange r, std::size_t) {
-        for (std::size_t s = r.begin; s < r.end; ++s) {
-          auto& local = partials[s];
-          const Shard& shard = shards[s];
-          for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
-            if ((i & 4095) == 0 && util::Cancelled(cancel)) break;
-            ++local[src[i]];
-          }
-        }
-      },
-      /*morsel_rows=*/1, cancel);
-  std::vector<std::uint64_t> merged(db.num_sources(), 0);
-  for (const auto& local : partials) {
-    for (std::size_t k = 0; k < merged.size(); ++k) merged[k] += local[k];
-  }
-  return merged;
 }
 
 }  // namespace gdelt::engine

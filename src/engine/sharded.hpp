@@ -1,16 +1,12 @@
-// Sharded execution of the aggregated queries — the paper's planned
-// distributed-memory (MPI) extension, simulated in-process.
-//
-// "It is expected that this will require adding distributed memory
-//  capabilities using MPI to handle the substantial amount of additional
-//  data." (Section VII.)
+// Time shards of the mentions table — the partition the paper's planned
+// distributed-memory (MPI) extension would place on separate ranks
+// (Section VII).
 //
 // The mentions table is range-partitioned into contiguous shards (capture
-// order == time order, so these are time shards — exactly how per-period
-// sub-databases would live on different ranks). Each shard computes its
-// partial aggregate independently; partials are then reduced, mirroring
-// an MPI_Allreduce. Results are bit-identical to the single-node kernels,
-// which the tests assert.
+// order == time order, so these are time shards). The serve layer's
+// partial frames (serve/partial.hpp) compute one shard's aggregate per
+// request and the router reduces them; partial_merge_test asserts the
+// reduction is bit-identical to the single-node kernels.
 #pragma once
 
 #include <cstdint>
@@ -56,19 +52,5 @@ CrossReportPartial CrossReportingOnShard(const Database& db,
                                          const SelectionBitmap& sel,
                                          const util::CancelToken* cancel =
                                              nullptr);
-
-/// Reduces shard partials into the final report (the allreduce step).
-CountryCrossReport ReduceCrossReport(
-    const std::vector<CrossReportPartial>& partials);
-
-/// End-to-end sharded aggregated query; equals CountryCrossReporting().
-CountryCrossReport ShardedCountryCrossReporting(
-    const Database& db, std::size_t num_shards,
-    const util::CancelToken* cancel = nullptr);
-
-/// Sharded per-source article counts (simple additive reduction).
-std::vector<std::uint64_t> ShardedArticlesPerSource(
-    const Database& db, std::size_t num_shards,
-    const util::CancelToken* cancel = nullptr);
 
 }  // namespace gdelt::engine

@@ -48,11 +48,9 @@ namespace gdelt::parallel {
 /// choosing what to steal.
 enum class Priority : std::uint8_t { kInteractive = 0, kBatch = 1 };
 
-/// Execution backend for the migrated aggregate kernels: the shared
-/// morsel pool (default) or the legacy per-query OpenMP team, kept as
-/// the scheduling ablation baseline and the golden-equivalence
-/// reference (every kernel produces bitwise-identical results on both).
-enum class Backend : std::uint8_t { kMorselPool, kOpenMp };
+/// The executor of the aggregate kernels; the morsel pool is the only one.
+/// Kept as a type only because serve::RenderPartialFrame's callers name it.
+enum class Backend : std::uint8_t { kMorselPool };
 
 /// Default rows per morsel. Small enough that a saturating batch job
 /// reaches a priority/steal decision point every few hundred
@@ -210,9 +208,8 @@ class MorselPool {
   std::atomic<std::uint64_t> morsels_skipped_{0};
 };
 
-/// Convenience: MorselPool::Shared().ParallelFor(...). Kernels migrated
-/// off raw OpenMP call this; a kernel that must not touch the shared
-/// pool (ablation baselines) keeps its omp pragma under an allow tag.
+/// Convenience: MorselPool::Shared().ParallelFor(...), the executor of
+/// the aggregate kernels.
 void PoolParallelFor(std::size_t n,
                      const std::function<void(IndexRange, std::size_t)>& body,
                      std::size_t morsel_rows = 0,

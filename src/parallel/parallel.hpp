@@ -48,29 +48,21 @@ inline std::vector<IndexRange> SplitRange(std::size_t n, std::size_t parts) {
   return out;
 }
 
-/// Scheduling policy for ParallelFor; mirrors omp schedule kinds. The
-/// ablation bench (DESIGN.md section 5) compares these on skewed work.
-enum class Schedule { kStatic, kDynamic, kGuided };
+/// Scheduling policy for ParallelFor; mirrors omp schedule kinds.
+/// kDynamic balances skewed per-index work.
+enum class Schedule { kStatic, kDynamic };
 
 /// Runs body(i) for each i in [0, n) across all threads.
 template <typename Body>
-void ParallelFor(std::size_t n, Body&& body,
-                 Schedule schedule = Schedule::kStatic) {
+void ParallelFor(std::size_t n, Body&& body, Schedule kind = Schedule::kStatic) {
   const auto sn = static_cast<std::int64_t>(n);
-  switch (schedule) {
-    case Schedule::kStatic:
-#pragma omp parallel for schedule(static)
-      for (std::int64_t i = 0; i < sn; ++i) body(static_cast<std::size_t>(i));
-      break;
-    case Schedule::kDynamic:
+  if (kind == Schedule::kDynamic) {
 #pragma omp parallel for schedule(dynamic, 64)
-      for (std::int64_t i = 0; i < sn; ++i) body(static_cast<std::size_t>(i));
-      break;
-    case Schedule::kGuided:
-#pragma omp parallel for schedule(guided)
-      for (std::int64_t i = 0; i < sn; ++i) body(static_cast<std::size_t>(i));
-      break;
+    for (std::int64_t i = 0; i < sn; ++i) body(static_cast<std::size_t>(i));
+    return;
   }
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < sn; ++i) body(static_cast<std::size_t>(i));
 }
 
 /// Runs body(range, thread_id) once per thread over a contiguous chunk of

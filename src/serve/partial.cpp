@@ -785,8 +785,8 @@ Result<std::string> MergeCrossReport(const Request& r,
     for (std::size_t c = 0; c < nc; ++c) untagged[c] += unt[c];
     first = false;
   }
-  // The allreduce finish of engine::ReduceCrossReport: publisher totals =
-  // untagged bucket + located column sums.
+  // The allreduce finish: publisher totals = untagged bucket + located
+  // column sums.
   engine::CountryCrossReport report;
   report.num_countries = nc;
   report.articles_per_publisher = std::move(untagged);

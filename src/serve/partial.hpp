@@ -68,6 +68,7 @@ void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept;
 /// object, no trailing newline). OkResponse splices it in unquoted.
 /// `cancel` reaches the partial kernels; RenderQuery's enforcement
 /// boundary discards a cancelled frame before it can be shipped.
+/// `backend` is ignored; it stays so the callers in e2ebench/ compile.
 Result<RenderedQuery> RenderPartialFrame(
     const engine::Database& db, const Request& r, parallel::Backend backend,
     const util::CancelToken* cancel = nullptr);

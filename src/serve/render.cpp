@@ -41,53 +41,38 @@ std::vector<std::uint64_t> CountsOf(const std::vector<std::uint64_t>& counts,
   return out;
 }
 
-/// The restricted (window/confidence-filtered) query family.
-///
-/// The morsel backend runs the vectorized bitmap filter and feeds the
-/// selection bitmap straight into the filtered aggregates — mention rows
-/// are materialized only when a kernel needs an explicit row list (the
-/// restricted co-reporting rebuild). The OpenMP backend keeps the
-/// original scalar two-pass row materialization as the ablation baseline.
+/// The restricted (window/confidence-filtered) query family: the
+/// vectorized bitmap filter feeds the selection bitmap straight into the
+/// filtered aggregates — mention rows are materialized only when a kernel
+/// needs an explicit row list (the restricted co-reporting rebuild).
 Result<RenderedQuery> RenderRestricted(const engine::Database& db,
                                        const Request& r,
-                                       parallel::Backend backend,
                                        const util::CancelToken* cancel) {
   RenderedQuery out;
-  const bool bitmap_path = backend == parallel::Backend::kMorselPool;
-  engine::SelectionBitmap sel;
-  std::vector<std::uint64_t> rows;
-  if (bitmap_path) {
-    sel = engine::SelectMentionsBitmap(db, r.filter);
-  } else {
-    rows = engine::SelectMentionsBaseline(db, r.filter);
-  }
-  const std::uint64_t selected = bitmap_path ? sel.CountSet() : rows.size();
+  const engine::SelectionBitmap sel = engine::SelectMentionsBitmap(db, r.filter);
   out.note = StrFormat("[filter selects %llu of %zu mentions]",
-                       static_cast<unsigned long long>(selected),
+                       static_cast<unsigned long long>(sel.CountSet()),
                        db.num_mentions());
   if (r.kind == "top-sources") {
-    const auto counts = bitmap_path ? engine::ArticlesPerSource(db, sel)
-                                    : engine::ArticlesPerSource(db, rows);
+    const auto counts = engine::ArticlesPerSource(db, sel);
     const auto ids = RankSources(counts, r.top_k);
     AppendTopSourcesText(out.text, SourceLabels(db, ids), CountsOf(counts, ids),
                          /*restricted=*/true);
     return out;
   }
   if (r.kind == "coreport") {
-    const auto counts = bitmap_path ? engine::ArticlesPerSource(db, sel)
-                                    : engine::ArticlesPerSource(db, rows);
+    const auto counts = engine::ArticlesPerSource(db, sel);
     const auto top = RankSources(counts, r.top_k);
     // The per-event rebuild wants explicit rows; pay the materialization
     // only on this branch.
-    if (bitmap_path) rows = sel.ToRows();
-    const auto matrix = analysis::ComputeCoReporting(db, top, rows, cancel);
+    const auto matrix =
+        analysis::ComputeCoReporting(db, top, sel.ToRows(), cancel);
     AppendCoreportText(out.text, SourceLabels(db, top), matrix,
                        /*restricted=*/true);
     return out;
   }
   // cross-report
-  const auto report = bitmap_path ? engine::CountryCrossReporting(db, sel)
-                                  : engine::CountryCrossReporting(db, rows);
+  const auto report = engine::CountryCrossReporting(db, sel);
   const auto reported = engine::CountriesByReportedEvents(db, r.top_k);
   const auto publishing = engine::CountriesByPublishedArticles(db, r.top_k);
   AppendCrossReportText(out.text, reported, publishing, report,
@@ -99,16 +84,15 @@ Result<RenderedQuery> RenderRestricted(const engine::Database& db,
 /// enforcement boundary.
 Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
                                       const Request& r,
-                                      parallel::Backend backend,
                                       const util::CancelToken* cancel) {
   const std::string& query = r.kind;
   const std::size_t top_k = r.top_k;
   if (r.partial) {
-    return RenderPartialFrame(db, r, backend, cancel);
+    return RenderPartialFrame(db, r, parallel::Backend::kMorselPool, cancel);
   }
   if (r.restricted && (query == "top-sources" || query == "cross-report" ||
                        query == "coreport")) {
-    return RenderRestricted(db, r, backend, cancel);
+    return RenderRestricted(db, r, cancel);
   }
   RenderedQuery out;
   if (query == "stats") {
@@ -147,8 +131,6 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
   if (query == "coreport") {
     const auto top = engine::TopSourcesByArticles(db, top_k);
     analysis::TiledCoReportOptions coreport_options;
-    coreport_options.use_morsel_pool =
-        backend == parallel::Backend::kMorselPool;
     coreport_options.cancel = cancel;
     const auto matrix = analysis::ComputeCoReporting(db, top, coreport_options);
     AppendCoreportText(out.text, SourceLabels(db, top), matrix,
@@ -157,8 +139,7 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
   }
   if (query == "follow") {
     const auto top = engine::TopSourcesByArticles(db, top_k);
-    const auto matrix = analysis::ComputeFollowReporting(db, top, backend,
-                                                         cancel);
+    const auto matrix = analysis::ComputeFollowReporting(db, top, cancel);
     AppendFollowText(out.text, SourceLabels(db, top), matrix);
     return out;
   }
@@ -177,7 +158,7 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
     return out;
   }
   if (query == "delay") {
-    const auto stats = analysis::PerSourceDelayStats(db, backend, cancel);
+    const auto stats = analysis::PerSourceDelayStats(db, cancel);
     const auto top = engine::TopSourcesByArticles(db, top_k);
     std::vector<analysis::DelayStats> top_stats;
     top_stats.reserve(top.size());
@@ -209,8 +190,8 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
     return out;
   }
   if (query == "first-reports") {
-    const auto stats = analysis::ComputeFirstReports(db, /*histogram_bins=*/18,
-                                                     backend, cancel);
+    const auto stats =
+        analysis::ComputeFirstReports(db, /*histogram_bins=*/18, cancel);
     const auto counts = engine::ArticlesPerSource(db);
     const auto by_breaks = RankSources(stats.first_reports, top_k);
     std::vector<std::uint64_t> breaks;
@@ -231,9 +212,8 @@ Result<RenderedQuery> RenderQueryImpl(const engine::Database& db,
 
 Result<RenderedQuery> RenderQuery(const engine::Database& db,
                                   const Request& r,
-                                  parallel::Backend backend,
                                   const util::CancelToken* cancel) {
-  auto out = RenderQueryImpl(db, r, backend, cancel);
+  auto out = RenderQueryImpl(db, r, cancel);
   // Enforcement boundary: a kernel that observed the token mid-scan bailed
   // with a short count, so whatever Impl rendered is garbage. Re-check the
   // token here and replace the result wholesale — callers either get the

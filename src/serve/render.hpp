@@ -11,7 +11,6 @@
 #include <string>
 
 #include "engine/database.hpp"
-#include "parallel/morsel.hpp"
 #include "serve/protocol.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -29,19 +28,12 @@ struct RenderedQuery {
 /// apply to in the CLI (top-sources, cross-report, coreport); other kinds
 /// ignore them, also like the CLI. Unknown kinds -> InvalidArgument.
 ///
-/// `backend` selects the execution substrate for the kernels that have
-/// both: the shared morsel pool (default; restricted kinds additionally
-/// take the vectorized bitmap filter path) or private OpenMP teams (the
-/// scheduling-ablation baseline, scalar two-pass filter). Both render
-/// byte-identical text.
-///
 /// `cancel` (optional) is threaded into every long-running kernel and
 /// re-checked once after dispatch: a cancelled render returns
 /// StatusCode::kCancelled and never leaks partially aggregated text —
 /// the result is all-or-nothing by construction.
-Result<RenderedQuery> RenderQuery(
-    const engine::Database& db, const Request& r,
-    parallel::Backend backend = parallel::Backend::kMorselPool,
-    const util::CancelToken* cancel = nullptr);
+Result<RenderedQuery> RenderQuery(const engine::Database& db,
+                                  const Request& r,
+                                  const util::CancelToken* cancel = nullptr);
 
 }  // namespace gdelt::serve

@@ -13,6 +13,10 @@ Scheduler::Scheduler(const Options& options) : opt_(options) {
       opt_.threads_per_query > 0
           ? opt_.threads_per_query
           : std::max(1, MaxThreads() / opt_.workers);
+  // Size the shared pool here, before any worker narrows its own OpenMP
+  // budget: MorselPool::Shared() reads MaxThreads() on whichever thread
+  // first touches it, and a worker would size it to threads_per_query_.
+  parallel::MorselPool::Shared();
   sync::MutexLock lock(drain_mu_);
   workers_.reserve(static_cast<std::size_t>(opt_.workers));
   for (int w = 0; w < opt_.workers; ++w) {
@@ -29,13 +33,8 @@ bool Scheduler::Submit(Task task, parallel::Priority priority) {
         queues_[0].size() + queues_[1].size() >= opt_.queue_capacity) {
       return false;
     }
-    // The two-lane queue is part of the morsel-pool scheduling model; in
-    // thread-per-query mode everything lands in one FIFO lane so the
-    // baseline measured by bench_serve_throughput is the genuine
-    // arrival-order behavior, not priority admission with OpenMP teams.
-    const std::size_t lane =
-        opt_.use_morsel_pool ? static_cast<std::size_t>(priority) : 1;
-    queues_[lane].push_back({std::move(task), priority});
+    queues_[static_cast<std::size_t>(priority)].push_back(
+        {std::move(task), priority});
   }
   cv_.NotifyOne();
   return true;
@@ -66,9 +65,9 @@ std::size_t Scheduler::QueueDepth() const {
 void Scheduler::WorkerLoop() {
   // The OpenMP num-threads ICV is per native thread: setting it here caps
   // every parallel region this worker opens, so concurrent queries share
-  // the machine instead of each grabbing all cores. In morsel mode the
-  // hot kernels run on the shared pool instead, but the budget still
-  // caps the remaining OpenMP regions (engine row aggregates, merges).
+  // the machine instead of each grabbing all cores. The hot kernels run
+  // on the shared pool, but the budget still caps the remaining OpenMP
+  // regions (engine row aggregates, merges).
   SetThreads(threads_per_query_);
   while (true) {
     Entry entry;
@@ -86,13 +85,9 @@ void Scheduler::WorkerLoop() {
       entry = std::move(lane.front());
       lane.pop_front();
     }
-    if (opt_.use_morsel_pool) {
-      // Morsels this task submits inherit the request's priority class.
-      parallel::ScopedPriority priority(entry.priority);
-      entry.task();
-    } else {
-      entry.task();
-    }
+    // Morsels this task submits inherit the request's priority class.
+    parallel::ScopedPriority priority(entry.priority);
+    entry.task();
   }
 }
 

@@ -9,13 +9,13 @@
 // and a per-query OpenMP thread budget (each worker pins its own
 // omp_set_num_threads, so workers * budget ≈ the hardware).
 //
-// In the default morsel mode the kernels additionally run their row
-// morsels on the shared work-stealing pool (parallel::MorselPool) instead
-// of private OpenMP teams: each admitted request carries a priority
-// class, workers execute it under parallel::ScopedPriority, and the
-// two-lane queue below dequeues interactive requests ahead of batch ones
-// — so a cheap query admitted behind a saturating co-reporting scan
-// passes it both at dequeue and inside the pool.
+// The aggregate kernels run their row morsels on the shared work-stealing
+// pool (parallel::MorselPool) instead of private OpenMP teams: each
+// admitted request carries a priority class, workers execute it under
+// parallel::ScopedPriority, and the two-lane queue below dequeues
+// interactive requests ahead of batch ones — so a cheap query admitted
+// behind a saturating co-reporting scan passes it both at dequeue and
+// inside the pool.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +34,13 @@ class Scheduler {
   struct Options {
     int workers = 2;                 ///< fixed worker pool size (>= 1)
     std::size_t queue_capacity = 64; ///< pending requests beyond the pool
-    int threads_per_query = 0;       ///< OpenMP budget; 0 = cores / workers
-    /// Run query kernels on the shared morsel pool (default) or leave
-    /// each worker to its private OpenMP team (the thread-per-query
-    /// scheduling baseline measured by bench_serve_throughput).
-    bool use_morsel_pool = true;
+    /// OpenMP budget per worker; 0 = MaxThreads() (OMP_NUM_THREADS when
+    /// set, else the core count) divided by workers.
+    int threads_per_query = 0;
   };
 
-  /// Starts the worker pool immediately.
+  /// Creates the shared morsel pool (sized on this thread, whose OpenMP
+  /// budget the workers have not narrowed) and starts the worker pool.
   explicit Scheduler(const Options& options);
   /// Drains (runs everything already admitted) and joins.
   ~Scheduler();
@@ -67,7 +66,6 @@ class Scheduler {
   std::size_t queue_capacity() const noexcept { return opt_.queue_capacity; }
   int workers() const noexcept { return opt_.workers; }
   int threads_per_query() const noexcept { return threads_per_query_; }
-  bool use_morsel_pool() const noexcept { return opt_.use_morsel_pool; }
 
  private:
   struct Entry {

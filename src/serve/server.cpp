@@ -138,13 +138,14 @@ void Server::Stop() {
   if (stopping_.exchange(true)) return;
   if (!started_) return;
 
-  // 1. Stop taking new connections.
+  // 1. Stop taking new connections. The accept loop reads listen_fd_, so
+  // the fd is closed and cleared only after that thread has joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Run every admitted request to completion (workers join after).
   scheduler_.Drain();
@@ -413,11 +414,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
           snap = delta_->Acquire();
           render_epoch = snap->generation();
         }
-        rendered = RenderQuery(db_, request,
-                               scheduler_.use_morsel_pool()
-                                   ? parallel::Backend::kMorselPool
-                                   : parallel::Backend::kOpenMp,
-                               token.get());
+        rendered = RenderQuery(db_, request, token.get());
       } else {
         rendered = status::Cancelled("cancelled before execution");
       }

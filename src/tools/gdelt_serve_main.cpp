@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   args.AddInt("workers", 2, "query worker threads");
   args.AddInt("queue", 64, "admission queue capacity");
   args.AddInt("threads-per-query", 0,
-              "OpenMP threads per query (0 = cores / workers)");
+              "OpenMP threads per query (0 = OMP_NUM_THREADS, else cores, "
+              "divided by workers)");
   args.AddInt("cache", 1024, "result cache entries (0 disables)");
   args.AddInt("timeout-ms", 30000, "default per-request deadline");
   args.AddInt("max-timeout-ms", 300000,

@@ -88,36 +88,12 @@ TEST_F(CoReportScenario, SubsetSelectsRows) {
   EXPECT_EQ(m.PairCount(0, 1), 1u);  // c & a
 }
 
-TEST_F(CoReportScenario, AllKernelsMatchTiledDefault) {
+TEST_F(CoReportScenario, DenseAndSparseFlavorsAgree) {
   const CoReportMatrix tiled = ComputeCoReporting(*db_);
-  const CoReportMatrix atomic = ComputeCoReportingDenseAtomic(*db_);
-  const CoReportMatrix sparse = ComputeCoReportingSparse(*db_);
   TiledCoReportOptions force_sparse;
   force_sparse.dense_partials_budget_bytes = 0;
   const CoReportMatrix tiled_sparse = ComputeCoReporting(*db_, {}, force_sparse);
-  EXPECT_EQ(tiled.counts(), atomic.counts());
-  EXPECT_EQ(tiled.counts(), sparse.counts());
   EXPECT_EQ(tiled.counts(), tiled_sparse.counts());
-}
-
-TEST_F(CoReportScenario, TimeSlicedAssemblyMatchesDense) {
-  const CoReportMatrix dense = ComputeCoReporting(*db_);
-  const graph::SparseMatrix sliced = ComputeCoReportingTimeSliced(*db_);
-  const graph::DenseMatrix as_dense = graph::SparseToDense(sliced);
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    for (std::size_t j = 0; j < dense.size(); ++j) {
-      EXPECT_DOUBLE_EQ(as_dense.At(i, j),
-                       static_cast<double>(dense.PairCount(i, j)))
-          << i << "," << j;
-    }
-  }
-  // The sparse form must be symmetric with sorted columns per row.
-  for (std::size_t r = 0; r < sliced.rows; ++r) {
-    for (std::uint64_t k = sliced.row_offsets[r] + 1;
-         k < sliced.row_offsets[r + 1]; ++k) {
-      EXPECT_LT(sliced.col_index[k - 1], sliced.col_index[k]);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-// Golden equivalence suite for the co-reporting kernel family.
+// Golden equivalence suite for the co-reporting kernel.
 //
-// The tiled kernel (default), the shared-matrix atomic baseline, the
-// per-thread hash kernel, and the paper's time-sliced sparse assembly must
-// all produce bitwise-identical count matrices — on generator data, for
-// subset and full-source selections, at 1 and N threads, and on both the
-// dense and forced-sparse flavors of the tiled kernel.
+// Both flavors of the tiled kernel (dense per-slot partials and the
+// forced-sparse hashed runs) must reproduce a naive serial reference
+// bit for bit — on generator data, for subset and full-source
+// selections, at 1 and N threads, and at several merge tile widths.
 #include "analysis/coreport.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include "engine/queries.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
-#include "graph/matrix.hpp"
 #include "parallel/parallel.hpp"
 #include "test_util.hpp"
 
@@ -43,17 +41,39 @@ class CoReportEquivalenceTest : public ::testing::Test {
     delete dirs_;
   }
 
-  /// Asserts every kernel produces the same counts for one selection.
-  static void ExpectAllKernelsAgree(std::span<const std::uint32_t> subset) {
-    const auto tiled = ComputeCoReporting(*db_, subset);
-    const auto atomic = ComputeCoReportingDenseAtomic(*db_, subset);
-    const auto sparse = ComputeCoReportingSparse(*db_, subset);
-    TiledCoReportOptions force_sparse;
-    force_sparse.dense_partials_budget_bytes = 0;
-    const auto tiled_sparse = ComputeCoReporting(*db_, subset, force_sparse);
-    EXPECT_EQ(tiled.counts(), atomic.counts());
-    EXPECT_EQ(tiled.counts(), sparse.counts());
-    EXPECT_EQ(tiled.counts(), tiled_sparse.counts());
+  /// Naive reference: a serial double loop over each event's distinct
+  /// sources, counting every selected (a, b) pair into both triangles.
+  static std::vector<std::uint32_t> NaiveCounts(
+      std::span<const std::uint32_t> subset) {
+    const std::size_t n = subset.empty() ? db_->num_sources() : subset.size();
+    std::vector<std::int64_t> slot(db_->num_sources(), -1);
+    for (std::size_t k = 0; k < n; ++k) {
+      slot[subset.empty() ? k : subset[k]] = static_cast<std::int64_t>(k);
+    }
+    std::vector<std::uint32_t> counts(n * n, 0);
+    const auto& index = db_->event_distinct_sources();
+    for (std::uint32_t e = 0; e < db_->num_events(); ++e) {
+      for (const std::uint32_t a : index.ValuesOf(e)) {
+        for (const std::uint32_t b : index.ValuesOf(e)) {
+          if (slot[a] < 0 || slot[b] < 0) continue;
+          ++counts[static_cast<std::size_t>(slot[a]) * n +
+                   static_cast<std::size_t>(slot[b])];
+        }
+      }
+    }
+    return counts;
+  }
+
+  /// Asserts both tiled flavors reproduce the naive counts.
+  static void ExpectMatchesNaive(std::span<const std::uint32_t> subset,
+                                 std::size_t tile_elems = 1u << 14) {
+    const auto reference = NaiveCounts(subset);
+    TiledCoReportOptions dense;
+    dense.tile_elems = tile_elems;
+    EXPECT_EQ(ComputeCoReporting(*db_, subset, dense).counts(), reference);
+    TiledCoReportOptions sparse = dense;
+    sparse.dense_partials_budget_bytes = 0;  // force the sparse flavor
+    EXPECT_EQ(ComputeCoReporting(*db_, subset, sparse).counts(), reference);
   }
 
   static inline TempDir* dirs_ = nullptr;
@@ -63,57 +83,29 @@ class CoReportEquivalenceTest : public ::testing::Test {
 TEST_F(CoReportEquivalenceTest, SubsetsOfSeveralSizes) {
   for (const std::size_t k : {1u, 3u, 10u, 50u}) {
     SCOPED_TRACE("top-" + std::to_string(k));
-    const auto top = engine::TopSourcesByArticles(*db_, k);
-    ExpectAllKernelsAgree(top);
+    ExpectMatchesNaive(engine::TopSourcesByArticles(*db_, k));
   }
 }
 
-TEST_F(CoReportEquivalenceTest, AllSources) {
-  ExpectAllKernelsAgree({});
-}
+TEST_F(CoReportEquivalenceTest, AllSources) { ExpectMatchesNaive({}); }
 
-TEST_F(CoReportEquivalenceTest, SingleVsManyThreads) {
+TEST_F(CoReportEquivalenceTest, SingleAndManyThreads) {
   const auto top = engine::TopSourcesByArticles(*db_, 20);
   const int hw = MaxThreads();
-  SetThreads(1);
-  const auto serial_subset = ComputeCoReporting(*db_, top);
-  const auto serial_full = ComputeCoReporting(*db_);
+  for (const int threads : {1, hw}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetThreads(threads);
+    ExpectMatchesNaive(top);
+    ExpectMatchesNaive({});
+  }
   SetThreads(hw);
-  const auto parallel_subset = ComputeCoReporting(*db_, top);
-  const auto parallel_full = ComputeCoReporting(*db_);
-  EXPECT_EQ(serial_subset.counts(), parallel_subset.counts());
-  EXPECT_EQ(serial_full.counts(), parallel_full.counts());
-  // The atomic baseline agrees at both ends too.
-  SetThreads(1);
-  const auto atomic_serial = ComputeCoReportingDenseAtomic(*db_, top);
-  SetThreads(hw);
-  EXPECT_EQ(serial_subset.counts(), atomic_serial.counts());
 }
 
-TEST_F(CoReportEquivalenceTest, TiledSparseFlavorAtManyTileWidths) {
+TEST_F(CoReportEquivalenceTest, ManyTileWidths) {
   const auto top = engine::TopSourcesByArticles(*db_, 30);
-  const auto reference = ComputeCoReportingDenseAtomic(*db_, top);
   for (const std::size_t tile : {1u, 7u, 64u, 100000u}) {
     SCOPED_TRACE("tile_elems=" + std::to_string(tile));
-    TiledCoReportOptions options;
-    options.dense_partials_budget_bytes = 0;  // force the sparse flavor
-    options.tile_elems = tile;
-    const auto tiled = ComputeCoReporting(*db_, top, options);
-    EXPECT_EQ(reference.counts(), tiled.counts());
-  }
-}
-
-TEST_F(CoReportEquivalenceTest, TimeSlicedMatchesTiled) {
-  const auto tiled = ComputeCoReporting(*db_);
-  const auto sliced = ComputeCoReportingTimeSliced(*db_);
-  const auto as_dense = graph::SparseToDense(sliced);
-  ASSERT_EQ(as_dense.rows(), tiled.size());
-  for (std::size_t i = 0; i < tiled.size(); ++i) {
-    for (std::size_t j = 0; j < tiled.size(); ++j) {
-      ASSERT_DOUBLE_EQ(as_dense.At(i, j),
-                       static_cast<double>(tiled.PairCount(i, j)))
-          << i << "," << j;
-    }
+    ExpectMatchesNaive(top, tile);
   }
 }
 

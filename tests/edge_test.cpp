@@ -68,8 +68,10 @@ TEST_F(EmptyDatabaseTest, AllEngineQueriesAreSafe) {
   const auto cross = engine::CountryCrossReporting(*db_);
   for (const auto v : cross.counts) EXPECT_EQ(v, 0u);
   EXPECT_TRUE(engine::SelectMentions(*db_, engine::MentionFilter{}).empty());
-  const auto sharded = engine::ShardedCountryCrossReporting(*db_, 4);
-  EXPECT_EQ(sharded.counts, cross.counts);
+  for (const auto& shard : engine::MakeTimeShards(*db_, 4)) {
+    const auto partial = engine::CrossReportingOnShard(*db_, shard);
+    EXPECT_EQ(partial.counts, cross.counts);
+  }
 }
 
 TEST_F(EmptyDatabaseTest, AllAnalysesAreSafe) {

@@ -75,14 +75,6 @@ TEST_F(EngineTest, ArticlesPerSourceMatchesTruth) {
   EXPECT_EQ(total, db_->num_mentions());
 }
 
-TEST_F(EngineTest, ArticlesPerSourceSchedulesAgree) {
-  const auto a = ArticlesPerSource(*db_, Schedule::kStatic);
-  const auto b = ArticlesPerSource(*db_, Schedule::kDynamic);
-  const auto c = ArticlesPerSource(*db_, Schedule::kGuided);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
 TEST_F(EngineTest, EventArticleCountsMatchIndex) {
   const auto counts = db_->event_article_count();
   for (std::size_t e = 0; e < db_->num_events(); ++e) {

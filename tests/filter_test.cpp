@@ -16,7 +16,8 @@ namespace {
 using ::gdelt::testing::TempDir;
 using ::gdelt::testing::TestDbBuilder;
 
-/// Brute-force reference selection.
+/// Naive reference selection: a serial per-row predicate written from
+/// the MentionFilter fields.
 std::vector<std::uint64_t> BruteForceSelect(const Database& db,
                                             const MentionFilter& f) {
   std::vector<std::uint64_t> rows;
@@ -39,6 +40,33 @@ std::vector<std::uint64_t> BruteForceSelect(const Database& db,
     rows.push_back(i);
   }
   return rows;
+}
+
+/// Naive reference aggregates over a row list: serial per-row loops.
+std::vector<std::uint64_t> NaiveArticlesPerSource(
+    const Database& db, const std::vector<std::uint64_t>& rows) {
+  std::vector<std::uint64_t> counts(db.num_sources(), 0);
+  for (const std::uint64_t i : rows) ++counts[db.mention_source_id()[i]];
+  return counts;
+}
+
+CountryCrossReport NaiveCrossReport(const Database& db,
+                                    const std::vector<std::uint64_t>& rows) {
+  const std::size_t nc = Countries().size();
+  CountryCrossReport report;
+  report.num_countries = nc;
+  report.counts.assign(nc * nc, 0);
+  report.articles_per_publisher.assign(nc, 0);
+  for (const std::uint64_t i : rows) {
+    const std::uint16_t pub = db.source_country()[db.mention_source_id()[i]];
+    if (pub == kNoCountry) continue;
+    ++report.articles_per_publisher[pub];
+    const std::uint32_t row = db.mention_event_row()[i];
+    if (row == convert::kOrphanEventRow) continue;
+    const std::uint16_t rep = db.event_country()[row];
+    if (rep != kNoCountry) ++report.counts[std::size_t{rep} * nc + pub];
+  }
+  return report;
 }
 
 class FilterTest : public ::testing::Test {
@@ -129,8 +157,9 @@ TEST_F(FilterTest, ExcludeOrphansDropsOnlyOrphans) {
 TEST_F(FilterTest, FilteredArticlesPerSourceConsistent) {
   MentionFilter f;
   f.publisher_country = country::kUK;
-  const auto rows = SelectMentions(*db_, f);
-  const auto counts = ArticlesPerSource(*db_, rows);
+  const auto sel = SelectMentionsBitmap(*db_, f);
+  const auto rows = sel.ToRows();
+  const auto counts = ArticlesPerSource(*db_, sel);
   std::uint64_t total = 0;
   for (std::uint32_t s = 0; s < db_->num_sources(); ++s) {
     total += counts[s];
@@ -142,8 +171,8 @@ TEST_F(FilterTest, FilteredArticlesPerSourceConsistent) {
 }
 
 TEST_F(FilterTest, FilteredCrossReportEqualsFullOnAllRows) {
-  const auto rows = SelectMentions(*db_, MentionFilter{});
-  const auto filtered = CountryCrossReporting(*db_, rows);
+  const auto sel = SelectMentionsBitmap(*db_, MentionFilter{});
+  const auto filtered = CountryCrossReporting(*db_, sel);
   const auto full = CountryCrossReporting(*db_);
   EXPECT_EQ(filtered.counts, full.counts);
   EXPECT_EQ(filtered.articles_per_publisher, full.articles_per_publisher);
@@ -203,14 +232,12 @@ std::vector<MentionFilter> EquivalenceFilters(const Database& db) {
   return filters;
 }
 
-/// Golden equivalence: the vectorized bitmap (SIMD and scalar), the
-/// two-pass row baseline, and the brute-force reference all agree.
-TEST_F(FilterTest, BitmapMatchesBaselineUnderSimdToggle) {
+/// Golden equivalence: the vectorized bitmap, with SIMD on and off,
+/// agrees with the naive per-row reference.
+TEST_F(FilterTest, BitmapMatchesNaiveUnderSimdToggle) {
   const bool saved = SimdEnabled();
   for (const MentionFilter& f : EquivalenceFilters(*db_)) {
     const auto reference = BruteForceSelect(*db_, f);
-    const auto baseline = SelectMentionsBaseline(*db_, f);
-    EXPECT_EQ(baseline, reference);
 
     SetSimdEnabled(false);
     const auto scalar = SelectMentionsBitmap(*db_, f);
@@ -226,28 +253,35 @@ TEST_F(FilterTest, BitmapMatchesBaselineUnderSimdToggle) {
   SetSimdEnabled(saved);
 }
 
-/// Bitmap-consuming aggregates equal the row-vector aggregates over
-/// ToRows() for every filter in the matrix.
-TEST_F(FilterTest, BitmapAggregatesMatchRowAggregates) {
-  for (const MentionFilter& f : EquivalenceFilters(*db_)) {
-    const auto sel = SelectMentionsBitmap(*db_, f);
-    const auto rows = sel.ToRows();
+/// Bitmap-consuming aggregates equal the naive per-row aggregates (and
+/// the row-vector aggregates) over the reference selection for every
+/// filter in the matrix, with SIMD on and off.
+TEST_F(FilterTest, BitmapAggregatesMatchNaiveAggregates) {
+  const bool saved = SimdEnabled();
+  for (const bool simd : {false, true}) {
+    SetSimdEnabled(simd);
+    for (const MentionFilter& f : EquivalenceFilters(*db_)) {
+      const auto sel = SelectMentionsBitmap(*db_, f);
+      const auto rows = BruteForceSelect(*db_, f);
 
-    EXPECT_EQ(ArticlesPerSource(*db_, sel), ArticlesPerSource(*db_, rows));
+      EXPECT_EQ(ArticlesPerSource(*db_, sel),
+                NaiveArticlesPerSource(*db_, rows));
 
-    const auto cross_sel = CountryCrossReporting(*db_, sel);
-    const auto cross_rows = CountryCrossReporting(*db_, rows);
-    EXPECT_EQ(cross_sel.counts, cross_rows.counts);
-    EXPECT_EQ(cross_sel.articles_per_publisher,
-              cross_rows.articles_per_publisher);
+      const auto cross_sel = CountryCrossReporting(*db_, sel);
+      const auto cross_rows = NaiveCrossReport(*db_, rows);
+      EXPECT_EQ(cross_sel.counts, cross_rows.counts);
+      EXPECT_EQ(cross_sel.articles_per_publisher,
+                cross_rows.articles_per_publisher);
 
-    const auto quarters_sel = ArticlesPerQuarter(*db_, sel);
-    const auto quarters_rows = ArticlesPerQuarter(*db_, rows);
-    EXPECT_EQ(quarters_sel.first_quarter, quarters_rows.first_quarter);
-    EXPECT_EQ(quarters_sel.values, quarters_rows.values);
+      const auto quarters_sel = ArticlesPerQuarter(*db_, sel);
+      const auto quarters_rows = ArticlesPerQuarter(*db_, rows);
+      EXPECT_EQ(quarters_sel.first_quarter, quarters_rows.first_quarter);
+      EXPECT_EQ(quarters_sel.values, quarters_rows.values);
 
-    EXPECT_EQ(DistinctEvents(*db_, sel), DistinctEvents(*db_, rows));
+      EXPECT_EQ(DistinctEvents(*db_, sel), DistinctEvents(*db_, rows));
+    }
   }
+  SetSimdEnabled(saved);
 }
 
 /// Morsel-size extremes cannot change the bitmap (ToRows offsets are
@@ -277,9 +311,8 @@ TEST(FilterSmallTest, EmptySelection) {
   const auto rows = SelectMentions(*db, f);
   EXPECT_TRUE(rows.empty());
   EXPECT_EQ(DistinctEvents(*db, rows), 0u);
-  const auto counts = ArticlesPerSource(*db, rows);
-  EXPECT_EQ(counts[0], 0u);
   const auto sel = SelectMentionsBitmap(*db, f);
+  EXPECT_EQ(ArticlesPerSource(*db, sel)[0], 0u);
   EXPECT_EQ(sel.CountSet(), 0u);
   EXPECT_EQ(DistinctEvents(*db, sel), 0u);
 }
@@ -309,15 +342,15 @@ TEST(FilterSmallTest, UnalignedTailBitmap) {
   EXPECT_EQ(all.CountSet(), static_cast<std::uint64_t>(kMentions));
 
   // A confidence cut that crosses the word boundary: equivalence against
-  // the row baseline, including rows in the tail word.
+  // the naive reference, including rows in the tail word.
   const bool saved = SimdEnabled();
   MentionFilter f;
   f.min_confidence = 50;
-  const auto baseline = SelectMentionsBaseline(*db, f);
+  const auto reference = BruteForceSelect(*db, f);
   for (const bool simd : {false, true}) {
     SetSimdEnabled(simd);
     const auto sel = SelectMentionsBitmap(*db, f);
-    EXPECT_EQ(sel.ToRows(), baseline);
+    EXPECT_EQ(sel.ToRows(), reference);
     EXPECT_EQ(sel.words[1] >> (kMentions - 64), 0u);  // tail stays clear
   }
   SetSimdEnabled(saved);

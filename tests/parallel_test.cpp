@@ -54,8 +54,7 @@ TEST_P(ParallelForTest, VisitsEachIndexOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Schedules, ParallelForTest,
                          ::testing::Values(Schedule::kStatic,
-                                           Schedule::kDynamic,
-                                           Schedule::kGuided));
+                                           Schedule::kDynamic));
 
 TEST(ParallelForChunksTest, ChunksPartitionRange) {
   const std::size_t n = 5000;

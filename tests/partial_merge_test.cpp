@@ -1,7 +1,8 @@
 // Round-trip tests for the partial-aggregate layer (serve/partial.hpp):
 // every decomposable query kind, rendered as per-shard frames and merged
 // back, must reproduce the single-node renderer's text byte for byte —
-// at 2 and 4 shards, under both matrix encodings, restricted and not.
+// at 1 to 64 shards (more shards than the database has rows included),
+// under both matrix encodings, restricted and not.
 // Plus the merger's rejection paths: wrong version, duplicate shards,
 // mismatched kinds, frames from a different partition count.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
+#include "engine/sharded.hpp"
 #include "parallel/parallel.hpp"
 #include "serve/json.hpp"
 #include "serve/partial.hpp"
@@ -22,6 +24,11 @@ namespace {
 
 using ::gdelt::testing::TempDir;
 using ::gdelt::testing::TestDbBuilder;
+
+/// Partition counts every round trip is checked at. 64 exceeds both the
+/// event and the mention count of the test database, so tail partitions
+/// are empty.
+constexpr std::uint32_t kShardCounts[] = {1, 2, 3, 4, 8, 64};
 
 constexpr const char* kPartialKinds[] = {
     "top-sources", "top-events",       "coreport",
@@ -116,7 +123,7 @@ class PartialMergeTest : public ::testing::Test {
   void ExpectRoundTrip(const Request& r) {
     const std::string truth = SingleNode(r);
     ASSERT_FALSE(truth.empty());
-    for (const std::uint32_t of : {2u, 4u}) {
+    for (const std::uint32_t of : kShardCounts) {
       auto merged = ViaPartials(r, of);
       ASSERT_TRUE(merged.ok())
           << r.kind << " of=" << of << ": " << merged.status().ToString();
@@ -163,6 +170,19 @@ TEST_F(PartialMergeTest, SparseEncodingRoundTrips) {
   for (const char* kind :
        {"coreport", "follow", "country-coreport", "cross-report"}) {
     ExpectRoundTrip(MakeRequest(kind, 4));
+  }
+}
+
+TEST_F(PartialMergeTest, TimeShardsPartitionMentions) {
+  for (const std::uint32_t of : kShardCounts) {
+    const auto shards = engine::MakeTimeShards(*db_, of);
+    ASSERT_FALSE(shards.empty());
+    EXPECT_LE(shards.size(), of);
+    EXPECT_EQ(shards.front().begin, 0u);
+    EXPECT_EQ(shards.back().end, db_->num_mentions());
+    for (std::size_t s = 1; s < shards.size(); ++s) {
+      EXPECT_EQ(shards[s].begin, shards[s - 1].end);
+    }
   }
 }
 
