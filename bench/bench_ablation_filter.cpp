@@ -164,6 +164,40 @@ void Print() {
                 sweep_s * 1e3);
   }
   parallel::SetMorselRows(0);
+
+  // Window-width series: selection plus the filtered top-sources
+  // aggregate, from a dashboard week to the whole table. The zone map
+  // makes the narrow windows cost their own rows, not the table's.
+  std::printf("\nwindow-width series (select + articles per source):\n");
+  const std::int64_t mid =
+      db.first_interval() + (db.last_interval() - db.first_interval()) / 2;
+  struct Window {
+    const char* name;
+    std::int64_t begin;
+    std::int64_t end;
+  };
+  const Window windows[] = {
+      {"7d", mid, mid + 7 * kIntervalsPerDay},
+      {"90d", mid, mid + 90 * kIntervalsPerDay},
+      {"quarter", f.begin_interval, f.end_interval},
+      {"full", db.first_interval(), db.last_interval() + 1},
+  };
+  for (const Window& w : windows) {
+    engine::MentionFilter window;
+    window.begin_interval = w.begin;
+    window.end_interval = w.end;
+    std::uint64_t selected = 0;
+    const double window_s = BestOf(kReps, [&] {
+      const auto sel = engine::SelectMentionsBitmap(db, window);
+      auto counts = engine::ArticlesPerSource(db, sel);
+      selected = sel.CountSet();
+      benchmark::DoNotOptimize(counts);
+    });
+    writer.Record(std::string("window_") + w.name + "_select_top_sources",
+                  threads, window_s);
+    std::printf("  %-8s %9llu rows: %8.3f ms\n", w.name,
+                static_cast<unsigned long long>(selected), window_s * 1e3);
+  }
 }
 
 }  // namespace

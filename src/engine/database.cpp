@@ -156,17 +156,42 @@ Result<Database> Database::Load(const std::string& dir,
     });
   }
 
-  // Timeline bounds.
-  db.first_interval_ = ParallelReduce<std::int64_t>(
-      db.num_mentions_, INT64_MAX,
-      [&](std::size_t i) { return db.mention_interval_[i]; },
-      [](std::int64_t a, std::int64_t b) { return std::min(a, b); });
-  db.last_interval_ = ParallelReduce<std::int64_t>(
-      db.num_mentions_, INT64_MIN,
-      [&](std::size_t i) { return db.mention_interval_[i]; },
-      [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
-  if (db.num_mentions_ == 0) {
-    db.first_interval_ = db.last_interval_ = 0;
+  // Derived: whole-table totals behind the source and country rankings,
+  // paid once here instead of by every query that ranks.
+  const std::size_t nc = Countries().size();
+  db.source_article_count_ = ParallelHistogram(
+      db.num_mentions_, db.sources_.size(),
+      [&](std::size_t i) -> std::size_t { return db.mention_source_id_[i]; });
+  db.country_article_count_.assign(nc, 0);
+  for (std::size_t s = 0; s < db.source_country_.size(); ++s) {
+    const std::uint16_t c = db.source_country_[s];
+    if (c != kNoCountry) {
+      db.country_article_count_[c] += db.source_article_count_[s];
+    }
+  }
+  db.country_event_count_ = ParallelHistogram(
+      db.num_events_, nc, [&](std::size_t i) -> std::size_t {
+        const std::uint16_t c = db.event_country_[i];
+        return c == kNoCountry ? SIZE_MAX : c;
+      });
+
+  // Zone map of the capture interval, one block per kZoneRows rows; the
+  // timeline bounds fold out of it.
+  const std::size_t zones = (db.num_mentions_ + kZoneRows - 1) / kZoneRows;
+  db.zone_min_interval_.resize(zones);
+  db.zone_max_interval_.resize(zones);
+  ParallelFor(zones, [&](std::size_t z) {
+    const auto block = db.mention_interval_.subspan(
+        z * kZoneRows, std::min(kZoneRows, db.num_mentions_ - z * kZoneRows));
+    const auto [lo, hi] = std::minmax_element(block.begin(), block.end());
+    db.zone_min_interval_[z] = *lo;
+    db.zone_max_interval_[z] = *hi;
+  });
+  if (zones > 0) {
+    db.first_interval_ = *std::min_element(db.zone_min_interval_.begin(),
+                                           db.zone_min_interval_.end());
+    db.last_interval_ = *std::max_element(db.zone_max_interval_.begin(),
+                                          db.zone_max_interval_.end());
   }
 
   if (options.build_indexes) {
@@ -207,6 +232,12 @@ std::size_t Database::MemoryBytes() const noexcept {
   std::size_t total = events_.MemoryBytes() + mentions_.MemoryBytes();
   total += source_country_.capacity() * sizeof(std::uint16_t);
   total += event_article_count_.capacity() * sizeof(std::uint32_t);
+  total += (source_article_count_.capacity() +
+            country_event_count_.capacity() +
+            country_article_count_.capacity()) *
+           sizeof(std::uint64_t);
+  total += (zone_min_interval_.capacity() + zone_max_interval_.capacity()) *
+           sizeof(std::int64_t);
   total += mentions_by_event_.offsets.capacity() * sizeof(std::uint64_t) +
            mentions_by_event_.rows.capacity() * sizeof(std::uint64_t);
   total += mentions_by_source_.offsets.capacity() * sizeof(std::uint64_t) +

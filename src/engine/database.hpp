@@ -34,6 +34,9 @@ struct LoadOptions {
 /// Read-only, fully materialized database.
 class Database {
  public:
+  /// Mention rows per block of the capture-interval zone map.
+  static constexpr std::size_t kZoneRows = 4096;
+
   /// Loads a directory written by convert::ConvertDataset.
   static Result<Database> Load(const std::string& dir,
                                const LoadOptions& options = {});
@@ -95,6 +98,30 @@ class Database {
   std::span<const std::uint32_t> event_article_count() const noexcept {
     return event_article_count_;
   }
+  /// Articles per source id over the whole table.
+  std::span<const std::uint64_t> source_article_count() const noexcept {
+    return source_article_count_;
+  }
+  /// Located events per country (events without a country excluded).
+  std::span<const std::uint64_t> country_event_count() const noexcept {
+    return country_event_count_;
+  }
+  /// Articles per publishing country (sources without one excluded).
+  std::span<const std::uint64_t> country_article_count() const noexcept {
+    return country_article_count_;
+  }
+
+  // --- zone map ---
+  /// Smallest and largest mention_interval of each block of kZoneRows
+  /// mention rows (the last block may be shorter). Exact for any row
+  /// order; tight because the converter writes capture order, so a time
+  /// window overlaps only the blocks of its own stretch of the table.
+  std::span<const std::int64_t> zone_min_interval() const noexcept {
+    return zone_min_interval_;
+  }
+  std::span<const std::int64_t> zone_max_interval() const noexcept {
+    return zone_max_interval_;
+  }
 
   // --- indexes (valid when LoadOptions::build_indexes) ---
   /// Mentions of each event row, ascending capture time.
@@ -151,6 +178,11 @@ class Database {
 
   std::vector<std::uint16_t> source_country_;
   std::vector<std::uint32_t> event_article_count_;
+  std::vector<std::uint64_t> source_article_count_;
+  std::vector<std::uint64_t> country_event_count_;
+  std::vector<std::uint64_t> country_article_count_;
+  std::vector<std::int64_t> zone_min_interval_;
+  std::vector<std::int64_t> zone_max_interval_;
   CsrIndex mentions_by_event_;
   CsrIndex mentions_by_source_;
   std::int64_t first_interval_ = 0;

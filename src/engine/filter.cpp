@@ -126,20 +126,21 @@ std::size_t WordsPerMorsel() {
   return std::max<std::size_t>(1, parallel::MorselRows() / 64);
 }
 
-/// Deterministic pool histogram over the set bits of a bitmap:
-/// per-slot partials merged in slot order (integer sums commute, so the
-/// result is identical no matter which worker ran which morsel).
+/// Deterministic pool histogram over the set bits of a bitmap's word
+/// span: per-slot partials merged in slot order (integer sums commute,
+/// so the result is identical no matter which worker ran which morsel).
 template <typename BinOf>
 std::vector<std::uint64_t> BitmapHistogram(const SelectionBitmap& sel,
                                            std::size_t num_bins,
                                            BinOf&& bin_of) {
   std::vector<std::vector<std::uint64_t>> partials(parallel::PoolSlots());
   parallel::PoolParallelFor(
-      sel.words.size(),
+      sel.end_word - sel.begin_word,
       [&](IndexRange r, std::size_t slot) {
         auto& local = partials[slot];
         if (local.size() != num_bins) local.assign(num_bins, 0);
-        for (std::size_t w = r.begin; w < r.end; ++w) {
+        for (std::size_t w = sel.begin_word + r.begin;
+             w < sel.begin_word + r.end; ++w) {
           std::uint64_t bits = sel.words[w];
           while (bits) {
             const auto b = static_cast<unsigned>(std::countr_zero(bits));
@@ -158,6 +159,13 @@ std::vector<std::uint64_t> BitmapHistogram(const SelectionBitmap& sel,
   return merged;
 }
 
+/// What the zone map says about one block of rows against a window.
+enum class ZoneMatch : std::uint8_t {
+  kNone,     ///< no row of the block can be in the window
+  kPartial,  ///< rows must be compared one by one
+  kAll,      ///< every row of the block is in the window
+};
+
 }  // namespace
 
 void SetSimdEnabled(bool enabled) noexcept {
@@ -171,14 +179,15 @@ bool SimdEnabled() noexcept {
 
 std::uint64_t SelectionBitmap::CountSet() const noexcept {
   std::uint64_t total = 0;
-  for (const std::uint64_t w : words) {
-    total += static_cast<std::uint64_t>(std::popcount(w));
+  for (std::size_t w = begin_word; w < end_word; ++w) {
+    total += static_cast<std::uint64_t>(std::popcount(words[w]));
   }
   return total;
 }
 
 std::vector<std::uint64_t> SelectionBitmap::ToRows() const {
-  const std::size_t nw = words.size();
+  const std::size_t nw = end_word - begin_word;
+  const std::uint64_t* span = words.data() + begin_word;
   const std::size_t bw = WordsPerMorsel();
   const std::size_t num_blocks = (nw + bw - 1) / bw;
   // Pass 1: per-block set counts. Each pool morsel is exactly one block
@@ -190,7 +199,7 @@ std::vector<std::uint64_t> SelectionBitmap::ToRows() const {
       [&](IndexRange r, std::size_t) {
         std::uint64_t count = 0;
         for (std::size_t w = r.begin; w < r.end; ++w) {
-          count += static_cast<std::uint64_t>(std::popcount(words[w]));
+          count += static_cast<std::uint64_t>(std::popcount(span[w]));
         }
         offsets[r.begin / bw] = count;
       },
@@ -203,11 +212,11 @@ std::vector<std::uint64_t> SelectionBitmap::ToRows() const {
       [&](IndexRange r, std::size_t) {
         std::uint64_t at = offsets[r.begin / bw];
         for (std::size_t w = r.begin; w < r.end; ++w) {
-          std::uint64_t bits = words[w];
+          std::uint64_t bits = span[w];
           while (bits) {
             const auto b = static_cast<unsigned>(std::countr_zero(bits));
             bits &= bits - 1;
-            rows[at++] = w * 64 + b;
+            rows[at++] = (begin_word + w) * 64 + b;
           }
         }
       },
@@ -222,11 +231,6 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
   const std::size_t n = db.num_mentions();
   sel.num_rows = n;
   const std::size_t nw = (n + 63) / 64;
-  sel.words.assign(nw, ~std::uint64_t{0});
-  if (nw == 0) return sel;
-  if (const std::size_t tail = n & 63; tail != 0) {
-    sel.words[nw - 1] = ~std::uint64_t{0} >> (64 - tail);
-  }
 
   const bool interval_pass = filter.begin_interval != INT64_MIN ||
                              filter.end_interval != INT64_MAX;
@@ -234,7 +238,42 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
   const bool pub_pass = filter.publisher_country != kNoCountry;
   const bool event_pass =
       filter.event_country != kNoCountry || filter.exclude_orphans;
-  if (!interval_pass && !conf_pass && !pub_pass && !event_pass) return sel;
+  if (!interval_pass && !conf_pass && !pub_pass && !event_pass) {
+    sel.words.assign(nw, ~std::uint64_t{0});
+    if (const std::size_t tail = n & 63; tail != 0) {
+      sel.words[nw - 1] = ~std::uint64_t{0} >> (64 - tail);
+    }
+    sel.end_word = nw;
+    return sel;
+  }
+  sel.words.assign(nw, 0);
+
+  // Zone-map pruning: classify every block against the window, and
+  // bound the word span by the first and last block that can match.
+  const auto zone_min = db.zone_min_interval();
+  const auto zone_max = db.zone_max_interval();
+  std::vector<ZoneMatch> zones(zone_min.size(), ZoneMatch::kAll);
+  std::size_t first_zone = zones.size();
+  std::size_t end_zone = 0;
+  for (std::size_t z = 0; z < zones.size(); ++z) {
+    if (interval_pass) {
+      if (zone_max[z] < filter.begin_interval ||
+          zone_min[z] >= filter.end_interval) {
+        zones[z] = ZoneMatch::kNone;
+        continue;
+      }
+      if (zone_min[z] < filter.begin_interval ||
+          zone_max[z] >= filter.end_interval) {
+        zones[z] = ZoneMatch::kPartial;
+      }
+    }
+    first_zone = std::min(first_zone, z);
+    end_zone = z + 1;
+  }
+  constexpr std::size_t kZoneWords = Database::kZoneRows / 64;
+  if (first_zone >= end_zone) return sel;  // empty span
+  sel.begin_word = first_zone * kZoneWords;
+  sel.end_word = std::min(nw, end_zone * kZoneWords);
 
   const bool simd = SimdEnabled();
   const auto at = db.mention_interval();
@@ -245,14 +284,17 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
   const auto event_country = db.event_country();
 
   parallel::PoolParallelFor(
-      nw,
+      sel.end_word - sel.begin_word,
       [&](IndexRange r, std::size_t) {
-        for (std::size_t w = r.begin; w < r.end; ++w) {
+        for (std::size_t w = sel.begin_word + r.begin;
+             w < sel.begin_word + r.end; ++w) {
+          const ZoneMatch zone = zones[w / kZoneWords];
+          if (zone == ZoneMatch::kNone) continue;  // stays zero
           const std::size_t row0 = w * 64;
           const std::size_t rows_here = std::min<std::size_t>(64, n - row0);
-          std::uint64_t bits = sel.words[w];
+          std::uint64_t bits = ~std::uint64_t{0} >> (64 - rows_here);
           // Sequential-column passes first (SIMD-friendly, cheapest).
-          if (interval_pass) {
+          if (zone == ZoneMatch::kPartial) {
             bits &= IntervalWord(simd, at.data() + row0, rows_here,
                                  filter.begin_interval, filter.end_interval);
           }
@@ -409,7 +451,7 @@ std::uint64_t DistinctEvents(const Database& db,
 std::uint64_t DistinctEvents(const Database& db, const SelectionBitmap& sel) {
   const auto event_row = db.mention_event_row();
   std::vector<std::uint8_t> seen(db.num_events() + 1, 0);
-  for (std::size_t w = 0; w < sel.words.size(); ++w) {
+  for (std::size_t w = sel.begin_word; w < sel.end_word; ++w) {
     std::uint64_t bits = sel.words[w];
     while (bits) {
       const auto b = static_cast<unsigned>(std::countr_zero(bits));

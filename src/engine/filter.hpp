@@ -9,6 +9,7 @@
 // filtered kernel overloads then aggregate only the selected rows.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,6 +49,16 @@ struct SelectionBitmap {
   std::size_t num_rows = 0;
   /// ceil(num_rows / 64) little-endian words; tail bits are clear.
   std::vector<std::uint64_t> words;
+  /// Every word outside [begin_word, end_word) is zero, so consumers walk
+  /// only this span. Zone-map pruning leaves a time window the span of
+  /// the blocks that overlap it.
+  std::size_t begin_word = 0;
+  std::size_t end_word = 0;
+
+  /// The word span in rows: [begin_word * 64, min(num_rows, end_word * 64)).
+  IndexRange RowSpan() const noexcept {
+    return {begin_word * 64, std::min(num_rows, end_word * 64)};
+  }
 
   bool Test(std::uint64_t i) const noexcept {
     return (words[i >> 6] >> (i & 63)) & 1u;
@@ -61,7 +72,9 @@ struct SelectionBitmap {
 /// Column-at-a-time vectorized selection: AVX2 compare kernels for the
 /// interval-window and min-confidence columns, zero-word-skipping scalar
 /// passes for the gather-dependent country/orphan predicates. Runs on
-/// the shared morsel pool.
+/// the shared morsel pool. The database's zone map prunes the window
+/// first: blocks whose interval range misses it are never read, blocks
+/// inside it skip the interval compare.
 SelectionBitmap SelectMentionsBitmap(const Database& db,
                                      const MentionFilter& filter);
 

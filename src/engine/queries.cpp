@@ -8,26 +8,33 @@
 
 namespace gdelt::engine {
 
-std::vector<std::uint64_t> ArticlesPerSource(const Database& db) {
-  TRACE_SPAN("engine.articles_per_source");
-  const auto src = db.mention_source_id();
-  return ParallelHistogram(src.size(), db.num_sources(),
-                           [&](std::size_t i) -> std::size_t { return src[i]; });
-}
+namespace {
 
-std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
-                                                std::size_t k) {
-  const auto counts = ArticlesPerSource(db);
-  std::vector<std::uint32_t> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), 0u);
+/// The k ids with the largest counts, descending (ties by id).
+template <typename Id>
+std::vector<Id> RankByCount(std::span<const std::uint64_t> counts,
+                            std::size_t k) {
+  std::vector<Id> ids(counts.size());
+  std::iota(ids.begin(), ids.end(), Id{0});
   const std::size_t take = std::min(k, ids.size());
   std::partial_sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+                    ids.end(), [&](Id a, Id b) {
                       if (counts[a] != counts[b]) return counts[a] > counts[b];
                       return a < b;
                     });
   ids.resize(take);
   return ids;
+}
+
+}  // namespace
+
+std::span<const std::uint64_t> ArticlesPerSource(const Database& db) {
+  return db.source_article_count();
+}
+
+std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
+                                                std::size_t k) {
+  return RankByCount<std::uint32_t>(db.source_article_count(), k);
 }
 
 std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k) {
@@ -209,45 +216,12 @@ CountryCrossReport CountryCrossReporting(const Database& db) {
 
 std::vector<CountryId> CountriesByReportedEvents(const Database& db,
                                                  std::size_t k) {
-  const auto country = db.event_country();
-  auto counts = ParallelHistogram(country.size(), Countries().size(),
-                                  [&](std::size_t i) -> std::size_t {
-                                    return country[i] == kNoCountry
-                                               ? SIZE_MAX
-                                               : country[i];
-                                  });
-  std::vector<CountryId> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), static_cast<CountryId>(0));
-  const std::size_t take = std::min(k, ids.size());
-  std::partial_sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](CountryId a, CountryId b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
+  return RankByCount<CountryId>(db.country_event_count(), k);
 }
 
 std::vector<CountryId> CountriesByPublishedArticles(const Database& db,
                                                     std::size_t k) {
-  const auto src = db.mention_source_id();
-  const auto source_country = db.source_country();
-  auto counts = ParallelHistogram(src.size(), Countries().size(),
-                                  [&](std::size_t i) -> std::size_t {
-                                    const std::uint16_t c =
-                                        source_country[src[i]];
-                                    return c == kNoCountry ? SIZE_MAX : c;
-                                  });
-  std::vector<CountryId> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), static_cast<CountryId>(0));
-  const std::size_t take = std::min(k, ids.size());
-  std::partial_sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](CountryId a, CountryId b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
+  return RankByCount<CountryId>(db.country_article_count(), k);
 }
 
 }  // namespace gdelt::engine

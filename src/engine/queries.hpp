@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/database.hpp"
@@ -14,8 +15,9 @@
 
 namespace gdelt::engine {
 
-/// Article count per source id (Fig 6 input). One parallel histogram scan.
-std::vector<std::uint64_t> ArticlesPerSource(const Database& db);
+/// Article count per source id (Fig 6 input): the whole-table totals
+/// Database::Load computed, valid as long as `db`.
+std::span<const std::uint64_t> ArticlesPerSource(const Database& db);
 
 /// Source ids with the most articles, descending (ties by id).
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,

@@ -1,5 +1,7 @@
 #include "engine/sharded.hpp"
 
+#include <algorithm>
+
 #include "convert/binary_format.hpp"
 #include "parallel/parallel.hpp"
 
@@ -58,7 +60,10 @@ CrossReportPartial CrossReportingOnShard(const Database& db,
   CrossReportPartial partial;
   partial.counts.assign(nc * nc, 0);
   partial.articles_per_publisher.assign(nc, 0);
-  for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
+  const IndexRange span = sel.RowSpan();
+  const std::uint64_t end = std::min<std::uint64_t>(shard.end, span.end);
+  for (std::uint64_t i = std::max<std::uint64_t>(shard.begin, span.begin);
+       i < end; ++i) {
     if ((i & 4095) == 0 && util::Cancelled(cancel)) break;
     if (!sel.Test(i)) continue;
     const std::uint16_t pub = source_country[src[i]];

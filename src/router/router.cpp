@@ -1,13 +1,6 @@
 #include "router/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "serve/partial.hpp"
@@ -39,19 +32,6 @@ std::int64_t MsUntil(Clock::time_point deadline) {
 /// shard unavailable.
 constexpr std::int64_t kRecvGraceMs = 250;
 
-/// Writes the whole buffer, retrying on short writes / EINTR.
-bool WriteAll(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
 /// True when the (already parsed) backend response is an admission
 /// rejection — worth retrying on a less loaded replica.
 bool IsOverloadedResponse(const serve::JsonValue& response) {
@@ -81,48 +61,18 @@ Status Router::Start() {
   if (pool_.num_shards() == 0) {
     return status::InvalidArgument("router needs at least one shard");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(opt_.port));
-  if (::inet_pton(AF_INET, opt_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::InvalidArgument("bad listen host '" + opt_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::Internal("bind " + opt_.host + ":" +
-                            std::to_string(opt_.port) + ": " + err);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::Internal("listen: " + err);
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
+  GDELT_RETURN_IF_ERROR(front_.Start(
+      opt_.host, opt_.port, opt_.max_line_bytes,
+      [this](const std::string& line, int) { return HandleLine(line); },
+      metrics_.connections_opened, metrics_.bad_requests));
   started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (opt_.health_interval_ms > 0) {
     health_thread_ = std::thread([this] { HealthLoop(); });
   }
   GDELT_LOG(kInfo,
             StrFormat("router: listening on %s:%d (%zu shards, "
                       "max_inflight=%zu)",
-                      opt_.host.c_str(), port_, pool_.num_shards(),
+                      opt_.host.c_str(), front_.port(), pool_.num_shards(),
                       opt_.max_inflight));
   return Status::Ok();
 }
@@ -131,35 +81,10 @@ void Router::Stop() {
   if (stopping_.exchange(true)) return;
   if (!started_) return;
 
-  // 1. Stop taking new connections.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // 2. Unblock anyone waiting for a scatter slot (AdmitScatter checks
-  //    stopping_ on wake) and let in-flight responses flush.
-  inflight_cv_.NotifyAll();
-  const auto grace_end = Clock::now() + std::chrono::seconds(2);
-  while (active_requests_.load() > 0 && Clock::now() < grace_end) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  // 3. Unblock readers and join connection threads.
-  {
-    sync::MutexLock lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    sync::MutexLock lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  // Stop accepting, unblock anyone waiting for a scatter slot
+  // (AdmitScatter checks stopping_ on wake), let in-flight responses
+  // flush, then close the connections.
+  front_.Stop([this] { inflight_cv_.NotifyAll(); });
 
   {
     sync::MutexLock lock(health_stop_mu_);
@@ -574,54 +499,6 @@ std::string Router::PrometheusText() {
       "gdelt_router_retry_after_ms %lld\n",
       static_cast<long long>(last_retry_after_ms_.load()));
   return out;
-}
-
-void Router::AcceptLoop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    metrics_.connections_opened.fetch_add(1);
-    sync::MutexLock lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Router::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && open;
-         start = nl + 1, nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      active_requests_.fetch_add(1);
-      const std::string response = HandleLine(line);
-      open = WriteAll(fd, response);
-      active_requests_.fetch_sub(1);
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > opt_.max_line_bytes) {
-      active_requests_.fetch_add(1);
-      metrics_.bad_requests.fetch_add(1);
-      WriteAll(fd, serve::ErrorResponse("", ErrorCode::kBadRequest,
-                                        "request line too long"));
-      active_requests_.fetch_sub(1);
-      break;
-    }
-  }
-  ::close(fd);
 }
 
 void Router::HealthLoop() {

@@ -29,6 +29,7 @@
 #include "router/pool.hpp"
 #include "router/topology.hpp"
 #include "serve/json.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "util/status.hpp"
@@ -99,7 +100,7 @@ class Router {
   void Stop();
 
   /// The bound port (valid after Start; useful with ephemeral ports).
-  int port() const noexcept { return port_; }
+  int port() const noexcept { return front_.port(); }
 
   /// Handles one request line and returns the full response line
   /// (terminating '\n' included) — the protocol minus the socket
@@ -156,28 +157,18 @@ class Router {
   std::string MetricsJson();
   std::string PrometheusText();
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
   void HealthLoop();
 
   const RouterOptions opt_;
   BackendPool pool_;
   RouterMetrics metrics_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
-  std::atomic<std::uint64_t> active_requests_{0};
 
-  std::thread accept_thread_;
   std::thread health_thread_;
   sync::Mutex health_stop_mu_;
   sync::CondVar health_stop_cv_;
-
-  sync::Mutex conn_mu_;
-  std::vector<int> conn_fds_ GDELT_GUARDED_BY(conn_mu_);
-  std::vector<std::thread> conn_threads_ GDELT_GUARDED_BY(conn_mu_);
 
   sync::Mutex inflight_mu_;
   sync::CondVar inflight_cv_;
@@ -188,6 +179,10 @@ class Router {
   /// Scatter wall-time histogram feeding the shed-path retry_after_ms.
   serve::LatencyHistogram scatter_latency_;
   std::atomic<std::int64_t> last_retry_after_ms_{0};
+
+  /// Declared last so it is destroyed first: its connection threads call
+  /// back into every member above.
+  serve::LineServer front_;
 };
 
 }  // namespace gdelt::router

@@ -14,6 +14,7 @@
 #include <thread>
 #include <utility>
 
+#include "serve/line_server.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -53,6 +54,7 @@ Result<int> ConnectOnce(const sockaddr_in& addr, const std::string& endpoint,
       ::close(fd);
       return status::IoError("connect " + endpoint + ": " + err);
     }
+    SetTcpNoDelay(fd);
     return fd;
   }
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -81,6 +83,7 @@ Result<int> ConnectOnce(const sockaddr_in& addr, const std::string& endpoint,
     }
   }
   ::fcntl(fd, F_SETFL, flags);
+  SetTcpNoDelay(fd);
   return fd;
 }
 
@@ -159,14 +162,8 @@ Status LineClient::Send(std::string_view request_line) {
   if (fd_ < 0) return status::Internal("client is closed");
   std::string framed(request_line);
   if (framed.empty() || framed.back() != '\n') framed.push_back('\n');
-  std::string_view rest = framed;
-  while (!rest.empty()) {
-    const ssize_t n = ::write(fd_, rest.data(), rest.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return status::Internal(std::string("write: ") + std::strerror(errno));
-    }
-    rest.remove_prefix(static_cast<std::size_t>(n));
+  if (!WriteAll(fd_, framed)) {
+    return status::Internal(std::string("write: ") + std::strerror(errno));
   }
   return Status::Ok();
 }

@@ -2,7 +2,9 @@
 //
 // One TCP connection, one request line out, one response line back —
 // enough for the gdelt_client tool, the protocol tests, the throughput
-// bench and the router's shard fan-out. Not thread-safe; open one
+// bench and the router's shard fan-out. Every dial sets TCP_NODELAY, so
+// each Send of a pipelined batch leaves at once instead of waiting on
+// Nagle for the reply to an earlier line. Not thread-safe; open one
 // LineClient per thread.
 #pragma once
 

@@ -82,8 +82,8 @@ std::vector<std::string> AllDomains(const engine::Database& db) {
 // ---------------------------------------------------------------------------
 // Frame emission.
 
-template <typename T>
-void AppendIntArray(std::string& out, const std::vector<T>& values) {
+template <typename Ints>
+void AppendIntArray(std::string& out, const Ints& values) {
   out += '[';
   for (std::size_t k = 0; k < values.size(); ++k) {
     if (k) out += ',';
@@ -353,7 +353,10 @@ void PartialTopSources(const engine::Database& db, const Request& r,
   std::vector<std::uint64_t> counts(db.num_sources(), 0);
   if (r.restricted) {
     const auto sel = engine::SelectMentionsBitmap(db, r.filter);
-    for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
+    const IndexRange span = sel.RowSpan();
+    const std::uint64_t end = std::min<std::uint64_t>(shard.end, span.end);
+    for (std::uint64_t i = std::max<std::uint64_t>(shard.begin, span.begin);
+         i < end; ++i) {
       if (sel.Test(i)) ++counts[src[i]];
     }
   } else {

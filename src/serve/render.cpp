@@ -33,7 +33,7 @@ std::vector<std::string> SourceLabels(const engine::Database& db,
 }
 
 /// Per-rank projection of a per-source-id count vector.
-std::vector<std::uint64_t> CountsOf(const std::vector<std::uint64_t>& counts,
+std::vector<std::uint64_t> CountsOf(std::span<const std::uint64_t> counts,
                                     std::span<const std::uint32_t> ids) {
   std::vector<std::uint64_t> out;
   out.reserve(ids.size());

@@ -1,13 +1,8 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <optional>
@@ -25,19 +20,6 @@ using Clock = std::chrono::steady_clock;
 
 double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-/// Writes the whole buffer, retrying on short writes / EINTR.
-bool WriteAll(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
 }
 
 /// True once the peer has hung up (or the socket errored): the request
@@ -87,48 +69,19 @@ Server::Server(const engine::Database& db, stream::DeltaStore* delta,
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(opt_.port));
-  if (::inet_pton(AF_INET, opt_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::InvalidArgument("bad listen host '" + opt_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::Internal("bind " + opt_.host + ":" +
-                            std::to_string(opt_.port) + ": " + err);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status::Internal("listen: " + err);
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
   start_time_ = Clock::now();
+  GDELT_RETURN_IF_ERROR(front_.Start(
+      opt_.host, opt_.port, opt_.max_line_bytes,
+      [this](const std::string& line, int fd) { return HandleLine(line, fd); },
+      metrics_.connections_opened, metrics_.bad_requests));
   started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (opt_.metrics_log_interval_s > 0) {
     log_thread_ = std::thread([this] { MetricsLogLoop(); });
   }
   GDELT_LOG(kInfo, StrFormat("serve: listening on %s:%d (workers=%d "
                              "threads/query=%d queue=%zu cache=%zu)",
-                             opt_.host.c_str(), port_, scheduler_.workers(),
+                             opt_.host.c_str(), front_.port(),
+                             scheduler_.workers(),
                              scheduler_.threads_per_query(),
                              scheduler_.queue_capacity(), opt_.cache_entries));
   return Status::Ok();
@@ -138,38 +91,9 @@ void Server::Stop() {
   if (stopping_.exchange(true)) return;
   if (!started_) return;
 
-  // 1. Stop taking new connections. The accept loop reads listen_fd_, so
-  // the fd is closed and cleared only after that thread has joined.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
-  // 2. Run every admitted request to completion (workers join after).
-  scheduler_.Drain();
-
-  // 3. Let connection threads flush their in-flight responses before the
-  //    sockets go away.
-  const auto grace_end = Clock::now() + std::chrono::seconds(2);
-  while (active_requests_.load() > 0 && Clock::now() < grace_end) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  // 4. Unblock readers and join connection threads.
-  {
-    sync::MutexLock lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    sync::MutexLock lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  // Stop accepting, run every admitted request to completion (workers
+  // join after), let replies flush, then close the connections.
+  front_.Stop([this] { scheduler_.Drain(); });
 
   {
     sync::MutexLock lock(log_stop_mu_);
@@ -575,54 +499,6 @@ std::string Server::HandleIngest(const Request& request) {
                                  snap->delta_mentions())));
   return OkJsonResponse(request, "epoch",
                         std::to_string(snap->generation()));
-}
-
-void Server::AcceptLoop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    metrics_.connections_opened.fetch_add(1);
-    sync::MutexLock lock(conn_mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Server::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && open;
-         start = nl + 1, nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      active_requests_.fetch_add(1);
-      const std::string response = HandleLine(line, fd);
-      open = WriteAll(fd, response);
-      active_requests_.fetch_sub(1);
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > opt_.max_line_bytes) {
-      active_requests_.fetch_add(1);
-      metrics_.bad_requests.fetch_add(1);
-      WriteAll(fd, ErrorResponse("", ErrorCode::kBadRequest,
-                                 "request line too long"));
-      active_requests_.fetch_sub(1);
-      break;
-    }
-  }
-  ::close(fd);
 }
 
 void Server::MetricsLogLoop() {

@@ -21,6 +21,7 @@
 
 #include "engine/database.hpp"
 #include "serve/cache.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -72,7 +73,7 @@ class Server {
   void Stop();
 
   /// The bound port (valid after Start; useful with ephemeral ports).
-  int port() const noexcept { return port_; }
+  int port() const noexcept { return front_.port(); }
 
   /// Current cache epoch (the delta store's ingest generation, 0 if none).
   std::uint64_t Epoch() const noexcept {
@@ -101,8 +102,6 @@ class Server {
   /// Backoff hint for shed work: queue depth x observed p50 execution
   /// time, floored at one execution slot. Records the hint gauge.
   std::int64_t RetryAfterMsNow();
-  void AcceptLoop();
-  void HandleConnection(int fd);
   void MetricsLogLoop();
 
   const engine::Database& db_;
@@ -113,23 +112,15 @@ class Server {
   ResultCache cache_;
   ServerMetrics metrics_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
   std::atomic<bool> stopping_{false};
   // Atomic because GaugesNow() reads it from connection threads while the
   // main thread may still be inside Start()/Stop().
   std::atomic<bool> started_{false};
   std::chrono::steady_clock::time_point start_time_;
-  std::atomic<std::uint64_t> active_requests_{0};
 
-  std::thread accept_thread_;
   std::thread log_thread_;
   sync::Mutex log_stop_mu_;
   sync::CondVar log_stop_cv_;
-
-  sync::Mutex conn_mu_;
-  std::vector<int> conn_fds_ GDELT_GUARDED_BY(conn_mu_);
-  std::vector<std::thread> conn_threads_ GDELT_GUARDED_BY(conn_mu_);
 
   // --- cooperative cancellation state ---
   /// In-flight requests addressable by a `cancel` verb, keyed by the
@@ -151,6 +142,10 @@ class Server {
   // successful ingest and when it happened (ms since start_; -1 = never).
   std::atomic<std::uint64_t> last_ingest_generation_{0};
   std::atomic<std::int64_t> last_ingest_ms_{-1};
+
+  /// Declared last so it is destroyed first: its connection threads call
+  /// back into every member above.
+  LineServer front_;
 };
 
 }  // namespace gdelt::serve

@@ -356,5 +356,220 @@ TEST(FilterSmallTest, UnalignedTailBitmap) {
   SetSimdEnabled(saved);
 }
 
+
+/// Mentions laid out against capture order across several zone-map
+/// blocks: rows are written in insertion order, blocks 1 and 3 are
+/// swapped, block 2 carries one outlier far before every other interval,
+/// and the last block is short. The zone map must stay exact.
+class ZoneMapTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kBlock = Database::kZoneRows;
+  static constexpr std::size_t kRows = 5 * kBlock + 1000;
+  static constexpr std::int64_t kBase = 100'000;
+  static constexpr std::int64_t kOutlier = 7;
+  static constexpr std::size_t kOutlierRow = 2 * kBlock + 1234;
+
+  /// Capture interval of row `r`: 8 rows per interval in capture order,
+  /// with blocks 1 and 3 trading places.
+  static std::int64_t IntervalOfRow(std::size_t r) {
+    if (r == kOutlierRow) return kOutlier;
+    std::size_t block = r / kBlock;
+    if (block == 1 || block == 3) block = 4 - block;
+    return kBase +
+           static_cast<std::int64_t>((block * kBlock + r % kBlock) / 8);
+  }
+
+  static void SetUpTestSuite() {
+    dir_ = new TempDir("zonemap");
+    TestDbBuilder builder;
+    builder.KeepMentionOrder();
+    const CountryId countries[] = {country::kUSA, country::kUK,
+                                   country::kIndia, kNoCountry};
+    std::vector<std::uint64_t> events;
+    for (int e = 0; e < 40; ++e) {
+      events.push_back(builder.AddEvent(kBase, countries[e % 4]));
+    }
+    const char* sources[] = {"a.com", "b.co.uk", "c.in", "d.org", "e.fr"};
+    for (std::size_t r = 0; r < kRows; ++r) {
+      // Every 97th row is an orphan (its event is not in the table).
+      const std::uint64_t event = r % 97 == 0 ? 1 : events[r % events.size()];
+      builder.AddMention(event, IntervalOfRow(r), sources[r % 5],
+                         static_cast<std::uint8_t>(r % 101));
+    }
+    auto db = builder.Build(dir_->path());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = new Database(std::move(*db));
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    delete dir_;
+  }
+
+  /// Windows at the interesting places: empty, everything, exactly on
+  /// block edges (each block's own [min, max] and its neighbours'), one
+  /// interval, and the outlier alone.
+  static std::vector<MentionFilter> Windows() {
+    std::vector<std::pair<std::int64_t, std::int64_t>> bounds = {
+        {kBase + 10, kBase + 10},          // empty: begin == end
+        {kBase + 10, kBase},               // empty: begin > end
+        {kBase * 10, kBase * 10 + 5},      // after every row
+        {INT64_MIN, kOutlier},             // before every row
+        {kOutlier, kBase * 10},            // every row
+        {kOutlier, kOutlier + 1},          // the outlier alone
+        {kBase + 700, kBase + 701},        // one interval
+        {kBase, kBase + 1},                // the first interval
+    };
+    const auto zmin = db_->zone_min_interval();
+    const auto zmax = db_->zone_max_interval();
+    for (std::size_t z = 0; z < zmin.size(); ++z) {
+      bounds.emplace_back(zmin[z], zmax[z] + 1);  // the block exactly
+      bounds.emplace_back(zmin[z], zmax[z]);      // its last interval out
+      bounds.emplace_back(zmin[z] + 1, zmax[z] + 1);
+      bounds.emplace_back(zmax[z], zmax[z] + 1);
+      bounds.emplace_back(zmax[z] + 1, zmax[z] + 2);  // just past it
+    }
+    std::vector<MentionFilter> filters;
+    for (const auto& [begin, end] : bounds) {
+      MentionFilter f;
+      f.begin_interval = begin;
+      f.end_interval = end;
+      filters.push_back(f);
+      f.min_confidence = 50;  // with a column pass the zone map cannot skip
+      f.exclude_orphans = true;
+      filters.push_back(f);
+    }
+    return filters;
+  }
+
+  static inline TempDir* dir_ = nullptr;
+  static inline Database* db_ = nullptr;
+};
+
+TEST_F(ZoneMapTest, FixtureIsOutOfCaptureOrder) {
+  ASSERT_EQ(db_->num_mentions(), kRows);
+  const auto at = db_->mention_interval();
+  EXPECT_FALSE(std::is_sorted(at.begin(), at.end()));
+  EXPECT_EQ(at[kOutlierRow], kOutlier);
+  EXPECT_GT(at[kBlock], at[3 * kBlock]);  // blocks 1 and 3 swapped
+}
+
+TEST_F(ZoneMapTest, ZoneMapAndBoundsEqualNaiveLoops) {
+  const auto at = db_->mention_interval();
+  const std::size_t zones = (kRows + kBlock - 1) / kBlock;
+  ASSERT_EQ(db_->zone_min_interval().size(), zones);
+  ASSERT_EQ(db_->zone_max_interval().size(), zones);
+  for (std::size_t z = 0; z < zones; ++z) {
+    std::int64_t lo = INT64_MAX;
+    std::int64_t hi = INT64_MIN;
+    for (std::size_t r = z * kBlock; r < std::min(kRows, (z + 1) * kBlock);
+         ++r) {
+      lo = std::min(lo, at[r]);
+      hi = std::max(hi, at[r]);
+    }
+    EXPECT_EQ(db_->zone_min_interval()[z], lo) << "block " << z;
+    EXPECT_EQ(db_->zone_max_interval()[z], hi) << "block " << z;
+  }
+  EXPECT_EQ(db_->first_interval(), *std::min_element(at.begin(), at.end()));
+  EXPECT_EQ(db_->last_interval(), *std::max_element(at.begin(), at.end()));
+  EXPECT_EQ(db_->first_interval(), kOutlier);
+}
+
+TEST_F(ZoneMapTest, SelectionEqualsBruteForceAtEveryWindow) {
+  const bool saved = SimdEnabled();
+  for (const std::size_t morsel_rows : {std::size_t{64}, kRows}) {
+    parallel::SetMorselRows(morsel_rows);
+    for (const bool simd : {false, true}) {
+      SetSimdEnabled(simd);
+      for (const MentionFilter& f : Windows()) {
+        const std::string where =
+            "window [" + std::to_string(f.begin_interval) + ", " +
+            std::to_string(f.end_interval) + ") conf " +
+            std::to_string(f.min_confidence) + " simd " +
+            std::to_string(simd) + " morsel " + std::to_string(morsel_rows);
+        const auto rows = BruteForceSelect(*db_, f);
+        const auto sel = SelectMentionsBitmap(*db_, f);
+        ASSERT_EQ(sel.words.size(), (kRows + 63) / 64) << where;
+        EXPECT_LE(sel.begin_word, sel.end_word) << where;
+        EXPECT_LE(sel.end_word, sel.words.size()) << where;
+        for (std::size_t w = 0; w < sel.words.size(); ++w) {
+          if (w < sel.begin_word || w >= sel.end_word) {
+            EXPECT_EQ(sel.words[w], 0u) << where << " word " << w;
+          }
+        }
+        EXPECT_EQ(sel.ToRows(), rows) << where;
+        EXPECT_EQ(sel.CountSet(), rows.size()) << where;
+        EXPECT_EQ(ArticlesPerSource(*db_, sel),
+                  NaiveArticlesPerSource(*db_, rows))
+            << where;
+        const auto cross = CountryCrossReporting(*db_, sel);
+        const auto naive = NaiveCrossReport(*db_, rows);
+        EXPECT_EQ(cross.counts, naive.counts) << where;
+        EXPECT_EQ(cross.articles_per_publisher, naive.articles_per_publisher)
+            << where;
+        EXPECT_EQ(DistinctEvents(*db_, sel), DistinctEvents(*db_, rows))
+            << where;
+      }
+    }
+  }
+  parallel::SetMorselRows(0);
+  SetSimdEnabled(saved);
+}
+
+/// A window covering exactly one block of a capture-ordered table spans
+/// just that block's words; the pruned blocks are never part of the span.
+TEST(ZoneMapSpanTest, BlockWindowSpansOneBlock) {
+  TempDir dir("zonespan");
+  TestDbBuilder builder;
+  const auto e = builder.AddEvent(0, country::kUSA);
+  constexpr std::size_t kBlock = Database::kZoneRows;
+  for (std::size_t r = 0; r < 3 * kBlock; ++r) {
+    builder.AddMention(e, static_cast<std::int64_t>(r / 16), "x.com");
+  }
+  auto db = builder.Build(dir.path());
+  ASSERT_TRUE(db.ok());
+  MentionFilter f;
+  f.begin_interval = kBlock / 16;
+  f.end_interval = 2 * kBlock / 16;
+  const auto sel = SelectMentionsBitmap(*db, f);
+  EXPECT_EQ(sel.begin_word, kBlock / 64);
+  EXPECT_EQ(sel.end_word, 2 * kBlock / 64);
+  EXPECT_EQ(sel.CountSet(), kBlock);
+  EXPECT_EQ(sel.RowSpan().begin, kBlock);
+  EXPECT_EQ(sel.RowSpan().end, 2 * kBlock);
+}
+
+/// The load-time totals equal naive per-row loops, on the generated
+/// dataset and on the out-of-order fixture.
+void ExpectTotalsMatchNaive(const Database& db) {
+  std::vector<std::uint64_t> per_source(db.num_sources(), 0);
+  std::vector<std::uint64_t> per_publisher(Countries().size(), 0);
+  for (std::size_t i = 0; i < db.num_mentions(); ++i) {
+    const std::uint32_t s = db.mention_source_id()[i];
+    ++per_source[s];
+    if (db.source_country()[s] != kNoCountry) {
+      ++per_publisher[db.source_country()[s]];
+    }
+  }
+  std::vector<std::uint64_t> per_located(Countries().size(), 0);
+  for (const CountryId c : db.event_country()) {
+    if (c != kNoCountry) ++per_located[c];
+  }
+  const auto as_vector = [](std::span<const std::uint64_t> v) {
+    return std::vector<std::uint64_t>(v.begin(), v.end());
+  };
+  EXPECT_EQ(as_vector(db.source_article_count()), per_source);
+  EXPECT_EQ(as_vector(ArticlesPerSource(db)), per_source);
+  EXPECT_EQ(as_vector(db.country_article_count()), per_publisher);
+  EXPECT_EQ(as_vector(db.country_event_count()), per_located);
+}
+
+TEST_F(FilterTest, LoadTimeTotalsEqualNaiveLoops) {
+  ExpectTotalsMatchNaive(*db_);
+}
+
+TEST_F(ZoneMapTest, LoadTimeTotalsEqualNaiveLoops) {
+  ExpectTotalsMatchNaive(*db_);
+}
+
 }  // namespace
 }  // namespace gdelt::engine

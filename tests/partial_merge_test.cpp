@@ -12,6 +12,7 @@
 
 #include "engine/database.hpp"
 #include "engine/sharded.hpp"
+#include "gtime/timestamp.hpp"
 #include "parallel/parallel.hpp"
 #include "serve/json.hpp"
 #include "serve/partial.hpp"
@@ -154,6 +155,54 @@ TEST_F(PartialMergeTest, RestrictedKindsRoundTrip) {
     ExpectRoundTrip(MakeRequest(kind, 3, ",\"min_confidence\":45"));
     ExpectRoundTrip(
         MakeRequest(kind, 3, ",\"from\":\"20150101000000\""));
+  }
+}
+
+TEST_F(PartialMergeTest, RestrictedBlockEdgeWindowRoundTrips) {
+  // A table of several zone-map blocks whose window starts and ends
+  // exactly on block edges: 16 rows per interval in capture order, so
+  // block b holds intervals [256b, 256b + 256) past the base.
+  constexpr std::size_t kBlock = engine::Database::kZoneRows;
+  constexpr std::int64_t kBase = 40'000;
+  TestDbBuilder builder;
+  std::vector<std::uint64_t> events;
+  for (int i = 0; i < 32; ++i) {
+    const CountryId country =
+        i % 4 == 3 ? kNoCountry : static_cast<CountryId>(1 + i % 3);
+    events.push_back(builder.AddEvent(kBase, country));
+  }
+  const char* sources[] = {"a.com", "b.com", "c.com", "d.com", "e.com"};
+  for (std::size_t r = 0; r < 3 * kBlock + 500; ++r) {
+    builder.AddMention(events[(r * 7) % events.size()],
+                       kBase + static_cast<std::int64_t>(r / 16),
+                       sources[(r / 3) % 5],
+                       static_cast<std::uint8_t>(30 + r % 60));
+  }
+  auto db = builder.Build(dir_->path());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::make_unique<engine::Database>(std::move(*db));
+
+  const auto stamp = [](std::int64_t interval) {
+    return FormatGdeltTimestamp(IntervalStartCivil(interval));
+  };
+  const std::string window =
+      ",\"from\":\"" + stamp(kBase + kBlock / 16) + "\",\"to\":\"" +
+      stamp(kBase + 2 * kBlock / 16) + "\"";
+  for (const char* kind : {"top-sources", "coreport", "cross-report"}) {
+    for (const std::string& extra :
+         {window, window + ",\"min_confidence\":60"}) {
+      const Request r = MakeRequest(kind, 3, extra);
+      ASSERT_EQ(r.filter.begin_interval,
+                kBase + static_cast<std::int64_t>(kBlock / 16));
+      const std::string truth = SingleNode(r);
+      ASSERT_FALSE(truth.empty());
+      for (const std::uint32_t of : {1u, 2u, 3u, 8u}) {
+        auto merged = ViaPartials(r, of);
+        ASSERT_TRUE(merged.ok())
+            << kind << " of=" << of << ": " << merged.status().ToString();
+        EXPECT_EQ(*merged, truth) << kind << extra << " of=" << of;
+      }
+    }
   }
 }
 

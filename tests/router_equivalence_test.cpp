@@ -30,6 +30,8 @@
 namespace gdelt::router {
 namespace {
 
+using ::gdelt::testing::Median;
+using ::gdelt::testing::RawLineSocket;
 using ::gdelt::testing::TempDir;
 using ::gdelt::testing::TestDbBuilder;
 
@@ -268,6 +270,53 @@ TEST_F(RouterTest, RestrictedQueriesMatch) {
         client, std::string("{\"query\":\"") + kind +
                     "\",\"top\":3,\"min_confidence\":45}");
   }
+}
+
+/// A pipelined burst through the router: one reply per line, in order,
+/// each byte-identical to the single-node render; and a burst of pings
+/// the router answers itself comes back without waiting on the client's
+/// delayed-ACK timer (see serve_test's PipelinedBurst case).
+TEST_F(RouterTest, PipelinedBurstAnswersInOrderWithoutStall) {
+  StartBackends(2);
+  StartRouter(2);
+  auto socket = RawLineSocket::Connect(router_->port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+
+  std::vector<std::string> queries;
+  for (const char* kind : {"top-sources", "cross-report", "coreport",
+                           "stats", "top-events", "follow", "delay",
+                           "first-reports"}) {
+    queries.push_back(std::string("{\"id\":\"") + kind +
+                      "\",\"query\":\"" + kind + "\",\"top\":3}");
+  }
+  double ms = 0;
+  const auto replies = socket->Burst(queries, ms);
+  ASSERT_TRUE(replies.ok()) << replies.status().ToString();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto v = Parsed((*replies)[i]);
+    ASSERT_NE(v.Find("text"), nullptr) << (*replies)[i];
+    EXPECT_EQ(v.Find("id")->AsString(),
+              Parsed(queries[i]).Find("id")->AsString());
+    EXPECT_EQ(v.Find("text")->AsString(), SingleNodeText(queries[i]))
+        << queries[i];
+  }
+
+  std::vector<std::string> pings;
+  for (int i = 0; i < 8; ++i) {
+    pings.push_back("{\"id\":\"p" + std::to_string(i) +
+                    "\",\"query\":\"ping\"}");
+  }
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < 5; ++burst) {
+    const auto pongs = socket->Burst(pings, ms);
+    ASSERT_TRUE(pongs.ok()) << pongs.status().ToString();
+    for (std::size_t i = 0; i < pings.size(); ++i) {
+      EXPECT_EQ(Parsed((*pongs)[i]).Find("id")->AsString(),
+                "p" + std::to_string(i));
+    }
+    burst_ms.push_back(ms);
+  }
+  EXPECT_LT(Median(burst_ms), 20.0);
 }
 
 TEST_F(RouterTest, AnswersPingAndMetricsLocally) {

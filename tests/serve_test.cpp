@@ -30,6 +30,8 @@
 namespace gdelt::serve {
 namespace {
 
+using ::gdelt::testing::Median;
+using ::gdelt::testing::RawLineSocket;
 using ::gdelt::testing::TempDir;
 using ::gdelt::testing::TestDbBuilder;
 
@@ -678,6 +680,61 @@ TEST_F(ServeTest, PingAndConcurrentClients) {
   }
   for (auto& thread : threads) thread.join();
   for (int t = 0; t < 4; ++t) EXPECT_EQ(failures[t], 0) << "client " << t;
+}
+
+/// Eight pipelined pings with ids p0..p7.
+std::vector<std::string> PingBurst() {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 8; ++i) {
+    lines.push_back(StrFormat(R"({"id":"p%d","query":"ping"})", i));
+  }
+  return lines;
+}
+
+/// Replies to a pipelined burst leave as each completes. Eight pings in
+/// one write() from an ordinary socket come back far inside the peer's
+/// ~40 ms delayed-ACK timer; a server socket without TCP_NODELAY holds
+/// every reply after the first until that timer fires.
+TEST_F(ServeTest, PipelinedBurstRepliesWithoutDelayedAckStall) {
+  StartServer(ServerOptions{});
+  auto socket = RawLineSocket::Connect(server_->port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  const auto lines = PingBurst();
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < 5; ++burst) {
+    double ms = 0;
+    const auto replies = socket->Burst(lines, ms);
+    ASSERT_TRUE(replies.ok()) << replies.status().ToString();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(Parsed((*replies)[i]).Find("id")->AsString(),
+                "p" + std::to_string(i));  // one reply per line, in order
+    }
+    burst_ms.push_back(ms);
+  }
+  EXPECT_LT(Median(burst_ms), 20.0);
+}
+
+/// The same burst sent as eight separate LineClient::Send calls: the
+/// client's own socket must not hold the later lines back either.
+TEST_F(ServeTest, LineClientPipelinedSendsDoNotStall) {
+  StartServer(ServerOptions{});
+  auto client = Connect();
+  const auto lines = PingBurst();
+  std::vector<double> burst_ms;
+  for (int burst = 0; burst < 5; ++burst) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const std::string& line : lines) ASSERT_TRUE(client.Send(line).ok());
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const auto reply = client.ReadLine();
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(Parsed(*reply).Find("id")->AsString(),
+                "p" + std::to_string(i));
+    }
+    burst_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  EXPECT_LT(Median(burst_ms), 20.0);
 }
 
 // ---------------------------------------------------------- prometheus --

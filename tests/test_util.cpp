@@ -1,5 +1,16 @@
 #include "test_util.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
+#include <utility>
+
 namespace gdelt::testing {
 
 Status TestDbBuilder::WriteTo(const std::string& dir) {
@@ -55,14 +66,17 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
       mentions.AddColumn(std::string(mc::kConfidence), ColumnType::kU8);
   auto& m_url = mentions.AddColumn(std::string(mc::kUrl), ColumnType::kStr);
 
-  // Mentions sorted by capture interval (the converter's natural order).
+  // Mentions sorted by capture interval (the converter's natural order)
+  // unless KeepMentionOrder() asked for insertion order.
   std::vector<const Mention*> ordered;
   ordered.reserve(mentions_.size());
   for (const Mention& m : mentions_) ordered.push_back(&m);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Mention* a, const Mention* b) {
-                     return a->mention_interval < b->mention_interval;
-                   });
+  if (sort_mentions_) {
+    std::stable_sort(ordered.begin(), ordered.end(),
+                     [](const Mention* a, const Mention* b) {
+                       return a->mention_interval < b->mention_interval;
+                     });
+  }
   for (const Mention* m : ordered) {
     const auto row_it = row_of.find(m->event_global_id);
     m_row.Append<std::uint32_t>(row_it == row_of.end()
@@ -84,6 +98,64 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
       dir + "/" + std::string(convert::kMentionsTableFile)));
   return sources.WriteToFile(dir + "/" +
                              std::string(convert::kSourcesDictFile));
+}
+
+Result<RawLineSocket> RawLineSocket::Connect(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return status::Internal(std::strerror(errno));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
+      0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return status::IoError("connect: " + err);
+  }
+  return RawLineSocket(fd);
+}
+
+RawLineSocket::RawLineSocket(RawLineSocket&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+
+RawLineSocket::~RawLineSocket() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Result<std::vector<std::string>> RawLineSocket::Burst(
+    const std::vector<std::string>& lines, double& ms) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  const auto t0 = std::chrono::steady_clock::now();
+  if (::write(fd_, out.data(), out.size()) !=
+      static_cast<ssize_t>(out.size())) {
+    return status::IoError("short write");
+  }
+  std::vector<std::string> replies;
+  while (replies.size() < lines.size()) {
+    if (const auto nl = buffer_.find('\n'); nl != std::string::npos) {
+      replies.push_back(buffer_.substr(0, nl));
+      buffer_.erase(0, nl + 1);
+      continue;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return status::IoError("connection closed mid-burst");
+    buffer_.append(chunk, static_cast<std::size_t>(n));
+  }
+  ms = std::chrono::duration<double, std::milli>(
+           std::chrono::steady_clock::now() - t0)
+           .count();
+  return replies;
+}
+
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
 }
 
 }  // namespace gdelt::testing

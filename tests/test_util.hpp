@@ -70,6 +70,11 @@ class TestDbBuilder {
     mentions_.push_back(m);
   }
 
+  /// Writes mentions in the order they were added instead of sorting
+  /// them by capture interval (the converter's order), for tests whose
+  /// subject must not depend on that order.
+  void KeepMentionOrder() { sort_mentions_ = false; }
+
   /// Writes events.tbl / mentions.tbl / sources.dict into `dir`.
   Status WriteTo(const std::string& dir);
 
@@ -95,8 +100,36 @@ class TestDbBuilder {
   };
 
   std::uint64_t next_id_ = 1000;
+  bool sort_mentions_ = true;
   std::vector<Event> events_;
   std::vector<Mention> mentions_;
 };
+
+/// A plain loopback TCP socket with default options (Nagle on, delayed
+/// ACKs on), the way an ordinary client connects. Used to time pipelined
+/// bursts against a server's reply path.
+class RawLineSocket {
+ public:
+  static Result<RawLineSocket> Connect(int port);
+
+  RawLineSocket(RawLineSocket&& other) noexcept;
+  RawLineSocket& operator=(RawLineSocket&&) = delete;
+  RawLineSocket(const RawLineSocket&) = delete;
+  ~RawLineSocket();
+
+  /// Writes every line (newline-terminated) in one write(), then reads
+  /// one reply line per request line. `ms` receives the time from the
+  /// write to the last reply.
+  Result<std::vector<std::string>> Burst(const std::vector<std::string>& lines,
+                                         double& ms);
+
+ private:
+  explicit RawLineSocket(int fd) : fd_(fd) {}
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+/// Median of the values (the upper one for an even count).
+double Median(std::vector<double> values);
 
 }  // namespace gdelt::testing
