@@ -37,7 +37,7 @@ void BM_QueryFromBinaryLoaded(benchmark::State& state) {
   const auto& db = Db();
   const auto all = engine::SelectMentionsBitmap(db, engine::MentionFilter{});
   for (auto _ : state) {
-    auto counts = engine::ArticlesPerSource(db, all);
+    auto counts = engine::ArticlesPerSource(db, kWholeRange, &all);
     benchmark::DoNotOptimize(counts);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(db.num_mentions()) *

@@ -40,7 +40,7 @@ void BM_FilteredAggregate(benchmark::State& state) {
   const auto& db = Db();
   const auto sel = engine::SelectMentionsBitmap(db, QuarterWindowFilter());
   for (auto _ : state) {
-    auto report = engine::CountryCrossReporting(db, sel);
+    auto report = engine::CountryCrossReporting(db, kWholeRange, &sel);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sel.CountSet()) *
@@ -155,7 +155,7 @@ void Print() {
     parallel::SetMorselRows(morsel_rows);
     const double sweep_s = BestOf(kReps, [&] {
       const auto sel = engine::SelectMentionsBitmap(db, f);
-      auto report = engine::CountryCrossReporting(db, sel);
+      auto report = engine::CountryCrossReporting(db, kWholeRange, &sel);
       benchmark::DoNotOptimize(report);
     });
     writer.Record("filter_aggregate_morsel_" + std::to_string(morsel_rows),
@@ -189,7 +189,7 @@ void Print() {
     std::uint64_t selected = 0;
     const double window_s = BestOf(kReps, [&] {
       const auto sel = engine::SelectMentionsBitmap(db, window);
-      auto counts = engine::ArticlesPerSource(db, sel);
+      auto counts = engine::ArticlesPerSource(db, kWholeRange, &sel);
       selected = sel.CountSet();
       benchmark::DoNotOptimize(counts);
     });

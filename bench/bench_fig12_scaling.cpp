@@ -10,6 +10,7 @@
 // statement is then vacuous but the harness still exercises the code.
 #include "analysis/country.hpp"
 #include "common/fixture.hpp"
+#include "engine/filter.hpp"
 #include "util/timer.hpp"
 
 namespace gdelt::bench {

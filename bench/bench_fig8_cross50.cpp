@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/fixture.hpp"
+#include "engine/filter.hpp"
 
 namespace gdelt::bench {
 namespace {

@@ -17,7 +17,7 @@ constexpr int kBins = 18;  // log2 bins up to ~1.5 years
 void BM_PerSourceDelayStats(benchmark::State& state) {
   const auto& db = Db();
   for (auto _ : state) {
-    auto stats = analysis::PerSourceDelayStats(db);
+    auto stats = analysis::PerSourceDelayStats(db, engine::AllSources(db));
     benchmark::DoNotOptimize(stats);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(db.num_mentions()) *
@@ -39,7 +39,7 @@ void PrintHist(const char* name,
 
 void Print() {
   const auto& db = Db();
-  const auto stats = analysis::PerSourceDelayStats(db);
+  const auto stats = analysis::PerSourceDelayStats(db, engine::AllSources(db));
   std::printf("\n=== Figure 9: per-source delay distributions ===\n");
   PrintHist("minimum",
             analysis::DelayMetricHistogram(stats, analysis::DelayMetric::kMin,

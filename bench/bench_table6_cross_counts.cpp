@@ -7,6 +7,7 @@
 // (188 M articles from the UK alone); the UK/USA/Australia columns carry
 // almost all the volume.
 #include "common/fixture.hpp"
+#include "engine/filter.hpp"
 #include "util/strings.hpp"
 
 namespace gdelt::bench {

@@ -8,6 +8,7 @@
 // modest home-country elevation on the diagonal (e.g. Australia 5.33 vs a
 // ~2.8 baseline).
 #include "common/fixture.hpp"
+#include "engine/filter.hpp"
 
 namespace gdelt::bench {
 namespace {

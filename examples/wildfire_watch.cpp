@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Speed taxonomy ------------------------------------------------------
-  const auto stats = analysis::PerSourceDelayStats(*db);
+  const auto stats =
+      analysis::PerSourceDelayStats(*db, engine::AllSources(*db));
   std::vector<std::uint32_t> fast_pool;
   int n_fast = 0, n_avg = 0, n_slow = 0;
   for (std::uint32_t s = 0; s < db->num_sources(); ++s) {

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "convert/binary_format.hpp"
 #include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
@@ -16,14 +15,8 @@ namespace {
 std::vector<std::int32_t> SlotMap(const engine::Database& db,
                                   std::span<const std::uint32_t> subset) {
   std::vector<std::int32_t> slot(db.num_sources(), -1);
-  if (subset.empty()) {
-    for (std::uint32_t s = 0; s < db.num_sources(); ++s) {
-      slot[s] = static_cast<std::int32_t>(s);
-    }
-  } else {
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      slot[subset[k]] = static_cast<std::int32_t>(k);
-    }
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    slot[subset[k]] = static_cast<std::int32_t>(k);
   }
   return slot;
 }
@@ -58,16 +51,12 @@ void MirrorLowerTriangle(std::uint32_t* counts, std::size_t n) {
   });
 }
 
-/// Dense pair-count accumulation for events [r.begin, r.end). `cancel`
-/// is polled every 256 events; morsel bodies pass nullptr (the pool
-/// already polls per morsel), serial range kernels pass their token.
+/// Dense pair-count accumulation for events [r.begin, r.end).
 void DenseEventsRange(const CsrSetIndex& index,
                       const std::vector<std::int32_t>& slot, std::size_t n,
                       IndexRange r, std::vector<std::uint32_t>& slots,
-                      std::vector<std::uint32_t>& local,
-                      const util::CancelToken* cancel = nullptr) {
+                      std::vector<std::uint32_t>& local) {
   for (std::size_t e = r.begin; e < r.end; ++e) {
-    if ((e & 255) == 0 && util::Cancelled(cancel)) return;
     SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
     for (std::size_t a = 0; a < slots.size(); ++a) {
       ++local[static_cast<std::size_t>(slots[a]) * n + slots[a]];
@@ -83,19 +72,22 @@ void DenseEventsRange(const CsrSetIndex& index,
 /// n*n matrix (upper triangle only), merged deterministically in slot
 /// order (integer sums commute, so work stealing cannot change the
 /// result).
-void TiledDense(const engine::Database& db, const CsrSetIndex& index,
+void TiledDense(const CsrSetIndex& index,
                 const std::vector<std::int32_t>& slot, std::size_t n,
-                const TiledCoReportOptions& options, CoReportMatrix& matrix) {
+                IndexRange events, const TiledCoReportOptions& options,
+                CoReportMatrix& matrix) {
   std::vector<std::vector<std::uint32_t>> locals(parallel::PoolSlots());
   {
     TRACE_SPAN("coreport.tiles");
     std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
     parallel::PoolParallelFor(
-        db.num_events(),
+        events.size(),
         [&](IndexRange r, std::size_t s) {
           auto& local = locals[s];
           if (local.size() != n * n) local.assign(n * n, 0);
-          DenseEventsRange(index, slot, n, r, scratch[s], local);
+          DenseEventsRange(index, slot, n,
+                           {events.begin + r.begin, events.begin + r.end},
+                           scratch[s], local);
         },
         /*morsel_rows=*/0, options.cancel);
   }
@@ -108,19 +100,21 @@ void TiledDense(const engine::Database& db, const CsrSetIndex& index,
 /// compressed to key-sorted runs, then merged into the dense result by
 /// disjoint row tiles — each tile is written by exactly one task, runs are
 /// visited in slot order, so the merge is atomic-free and deterministic.
-void TiledSparse(const engine::Database& db, const CsrSetIndex& index,
+void TiledSparse(const CsrSetIndex& index,
                  const std::vector<std::int32_t>& slot, std::size_t n,
-                 const TiledCoReportOptions& options, CoReportMatrix& matrix) {
+                 IndexRange events, const TiledCoReportOptions& options,
+                 CoReportMatrix& matrix) {
   using Run = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
   std::vector<std::unordered_map<std::uint64_t, std::uint32_t>> accs(
       parallel::PoolSlots());
   std::vector<std::vector<std::uint32_t>> scratch(parallel::PoolSlots());
   parallel::PoolParallelFor(
-      db.num_events(),
+      events.size(),
       [&](IndexRange r, std::size_t s) {
         auto& acc = accs[s];
         auto& slots = scratch[s];
-        for (std::size_t e = r.begin; e < r.end; ++e) {
+        for (std::size_t e = events.begin + r.begin;
+             e < events.begin + r.end; ++e) {
           SelectSlots(index, slot, static_cast<std::uint32_t>(e), slots);
           for (std::size_t a = 0; a < slots.size(); ++a) {
             ++acc[UpperKey(slots[a], slots[a])];
@@ -170,75 +164,24 @@ void TiledSparse(const engine::Database& db, const CsrSetIndex& index,
       /*morsel_rows=*/1, options.cancel);
 }
 
-}  // namespace
-
-CoReportMatrix::CoReportMatrix(std::size_t n) : n_(n), counts_(n * n, 0) {}
-
-CoReportMatrix ComputeCoReporting(const engine::Database& db,
-                                  std::span<const std::uint32_t> subset,
-                                  const TiledCoReportOptions& options) {
-  TRACE_SPAN("coreport.compute");
-  const auto slot = SlotMap(db, subset);
-  const std::size_t n = subset.empty() ? db.num_sources() : subset.size();
-  CoReportMatrix matrix(n);
-  if (n == 0 || db.num_events() == 0) return matrix;
-  const auto& index = [&]() -> decltype(db.event_distinct_sources()) {
-    TRACE_SPAN("coreport.index");
-    return db.event_distinct_sources();
-  }();
-
-  // One partial per pool slot (workers + callers): that footprint drives
-  // the dense/sparse cut.
-  const std::size_t dense_bytes =
-      parallel::PoolSlots() * n * n * sizeof(std::uint32_t);
-  if (dense_bytes <= options.dense_partials_budget_bytes) {
-    TiledDense(db, index, slot, n, options, matrix);
-  } else {
-    TiledSparse(db, index, slot, n, options, matrix);
-  }
-  MirrorLowerTriangle(matrix.mutable_counts().data(), n);
-  return matrix;
-}
-
-CoReportMatrix ComputeCoReportingOnEvents(const engine::Database& db,
-                                          std::span<const std::uint32_t> subset,
-                                          std::size_t events_begin,
-                                          std::size_t events_end,
-                                          const util::CancelToken* cancel) {
-  TRACE_SPAN("coreport.compute.partial");
-  const auto slot = SlotMap(db, subset);
-  const std::size_t n = subset.empty() ? db.num_sources() : subset.size();
-  CoReportMatrix matrix(n);
-  events_end = std::min(events_end, db.num_events());
-  if (n == 0 || events_begin >= events_end) return matrix;
-  const auto& index = db.event_distinct_sources();
-  std::vector<std::uint32_t> slots;
-  DenseEventsRange(index, slot, n, IndexRange{events_begin, events_end},
-                   slots, matrix.mutable_counts(), cancel);
-  MirrorLowerTriangle(matrix.mutable_counts().data(), n);
-  return matrix;
-}
-
-CoReportMatrix ComputeCoReporting(const engine::Database& db,
-                                  std::span<const std::uint32_t> subset,
-                                  std::span<const std::uint64_t> rows,
-                                  const util::CancelToken* cancel) {
+/// The restricted flavor: pair counts over the selected mention `rows`
+/// whose event lies in `events`. The memoized index covers every
+/// mention, so each event's distinct-source set is rebuilt from the
+/// selected rows: distinct (event, slot) pairs, sorted, then counted per
+/// event group into the upper triangle.
+void FilteredEvents(const engine::Database& db,
+                    const std::vector<std::int32_t>& slot, std::size_t n,
+                    IndexRange events, std::span<const std::uint64_t> rows,
+                    const util::CancelToken* cancel, CoReportMatrix& matrix) {
   TRACE_SPAN("coreport.compute.filtered");
-  const auto slot = SlotMap(db, subset);
-  const std::size_t n = subset.empty() ? db.num_sources() : subset.size();
-  CoReportMatrix matrix(n);
-  if (n == 0 || rows.empty()) return matrix;
-
   const auto event_row = db.mention_event_row();
   const auto src = db.mention_source_id();
-
-  // Distinct (event, slot) pairs over the selected mentions; the memoized
-  // index cannot be used here because it covers all mentions.
   std::vector<std::uint64_t> pairs;
   pairs.reserve(rows.size());
   for (const std::uint64_t i : rows) {
     const std::uint32_t e = event_row[i];
-    if (e == convert::kOrphanEventRow) continue;
+    // Orphan rows (kOrphanEventRow) lie past every event range.
+    if (e < events.begin || e >= events.end) continue;
     const std::int32_t k = slot[src[i]];
     if (k < 0) continue;
     pairs.push_back(static_cast<std::uint64_t>(e) << 32 |
@@ -265,7 +208,42 @@ CoReportMatrix ComputeCoReporting(const engine::Database& db,
     }
     a = b;
   }
-  MirrorLowerTriangle(counts.data(), n);
+}
+
+}  // namespace
+
+CoReportMatrix::CoReportMatrix(std::size_t n) : n_(n), counts_(n * n, 0) {}
+
+CoReportMatrix ComputeCoReporting(const engine::Database& db,
+                                  std::span<const std::uint32_t> subset,
+                                  IndexRange events,
+                                  const engine::SelectionBitmap* sel,
+                                  const TiledCoReportOptions& options) {
+  TRACE_SPAN("coreport.compute");
+  const std::size_t n = subset.size();
+  CoReportMatrix matrix(n);
+  events = ClampRange(events, db.num_events());
+  if (n == 0 || events.empty()) return matrix;
+  const auto slot = SlotMap(db, subset);
+  if (sel != nullptr) {
+    FilteredEvents(db, slot, n, events, sel->ToRows(), options.cancel,
+                   matrix);
+  } else {
+    const auto& index = [&]() -> decltype(db.event_distinct_sources()) {
+      TRACE_SPAN("coreport.index");
+      return db.event_distinct_sources();
+    }();
+    // One partial per pool slot (workers + callers): that footprint
+    // drives the dense/sparse cut.
+    const std::size_t dense_bytes =
+        parallel::PoolSlots() * n * n * sizeof(std::uint32_t);
+    if (dense_bytes <= options.dense_partials_budget_bytes) {
+      TiledDense(index, slot, n, events, options, matrix);
+    } else {
+      TiledSparse(index, slot, n, events, options, matrix);
+    }
+  }
+  MirrorLowerTriangle(matrix.mutable_counts().data(), n);
   return matrix;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
+#include "engine/filter.hpp"
 #include "util/cancel.hpp"
 
 namespace gdelt::analysis {
@@ -70,37 +71,26 @@ struct TiledCoReportOptions {
   const util::CancelToken* cancel = nullptr;
 };
 
-/// Computes co-reporting over a subset of sources (empty subset = all).
-/// `subset[k]` is the source id occupying matrix row/col k.
-/// This is the atomic-free tiled kernel: event morsels on the shared pool
-/// with per-slot private accumulation, merged deterministically in tile
-/// order (parallel/MergeTiledPartials) — no atomics on the hot path and
-/// bitwise-reproducible output at any thread count.
-CoReportMatrix ComputeCoReporting(const engine::Database& db,
-                                  std::span<const std::uint32_t> subset = {},
-                                  const TiledCoReportOptions& options = {});
-
-/// Partial-aggregate kernel for scatter-gather serving (docs/PROTOCOL.md
-/// partial frames): pair counts accumulated over only the events in
-/// [events_begin, events_end). Counts are integer sums over disjoint
-/// per-event contributions, so summing the matrices of a partition of
-/// the event axis reproduces ComputeCoReporting exactly. The result is
-/// mirrored (full symmetric matrix) like every other kernel here.
-CoReportMatrix ComputeCoReportingOnEvents(
-    const engine::Database& db, std::span<const std::uint32_t> subset,
-    std::size_t events_begin, std::size_t events_end,
-    const util::CancelToken* cancel = nullptr);
-
-/// Co-reporting restricted to a filtered mention row set (an
-/// engine::SelectMentions result): each event's distinct-source set is
+/// Computes co-reporting over a subset of sources; `subset[k]` is the
+/// source id occupying matrix row/col k, and an empty subset gives a 0x0
+/// matrix. Only the events in `events` contribute. Counts are integer
+/// sums over disjoint per-event contributions, so summing the matrices
+/// of a partition of the event axis reproduces the whole-range matrix
+/// exactly; the result is mirrored (full symmetric matrix).
+///
+/// Unrestricted, this is the atomic-free tiled kernel: event morsels on
+/// the shared pool with per-slot private accumulation, merged
+/// deterministically in tile order (parallel/MergeTiledPartials) — no
+/// atomics on the hot path and bitwise-reproducible output at any thread
+/// count. With a selection bitmap each event's distinct-source set is
 /// rebuilt from only the selected mentions, so time-window / confidence
-/// restrictions narrow the pair counts exactly like they narrow the other
-/// filtered kernels. Orphan mentions and sources outside `subset` are
-/// skipped. With a row set covering every mention this produces counts
-/// identical to the unfiltered kernel.
+/// restrictions narrow the pair counts exactly like they narrow the
+/// other filtered kernels; orphan mentions are skipped, and a selection
+/// of every mention produces the unrestricted counts.
 CoReportMatrix ComputeCoReporting(const engine::Database& db,
                                   std::span<const std::uint32_t> subset,
-                                  std::span<const std::uint64_t> rows,
-                                  const util::CancelToken* cancel = nullptr);
+                                  IndexRange events = kWholeRange,
+                                  const engine::SelectionBitmap* sel = nullptr,
+                                  const TiledCoReportOptions& options = {});
 
 }  // namespace gdelt::analysis

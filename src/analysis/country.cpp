@@ -8,36 +8,37 @@
 namespace gdelt::analysis {
 
 CountryCoReport ComputeCountryCoReporting(const engine::Database& db,
+                                          IndexRange events,
                                           const util::CancelToken* cancel) {
   TRACE_SPAN("country.coreport");
   const std::size_t nc = Countries().size();
-  static_assert(sizeof(std::uint64_t) * 8 >= 64);
   // The 64-bit mask kernel requires the registry to fit one word.
   if (nc > 64) std::abort();
+  events = ClampRange(events, db.num_events());
 
   const auto src = db.mention_source_id();
   const auto source_country = db.source_country();
 
   // Pass 1: publisher-country mask per event (parallel, disjoint writes).
-  std::vector<std::uint64_t> masks(db.num_events(), 0);
+  std::vector<std::uint64_t> masks(events.size(), 0);
   ParallelFor(
-      db.num_events(),
-      [&](std::size_t e) {
-        if ((e & 255) == 0 && util::Cancelled(cancel)) return;
+      events.size(),
+      [&](std::size_t k) {
+        if ((k & 255) == 0 && util::Cancelled(cancel)) return;
         std::uint64_t mask = 0;
-        for (const std::uint64_t row :
-             db.mentions_by_event().RowsOf(static_cast<std::uint32_t>(e))) {
+        for (const std::uint64_t row : db.mentions_by_event().RowsOf(
+                 static_cast<std::uint32_t>(events.begin + k))) {
           const std::uint16_t c = source_country[src[row]];
           if (c != kNoCountry) mask |= 1ull << c;
         }
-        masks[e] = mask;
+        masks[k] = mask;
       },
       Schedule::kDynamic);
 
-  // Pass 2: accumulate e_c and e_cd from masks with per-thread partials.
+  // Pass 2: accumulate e_c (diagonal) and e_cd (upper triangle) from the
+  // masks with per-thread partials.
   CountryCoReport report;
   report.n = nc;
-  report.event_counts.assign(nc, 0);
   report.pair_counts.assign(nc * nc, 0);
 
   const auto nt = static_cast<std::size_t>(MaxThreads());
@@ -68,53 +69,6 @@ CountryCoReport ComputeCountryCoReporting(const engine::Database& db,
     }
   }
   for (std::size_t c = 0; c < nc; ++c) {
-    report.event_counts[c] = report.pair_counts[c * nc + c];
-    for (std::size_t d = 0; d < c; ++d) {
-      report.pair_counts[c * nc + d] = report.pair_counts[d * nc + c];
-    }
-  }
-  return report;
-}
-
-CountryCoReport ComputeCountryCoReportingOnEvents(
-    const engine::Database& db, std::size_t events_begin,
-    std::size_t events_end, const util::CancelToken* cancel) {
-  TRACE_SPAN("country.coreport.partial");
-  const std::size_t nc = Countries().size();
-  if (nc > 64) std::abort();
-
-  const auto src = db.mention_source_id();
-  const auto source_country = db.source_country();
-
-  CountryCoReport report;
-  report.n = nc;
-  report.event_counts.assign(nc, 0);
-  report.pair_counts.assign(nc * nc, 0);
-  events_end = std::min(events_end, db.num_events());
-
-  for (std::size_t e = events_begin; e < events_end; ++e) {
-    if ((e & 255) == 0 && util::Cancelled(cancel)) break;
-    std::uint64_t mask = 0;
-    for (const std::uint64_t row :
-         db.mentions_by_event().RowsOf(static_cast<std::uint32_t>(e))) {
-      const std::uint16_t c = source_country[src[row]];
-      if (c != kNoCountry) mask |= 1ull << c;
-    }
-    std::uint64_t m1 = mask;
-    while (m1) {
-      const unsigned c = static_cast<unsigned>(std::countr_zero(m1));
-      m1 &= m1 - 1;
-      ++report.pair_counts[c * nc + c];
-      std::uint64_t m2 = m1;
-      while (m2) {
-        const unsigned d = static_cast<unsigned>(std::countr_zero(m2));
-        m2 &= m2 - 1;
-        ++report.pair_counts[c * nc + d];
-      }
-    }
-  }
-  for (std::size_t c = 0; c < nc; ++c) {
-    report.event_counts[c] = report.pair_counts[c * nc + c];
     for (std::size_t d = 0; d < c; ++d) {
       report.pair_counts[c * nc + d] = report.pair_counts[d * nc + c];
     }

@@ -12,41 +12,37 @@
 #include <vector>
 
 #include "engine/database.hpp"
+#include "parallel/parallel.hpp"
 #include "util/cancel.hpp"
 
 namespace gdelt::analysis {
 
 /// Country-by-country co-reporting counts.
 struct CountryCoReport {
-  std::size_t n = 0;                        ///< number of countries
-  std::vector<std::uint64_t> event_counts;  ///< e_c: events reported by c
-  std::vector<std::uint64_t> pair_counts;   ///< e_cd (dense n*n, symmetric)
+  std::size_t n = 0;                       ///< number of countries
+  std::vector<std::uint64_t> pair_counts;  ///< e_cd (dense n*n, symmetric)
 
   std::uint64_t Pair(std::size_t c, std::size_t d) const noexcept {
     return pair_counts[c * n + d];
   }
+  /// e_c: events reported by c (the diagonal).
+  std::uint64_t EventCount(std::size_t c) const noexcept { return Pair(c, c); }
   /// Jaccard co-reporting factor between countries c and d.
   double Jaccard(std::size_t c, std::size_t d) const noexcept {
     const double e_cd = static_cast<double>(Pair(c, d));
-    const double denom = static_cast<double>(event_counts[c]) +
-                         static_cast<double>(event_counts[d]) - e_cd;
+    const double denom = static_cast<double>(EventCount(c)) +
+                         static_cast<double>(EventCount(d)) - e_cd;
     return denom <= 0.0 ? 0.0 : e_cd / denom;
   }
 };
 
-/// Computes country co-reporting over all events. Parallel over events;
-/// each event's publisher-country set is packed into a 64-bit mask
-/// (the registry is <= 64 countries by design; statically asserted).
+/// Computes country co-reporting over the events in `events`. Parallel
+/// over events; each event's publisher-country set is packed into a
+/// 64-bit mask (the registry is <= 64 countries by design). Summing
+/// pair_counts over a partition of the event axis reproduces the
+/// whole-range counts exactly.
 CountryCoReport ComputeCountryCoReporting(
-    const engine::Database& db, const util::CancelToken* cancel = nullptr);
-
-/// Partial-aggregate kernel for scatter-gather serving: the same counts
-/// accumulated over only the events in [events_begin, events_end).
-/// Summing pair_counts of a partition of the event axis (and re-deriving
-/// event_counts from the diagonal) reproduces ComputeCountryCoReporting
-/// exactly.
-CountryCoReport ComputeCountryCoReportingOnEvents(
-    const engine::Database& db, std::size_t events_begin,
-    std::size_t events_end, const util::CancelToken* cancel = nullptr);
+    const engine::Database& db, IndexRange events = kWholeRange,
+    const util::CancelToken* cancel = nullptr);
 
 }  // namespace gdelt::analysis

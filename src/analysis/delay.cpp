@@ -51,47 +51,29 @@ void OneSourceDelayStats(const engine::Database& db,
 
 }  // namespace
 
-std::vector<DelayStats> PerSourceDelayStats(const engine::Database& db,
-                                            const util::CancelToken* cancel) {
+std::vector<DelayStats> PerSourceDelayStats(
+    const engine::Database& db, std::span<const std::uint32_t> sources,
+    const util::CancelToken* cancel) {
   TRACE_SPAN("delay.per_source");
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
-  const std::size_t ns = db.num_sources();
-  std::vector<DelayStats> stats(ns);
+  std::vector<DelayStats> stats(sources.size());
+  if (sources.empty()) return stats;
   db.mentions_by_source();  // force the memoized index outside the region
 
-  // Per-source work is skewed (article counts follow a power law), so
-  // sources get small morsels and the pool's stealing does the balancing.
+  // Per-source work is skewed (article counts follow a power law, and the
+  // usual caller asks for the top sources), so every source is its own
+  // morsel and the pool's stealing does the balancing.
   std::vector<std::vector<std::int64_t>> scratch(parallel::PoolSlots());
   parallel::PoolParallelFor(
-      ns,
+      sources.size(),
       [&](IndexRange r, std::size_t slot) {
-        auto& delays = scratch[slot];
-        for (std::size_t s = r.begin; s < r.end; ++s) {
-          OneSourceDelayStats(db, when, event_when,
-                              static_cast<std::uint32_t>(s), delays, stats[s]);
+        for (std::size_t k = r.begin; k < r.end; ++k) {
+          OneSourceDelayStats(db, when, event_when, sources[k], scratch[slot],
+                              stats[k]);
         }
       },
-      /*morsel_rows=*/64, cancel);
-  return stats;
-}
-
-std::vector<DelayStats> PerSourceDelayStatsStrided(
-    const engine::Database& db, std::uint32_t shard, std::uint32_t of,
-    const util::CancelToken* cancel) {
-  TRACE_SPAN("delay.per_source.partial");
-  const auto when = db.mention_interval();
-  const auto event_when = db.mention_event_interval();
-  const std::size_t ns = db.num_sources();
-  std::vector<DelayStats> stats(ns);
-  db.mentions_by_source();
-  std::vector<std::int64_t> delays;
-  std::size_t visited = 0;
-  for (std::size_t s = shard; s < ns; s += of) {
-    if ((visited++ & 255) == 0 && util::Cancelled(cancel)) break;
-    OneSourceDelayStats(db, when, event_when, static_cast<std::uint32_t>(s),
-                        delays, stats[s]);
-  }
+      /*morsel_rows=*/1, cancel);
   return stats;
 }
 
@@ -117,7 +99,8 @@ std::vector<std::uint64_t> DelayMetricHistogram(
   return bins;
 }
 
-QuarterlyDelay QuarterlyDelayStats(const engine::Database& db) {
+QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
+                                   std::uint32_t shard, std::uint32_t of) {
   TRACE_SPAN("delay.quarterly");
   const auto w = engine::QuartersOf(db);
   const auto quarters = engine::MentionQuarters(db);
@@ -129,10 +112,11 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db) {
   result.first_quarter = w.first;
   result.average.assign(nq, 0.0);
   result.median.assign(nq, 0);
-  if (nq == 0) return result;
+  if (nq <= shard) return result;
 
-  // Group delays by quarter (serial scatter after a parallel count), then
-  // reduce each quarter independently in parallel.
+  // Group delays by quarter (serial scatter after a parallel count): the
+  // scatter fixes each quarter's delay order, hence its float sum. Then
+  // reduce each owned quarter independently in parallel.
   std::vector<std::uint64_t> counts =
       ParallelHistogram(quarters.size(), nq, [&](std::size_t i) {
         return static_cast<std::size_t>(quarters[i]);
@@ -146,7 +130,9 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db) {
     delays[cursor[q]++] = when[i] - event_when[i];
   }
 
-  ParallelFor(nq, [&](std::size_t q) {
+  const std::size_t owned = (nq - shard + of - 1) / of;
+  ParallelFor(owned, [&](std::size_t k) {
+    const std::size_t q = shard + k * of;
     auto* begin = delays.data() + offsets[q];
     auto* end = delays.data() + offsets[q + 1];
     // Exclude negative (defective) delays.
@@ -158,51 +144,6 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db) {
     result.average[q] = sum / static_cast<double>(n);
     result.median[q] = MedianInPlace(begin, end);
   });
-  return result;
-}
-
-QuarterlyDelay QuarterlyDelayStatsStrided(const engine::Database& db,
-                                          std::uint32_t shard,
-                                          std::uint32_t of) {
-  TRACE_SPAN("delay.quarterly.partial");
-  const auto w = engine::QuartersOf(db);
-  const auto quarters = engine::MentionQuarters(db);
-  const auto when = db.mention_interval();
-  const auto event_when = db.mention_event_interval();
-  const auto nq = static_cast<std::size_t>(w.count);
-
-  QuarterlyDelay result;
-  result.first_quarter = w.first;
-  result.average.assign(nq, 0.0);
-  result.median.assign(nq, 0);
-  if (nq == 0) return result;
-
-  // Replicate the full kernel's grouping byte-for-byte: the scatter fixes
-  // the per-quarter delay order, which fixes the float summation order.
-  std::vector<std::uint64_t> counts =
-      ParallelHistogram(quarters.size(), nq, [&](std::size_t i) {
-        return static_cast<std::size_t>(quarters[i]);
-      });
-  std::vector<std::uint64_t> offsets(nq + 1, 0);
-  for (std::size_t q = 0; q < nq; ++q) offsets[q + 1] = offsets[q] + counts[q];
-  std::vector<std::int64_t> delays(quarters.size());
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < quarters.size(); ++i) {
-    const auto q = static_cast<std::size_t>(quarters[i]);
-    delays[cursor[q]++] = when[i] - event_when[i];
-  }
-
-  for (std::size_t q = shard; q < nq; q += of) {
-    auto* begin = delays.data() + offsets[q];
-    auto* end = delays.data() + offsets[q + 1];
-    end = std::partition(begin, end, [](std::int64_t d) { return d >= 0; });
-    const auto n = static_cast<std::size_t>(end - begin);
-    if (n == 0) continue;
-    double sum = 0.0;
-    for (auto* p = begin; p != end; ++p) sum += static_cast<double>(*p);
-    result.average[q] = sum / static_cast<double>(n);
-    result.median[q] = MedianInPlace(begin, end);
-  }
   return result;
 }
 

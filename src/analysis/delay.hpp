@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/database.hpp"
@@ -24,20 +25,14 @@ struct DelayStats {
   std::int64_t median = 0;
 };
 
-/// Delay statistics for every source id. Sources with no valid articles
-/// have article_count == 0. Parallel over sources via the source index;
-/// each source is computed wholly within one morsel, so the float
-/// average is bitwise identical at any morsel size and thread count.
+/// Delay statistics of the given sources: result[k] belongs to
+/// sources[k]; a source with no valid articles has article_count == 0.
+/// Parallel over the listed sources on the morsel pool; each source is
+/// computed whole within one morsel (sort + sequential sum over its
+/// sorted delays), so any split of the list reproduces the same floats
+/// bitwise at any morsel size and thread count.
 std::vector<DelayStats> PerSourceDelayStats(
-    const engine::Database& db, const util::CancelToken* cancel = nullptr);
-
-/// Partial-aggregate kernel for scatter-gather serving: delay stats for
-/// only the sources with `s % of == shard`; all other entries stay
-/// zeroed. Each owned source is computed whole (sort + sequential sum
-/// over its sorted delays), exactly like PerSourceDelayStats, so the
-/// union of the strided results is bitwise identical to the full run.
-std::vector<DelayStats> PerSourceDelayStatsStrided(
-    const engine::Database& db, std::uint32_t shard, std::uint32_t of,
+    const engine::Database& db, std::span<const std::uint32_t> sources,
     const util::CancelToken* cancel = nullptr);
 
 /// Histogram over sources of one delay metric, in power-of-two bins
@@ -52,16 +47,15 @@ struct QuarterlyDelay {
   std::vector<double> average;
   std::vector<std::int64_t> median;
 };
-QuarterlyDelay QuarterlyDelayStats(const engine::Database& db);
 
-/// Partial-aggregate kernel for scatter-gather serving: quarterly delay
-/// reduced for only the quarters with `q % of == shard`; other entries
-/// stay zeroed. The full grouping pass (count, scatter, partition) is
-/// replicated so each owned quarter sums its delays in exactly the order
-/// QuarterlyDelayStats does — the merged averages are bitwise identical.
-QuarterlyDelay QuarterlyDelayStatsStrided(const engine::Database& db,
-                                          std::uint32_t shard,
-                                          std::uint32_t of);
+/// Computes the quarters partition `shard` of `of` owns (relative
+/// quarter q with q % of == shard); other entries stay zeroed. Every
+/// owned quarter reduces its delays in the one order the grouping pass
+/// fixes, so the union of the partitions is bitwise identical to the
+/// whole run (shard 0 of 1).
+QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
+                                   std::uint32_t shard = 0,
+                                   std::uint32_t of = 1);
 
 /// Articles per quarter with delay > 96 intervals / 24 h (Fig 11).
 engine::QuarterSeries SlowArticlesPerQuarter(const engine::Database& db,

@@ -28,17 +28,13 @@ struct FirstReportLocal {
 };
 
 /// Accumulates first-report statistics for events [r.begin, r.end).
-/// `cancel` is polled every 256 events; morsel bodies pass nullptr (the
-/// pool already polls per morsel).
 void FirstReportEventsRange(const engine::Database& db, IndexRange r,
-                            FirstReportLocal& local,
-                            const util::CancelToken* cancel = nullptr) {
+                            FirstReportLocal& local) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
   const auto& index = db.event_distinct_sources();
   for (std::size_t e = r.begin; e < r.end; ++e) {
-    if ((e & 255) == 0 && util::Cancelled(cancel)) return;
     const auto rows =
         db.mentions_by_event().RowsOf(static_cast<std::uint32_t>(e));
     if (rows.empty()) continue;
@@ -87,7 +83,7 @@ void FirstReportEventsRange(const engine::Database& db, IndexRange r,
 }  // namespace
 
 FirstReportStats ComputeFirstReports(const engine::Database& db,
-                                     int histogram_bins,
+                                     IndexRange events, int histogram_bins,
                                      const util::CancelToken* cancel) {
   const std::size_t ns = db.num_sources();
   const auto bins = static_cast<std::size_t>(histogram_bins);
@@ -97,13 +93,15 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
   stats.repeat_events.assign(ns, 0);
   stats.repeat_articles.assign(ns, 0);
 
+  events = ClampRange(events, db.num_events());
   std::vector<FirstReportLocal> locals(parallel::PoolSlots());
   parallel::PoolParallelFor(
-      db.num_events(),
+      events.size(),
       [&](IndexRange r, std::size_t slot) {
         auto& local = locals[slot];
         local.EnsureSized(ns, bins);
-        FirstReportEventsRange(db, r, local);
+        FirstReportEventsRange(
+            db, {events.begin + r.begin, events.begin + r.end}, local);
       },
       /*morsel_rows=*/0, cancel);
 
@@ -123,32 +121,6 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
     }
     stats.events_broken_within_hour += local.within_hour;
   }
-  return stats;
-}
-
-FirstReportStats ComputeFirstReportsOnEvents(const engine::Database& db,
-                                             std::size_t events_begin,
-                                             std::size_t events_end,
-                                             int histogram_bins,
-                                             const util::CancelToken* cancel) {
-  const std::size_t ns = db.num_sources();
-  const auto bins = static_cast<std::size_t>(histogram_bins);
-  FirstReportStats stats;
-  stats.first_reports.assign(ns, 0);
-  stats.first_delay_histogram.assign(bins, 0);
-  stats.repeat_events.assign(ns, 0);
-  stats.repeat_articles.assign(ns, 0);
-  events_end = std::min(events_end, db.num_events());
-  if (events_begin >= events_end) return stats;
-  FirstReportLocal local;
-  local.EnsureSized(ns, bins);
-  FirstReportEventsRange(db, IndexRange{events_begin, events_end}, local,
-                         cancel);
-  stats.first_reports = std::move(local.first_reports);
-  stats.first_delay_histogram = std::move(local.hist);
-  stats.repeat_events = std::move(local.repeat_events);
-  stats.repeat_articles = std::move(local.repeat_articles);
-  stats.events_broken_within_hour = local.within_hour;
   return stats;
 }
 

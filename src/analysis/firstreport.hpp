@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
+#include "parallel/parallel.hpp"
 #include "util/cancel.hpp"
 
 namespace gdelt::analysis {
@@ -48,23 +49,16 @@ struct FirstReportStats {
   }
 };
 
-/// Computes all first-reporter statistics in one pass over the event
-/// index. Events whose first delay is negative (the Table II defect) are
-/// excluded from the delay histogram but still count for first-reports.
-/// Integer partials merged in scratch-slot order — bitwise identical at
-/// any morsel size and thread count.
+/// Computes all first-reporter statistics in one pass over the events in
+/// `events`. Events whose first delay is negative (the Table II defect)
+/// are excluded from the delay histogram but still count for
+/// first-reports. Every counter is an integer sum over disjoint per-event
+/// contributions, so summing the stats of a partition of the event axis
+/// reproduces the whole-range stats exactly; partials merge in
+/// scratch-slot order — bitwise identical at any morsel size and thread
+/// count.
 FirstReportStats ComputeFirstReports(
-    const engine::Database& db, int histogram_bins = 18,
-    const util::CancelToken* cancel = nullptr);
-
-/// Partial-aggregate kernel for scatter-gather serving: the same
-/// statistics accumulated over only the events in
-/// [events_begin, events_end). Every counter is an integer sum over
-/// disjoint per-event contributions, so summing the stats of a
-/// partition of the event axis reproduces ComputeFirstReports exactly.
-FirstReportStats ComputeFirstReportsOnEvents(
-    const engine::Database& db, std::size_t events_begin,
-    std::size_t events_end, int histogram_bins = 18,
-    const util::CancelToken* cancel = nullptr);
+    const engine::Database& db, IndexRange events = kWholeRange,
+    int histogram_bins = 18, const util::CancelToken* cancel = nullptr);
 
 }  // namespace gdelt::analysis

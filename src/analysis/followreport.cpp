@@ -19,19 +19,15 @@ struct FollowScratch {
 };
 
 /// Accumulates follow counts for events [r.begin, r.end) into `local`.
-/// `cancel` is polled every 256 events; morsel bodies pass nullptr (the
-/// pool already polls per morsel).
 void FollowEventsRange(const engine::Database& db,
                        const std::vector<std::int32_t>& slot, std::size_t n,
                        IndexRange r, FollowScratch& scratch,
-                       std::vector<std::uint64_t>& local,
-                       const util::CancelToken* cancel = nullptr) {
+                       std::vector<std::uint64_t>& local) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
   const auto& index = db.event_distinct_sources();
   scratch.first_pub.resize(n);
   for (std::size_t e = r.begin; e < r.end; ++e) {
-    if ((e & 255) == 0 && util::Cancelled(cancel)) return;
     // Prefilter on the memoized distinct-source list: most events have
     // no subset member at all, so their mention rows are never walked.
     bool any_member = false;
@@ -72,6 +68,7 @@ void FollowEventsRange(const engine::Database& db,
 
 FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
                                           std::span<const std::uint32_t> subset,
+                                          IndexRange events,
                                           const util::CancelToken* cancel) {
   TRACE_SPAN("followreport.compute");
   FollowReportMatrix result;
@@ -88,6 +85,8 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
     result.articles[k] = per_source[subset[k]];
   }
   const std::size_t n = result.n;
+  events = ClampRange(events, db.num_events());
+  if (n == 0 || events.empty()) return result;
 
   // Per-slot count matrices merged in slot order: no atomics on the hot
   // path and deterministic output under any scheduling (integer sums
@@ -96,40 +95,16 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
   std::vector<std::vector<std::uint64_t>> locals(slots);
   std::vector<FollowScratch> scratch(slots);
   parallel::PoolParallelFor(
-      db.num_events(),
+      events.size(),
       [&](IndexRange r, std::size_t s) {
         auto& local = locals[s];
         if (local.size() != n * n) local.assign(n * n, 0);
-        FollowEventsRange(db, slot, n, r, scratch[s], local);
+        FollowEventsRange(db, slot, n,
+                          {events.begin + r.begin, events.begin + r.end},
+                          scratch[s], local);
       },
       /*morsel_rows=*/0, cancel);
   MergeTiledPartials(std::span<std::uint64_t>(result.follow_counts), locals);
-  return result;
-}
-
-FollowReportMatrix ComputeFollowReportingOnEvents(
-    const engine::Database& db, std::span<const std::uint32_t> subset,
-    std::size_t events_begin, std::size_t events_end,
-    const util::CancelToken* cancel) {
-  TRACE_SPAN("followreport.compute.partial");
-  FollowReportMatrix result;
-  result.n = subset.size();
-  result.follow_counts.assign(result.n * result.n, 0);
-  result.articles.assign(result.n, 0);
-
-  std::vector<std::int32_t> slot(db.num_sources(), -1);
-  for (std::size_t k = 0; k < subset.size(); ++k) {
-    slot[subset[k]] = static_cast<std::int32_t>(k);
-  }
-  const auto per_source = engine::ArticlesPerSource(db);
-  for (std::size_t k = 0; k < subset.size(); ++k) {
-    result.articles[k] = per_source[subset[k]];
-  }
-  events_end = std::min(events_end, db.num_events());
-  if (result.n == 0 || events_begin >= events_end) return result;
-  FollowScratch scratch;
-  FollowEventsRange(db, slot, result.n, IndexRange{events_begin, events_end},
-                    scratch, result.follow_counts, cancel);
   return result;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "engine/database.hpp"
+#include "parallel/parallel.hpp"
 #include "util/cancel.hpp"
 
 namespace gdelt::analysis {
@@ -44,22 +45,15 @@ struct FollowReportMatrix {
 
 /// Computes follow-reporting over `subset` (matrix order = subset order).
 /// An article counts as following i if i published on the same event in a
-/// strictly earlier capture interval. Partial count matrices are merged
-/// in scratch-slot order, so the result is bitwise identical at any
-/// morsel size and thread count.
+/// strictly earlier capture interval. Only the events in `events`
+/// contribute follow counts; `articles` is always the whole-dataset
+/// per-source total. Summing the follow_counts of a partition of the
+/// event axis reproduces the whole-range matrix exactly. Partial count
+/// matrices are merged in scratch-slot order, so the result is bitwise
+/// identical at any morsel size and thread count.
 FollowReportMatrix ComputeFollowReporting(
     const engine::Database& db, std::span<const std::uint32_t> subset,
-    const util::CancelToken* cancel = nullptr);
-
-/// Partial-aggregate kernel for scatter-gather serving: follow counts
-/// accumulated over only the events in [events_begin, events_end).
-/// `articles` is still the whole-dataset per-source total (every shard
-/// reports the same values; the router checks they agree). Summing the
-/// follow_counts of a partition of the event axis reproduces
-/// ComputeFollowReporting exactly.
-FollowReportMatrix ComputeFollowReportingOnEvents(
-    const engine::Database& db, std::span<const std::uint32_t> subset,
-    std::size_t events_begin, std::size_t events_end,
+    IndexRange events = kWholeRange,
     const util::CancelToken* cancel = nullptr);
 
 }  // namespace gdelt::analysis

@@ -13,6 +13,7 @@
 #include "convert/binary_format.hpp"
 #include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
+#include "schema/countries.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::engine {
@@ -126,37 +127,66 @@ std::size_t WordsPerMorsel() {
   return std::max<std::size_t>(1, parallel::MorselRows() / 64);
 }
 
-/// Deterministic pool histogram over the set bits of a bitmap's word
-/// span: per-slot partials merged in slot order (integer sums commute,
-/// so the result is identical no matter which worker ran which morsel).
+/// Deterministic pool histogram over the bits `sel` sets among the rows
+/// of `rows`: per-slot partials merged in slot order (integer sums
+/// commute, so the result is identical no matter which worker ran which
+/// morsel).
 template <typename BinOf>
-std::vector<std::uint64_t> BitmapHistogram(const SelectionBitmap& sel,
-                                           std::size_t num_bins,
-                                           BinOf&& bin_of) {
+std::vector<std::uint64_t> BitmapHistogram(
+    const SelectionBitmap& sel, IndexRange rows, std::size_t num_bins,
+    BinOf&& bin_of, const util::CancelToken* cancel = nullptr) {
+  rows = ClampRange(rows, sel.num_rows);
+  const std::size_t first_word = std::max(sel.begin_word, rows.begin / 64);
+  const std::size_t end_word = std::min(sel.end_word, (rows.end + 63) / 64);
   std::vector<std::vector<std::uint64_t>> partials(parallel::PoolSlots());
   parallel::PoolParallelFor(
-      sel.end_word - sel.begin_word,
+      end_word > first_word ? end_word - first_word : 0,
       [&](IndexRange r, std::size_t slot) {
         auto& local = partials[slot];
         if (local.size() != num_bins) local.assign(num_bins, 0);
-        for (std::size_t w = sel.begin_word + r.begin;
-             w < sel.begin_word + r.end; ++w) {
+        for (std::size_t w = first_word + r.begin; w < first_word + r.end;
+             ++w) {
+          // Clip the edge words to the row range.
           std::uint64_t bits = sel.words[w];
+          const std::size_t base = w * 64;
+          if (rows.begin > base) {
+            bits &= ~std::uint64_t{0} << (rows.begin - base);
+          }
+          if (rows.end < base + 64) {
+            bits &= ~std::uint64_t{0} >> (base + 64 - rows.end);
+          }
           while (bits) {
             const auto b = static_cast<unsigned>(std::countr_zero(bits));
             bits &= bits - 1;
-            const std::size_t bin = bin_of(w * 64 + b);
+            const std::size_t bin = bin_of(base + b);
             if (bin < num_bins) ++local[bin];
           }
         }
       },
-      WordsPerMorsel());
+      WordsPerMorsel(), cancel);
   std::vector<std::uint64_t> merged(num_bins, 0);
   for (const auto& local : partials) {
     if (local.size() != num_bins) continue;  // slot never ran a morsel
     for (std::size_t b = 0; b < num_bins; ++b) merged[b] += local[b];
   }
   return merged;
+}
+
+/// Histogram of bin_of(i) over the mention rows of `rows`, or over only
+/// the rows `sel` selects there: parallel.hpp for a plain range, the
+/// morsel pool for a selection.
+template <typename BinOf>
+std::vector<std::uint64_t> MentionHistogram(const Database& db,
+                                            IndexRange rows,
+                                            const SelectionBitmap* sel,
+                                            std::size_t num_bins,
+                                            BinOf&& bin_of,
+                                            const util::CancelToken* cancel) {
+  if (sel != nullptr) {
+    return BitmapHistogram(*sel, rows, num_bins, bin_of, cancel);
+  }
+  return ParallelHistogram(ClampRange(rows, db.num_mentions()), num_bins,
+                           bin_of);
 }
 
 /// What the zone map says about one block of rows against a window.
@@ -345,59 +375,50 @@ std::vector<std::uint64_t> SelectMentions(const Database& db,
 }
 
 std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
-                                             const SelectionBitmap& sel) {
-  TRACE_SPAN("engine.articles_per_source.filtered");
-  const auto src = db.mention_source_id();
-  return BitmapHistogram(sel, db.num_sources(),
-                         [&](std::uint64_t i) -> std::size_t {
-                           return src[i];
-                         });
-}
-
-namespace {
-
-/// Shared bin layout of the cross-reporting histogram: the nc*nc count
-/// matrix followed by nc publisher totals for orphan/unlocated rows.
-template <typename Hist>
-CountryCrossReport CrossReportFromHistogram(std::size_t nc, Hist&& histogram) {
-  CountryCrossReport report;
-  report.num_countries = nc;
-  const std::size_t matrix_bins = nc * nc;
-  auto flat = histogram(matrix_bins);
-  report.counts.assign(flat.begin(),
-                       flat.begin() + static_cast<std::ptrdiff_t>(matrix_bins));
-  report.articles_per_publisher.assign(
-      flat.begin() + static_cast<std::ptrdiff_t>(matrix_bins), flat.end());
-  for (std::size_t rep = 0; rep < nc; ++rep) {
-    for (std::size_t pub = 0; pub < nc; ++pub) {
-      report.articles_per_publisher[pub] += report.counts[rep * nc + pub];
-    }
+                                             IndexRange mentions,
+                                             const SelectionBitmap* sel,
+                                             const util::CancelToken* cancel) {
+  TRACE_SPAN(sel != nullptr ? "engine.articles_per_source.filtered"
+                            : "engine.articles_per_source");
+  mentions = ClampRange(mentions, db.num_mentions());
+  if (sel == nullptr && mentions.size() == db.num_mentions()) {
+    const auto totals = db.source_article_count();
+    return {totals.begin(), totals.end()};
   }
-  return report;
+  const auto src = db.mention_source_id();
+  return MentionHistogram(
+      db, mentions, sel, db.num_sources(),
+      [&](std::uint64_t i) -> std::size_t { return src[i]; }, cancel);
 }
-
-}  // namespace
 
 CountryCrossReport CountryCrossReporting(const Database& db,
-                                         const SelectionBitmap& sel) {
-  TRACE_SPAN("engine.cross_report.filtered");
+                                         IndexRange mentions,
+                                         const SelectionBitmap* sel,
+                                         const util::CancelToken* cancel) {
+  TRACE_SPAN(sel != nullptr ? "engine.cross_report.filtered"
+                            : "engine.cross_report");
   const std::size_t nc = Countries().size();
   const auto event_row = db.mention_event_row();
   const auto src = db.mention_source_id();
   const auto event_country = db.event_country();
   const auto source_country = db.source_country();
-  return CrossReportFromHistogram(nc, [&](std::size_t matrix_bins) {
-    return BitmapHistogram(
-        sel, matrix_bins + nc, [&](std::uint64_t i) -> std::size_t {
-          const std::uint16_t pub = source_country[src[i]];
-          if (pub == kNoCountry) return SIZE_MAX;
-          const std::uint32_t row = event_row[i];
-          if (row == convert::kOrphanEventRow) return matrix_bins + pub;
-          const std::uint16_t rep = event_country[row];
-          if (rep == kNoCountry) return matrix_bins + pub;
-          return static_cast<std::size_t>(rep) * nc + pub;
-        });
-  });
+  // Bins: the nc*nc (reported, publishing) matrix for located articles,
+  // then one untagged bin per publisher for orphan or unlocated events;
+  // articles from an unknown publisher country count nowhere.
+  const std::size_t matrix_bins = nc * nc;
+  auto bins = MentionHistogram(
+      db, mentions, sel, matrix_bins + nc,
+      [&](std::uint64_t i) -> std::size_t {
+        const std::uint16_t pub = source_country[src[i]];
+        if (pub == kNoCountry) return SIZE_MAX;
+        const std::uint32_t row = event_row[i];
+        if (row == convert::kOrphanEventRow) return matrix_bins + pub;
+        const std::uint16_t rep = event_country[row];
+        if (rep == kNoCountry) return matrix_bins + pub;
+        return static_cast<std::size_t>(rep) * nc + pub;
+      },
+      cancel);
+  return CountryCrossReport::FromBins(nc, std::move(bins));
 }
 
 QuarterSeries ArticlesPerQuarter(const Database& db,
@@ -424,7 +445,7 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
   QuarterSeries series;
   series.first_quarter = w.first;
   series.values = BitmapHistogram(
-      sel, static_cast<std::size_t>(w.count),
+      sel, kWholeRange, static_cast<std::size_t>(w.count),
       [&](std::uint64_t i) -> std::size_t {
         const std::int32_t q =
             QuarterOfUnixSeconds(IntervalStartUnixSeconds(when[i])) - w.first;

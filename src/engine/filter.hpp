@@ -16,6 +16,7 @@
 
 #include "engine/database.hpp"
 #include "engine/queries.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::engine {
 
@@ -98,13 +99,26 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
 std::uint64_t DistinctEvents(const Database& db,
                              std::span<const std::uint64_t> rows);
 
-// Bitmap-consuming aggregate overloads: aggregate the selected rows
-// without materializing them. Cross-reporting has the same semantics as
-// the full-table kernel.
-std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
-                                             const SelectionBitmap& sel);
-CountryCrossReport CountryCrossReporting(const Database& db,
-                                         const SelectionBitmap& sel);
+// The mention-range kernels: each aggregates the rows of `mentions`, or
+// with a non-null `sel` only the rows it selects there, without
+// materializing them. Unrestricted ranges run on parallel.hpp's
+// histogram, selections on the morsel pool (which polls `cancel`).
+// Summing the results over a partition of the mention rows reproduces
+// the whole-range result exactly.
+
+/// Article count per source id (Fig 6 input). The whole table with no
+/// selection returns the load-time totals instead of scanning.
+std::vector<std::uint64_t> ArticlesPerSource(
+    const Database& db, IndexRange mentions, const SelectionBitmap* sel,
+    const util::CancelToken* cancel = nullptr);
+
+/// Country cross-reporting (Tables VI/VII, Fig 8), the paper's headline
+/// aggregated query, in one scan.
+CountryCrossReport CountryCrossReporting(
+    const Database& db, IndexRange mentions = kWholeRange,
+    const SelectionBitmap* sel = nullptr,
+    const util::CancelToken* cancel = nullptr);
+
 QuarterSeries ArticlesPerQuarter(const Database& db,
                                  const SelectionBitmap& sel);
 std::uint64_t DistinctEvents(const Database& db, const SelectionBitmap& sel);

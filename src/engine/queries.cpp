@@ -1,32 +1,10 @@
 #include "engine/queries.hpp"
 
-#include <algorithm>
 #include <numeric>
 
-#include "convert/binary_format.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::engine {
-
-namespace {
-
-/// The k ids with the largest counts, descending (ties by id).
-template <typename Id>
-std::vector<Id> RankByCount(std::span<const std::uint64_t> counts,
-                            std::size_t k) {
-  std::vector<Id> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), Id{0});
-  const std::size_t take = std::min(k, ids.size());
-  std::partial_sort(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(take),
-                    ids.end(), [&](Id a, Id b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-}  // namespace
 
 std::span<const std::uint64_t> ArticlesPerSource(const Database& db) {
   return db.source_article_count();
@@ -37,22 +15,21 @@ std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
   return RankByCount<std::uint32_t>(db.source_article_count(), k);
 }
 
-std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k) {
+std::vector<std::uint32_t> AllSources(const Database& db) {
+  std::vector<std::uint32_t> ids(db.num_sources());
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}
+
+std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k,
+                                        IndexRange events) {
   const auto counts = db.event_article_count();
-  std::vector<std::uint32_t> rows(counts.size());
-  std::iota(rows.begin(), rows.end(), 0u);
-  const std::size_t take = std::min(k, rows.size());
-  std::partial_sort(rows.begin(),
-                    rows.begin() + static_cast<std::ptrdiff_t>(take),
-                    rows.end(), [&](std::uint32_t a, std::uint32_t b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  std::vector<TopEvent> out(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    out[i] = {rows[i], counts[rows[i]]};
+  events = ClampRange(events, counts.size());
+  TopEventsSelector<TopEvent> top(k);
+  for (std::size_t row = events.begin; row < events.end; ++row) {
+    top.Offer({static_cast<std::uint32_t>(row), counts[row]});
   }
-  return out;
+  return std::move(top).Take();
 }
 
 QuarterWindow QuartersOf(const Database& db) {
@@ -171,41 +148,15 @@ std::vector<QuarterSeries> SourceArticlesPerQuarter(
   return out;
 }
 
-CountryCrossReport CountryCrossReporting(const Database& db) {
-  TRACE_SPAN("engine.cross_report");
-  const std::size_t nc = Countries().size();
-  const auto event_row = db.mention_event_row();
-  const auto src = db.mention_source_id();
-  const auto event_country = db.event_country();
-  const auto source_country = db.source_country();
-
+CountryCrossReport CountryCrossReport::FromBins(
+    std::size_t num_countries, std::vector<std::uint64_t> bins) {
+  const std::size_t nc = num_countries;
   CountryCrossReport report;
   report.num_countries = nc;
-
-  // counts: publishing column is defined for every mention with a known
-  // source country; the reported row additionally needs a geotagged event.
-  const std::size_t matrix_bins = nc * nc;
-  const std::size_t total_bins = matrix_bins + nc;  // + publisher totals
-  std::vector<std::uint64_t> flat;
-  auto binner = [&](std::size_t i) -> std::size_t {
-    const std::uint16_t pub = source_country[src[i]];
-    if (pub == kNoCountry) return SIZE_MAX;
-    const std::uint32_t row = event_row[i];
-    if (row == convert::kOrphanEventRow) return matrix_bins + pub;
-    const std::uint16_t rep = event_country[row];
-    if (rep == kNoCountry) return matrix_bins + pub;
-    // A located article contributes to both the matrix cell and the
-    // publisher total; encode matrix cell here, add totals in a second
-    // cheap pass below.
-    return static_cast<std::size_t>(rep) * nc + pub;
-  };
-  flat = ParallelHistogram(event_row.size(), total_bins, binner);
-
-  report.counts.assign(flat.begin(),
-                       flat.begin() + static_cast<std::ptrdiff_t>(matrix_bins));
   report.articles_per_publisher.assign(
-      flat.begin() + static_cast<std::ptrdiff_t>(matrix_bins), flat.end());
-  // Publisher totals = untagged bucket + all located cells of the column.
+      bins.begin() + static_cast<std::ptrdiff_t>(nc * nc), bins.end());
+  bins.resize(nc * nc);
+  report.counts = std::move(bins);
   for (std::size_t rep = 0; rep < nc; ++rep) {
     for (std::size_t pub = 0; pub < nc; ++pub) {
       report.articles_per_publisher[pub] += report.counts[rep * nc + pub];

@@ -2,10 +2,16 @@
 //
 // These are the "most intensive aggregated queries" the paper parallelizes
 // with OpenMP (Sections IV, VI-G). Each kernel is a single scan with
-// per-thread partials merged deterministically at the end.
+// per-thread partials merged deterministically at the end. The kernels
+// of the decomposable query kinds take the partition they cover (an
+// event or mention-row range, kWholeRange by default), so a single node
+// runs partition 0 of 1 of the same code a shard runs
+// (serve/partial.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -19,6 +25,26 @@ namespace gdelt::engine {
 /// Database::Load computed, valid as long as `db`.
 std::span<const std::uint64_t> ArticlesPerSource(const Database& db);
 
+/// Every source id, ascending.
+std::vector<std::uint32_t> AllSources(const Database& db);
+
+/// The k ids with the largest counts, descending (ties by id).
+template <typename Id>
+std::vector<Id> RankByCount(std::span<const std::uint64_t> counts,
+                            std::size_t k) {
+  std::vector<Id> ids(counts.size());
+  std::iota(ids.begin(), ids.end(), Id{0});
+  const std::size_t take = std::min(k, ids.size());
+  std::partial_sort(ids.begin(),
+                    ids.begin() + static_cast<std::ptrdiff_t>(take), ids.end(),
+                    [&](Id a, Id b) {
+                      if (counts[a] != counts[b]) return counts[a] > counts[b];
+                      return a < b;
+                    });
+  ids.resize(take);
+  return ids;
+}
+
 /// Source ids with the most articles, descending (ties by id).
 std::vector<std::uint32_t> TopSourcesByArticles(const Database& db,
                                                 std::size_t k);
@@ -29,8 +55,50 @@ struct TopEvent {
   std::uint32_t articles = 0;
 };
 
-/// Event rows with the most articles, descending (Table III).
-std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k);
+/// Selects the k best of a stream of events (anything with `articles`
+/// and `event_row`) in Table III order: more articles first, ties by the
+/// lower event row. Holds at most k events, as a heap whose front is the
+/// worst one kept. Every event row belongs to one partition, so the top k
+/// of the union of per-partition top-k lists is the global top k.
+template <typename Event>
+class TopEventsSelector {
+ public:
+  explicit TopEventsSelector(std::size_t k) : k_(k) {}
+
+  void Offer(const Event& ev) {
+    if (full_) {
+      // Most events lose to the worst kept one: one compare, no writes.
+      if (!RanksBefore(ev, heap_.front())) return;
+      std::pop_heap(heap_.begin(), heap_.end(), RanksBefore);
+      heap_.back() = ev;
+    } else {
+      if (k_ == 0) return;
+      heap_.push_back(ev);
+      full_ = heap_.size() == k_;
+    }
+    std::push_heap(heap_.begin(), heap_.end(), RanksBefore);
+  }
+
+  /// The selected events, best first.
+  std::vector<Event> Take() && {
+    std::sort_heap(heap_.begin(), heap_.end(), RanksBefore);
+    return std::move(heap_);
+  }
+
+ private:
+  static bool RanksBefore(const Event& a, const Event& b) {
+    if (a.articles != b.articles) return a.articles > b.articles;
+    return a.event_row < b.event_row;
+  }
+
+  std::size_t k_;
+  bool full_ = false;
+  std::vector<Event> heap_;
+};
+
+/// Event rows of `events` with the most articles, in Table III order.
+std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k,
+                                        IndexRange events = kWholeRange);
 
 /// A per-quarter series starting at `first_quarter`.
 struct QuarterSeries {
@@ -84,10 +152,17 @@ struct CountryCrossReport {
                       : 100.0 * static_cast<double>(At(reported, publishing)) /
                             static_cast<double>(total);
   }
+
+  /// Builds a report from the cross-reporting histogram layout: the
+  /// num_countries^2 count matrix, then per publishing country the
+  /// articles on orphan or unlocated events. A publisher's total is that
+  /// count plus the located cells of its column.
+  static CountryCrossReport FromBins(std::size_t num_countries,
+                                     std::vector<std::uint64_t> bins);
 };
 
-/// Runs the aggregated query with the current OpenMP thread count.
-CountryCrossReport CountryCrossReporting(const Database& db);
+// CountryCrossReporting, the kernel of this report, takes a mention
+// range and an optional selection bitmap: engine/filter.hpp.
 
 /// Countries ranked by located events (the Table VI row ordering).
 std::vector<CountryId> CountriesByReportedEvents(const Database& db,

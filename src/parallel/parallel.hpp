@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace gdelt {
@@ -31,6 +32,15 @@ struct IndexRange {
   std::size_t size() const noexcept { return end - begin; }
   bool empty() const noexcept { return begin >= end; }
 };
+
+/// The whole of an axis. Kernels that take a partition of an axis clamp
+/// it to the axis length, so this default means "every index".
+inline constexpr IndexRange kWholeRange{0, SIZE_MAX};
+
+/// `r` clamped to [0, n).
+inline IndexRange ClampRange(IndexRange r, std::size_t n) noexcept {
+  return {std::min(r.begin, n), std::min(r.end, n)};
+}
 
 /// Splits [0, n) into at most `parts` contiguous near-equal ranges.
 /// The first (n % parts) ranges get one extra element.
@@ -108,13 +118,15 @@ T ParallelSum(std::size_t n, Map&& map) {
       n, T{}, map, [](T a, T b) { return a + b; });
 }
 
-/// Parallel histogram: for each i in [0, n), `binner(i)` yields a bin index
-/// < num_bins (or SIZE_MAX to skip). Per-thread local histograms are merged
-/// at the end — no atomics on the hot path.
+/// Parallel histogram: for each i in `range`, `binner(i)` yields a bin
+/// index < num_bins (or SIZE_MAX to skip). Per-thread local histograms are
+/// merged at the end — no atomics on the hot path.
 template <typename Binner>
-std::vector<std::uint64_t> ParallelHistogram(std::size_t n,
+std::vector<std::uint64_t> ParallelHistogram(IndexRange range,
                                              std::size_t num_bins,
                                              Binner&& binner) {
+  const auto begin = static_cast<std::int64_t>(range.begin);
+  const auto end = static_cast<std::int64_t>(range.end);
   const auto nt = static_cast<std::size_t>(MaxThreads());
   std::vector<std::vector<std::uint64_t>> locals(nt);
 #pragma omp parallel
@@ -123,7 +135,7 @@ std::vector<std::uint64_t> ParallelHistogram(std::size_t n,
     auto& local = locals[tid];
     local.assign(num_bins, 0);
 #pragma omp for schedule(static) nowait
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+    for (std::int64_t i = begin; i < end; ++i) {
       const std::size_t bin = binner(static_cast<std::size_t>(i));
       if (bin < num_bins) ++local[bin];
     }
@@ -134,6 +146,15 @@ std::vector<std::uint64_t> ParallelHistogram(std::size_t n,
     for (std::size_t b = 0; b < num_bins; ++b) merged[b] += local[b];
   }
   return merged;
+}
+
+/// The same histogram over [0, n).
+template <typename Binner>
+std::vector<std::uint64_t> ParallelHistogram(std::size_t n,
+                                             std::size_t num_bins,
+                                             Binner&& binner) {
+  return ParallelHistogram(IndexRange{0, n}, num_bins,
+                           std::forward<Binner>(binner));
 }
 
 /// Deterministic tiled merge of per-thread partial arrays:

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
+#include <optional>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/coreport.hpp"
@@ -10,10 +12,8 @@
 #include "analysis/delay.hpp"
 #include "analysis/firstreport.hpp"
 #include "analysis/followreport.hpp"
-#include "convert/binary_format.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
-#include "engine/sharded.hpp"
 #include "parallel/parallel.hpp"
 #include "schema/countries.hpp"
 #include "serve/render_text.hpp"
@@ -25,57 +25,85 @@ namespace {
 PartialMatrixEncoding g_matrix_encoding = PartialMatrixEncoding::kAuto;
 
 // ---------------------------------------------------------------------------
-// Partition helpers.
+// Partitions.
 
-/// Event-row range owned by partition `shard` of `of`. SplitRange clamps
-/// the part count to the element count, so partitions past the clamp own
-/// an empty range (their frames carry all-zero aggregates).
-IndexRange EventRangeFor(const engine::Database& db, std::uint32_t shard,
-                         std::uint32_t of) {
-  const auto ranges = SplitRange(db.num_events(), of);
-  if (shard >= ranges.size()) return {db.num_events(), db.num_events()};
-  return ranges[shard];
-}
+/// The slice of the data one partition computes: partition `shard` of
+/// `of`, and the request's selection bitmap when the kind takes a filter
+/// and the request restricts (null otherwise).
+struct Part {
+  const engine::Database& db;
+  const Request& r;
+  const engine::SelectionBitmap* sel;
+  const util::CancelToken* cancel;
+  std::uint32_t shard;
+  std::uint32_t of;
 
-/// Mention-row range owned by partition `shard` of `of` (time shards).
-engine::Shard MentionShardFor(const engine::Database& db, std::uint32_t shard,
-                              std::uint32_t of) {
-  const auto shards = engine::MakeTimeShards(db, of);
-  if (shard >= shards.size()) return {db.num_mentions(), db.num_mentions()};
-  return shards[shard];
-}
+  /// Part `shard` of SplitRange(n, of). SplitRange clamps the part count
+  /// to n, so partitions past the clamp own an empty range (their frames
+  /// carry all-zero aggregates).
+  IndexRange Of(std::size_t n) const {
+    const auto ranges = SplitRange(n, of);
+    return shard < ranges.size() ? ranges[shard] : IndexRange{n, n};
+  }
+  IndexRange events() const { return Of(db.num_events()); }
+  IndexRange mentions() const { return Of(db.num_mentions()); }
+  /// Strided ownership, for source ids and quarters: slot s belongs to
+  /// partition s % of.
+  bool Owns(std::uint64_t slot) const { return slot % of == shard; }
+};
 
-/// Source ids ranked (counts desc, id asc) — the TopSourcesByArticles
-/// comparator, applied to a merged count vector at the router.
-std::vector<std::uint32_t> RankByCountThenId(
-    const std::vector<std::uint64_t>& counts, std::size_t top_k) {
-  std::vector<std::uint32_t> ids(counts.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  const std::size_t take = std::min(top_k, ids.size());
-  std::partial_sort(ids.begin(),
-                    ids.begin() + static_cast<std::ptrdiff_t>(take), ids.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  ids.resize(take);
-  return ids;
-}
-
-std::vector<std::string> DomainsOf(const engine::Database& db,
-                                   std::span<const std::uint32_t> ids) {
-  std::vector<std::string> out;
+std::vector<std::string_view> DomainsOf(const engine::Database& db,
+                                        std::span<const std::uint32_t> ids) {
+  std::vector<std::string_view> out;
   out.reserve(ids.size());
-  for (const std::uint32_t s : ids) out.emplace_back(db.source_domain(s));
+  for (const std::uint32_t s : ids) out.push_back(db.source_domain(s));
   return out;
 }
 
-std::vector<std::string> AllDomains(const engine::Database& db) {
-  std::vector<std::string> out;
-  out.reserve(db.num_sources());
-  for (std::uint32_t s = 0; s < db.num_sources(); ++s) {
-    out.emplace_back(db.source_domain(s));
+/// The domain of every source id: looked up in the database where the
+/// partial was computed, decoded from the frames where it was merged.
+/// A single node thus labels only the ranked sources it prints.
+class SourceDomains {
+ public:
+  SourceDomains() = default;
+  explicit SourceDomains(const engine::Database& db) : db_(&db) {}
+
+  std::size_t size() const {
+    return db_ != nullptr ? db_->num_sources() : decoded_.size();
   }
+  std::string_view operator[](std::size_t s) const {
+    return db_ != nullptr ? db_->source_domain(static_cast<std::uint32_t>(s))
+                          : decoded_[s];
+  }
+  std::vector<std::string_view>& decoded() { return decoded_; }
+
+ private:
+  const engine::Database* db_ = nullptr;
+  std::vector<std::string_view> decoded_;
+};
+
+/// Text labels of ranked domains.
+std::vector<std::string> Labels(std::span<const std::string_view> domains) {
+  return {domains.begin(), domains.end()};
+}
+
+/// Text labels of the ranked source ids `ids`.
+std::vector<std::string> Labels(const SourceDomains& domains,
+                                std::span<const std::uint32_t> ids) {
+  std::vector<std::string> out;
+  for (const std::uint32_t s : ids) out.emplace_back(domains[s]);
+  return out;
+}
+
+template <typename Id>
+std::vector<std::uint64_t> Widen(const std::vector<Id>& ids) {
+  return {ids.begin(), ids.end()};
+}
+
+std::vector<CountryId> CountryIds(const std::vector<std::uint64_t>& ids) {
+  std::vector<CountryId> out;
+  out.reserve(ids.size());
+  for (const std::uint64_t c : ids) out.push_back(static_cast<CountryId>(c));
   return out;
 }
 
@@ -103,8 +131,8 @@ void AppendDoubleArray(std::string& out, const std::vector<double>& values) {
   out += ']';
 }
 
-void AppendStringArray(std::string& out,
-                       const std::vector<std::string>& values) {
+template <typename Strings>
+void AppendStringArray(std::string& out, const Strings& values) {
   out += '[';
   for (std::size_t k = 0; k < values.size(); ++k) {
     if (k) out += ',';
@@ -115,7 +143,7 @@ void AppendStringArray(std::string& out,
 
 /// Emits a count matrix (full row-major n*n, symmetric matrices already
 /// mirrored) as a frame matrix object. Symmetric matrices ship only the
-/// upper triangle; the merger mirrors once after summing.
+/// upper triangle.
 template <typename T>
 void AppendCountMatrix(std::string& out, const std::vector<T>& full,
                        std::size_t n, bool sym) {
@@ -178,8 +206,11 @@ Result<std::uint64_t> U64Of(const JsonValue& v, std::string_view what) {
   return static_cast<std::uint64_t>(v.AsInt());
 }
 
-Status TakeU64Vec(const JsonValue& data, std::string_view key,
-                  std::vector<std::uint64_t>& out) {
+/// Parses the array member `key` of a frame's data. Unsigned elements
+/// must be non-negative numbers; string elements stay views into `data`.
+template <typename T>
+Status TakeVec(const JsonValue& data, std::string_view key,
+               std::vector<T>& out) {
   const JsonValue* arr = data.Find(key);
   if (arr == nullptr || arr->kind() != JsonValue::Kind::kArray) {
     return FrameError("missing array '" + std::string(key) + "'");
@@ -187,59 +218,24 @@ Status TakeU64Vec(const JsonValue& data, std::string_view key,
   out.clear();
   out.reserve(arr->elements().size());
   for (const JsonValue& e : arr->elements()) {
-    GDELT_ASSIGN_OR_RETURN(const std::uint64_t v, U64Of(e, key));
-    out.push_back(v);
-  }
-  return Status::Ok();
-}
-
-Status TakeI64Vec(const JsonValue& data, std::string_view key,
-                  std::vector<std::int64_t>& out) {
-  const JsonValue* arr = data.Find(key);
-  if (arr == nullptr || arr->kind() != JsonValue::Kind::kArray) {
-    return FrameError("missing array '" + std::string(key) + "'");
-  }
-  out.clear();
-  out.reserve(arr->elements().size());
-  for (const JsonValue& e : arr->elements()) {
-    if (!e.is_number()) {
-      return FrameError("'" + std::string(key) + "' must hold numbers");
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+      GDELT_ASSIGN_OR_RETURN(const std::uint64_t v, U64Of(e, key));
+      out.push_back(v);
+    } else if constexpr (std::is_same_v<T, std::string_view>) {
+      if (!e.is_string()) {
+        return FrameError("'" + std::string(key) + "' must hold strings");
+      }
+      out.push_back(e.AsString());
+    } else {
+      if (!e.is_number()) {
+        return FrameError("'" + std::string(key) + "' must hold numbers");
+      }
+      if constexpr (std::is_same_v<T, double>) {
+        out.push_back(e.AsNumber());
+      } else {
+        out.push_back(e.AsInt());
+      }
     }
-    out.push_back(e.AsInt());
-  }
-  return Status::Ok();
-}
-
-Status TakeDoubleVec(const JsonValue& data, std::string_view key,
-                     std::vector<double>& out) {
-  const JsonValue* arr = data.Find(key);
-  if (arr == nullptr || arr->kind() != JsonValue::Kind::kArray) {
-    return FrameError("missing array '" + std::string(key) + "'");
-  }
-  out.clear();
-  out.reserve(arr->elements().size());
-  for (const JsonValue& e : arr->elements()) {
-    if (!e.is_number()) {
-      return FrameError("'" + std::string(key) + "' must hold numbers");
-    }
-    out.push_back(e.AsNumber());
-  }
-  return Status::Ok();
-}
-
-Status TakeStringVec(const JsonValue& data, std::string_view key,
-                     std::vector<std::string>& out) {
-  const JsonValue* arr = data.Find(key);
-  if (arr == nullptr || arr->kind() != JsonValue::Kind::kArray) {
-    return FrameError("missing array '" + std::string(key) + "'");
-  }
-  out.clear();
-  out.reserve(arr->elements().size());
-  for (const JsonValue& e : arr->elements()) {
-    if (!e.is_string()) {
-      return FrameError("'" + std::string(key) + "' must hold strings");
-    }
-    out.push_back(e.AsString());
   }
   return Status::Ok();
 }
@@ -253,10 +249,11 @@ Status TakeU64Field(const JsonValue& data, std::string_view key,
 }
 
 /// Parses a frame matrix object and ADDS it into `acc` (row-major n*n).
-/// Symmetric matrices accumulate only at upper-triangle positions; call
-/// MirrorUpper once after all frames are summed.
+/// A symmetric matrix's upper-triangle cells are added to both
+/// triangles, so `acc` stays mirrored.
+template <typename T>
 Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
-                            std::vector<std::uint64_t>& acc) {
+                            std::span<T> acc) {
   if (m == nullptr || !m->is_object()) {
     return FrameError("missing matrix object");
   }
@@ -269,6 +266,10 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
   if (sv == nullptr || !sv->is_bool() || sv->AsBool() != sym) {
     return FrameError("matrix symmetry mismatch");
   }
+  const auto add = [&](std::size_t i, std::size_t j, std::uint64_t v) {
+    acc[i * n + j] += static_cast<T>(v);
+    if (sym && i != j) acc[j * n + i] += static_cast<T>(v);
+  };
   const JsonValue* enc = m->Find("enc");
   if (enc == nullptr || !enc->is_string()) {
     return FrameError("matrix needs an 'enc' string");
@@ -288,7 +289,7 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
       for (std::size_t j = sym ? i : 0; j < n; ++j) {
         GDELT_ASSIGN_OR_RETURN(const std::uint64_t v,
                                U64Of(arr->elements()[at++], key));
-        acc[i * n + j] += v;
+        add(i, j, v);
       }
     }
     return Status::Ok();
@@ -312,19 +313,11 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
       if (i >= n || j >= n || (sym && j < i)) {
         return FrameError("sparse item index out of range");
       }
-      acc[i * n + j] += v;
+      add(i, j, v);
     }
     return Status::Ok();
   }
   return FrameError("unknown matrix encoding '" + enc->AsString() + "'");
-}
-
-void MirrorUpper(std::vector<std::uint64_t>& full, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      full[j * n + i] = full[i * n + j];
-    }
-  }
 }
 
 /// First frame records a carried-global field; later frames must agree
@@ -343,494 +336,485 @@ Status CarryCheck(bool first, T& expected, T&& got, std::string_view what) {
   return Status::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// Per-kind frame renderers. Each emits only the members of `"data"`.
-
-void PartialTopSources(const engine::Database& db, const Request& r,
-                       std::string& out) {
-  const engine::Shard shard = MentionShardFor(db, r.shard, r.of);
-  const auto src = db.mention_source_id();
-  std::vector<std::uint64_t> counts(db.num_sources(), 0);
-  if (r.restricted) {
-    const auto sel = engine::SelectMentionsBitmap(db, r.filter);
-    const IndexRange span = sel.RowSpan();
-    const std::uint64_t end = std::min<std::uint64_t>(shard.end, span.end);
-    for (std::uint64_t i = std::max<std::uint64_t>(shard.begin, span.begin);
-         i < end; ++i) {
-      if (sel.Test(i)) ++counts[src[i]];
-    }
-  } else {
-    for (std::uint64_t i = shard.begin; i < shard.end; ++i) {
-      ++counts[src[i]];
-    }
+Status CheckCountryIds(const std::vector<std::uint64_t>& ids) {
+  for (const std::uint64_t c : ids) {
+    if (c >= Countries().size()) return FrameError("country id out of range");
   }
-  out += "\"counts\":";
-  AppendIntArray(out, counts);
-  out += ",\"domains\":";
-  AppendStringArray(out, AllDomains(db));
-}
-
-void PartialTopEvents(const engine::Database& db, const Request& r,
-                      std::string& out) {
-  const IndexRange range = EventRangeFor(db, r.shard, r.of);
-  const auto counts = db.event_article_count();
-  std::vector<std::uint32_t> rows(range.size());
-  std::iota(rows.begin(), rows.end(), static_cast<std::uint32_t>(range.begin));
-  const std::size_t take = std::min(r.top_k, rows.size());
-  std::partial_sort(rows.begin(),
-                    rows.begin() + static_cast<std::ptrdiff_t>(take),
-                    rows.end(), [&](std::uint32_t a, std::uint32_t b) {
-                      if (counts[a] != counts[b]) return counts[a] > counts[b];
-                      return a < b;
-                    });
-  rows.resize(take);
-  std::vector<std::uint32_t> articles;
-  std::vector<std::string> urls;
-  articles.reserve(take);
-  urls.reserve(take);
-  for (const std::uint32_t row : rows) {
-    articles.push_back(counts[row]);
-    urls.emplace_back(db.event_source_url(row));
-  }
-  out += "\"rows\":";
-  AppendIntArray(out, rows);
-  out += ",\"articles\":";
-  AppendIntArray(out, articles);
-  out += ",\"urls\":";
-  AppendStringArray(out, urls);
-}
-
-void PartialCoreport(const engine::Database& db, const Request& r,
-                     std::string& out, const util::CancelToken* cancel) {
-  const IndexRange range = EventRangeFor(db, r.shard, r.of);
-  std::vector<std::uint32_t> top;
-  analysis::CoReportMatrix matrix(0);
-  if (r.restricted) {
-    const auto sel = engine::SelectMentionsBitmap(db, r.filter);
-    top = RankSources(engine::ArticlesPerSource(db, sel), r.top_k);
-    // Partition the filtered rows by the event axis: a row contributes to
-    // the shard owning its event. Orphan rows fall in no range, exactly
-    // as the single-node restricted kernel skips them.
-    auto rows = sel.ToRows();
-    const auto event_row = db.mention_event_row();
-    std::erase_if(rows, [&](std::uint64_t row) {
-      const std::uint32_t ev = event_row[row];
-      return ev < range.begin || ev >= range.end;
-    });
-    matrix = analysis::ComputeCoReporting(db, top, rows, cancel);
-  } else {
-    top = engine::TopSourcesByArticles(db, r.top_k);
-    matrix = analysis::ComputeCoReportingOnEvents(db, top, range.begin,
-                                                  range.end, cancel);
-  }
-  out += "\"subset\":";
-  AppendIntArray(out, top);
-  out += ",\"domains\":";
-  AppendStringArray(out, DomainsOf(db, top));
-  out += ",\"matrix\":";
-  AppendCountMatrix(out, matrix.counts(), matrix.size(), /*sym=*/true);
-}
-
-void PartialFollow(const engine::Database& db, const Request& r,
-                   std::string& out, const util::CancelToken* cancel) {
-  const IndexRange range = EventRangeFor(db, r.shard, r.of);
-  const auto top = engine::TopSourcesByArticles(db, r.top_k);
-  const auto matrix =
-      analysis::ComputeFollowReportingOnEvents(db, top, range.begin,
-                                               range.end, cancel);
-  out += "\"subset\":";
-  AppendIntArray(out, top);
-  out += ",\"domains\":";
-  AppendStringArray(out, DomainsOf(db, top));
-  out += ",\"articles\":";
-  AppendIntArray(out, matrix.articles);
-  out += ",\"matrix\":";
-  AppendCountMatrix(out, matrix.follow_counts, matrix.n, /*sym=*/false);
-}
-
-void PartialCountryCoreport(const engine::Database& db, const Request& r,
-                            std::string& out,
-                            const util::CancelToken* cancel) {
-  const IndexRange range = EventRangeFor(db, r.shard, r.of);
-  const auto report = analysis::ComputeCountryCoReportingOnEvents(
-      db, range.begin, range.end, cancel);
-  const auto top = engine::CountriesByPublishedArticles(db, r.top_k);
-  out += "\"top\":";
-  AppendIntArray(out, top);
-  out += ",\"pairs\":";
-  AppendCountMatrix(out, report.pair_counts, report.n, /*sym=*/true);
-}
-
-void PartialCrossReport(const engine::Database& db, const Request& r,
-                        std::string& out, const util::CancelToken* cancel) {
-  const engine::Shard shard = MentionShardFor(db, r.shard, r.of);
-  engine::CrossReportPartial partial;
-  if (r.restricted) {
-    const auto sel = engine::SelectMentionsBitmap(db, r.filter);
-    partial = engine::CrossReportingOnShard(db, shard, sel, cancel);
-  } else {
-    partial = engine::CrossReportingOnShard(db, shard, cancel);
-  }
-  const std::size_t nc = Countries().size();
-  out += "\"reported\":";
-  AppendIntArray(out, engine::CountriesByReportedEvents(db, r.top_k));
-  out += ",\"publishing\":";
-  AppendIntArray(out, engine::CountriesByPublishedArticles(db, r.top_k));
-  out += ",\"counts\":";
-  AppendCountMatrix(out, partial.counts, nc, /*sym=*/false);
-  out += ",\"untagged\":";
-  AppendIntArray(out, partial.articles_per_publisher);
-}
-
-void PartialDelay(const engine::Database& db, const Request& r,
-                  std::string& out, const util::CancelToken* cancel) {
-  const auto top = engine::TopSourcesByArticles(db, r.top_k);
-  const auto stats =
-      analysis::PerSourceDelayStatsStrided(db, r.shard, r.of, cancel);
-  const auto quarterly =
-      analysis::QuarterlyDelayStatsStrided(db, r.shard, r.of);
-  out += "\"top\":";
-  AppendIntArray(out, top);
-  out += ",\"domains\":";
-  AppendStringArray(out, DomainsOf(db, top));
-  // Owned Table VIII rows: the shard owning source id s (s % of) carries
-  // that source's whole-source stats; parallel arrays over `slots`.
-  std::vector<std::uint64_t> slots;
-  std::vector<std::uint64_t> count;
-  std::vector<std::int64_t> min;
-  std::vector<std::int64_t> max;
-  std::vector<double> avg;
-  std::vector<std::int64_t> median;
-  for (std::size_t k = 0; k < top.size(); ++k) {
-    if (top[k] % r.of != r.shard) continue;
-    const analysis::DelayStats& st = stats[top[k]];
-    slots.push_back(k);
-    count.push_back(st.article_count);
-    min.push_back(st.min);
-    max.push_back(st.max);
-    avg.push_back(st.average);
-    median.push_back(st.median);
-  }
-  out += ",\"slots\":";
-  AppendIntArray(out, slots);
-  out += ",\"count\":";
-  AppendIntArray(out, count);
-  out += ",\"min\":";
-  AppendIntArray(out, min);
-  out += ",\"max\":";
-  AppendIntArray(out, max);
-  out += ",\"avg\":";
-  AppendDoubleArray(out, avg);
-  out += ",\"median\":";
-  AppendIntArray(out, median);
-  // Owned Fig 10 quarters: quarter q (relative) belongs to shard q % of.
-  Appendf(out, ",\"q_first\":%lld,\"q_count\":%zu",
-          static_cast<long long>(quarterly.first_quarter),
-          quarterly.average.size());
-  std::vector<std::uint64_t> q_slots;
-  std::vector<double> q_avg;
-  std::vector<std::int64_t> q_median;
-  for (std::size_t q = 0; q < quarterly.average.size(); ++q) {
-    if (q % r.of != r.shard) continue;
-    q_slots.push_back(q);
-    q_avg.push_back(quarterly.average[q]);
-    q_median.push_back(quarterly.median[q]);
-  }
-  out += ",\"q_slots\":";
-  AppendIntArray(out, q_slots);
-  out += ",\"q_avg\":";
-  AppendDoubleArray(out, q_avg);
-  out += ",\"q_median\":";
-  AppendIntArray(out, q_median);
-}
-
-void PartialFirstReports(const engine::Database& db, const Request& r,
-                         std::string& out, const util::CancelToken* cancel) {
-  const IndexRange range = EventRangeFor(db, r.shard, r.of);
-  const auto stats = analysis::ComputeFirstReportsOnEvents(
-      db, range.begin, range.end, /*histogram_bins=*/18, cancel);
-  out += "\"breaks\":";
-  AppendIntArray(out, stats.first_reports);
-  out += ",\"repeat_articles\":";
-  AppendIntArray(out, stats.repeat_articles);
-  Appendf(out, ",\"within_hour\":%llu",
-          static_cast<unsigned long long>(stats.events_broken_within_hour));
-  out += ",\"articles\":";
-  AppendIntArray(out, engine::ArticlesPerSource(db));
-  out += ",\"domains\":";
-  AppendStringArray(out, AllDomains(db));
-  Appendf(out, ",\"num_events\":%zu", db.num_events());
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind mergers. `frames` are the validated `"data"` objects.
+// The decomposable kinds. Each one defines its typed partial and four
+// steps over it:
+//   Compute  runs the kind's one kernel over a partition;
+//   Encode   writes a partial as the members of a frame's "data";
+//   Decode   parses one frame's "data" and adds it into an accumulator
+//            (`first`: nothing added yet; carried globals must agree);
+//   Finish   renders a partial, computed whole or summed from frames, as
+//            the query's text.
+// A single node is Finish(Compute(partition 0 of 1)); a shard is
+// Encode(Compute(partition k of n)); the router is Finish of the Decoded
+// sum. So routed output equals single-node output by construction.
 
-Result<std::string> MergeTopSources(const Request& r,
-                                    std::span<const JsonValue* const> frames) {
-  std::vector<std::uint64_t> counts;
-  std::vector<std::string> domains;
-  bool first = true;
-  for (const JsonValue* data : frames) {
+/// Articles per source over a mention range (time shards) and the
+/// optional selection; the ranking happens at Finish.
+struct TopSources {
+  static constexpr std::string_view kName = "top-sources";
+  static constexpr bool kFiltered = true;
+  struct Partial {
+    std::vector<std::uint64_t> counts;  ///< per source id
+    SourceDomains domains;
+  };
+
+  static Partial Compute(const Part& p) {
+    return {engine::ArticlesPerSource(p.db, p.mentions(), p.sel, p.cancel),
+            SourceDomains(p.db)};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    out += "\"counts\":";
+    AppendIntArray(out, x.counts);
+    out += ",\"domains\":";
+    AppendStringArray(out, x.domains);
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool first,
+                       Partial& acc) {
     std::vector<std::uint64_t> c;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "counts", c));
-    std::vector<std::string> d;
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "domains", d));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "counts", c));
+    std::vector<std::string_view> d;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", d));
     if (c.size() != d.size()) {
       return FrameError("counts/domains length mismatch");
     }
     if (first) {
-      counts.assign(c.size(), 0);
-    } else if (c.size() != counts.size()) {
+      acc.counts.assign(c.size(), 0);
+    } else if (c.size() != acc.counts.size()) {
       return status::Internal("shard partials disagree on 'counts' size");
     }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, domains, std::move(d), "domains"));
-    for (std::size_t s = 0; s < c.size(); ++s) counts[s] += c[s];
-    first = false;
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains.decoded(),
+                                     std::move(d), "domains"));
+    for (std::size_t s = 0; s < c.size(); ++s) acc.counts[s] += c[s];
+    return Status::Ok();
   }
-  const auto ids = r.restricted ? RankSources(counts, r.top_k)
-                                : RankByCountThenId(counts, r.top_k);
-  std::vector<std::string> labels;
-  std::vector<std::uint64_t> top_counts;
-  for (const std::uint32_t s : ids) {
-    labels.push_back(domains[s]);
-    top_counts.push_back(counts[s]);
+  static std::string Finish(const Request& r, const Partial& x) {
+    const auto ids =
+        r.restricted ? RankSources(x.counts, r.top_k)
+                     : engine::RankByCount<std::uint32_t>(x.counts, r.top_k);
+    std::vector<std::uint64_t> counts;
+    for (const std::uint32_t s : ids) counts.push_back(x.counts[s]);
+    std::string text;
+    AppendTopSourcesText(text, Labels(x.domains, ids), counts, r.restricted);
+    return text;
   }
-  std::string text;
-  AppendTopSourcesText(text, labels, top_counts, r.restricted);
-  return text;
-}
+};
 
-Result<std::string> MergeTopEvents(const Request& r,
-                                   std::span<const JsonValue* const> frames) {
+/// Local top-k over an event range; the union of the local lists holds
+/// the global top k.
+struct TopEvents {
+  static constexpr std::string_view kName = "top-events";
+  static constexpr bool kFiltered = false;
   struct Candidate {
-    std::uint64_t row;
-    std::uint64_t articles;
-    std::string url;
+    std::uint64_t event_row = 0;
+    std::uint64_t articles = 0;
+    std::string_view url;
   };
-  std::vector<Candidate> all;
-  for (const JsonValue* data : frames) {
+  struct Partial {
+    std::vector<Candidate> events;
+  };
+
+  static Partial Compute(const Part& p) {
+    Partial x;
+    for (const auto& ev :
+         engine::TopReportedEvents(p.db, p.r.top_k, p.events())) {
+      x.events.push_back(
+          {ev.event_row, ev.articles, p.db.event_source_url(ev.event_row)});
+    }
+    return x;
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
     std::vector<std::uint64_t> rows;
     std::vector<std::uint64_t> articles;
-    std::vector<std::string> urls;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "rows", rows));
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "articles", articles));
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "urls", urls));
+    std::vector<std::string_view> urls;
+    for (const Candidate& c : x.events) {
+      rows.push_back(c.event_row);
+      articles.push_back(c.articles);
+      urls.push_back(c.url);
+    }
+    out += "\"rows\":";
+    AppendIntArray(out, rows);
+    out += ",\"articles\":";
+    AppendIntArray(out, articles);
+    out += ",\"urls\":";
+    AppendStringArray(out, urls);
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool,
+                       Partial& acc) {
+    std::vector<std::uint64_t> rows;
+    std::vector<std::uint64_t> articles;
+    std::vector<std::string_view> urls;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "rows", rows));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", articles));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "urls", urls));
     if (rows.size() != articles.size() || rows.size() != urls.size()) {
       return FrameError("rows/articles/urls length mismatch");
     }
     for (std::size_t k = 0; k < rows.size(); ++k) {
-      all.push_back({rows[k], articles[k], std::move(urls[k])});
+      acc.events.push_back({rows[k], articles[k], urls[k]});
     }
+    return Status::Ok();
   }
-  // Each event row lives in exactly one shard's range, so the global
-  // top-k is the top-k of the union of local top-k lists — the same
-  // (articles desc, row asc) order TopReportedEvents uses.
-  std::sort(all.begin(), all.end(), [](const Candidate& a, const Candidate& b) {
-    if (a.articles != b.articles) return a.articles > b.articles;
-    return a.row < b.row;
-  });
-  const std::size_t take = std::min(r.top_k, all.size());
-  std::vector<std::uint32_t> articles;
-  std::vector<std::string> urls;
-  for (std::size_t k = 0; k < take; ++k) {
-    articles.push_back(static_cast<std::uint32_t>(all[k].articles));
-    urls.push_back(std::move(all[k].url));
+  static std::string Finish(const Request& r, const Partial& x) {
+    engine::TopEventsSelector<Candidate> top(r.top_k);
+    for (const Candidate& c : x.events) top.Offer(c);
+    std::vector<std::uint32_t> articles;
+    std::vector<std::string> urls;
+    for (const Candidate& c : std::move(top).Take()) {
+      articles.push_back(static_cast<std::uint32_t>(c.articles));
+      urls.emplace_back(c.url);
+    }
+    std::string text;
+    AppendTopEventsText(text, articles, urls);
+    return text;
   }
-  std::string text;
-  AppendTopEventsText(text, articles, urls);
-  return text;
-}
+};
 
-Result<std::string> MergeCoreport(const Request& r,
-                                  std::span<const JsonValue* const> frames) {
-  std::vector<std::uint64_t> subset;
-  std::vector<std::string> domains;
-  std::vector<std::uint64_t> acc;
-  std::size_t n = 0;
-  bool first = true;
-  for (const JsonValue* data : frames) {
+/// Co-reporting pair counts over an event range, among the top sources
+/// (by the selection's article counts when restricted).
+struct Coreport {
+  static constexpr std::string_view kName = "coreport";
+  static constexpr bool kFiltered = true;
+  struct Partial {
+    std::vector<std::uint64_t> subset;
+    std::vector<std::string_view> domains;  ///< per subset member
+    analysis::CoReportMatrix matrix{0};
+  };
+
+  static Partial Compute(const Part& p) {
+    const auto top =
+        p.sel != nullptr
+            ? RankSources(engine::ArticlesPerSource(p.db, kWholeRange, p.sel,
+                                                    p.cancel),
+                          p.r.top_k)
+            : engine::TopSourcesByArticles(p.db, p.r.top_k);
+    analysis::TiledCoReportOptions options;
+    options.cancel = p.cancel;
+    return {Widen(top), DomainsOf(p.db, top),
+            analysis::ComputeCoReporting(p.db, top, p.events(), p.sel,
+                                         options)};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    out += "\"subset\":";
+    AppendIntArray(out, x.subset);
+    out += ",\"domains\":";
+    AppendStringArray(out, x.domains);
+    out += ",\"matrix\":";
+    AppendCountMatrix(out, x.matrix.counts(), x.matrix.size(), /*sym=*/true);
+  }
+  static Status Decode(const Request& r, const JsonValue& data, bool first,
+                       Partial& acc) {
     std::vector<std::uint64_t> sub;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "subset", sub));
-    std::vector<std::string> dom;
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "domains", dom));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "subset", sub));
+    std::vector<std::string_view> dom;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
     if (first) {
-      n = sub.size();
       // The subset a shard reports can never exceed the top_k the
-      // request asked for; a larger n is a hostile or corrupt frame,
-      // and n*n sizes the accumulator matrix (top_k=100k would demand
-      // an 80 GB allocation), so reject before allocating.
-      if (n > r.top_k) {
+      // request asked for; a larger n is a hostile or corrupt frame, and
+      // n*n sizes the accumulator matrix (top_k=100k would demand an
+      // 80 GB allocation), so reject before allocating.
+      if (sub.size() > r.top_k) {
         return FrameError("subset larger than requested top_k");
       }
-      acc.assign(n * n, 0);
+      acc.matrix = analysis::CoReportMatrix(sub.size());
     }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, subset, std::move(sub), "subset"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, domains, std::move(dom),
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.subset, std::move(sub),
+                                     "subset"));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
                                      "domains"));
-    GDELT_RETURN_IF_ERROR(
-        ParseCountMatrixInto(data->Find("matrix"), n, /*sym=*/true, acc));
-    first = false;
+    return ParseCountMatrixInto(data.Find("matrix"), acc.matrix.size(),
+                                /*sym=*/true,
+                                std::span(acc.matrix.mutable_counts()));
   }
-  MirrorUpper(acc, n);
-  analysis::CoReportMatrix matrix(n);
-  for (std::size_t k = 0; k < acc.size(); ++k) {
-    matrix.mutable_counts()[k] = static_cast<std::uint32_t>(acc[k]);
+  static std::string Finish(const Request& r, const Partial& x) {
+    std::string text;
+    AppendCoreportText(text, Labels(x.domains), x.matrix, r.restricted);
+    return text;
   }
-  std::string text;
-  AppendCoreportText(text, domains, matrix, r.restricted);
-  return text;
-}
+};
 
-Result<std::string> MergeFollow(const Request& r,
-                                std::span<const JsonValue* const> frames) {
-  std::vector<std::uint64_t> subset;
-  std::vector<std::string> domains;
-  std::vector<std::uint64_t> articles;
-  std::vector<std::uint64_t> acc;
-  std::size_t n = 0;
-  bool first = true;
-  for (const JsonValue* data : frames) {
+/// Follow-reporting counts over an event range among the top sources.
+struct Follow {
+  static constexpr std::string_view kName = "follow";
+  static constexpr bool kFiltered = false;
+  struct Partial {
+    std::vector<std::uint64_t> subset;
+    std::vector<std::string_view> domains;  ///< per subset member
+    analysis::FollowReportMatrix matrix;
+  };
+
+  static Partial Compute(const Part& p) {
+    const auto top = engine::TopSourcesByArticles(p.db, p.r.top_k);
+    return {Widen(top), DomainsOf(p.db, top),
+            analysis::ComputeFollowReporting(p.db, top, p.events(),
+                                             p.cancel)};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    out += "\"subset\":";
+    AppendIntArray(out, x.subset);
+    out += ",\"domains\":";
+    AppendStringArray(out, x.domains);
+    out += ",\"articles\":";
+    AppendIntArray(out, x.matrix.articles);
+    out += ",\"matrix\":";
+    AppendCountMatrix(out, x.matrix.follow_counts, x.matrix.n,
+                      /*sym=*/false);
+  }
+  static Status Decode(const Request& r, const JsonValue& data, bool first,
+                       Partial& acc) {
     std::vector<std::uint64_t> sub;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "subset", sub));
-    std::vector<std::string> dom;
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "domains", dom));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "subset", sub));
+    std::vector<std::string_view> dom;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
     std::vector<std::uint64_t> art;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "articles", art));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", art));
     if (first) {
-      n = sub.size();
-      // Same bound as MergeCoreport: n*n sizes the accumulator, and no
-      // honest shard reports more than top_k follow candidates.
-      if (n > r.top_k) {
+      // Same bound as Coreport: n*n sizes the accumulator, and no honest
+      // shard reports more than top_k follow candidates.
+      if (sub.size() > r.top_k) {
         return FrameError("subset larger than requested top_k");
       }
-      acc.assign(n * n, 0);
+      acc.matrix.n = sub.size();
+      acc.matrix.follow_counts.assign(sub.size() * sub.size(), 0);
     }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, subset, std::move(sub), "subset"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, domains, std::move(dom),
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.subset, std::move(sub),
+                                     "subset"));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
                                      "domains"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, articles, std::move(art),
-                                     "articles"));
-    GDELT_RETURN_IF_ERROR(
-        ParseCountMatrixInto(data->Find("matrix"), n, /*sym=*/false, acc));
-    first = false;
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.matrix.articles,
+                                     std::move(art), "articles"));
+    return ParseCountMatrixInto(data.Find("matrix"), acc.matrix.n,
+                                /*sym=*/false,
+                                std::span(acc.matrix.follow_counts));
   }
-  analysis::FollowReportMatrix matrix;
-  matrix.n = n;
-  matrix.follow_counts = std::move(acc);
-  matrix.articles = std::move(articles);
-  std::string text;
-  AppendFollowText(text, domains, matrix);
-  return text;
-}
+  static std::string Finish(const Request&, const Partial& x) {
+    std::string text;
+    AppendFollowText(text, Labels(x.domains), x.matrix);
+    return text;
+  }
+};
 
-Result<std::string> MergeCountryCoreport(
-    const Request& /*r*/, std::span<const JsonValue* const> frames) {
-  const std::size_t nc = Countries().size();
-  std::vector<std::uint64_t> top;
-  std::vector<std::uint64_t> acc(nc * nc, 0);
-  bool first = true;
-  for (const JsonValue* data : frames) {
+/// Country co-reporting pair counts over an event range.
+struct CountryCoreport {
+  static constexpr std::string_view kName = "country-coreport";
+  static constexpr bool kFiltered = false;
+  struct Partial {
+    std::vector<std::uint64_t> top;  ///< country ids
+    analysis::CountryCoReport report;
+  };
+
+  static Partial Compute(const Part& p) {
+    return {Widen(engine::CountriesByPublishedArticles(p.db, p.r.top_k)),
+            analysis::ComputeCountryCoReporting(p.db, p.events(), p.cancel)};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    out += "\"top\":";
+    AppendIntArray(out, x.top);
+    out += ",\"pairs\":";
+    AppendCountMatrix(out, x.report.pair_counts, x.report.n, /*sym=*/true);
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool first,
+                       Partial& acc) {
+    const std::size_t nc = Countries().size();
     std::vector<std::uint64_t> t;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "top", t));
-    for (const std::uint64_t c : t) {
-      if (c >= nc) return FrameError("country id out of range");
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, top, std::move(t), "top"));
-    GDELT_RETURN_IF_ERROR(
-        ParseCountMatrixInto(data->Find("pairs"), nc, /*sym=*/true, acc));
-    first = false;
-  }
-  MirrorUpper(acc, nc);
-  analysis::CountryCoReport report;
-  report.n = nc;
-  report.event_counts.resize(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    report.event_counts[c] = acc[c * nc + c];
-  }
-  report.pair_counts = std::move(acc);
-  std::vector<CountryId> top_ids;
-  for (const std::uint64_t c : top) {
-    top_ids.push_back(static_cast<CountryId>(c));
-  }
-  std::string text;
-  AppendCountryCoreportText(text, top_ids, report);
-  return text;
-}
-
-Result<std::string> MergeCrossReport(const Request& r,
-                                     std::span<const JsonValue* const> frames) {
-  const std::size_t nc = Countries().size();
-  std::vector<std::uint64_t> reported;
-  std::vector<std::uint64_t> publishing;
-  std::vector<std::uint64_t> counts(nc * nc, 0);
-  std::vector<std::uint64_t> untagged(nc, 0);
-  bool first = true;
-  for (const JsonValue* data : frames) {
-    std::vector<std::uint64_t> rep;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "reported", rep));
-    std::vector<std::uint64_t> pub;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "publishing", pub));
-    for (const std::uint64_t c : rep) {
-      if (c >= nc) return FrameError("country id out of range");
-    }
-    for (const std::uint64_t c : pub) {
-      if (c >= nc) return FrameError("country id out of range");
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, reported, std::move(rep),
-                                     "reported"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, publishing, std::move(pub),
-                                     "publishing"));
-    GDELT_RETURN_IF_ERROR(
-        ParseCountMatrixInto(data->Find("counts"), nc, /*sym=*/false, counts));
-    std::vector<std::uint64_t> unt;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "untagged", unt));
-    if (unt.size() != nc) return FrameError("'untagged' length mismatch");
-    for (std::size_t c = 0; c < nc; ++c) untagged[c] += unt[c];
-    first = false;
-  }
-  // The allreduce finish: publisher totals = untagged bucket + located
-  // column sums.
-  engine::CountryCrossReport report;
-  report.num_countries = nc;
-  report.articles_per_publisher = std::move(untagged);
-  for (std::size_t rep = 0; rep < nc; ++rep) {
-    for (std::size_t pub = 0; pub < nc; ++pub) {
-      report.articles_per_publisher[pub] += counts[rep * nc + pub];
-    }
-  }
-  report.counts = std::move(counts);
-  std::vector<CountryId> rep_ids;
-  for (const std::uint64_t c : reported) {
-    rep_ids.push_back(static_cast<CountryId>(c));
-  }
-  std::vector<CountryId> pub_ids;
-  for (const std::uint64_t c : publishing) {
-    pub_ids.push_back(static_cast<CountryId>(c));
-  }
-  std::string text;
-  AppendCrossReportText(text, rep_ids, pub_ids, report, r.restricted);
-  return text;
-}
-
-Result<std::string> MergeDelay(const Request& /*r*/,
-                               std::span<const JsonValue* const> frames) {
-  std::vector<std::uint64_t> top;
-  std::vector<std::string> domains;
-  std::vector<analysis::DelayStats> stats;
-  analysis::QuarterlyDelay quarterly;
-  std::int64_t q_first = 0;
-  std::uint64_t q_count = 0;
-  bool first = true;
-  for (const JsonValue* data : frames) {
-    std::vector<std::uint64_t> t;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "top", t));
-    std::vector<std::string> dom;
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "domains", dom));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "top", t));
+    GDELT_RETURN_IF_ERROR(CheckCountryIds(t));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.top, std::move(t), "top"));
     if (first) {
-      stats.assign(t.size(), analysis::DelayStats{});
+      acc.report.n = nc;
+      acc.report.pair_counts.assign(nc * nc, 0);
     }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, top, std::move(t), "top"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, domains, std::move(dom),
+    return ParseCountMatrixInto(data.Find("pairs"), nc, /*sym=*/true,
+                                std::span(acc.report.pair_counts));
+  }
+  static std::string Finish(const Request&, const Partial& x) {
+    std::string text;
+    AppendCountryCoreportText(text, CountryIds(x.top), x.report);
+    return text;
+  }
+};
+
+/// Country cross-reporting over a mention range (time shards) and the
+/// optional selection.
+struct CrossReport {
+  static constexpr std::string_view kName = "cross-report";
+  static constexpr bool kFiltered = true;
+  struct Partial {
+    std::vector<std::uint64_t> reported;    ///< country ids (rows)
+    std::vector<std::uint64_t> publishing;  ///< country ids (columns)
+    engine::CountryCrossReport report;
+  };
+
+  static Partial Compute(const Part& p) {
+    return {Widen(engine::CountriesByReportedEvents(p.db, p.r.top_k)),
+            Widen(engine::CountriesByPublishedArticles(p.db, p.r.top_k)),
+            engine::CountryCrossReporting(p.db, p.mentions(), p.sel,
+                                          p.cancel)};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    const std::size_t nc = x.report.num_countries;
+    // The frame ships each publisher's untagged articles: its total
+    // minus the located cells of its column.
+    std::vector<std::uint64_t> untagged = x.report.articles_per_publisher;
+    for (std::size_t rep = 0; rep < nc; ++rep) {
+      for (std::size_t pub = 0; pub < nc; ++pub) {
+        untagged[pub] -= x.report.counts[rep * nc + pub];
+      }
+    }
+    out += "\"reported\":";
+    AppendIntArray(out, x.reported);
+    out += ",\"publishing\":";
+    AppendIntArray(out, x.publishing);
+    out += ",\"counts\":";
+    AppendCountMatrix(out, x.report.counts, nc, /*sym=*/false);
+    out += ",\"untagged\":";
+    AppendIntArray(out, untagged);
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool first,
+                       Partial& acc) {
+    const std::size_t nc = Countries().size();
+    std::vector<std::uint64_t> rep;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "reported", rep));
+    std::vector<std::uint64_t> pub;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "publishing", pub));
+    GDELT_RETURN_IF_ERROR(CheckCountryIds(rep));
+    GDELT_RETURN_IF_ERROR(CheckCountryIds(pub));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.reported, std::move(rep),
+                                     "reported"));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.publishing, std::move(pub),
+                                     "publishing"));
+    // Rebuild this frame's histogram bins (matrix, then untagged) and
+    // finish them as the kernel does.
+    std::vector<std::uint64_t> bins(nc * nc + nc, 0);
+    GDELT_RETURN_IF_ERROR(ParseCountMatrixInto(
+        data.Find("counts"), nc, /*sym=*/false,
+        std::span(bins).first(nc * nc)));
+    std::vector<std::uint64_t> untagged;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "untagged", untagged));
+    if (untagged.size() != nc) return FrameError("'untagged' length mismatch");
+    std::copy(untagged.begin(), untagged.end(),
+              bins.begin() + static_cast<std::ptrdiff_t>(nc * nc));
+    auto frame = engine::CountryCrossReport::FromBins(nc, std::move(bins));
+    if (first) {
+      acc.report = std::move(frame);
+      return Status::Ok();
+    }
+    for (std::size_t k = 0; k < nc * nc; ++k) {
+      acc.report.counts[k] += frame.counts[k];
+    }
+    for (std::size_t c = 0; c < nc; ++c) {
+      acc.report.articles_per_publisher[c] += frame.articles_per_publisher[c];
+    }
+    return Status::Ok();
+  }
+  static std::string Finish(const Request& r, const Partial& x) {
+    std::string text;
+    AppendCrossReportText(text, CountryIds(x.reported),
+                          CountryIds(x.publishing), x.report, r.restricted);
+    return text;
+  }
+};
+
+/// Table VIII rows of the top sources a partition owns (source id % of)
+/// and the Fig 10 quarters it owns (quarter % of): whole-source and
+/// whole-quarter floats that must not be split.
+struct Delay {
+  static constexpr std::string_view kName = "delay";
+  static constexpr bool kFiltered = false;
+  struct Partial {
+    std::vector<std::uint64_t> top;
+    std::vector<std::string_view> domains;     ///< per top source
+    std::vector<analysis::DelayStats> stats;   ///< per top source
+    analysis::QuarterlyDelay quarterly;
+  };
+
+  static Partial Compute(const Part& p) {
+    const auto top = engine::TopSourcesByArticles(p.db, p.r.top_k);
+    std::vector<std::uint32_t> owned;
+    for (const std::uint32_t s : top) {
+      if (p.Owns(s)) owned.push_back(s);
+    }
+    const auto owned_stats =
+        analysis::PerSourceDelayStats(p.db, owned, p.cancel);
+    Partial x{Widen(top), DomainsOf(p.db, top),
+              std::vector<analysis::DelayStats>(top.size()),
+              analysis::QuarterlyDelayStats(p.db, p.shard, p.of)};
+    for (std::size_t k = 0, j = 0; k < top.size(); ++k) {
+      if (p.Owns(top[k])) x.stats[k] = owned_stats[j++];
+    }
+    return x;
+  }
+  static void Encode(const Part& p, const Partial& x, std::string& out) {
+    out += "\"top\":";
+    AppendIntArray(out, x.top);
+    out += ",\"domains\":";
+    AppendStringArray(out, x.domains);
+    // Owned Table VIII rows, as parallel arrays over `slots`.
+    std::vector<std::uint64_t> slots;
+    std::vector<std::uint64_t> count;
+    std::vector<std::int64_t> min;
+    std::vector<std::int64_t> max;
+    std::vector<double> avg;
+    std::vector<std::int64_t> median;
+    for (std::size_t k = 0; k < x.top.size(); ++k) {
+      if (!p.Owns(x.top[k])) continue;
+      const analysis::DelayStats& st = x.stats[k];
+      slots.push_back(k);
+      count.push_back(st.article_count);
+      min.push_back(st.min);
+      max.push_back(st.max);
+      avg.push_back(st.average);
+      median.push_back(st.median);
+    }
+    out += ",\"slots\":";
+    AppendIntArray(out, slots);
+    out += ",\"count\":";
+    AppendIntArray(out, count);
+    out += ",\"min\":";
+    AppendIntArray(out, min);
+    out += ",\"max\":";
+    AppendIntArray(out, max);
+    out += ",\"avg\":";
+    AppendDoubleArray(out, avg);
+    out += ",\"median\":";
+    AppendIntArray(out, median);
+    // Owned Fig 10 quarters.
+    const analysis::QuarterlyDelay& quarterly = x.quarterly;
+    Appendf(out, ",\"q_first\":%lld,\"q_count\":%zu",
+            static_cast<long long>(quarterly.first_quarter),
+            quarterly.average.size());
+    std::vector<std::uint64_t> q_slots;
+    std::vector<double> q_avg;
+    std::vector<std::int64_t> q_median;
+    for (std::size_t q = 0; q < quarterly.average.size(); ++q) {
+      if (!p.Owns(q)) continue;
+      q_slots.push_back(q);
+      q_avg.push_back(quarterly.average[q]);
+      q_median.push_back(quarterly.median[q]);
+    }
+    out += ",\"q_slots\":";
+    AppendIntArray(out, q_slots);
+    out += ",\"q_avg\":";
+    AppendDoubleArray(out, q_avg);
+    out += ",\"q_median\":";
+    AppendIntArray(out, q_median);
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool first,
+                       Partial& acc) {
+    std::vector<std::uint64_t> t;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "top", t));
+    std::vector<std::string_view> dom;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
+    if (first) acc.stats.assign(t.size(), analysis::DelayStats{});
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.top, std::move(t), "top"));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
                                      "domains"));
     std::vector<std::uint64_t> slots;
     std::vector<std::uint64_t> count;
@@ -838,37 +822,39 @@ Result<std::string> MergeDelay(const Request& /*r*/,
     std::vector<std::int64_t> max;
     std::vector<double> avg;
     std::vector<std::int64_t> median;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "slots", slots));
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "count", count));
-    GDELT_RETURN_IF_ERROR(TakeI64Vec(*data, "min", min));
-    GDELT_RETURN_IF_ERROR(TakeI64Vec(*data, "max", max));
-    GDELT_RETURN_IF_ERROR(TakeDoubleVec(*data, "avg", avg));
-    GDELT_RETURN_IF_ERROR(TakeI64Vec(*data, "median", median));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "slots", slots));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "count", count));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "min", min));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "max", max));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "avg", avg));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "median", median));
     if (count.size() != slots.size() || min.size() != slots.size() ||
         max.size() != slots.size() || avg.size() != slots.size() ||
         median.size() != slots.size()) {
       return FrameError("delay slot array length mismatch");
     }
     for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k] >= stats.size()) {
+      if (slots[k] >= acc.stats.size()) {
         return FrameError("delay slot out of range");
       }
-      analysis::DelayStats& st = stats[slots[k]];
+      analysis::DelayStats& st = acc.stats[slots[k]];
       st.article_count = count[k];
       st.min = min[k];
       st.max = max[k];
       st.average = avg[k];
       st.median = median[k];
     }
-    const JsonValue* qf = data->Find("q_first");
+    const JsonValue* qf = data.Find("q_first");
     if (qf == nullptr || !qf->is_number()) {
       return FrameError("missing 'q_first'");
     }
+    std::int64_t q_first = acc.quarterly.first_quarter;
     GDELT_RETURN_IF_ERROR(CarryCheck(first, q_first, qf->AsInt(), "q_first"));
     std::uint64_t qc = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(*data, "q_count", qc));
-    GDELT_RETURN_IF_ERROR(
-        CarryCheck(first, q_count, std::move(qc), "q_count"));
+    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "q_count", qc));
+    std::uint64_t q_count = acc.quarterly.average.size();
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, q_count, std::move(qc),
+                                     "q_count"));
     // q_count arrives in the frame and sizes two quarterly arrays; a
     // hostile 2^63 value would be an OOM, so bound it to a span no real
     // dataset approaches before allocating.
@@ -876,101 +862,189 @@ Result<std::string> MergeDelay(const Request& /*r*/,
       return FrameError("quarterly span too large");
     }
     if (first) {
-      quarterly.first_quarter = static_cast<QuarterId>(q_first);
-      quarterly.average.assign(q_count, 0.0);
-      quarterly.median.assign(q_count, 0);
+      acc.quarterly.first_quarter = static_cast<QuarterId>(q_first);
+      acc.quarterly.average.assign(q_count, 0.0);
+      acc.quarterly.median.assign(q_count, 0);
     }
     std::vector<std::uint64_t> q_slots;
     std::vector<double> q_avg;
     std::vector<std::int64_t> q_median;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "q_slots", q_slots));
-    GDELT_RETURN_IF_ERROR(TakeDoubleVec(*data, "q_avg", q_avg));
-    GDELT_RETURN_IF_ERROR(TakeI64Vec(*data, "q_median", q_median));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_slots", q_slots));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_avg", q_avg));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_median", q_median));
     if (q_avg.size() != q_slots.size() || q_median.size() != q_slots.size()) {
       return FrameError("quarterly slot array length mismatch");
     }
     for (std::size_t k = 0; k < q_slots.size(); ++k) {
-      if (q_slots[k] >= quarterly.average.size()) {
+      if (q_slots[k] >= acc.quarterly.average.size()) {
         return FrameError("quarterly slot out of range");
       }
-      quarterly.average[q_slots[k]] = q_avg[k];
-      quarterly.median[q_slots[k]] = q_median[k];
+      acc.quarterly.average[q_slots[k]] = q_avg[k];
+      acc.quarterly.median[q_slots[k]] = q_median[k];
     }
-    first = false;
+    return Status::Ok();
   }
-  std::string text;
-  AppendDelayText(text, domains, stats, quarterly);
-  return text;
-}
+  static std::string Finish(const Request&, const Partial& x) {
+    std::string text;
+    AppendDelayText(text, Labels(x.domains), x.stats, x.quarterly);
+    return text;
+  }
+};
 
-Result<std::string> MergeFirstReports(
-    const Request& r, std::span<const JsonValue* const> frames) {
-  std::vector<std::uint64_t> breaks;
-  std::vector<std::uint64_t> repeat_articles;
-  std::uint64_t within_hour = 0;
-  std::vector<std::uint64_t> articles;
-  std::vector<std::string> domains;
-  std::uint64_t num_events = 0;
-  bool first = true;
-  for (const JsonValue* data : frames) {
+/// First-reporter counters over an event range; the ranking happens at
+/// Finish.
+struct FirstReports {
+  static constexpr std::string_view kName = "first-reports";
+  static constexpr bool kFiltered = false;
+  struct Partial {
+    analysis::FirstReportStats stats;
+    std::vector<std::uint64_t> articles;  ///< per source id
+    SourceDomains domains;
+    std::uint64_t num_events = 0;
+  };
+
+  static Partial Compute(const Part& p) {
+    const auto articles = engine::ArticlesPerSource(p.db);
+    return {analysis::ComputeFirstReports(p.db, p.events(),
+                                          /*histogram_bins=*/18, p.cancel),
+            {articles.begin(), articles.end()}, SourceDomains(p.db),
+            p.db.num_events()};
+  }
+  static void Encode(const Part&, const Partial& x, std::string& out) {
+    out += "\"breaks\":";
+    AppendIntArray(out, x.stats.first_reports);
+    out += ",\"repeat_articles\":";
+    AppendIntArray(out, x.stats.repeat_articles);
+    Appendf(out, ",\"within_hour\":%llu",
+            static_cast<unsigned long long>(
+                x.stats.events_broken_within_hour));
+    out += ",\"articles\":";
+    AppendIntArray(out, x.articles);
+    out += ",\"domains\":";
+    AppendStringArray(out, x.domains);
+    Appendf(out, ",\"num_events\":%llu",
+            static_cast<unsigned long long>(x.num_events));
+  }
+  static Status Decode(const Request&, const JsonValue& data, bool first,
+                       Partial& acc) {
     std::vector<std::uint64_t> br;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "breaks", br));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "breaks", br));
     std::vector<std::uint64_t> ra;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "repeat_articles", ra));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "repeat_articles", ra));
     std::uint64_t wh = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(*data, "within_hour", wh));
+    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "within_hour", wh));
     std::vector<std::uint64_t> art;
-    GDELT_RETURN_IF_ERROR(TakeU64Vec(*data, "articles", art));
-    std::vector<std::string> dom;
-    GDELT_RETURN_IF_ERROR(TakeStringVec(*data, "domains", dom));
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", art));
+    std::vector<std::string_view> dom;
+    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
     std::uint64_t ne = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(*data, "num_events", ne));
+    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "num_events", ne));
     if (br.size() != ra.size()) {
       return FrameError("breaks/repeat_articles length mismatch");
     }
+    auto& breaks = acc.stats.first_reports;
+    auto& repeats = acc.stats.repeat_articles;
     if (first) {
       breaks.assign(br.size(), 0);
-      repeat_articles.assign(ra.size(), 0);
+      repeats.assign(ra.size(), 0);
     } else if (br.size() != breaks.size()) {
       return status::Internal("shard partials disagree on 'breaks' size");
     }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, articles, std::move(art),
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.articles, std::move(art),
                                      "articles"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, domains, std::move(dom),
-                                     "domains"));
+    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains.decoded(),
+                                     std::move(dom), "domains"));
     GDELT_RETURN_IF_ERROR(
-        CarryCheck(first, num_events, std::move(ne), "num_events"));
-    if (articles.size() != breaks.size() || domains.size() != breaks.size()) {
+        CarryCheck(first, acc.num_events, std::move(ne), "num_events"));
+    if (acc.articles.size() != breaks.size() ||
+        acc.domains.size() != breaks.size()) {
       return FrameError("first-reports array length mismatch");
     }
     for (std::size_t s = 0; s < br.size(); ++s) {
       breaks[s] += br[s];
-      repeat_articles[s] += ra[s];
+      repeats[s] += ra[s];
     }
-    within_hour += wh;
+    acc.stats.events_broken_within_hour += wh;
+    return Status::Ok();
+  }
+  static std::string Finish(const Request& r, const Partial& x) {
+    const auto by_breaks = RankSources(x.stats.first_reports, r.top_k);
+    std::vector<std::uint64_t> breaks;
+    std::vector<std::uint64_t> articles;
+    std::vector<double> rate_pct;
+    for (const std::uint32_t s : by_breaks) {
+      breaks.push_back(x.stats.first_reports[s]);
+      articles.push_back(x.articles[s]);
+      rate_pct.push_back(100.0 * x.stats.RepeatRate(s, x.articles[s]));
+    }
+    std::string text;
+    AppendFirstReportsText(text, Labels(x.domains, by_breaks), breaks,
+                           articles, rate_pct,
+                           x.stats.events_broken_within_hour, x.num_events);
+    return text;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Dispatch.
+
+template <typename K>
+std::string RenderKind(const Part& p) {
+  return K::Finish(p.r, K::Compute(p));
+}
+
+template <typename K>
+void FrameKind(const Part& p, std::string& out) {
+  K::Encode(p, K::Compute(p), out);
+}
+
+template <typename K>
+Result<std::string> MergeKind(const Request& r,
+                              std::span<const JsonValue* const> frames) {
+  typename K::Partial acc;
+  bool first = true;
+  for (const JsonValue* data : frames) {
+    GDELT_RETURN_IF_ERROR(K::Decode(r, *data, first, acc));
     first = false;
   }
-  const auto by_breaks = RankSources(breaks, r.top_k);
-  std::vector<std::string> labels;
-  std::vector<std::uint64_t> top_breaks;
-  std::vector<std::uint64_t> top_articles;
-  std::vector<double> rate_pct;
-  for (const std::uint32_t s : by_breaks) {
-    labels.push_back(domains[s]);
-    top_breaks.push_back(breaks[s]);
-    top_articles.push_back(articles[s]);
-    // Exactly FirstReportStats::RepeatRate scaled to percent, as the
-    // single-node renderer computes it.
-    rate_pct.push_back(
-        100.0 * (articles[s] == 0
-                     ? 0.0
-                     : static_cast<double>(repeat_articles[s]) /
-                           static_cast<double>(articles[s])));
+  return K::Finish(r, acc);
+}
+
+struct KindOps {
+  std::string_view name;
+  bool filtered;  ///< takes the request's mention filter
+  std::string (*render)(const Part&);
+  void (*frame)(const Part&, std::string&);
+  Result<std::string> (*merge)(const Request&,
+                               std::span<const JsonValue* const>);
+};
+
+template <typename K>
+constexpr KindOps OpsOf() {
+  return {K::kName, K::kFiltered, &RenderKind<K>, &FrameKind<K>,
+          &MergeKind<K>};
+}
+
+constexpr KindOps kKinds[] = {
+    OpsOf<TopSources>(),      OpsOf<TopEvents>(),   OpsOf<Coreport>(),
+    OpsOf<Follow>(),          OpsOf<CountryCoreport>(),
+    OpsOf<CrossReport>(),     OpsOf<Delay>(),       OpsOf<FirstReports>(),
+};
+
+Result<const KindOps*> FindKind(std::string_view kind) {
+  for (const KindOps& ops : kKinds) {
+    if (ops.name == kind) return &ops;
   }
-  std::string text;
-  AppendFirstReportsText(text, labels, top_breaks, top_articles, rate_pct,
-                         within_hour, num_events);
-  return text;
+  return status::InvalidArgument("query '" + std::string(kind) +
+                                 "' does not decompose into partials");
+}
+
+/// The selection bitmap a kind computes over: the request's filter when
+/// the kind takes one and the request restricts, else none.
+std::optional<engine::SelectionBitmap> SelectionFor(
+    const KindOps& ops, const engine::Database& db, const Request& r) {
+  if (!ops.filtered || !r.restricted) return std::nullopt;
+  return engine::SelectMentionsBitmap(db, r.filter);
 }
 
 }  // namespace
@@ -979,34 +1053,32 @@ void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept {
   g_matrix_encoding = enc;
 }
 
+Result<RenderedQuery> RenderWhole(const engine::Database& db,
+                                  const Request& r,
+                                  const util::CancelToken* cancel) {
+  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
+  const auto sel = SelectionFor(*ops, db, r);
+  RenderedQuery out;
+  if (sel) {
+    out.note = StrFormat("[filter selects %llu of %zu mentions]",
+                         static_cast<unsigned long long>(sel->CountSet()),
+                         db.num_mentions());
+  }
+  out.text = ops->render({db, r, sel ? &*sel : nullptr, cancel, 0, 1});
+  return out;
+}
+
 Result<RenderedQuery> RenderPartialFrame(const engine::Database& db,
                                          const Request& r,
                                          parallel::Backend /*backend*/,
                                          const util::CancelToken* cancel) {
+  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
+  const auto sel = SelectionFor(*ops, db, r);
   RenderedQuery out;
   Appendf(out.text, "{\"v\":%d,\"kind\":", kPartialVersion);
   AppendJsonString(out.text, r.kind);
   Appendf(out.text, ",\"shard\":%u,\"of\":%u,\"data\":{", r.shard, r.of);
-  if (r.kind == "top-sources") {
-    PartialTopSources(db, r, out.text);
-  } else if (r.kind == "top-events") {
-    PartialTopEvents(db, r, out.text);
-  } else if (r.kind == "coreport") {
-    PartialCoreport(db, r, out.text, cancel);
-  } else if (r.kind == "follow") {
-    PartialFollow(db, r, out.text, cancel);
-  } else if (r.kind == "country-coreport") {
-    PartialCountryCoreport(db, r, out.text, cancel);
-  } else if (r.kind == "cross-report") {
-    PartialCrossReport(db, r, out.text, cancel);
-  } else if (r.kind == "delay") {
-    PartialDelay(db, r, out.text, cancel);
-  } else if (r.kind == "first-reports") {
-    PartialFirstReports(db, r, out.text, cancel);
-  } else {
-    return status::InvalidArgument("query '" + r.kind +
-                                   "' does not decompose into partials");
-  }
+  ops->frame({db, r, sel ? &*sel : nullptr, cancel, r.shard, r.of}, out.text);
   out.text += "}}";
   return out;
 }
@@ -1065,17 +1137,8 @@ Result<std::string> MergePartialFrames(const Request& r,
     }
     data.push_back(d);
   }
-  const std::span<const JsonValue* const> view(data);
-  if (r.kind == "top-sources") return MergeTopSources(r, view);
-  if (r.kind == "top-events") return MergeTopEvents(r, view);
-  if (r.kind == "coreport") return MergeCoreport(r, view);
-  if (r.kind == "follow") return MergeFollow(r, view);
-  if (r.kind == "country-coreport") return MergeCountryCoreport(r, view);
-  if (r.kind == "cross-report") return MergeCrossReport(r, view);
-  if (r.kind == "delay") return MergeDelay(r, view);
-  if (r.kind == "first-reports") return MergeFirstReports(r, view);
-  return status::InvalidArgument("query '" + r.kind +
-                                 "' does not decompose into partials");
+  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
+  return ops->merge(r, data);
 }
 
 std::string BuildShardRequestLine(const Request& r, std::uint32_t shard,

@@ -1,26 +1,27 @@
-// Partial-aggregate wire format for scatter-gather serving
-// (docs/PROTOCOL.md, "Partial-aggregate execution").
+// Partial-aggregate execution: the one code path of every decomposable
+// query kind (docs/PROTOCOL.md, "Partial-aggregate execution").
 //
-// A `"partial":true` request asks a backend to compute only partition
-// `shard` of `of` of a query and answer with a versioned JSON frame of
-// raw aggregates instead of rendered text. The router scatters one such
-// sub-request per shard, parses the frames, sums/assembles them, and
-// renders the final text through the shared formatting layer
-// (serve/render_text.hpp) — so the merged output is byte-identical to a
-// single-node `gdelt_serve` over the same data, by construction.
-//
-// Partition axes per kind (chosen so every partial is an exact integer
-// decomposition of the single-node kernel):
-//   - event ranges   (SplitRange over event rows): coreport, follow,
-//                    country-coreport, first-reports
-//   - mention ranges (engine::MakeTimeShards):     top-sources,
-//                    cross-report, and the event-range axis again for
-//                    top-events (local top-k per range)
-//   - strided        (source id / quarter modulo `of`): delay, whose
-//                    per-source stats are whole-source floats that must
-//                    not be split
-// The order-dependent floating-point kinds (stats, quarterly, tone) do
-// not decompose; the router sends those to a single shard whole.
+// Each decomposable kind (top-sources, top-events, coreport, follow,
+// country-coreport, cross-report, delay, first-reports) has exactly one
+// compute kernel, which takes its partition, and one finish, which
+// turns the kernel's typed partial into text. A partition is one of:
+//   - an event range (SplitRange over event rows): top-events (local
+//     top-k), coreport, follow, country-coreport, first-reports
+//   - a mention-row range (time shards, since rows are in capture
+//     order) with the request's optional selection bitmap:
+//     top-sources, cross-report
+//   - the slots a partition owns, strided (id % of): the top sources and
+//     the quarters of delay, whose per-source and per-quarter floats are
+//     computed whole and must not be split
+// A single node is partition 0 of 1: RenderWhole hands the typed partial
+// straight to the finish. A `"partial":true` request computes partition
+// `shard` of `of` and answers with a versioned JSON frame of the raw
+// partial; the router parses the frames, sums them into the same typed
+// partial and calls the same finish. Routed output is therefore
+// byte-identical to a single node's by construction. Every partial is an
+// exact integer decomposition, or owns its floats whole. The
+// order-dependent floating-point kinds (stats, quarterly, tone) do not
+// decompose; the router sends those to a single shard whole.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +63,14 @@ enum class PartialMatrixEncoding { kAuto, kDense, kSparse };
 /// Test hook: forces every subsequently rendered frame to use `enc`.
 /// Not thread-safe against in-flight renders; set it before serving.
 void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept;
+
+/// Runs decomposable kind `r.kind` as partition 0 of 1 and renders the
+/// result (RenderQuery's path for these kinds). A restricted request of a
+/// kind that takes the filter gets the selection count as its `note`.
+/// InvalidArgument for kinds that do not decompose.
+Result<RenderedQuery> RenderWhole(const engine::Database& db,
+                                  const Request& r,
+                                  const util::CancelToken* cancel = nullptr);
 
 /// Computes partition `r.shard` of `r.of` of query `r.kind` and returns
 /// the partial-result frame as `RenderedQuery::text` (a single JSON

@@ -2,12 +2,10 @@
 //
 // The bodies here are the printf transcriptions that produce the exact
 // bytes of every query's `text` payload. They take plain aggregates and
-// pre-resolved labels — no database — so the same functions serve both
-// the single-node renderer (render.cpp, aggregates straight from the
-// kernels) and the router's partial-aggregate merge (partial.cpp,
-// aggregates reassembled from shard frames). Byte-identical router
-// output is by construction: there is exactly one copy of every format
-// string.
+// pre-resolved labels — no database — so one finish per query kind
+// (partial.cpp) renders both a single node's partition 0 of 1 and the
+// router's sum of shard frames. There is exactly one copy of every
+// format string.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +31,9 @@ void AppendQuarterSeries(std::string& out, const char* label,
 
 /// Ids 0..counts.size() ranked by count, descending, truncated to
 /// `top_k`. Deliberately NO tie-break (ties keep partial_sort's order):
-/// this is the historical restricted-ranking comparator, and the
-/// single-node renderer and the router's merge must run the exact same
-/// code on the exact same count vector to rank identically.
+/// this is the historical restricted-ranking comparator; the finish runs
+/// it on the same count vector on a single node and at the router, so
+/// both rank identically.
 std::vector<std::uint32_t> RankSources(
     const std::vector<std::uint64_t>& counts, std::size_t top_k);
 

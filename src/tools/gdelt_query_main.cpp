@@ -14,7 +14,7 @@
 #include <string>
 
 #include "engine/database.hpp"
-#include "engine/queries.hpp"
+#include "engine/filter.hpp"
 #include "gtime/timestamp.hpp"
 #include "serve/render.hpp"
 #include "trace/trace.hpp"

@@ -52,7 +52,7 @@ class CoReportScenario : public ::testing::Test {
 };
 
 TEST_F(CoReportScenario, ExactCountsAndJaccard) {
-  const CoReportMatrix m = ComputeCoReporting(*db_);
+  const CoReportMatrix m = ComputeCoReporting(*db_, engine::AllSources(*db_));
   // Diagonal: events per source.
   EXPECT_EQ(m.PairCount(a_, a_), 3u);
   EXPECT_EQ(m.PairCount(b_, b_), 2u);
@@ -69,7 +69,7 @@ TEST_F(CoReportScenario, ExactCountsAndJaccard) {
 }
 
 TEST_F(CoReportScenario, MatrixIsSymmetric) {
-  const CoReportMatrix m = ComputeCoReporting(*db_);
+  const CoReportMatrix m = ComputeCoReporting(*db_, engine::AllSources(*db_));
   for (std::size_t i = 0; i < m.size(); ++i) {
     for (std::size_t j = 0; j < m.size(); ++j) {
       EXPECT_EQ(m.PairCount(i, j), m.PairCount(j, i));
@@ -89,10 +89,12 @@ TEST_F(CoReportScenario, SubsetSelectsRows) {
 }
 
 TEST_F(CoReportScenario, DenseAndSparseFlavorsAgree) {
-  const CoReportMatrix tiled = ComputeCoReporting(*db_);
+  const auto all = engine::AllSources(*db_);
+  const CoReportMatrix tiled = ComputeCoReporting(*db_, all);
   TiledCoReportOptions force_sparse;
   force_sparse.dense_partials_budget_bytes = 0;
-  const CoReportMatrix tiled_sparse = ComputeCoReporting(*db_, {}, force_sparse);
+  const CoReportMatrix tiled_sparse =
+      ComputeCoReporting(*db_, all, kWholeRange, nullptr, force_sparse);
   EXPECT_EQ(tiled.counts(), tiled_sparse.counts());
 }
 
@@ -161,9 +163,9 @@ TEST(CountryCoReportTest, HandComputedJaccard) {
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
   const CountryCoReport r = ComputeCountryCoReporting(*db);
-  EXPECT_EQ(r.event_counts[country::kUSA], 3u);
-  EXPECT_EQ(r.event_counts[country::kUK], 3u);
-  EXPECT_EQ(r.event_counts[country::kAustralia], 1u);
+  EXPECT_EQ(r.EventCount(country::kUSA), 3u);
+  EXPECT_EQ(r.EventCount(country::kUK), 3u);
+  EXPECT_EQ(r.EventCount(country::kAustralia), 1u);
   EXPECT_EQ(r.Pair(country::kUSA, country::kUK), 2u);
   EXPECT_EQ(r.Pair(country::kUK, country::kAustralia), 1u);
   EXPECT_EQ(r.Pair(country::kUSA, country::kAustralia), 0u);
@@ -195,7 +197,7 @@ TEST(DelayTest, PerSourceStatsExact) {
   builder.AddMention(bad, 5004, "t.com");
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
-  const auto stats = PerSourceDelayStats(*db);
+  const auto stats = PerSourceDelayStats(*db, engine::AllSources(*db));
   const auto s = *db->sources().Find("s.com");
   const auto t = *db->sources().Find("t.com");
   EXPECT_EQ(stats[s].article_count, 5u);
@@ -250,7 +252,7 @@ TEST(DelayTest, MedianEvenCountIsMeanOfMiddlePair) {
   }
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
-  const auto stats = PerSourceDelayStats(*db);
+  const auto stats = PerSourceDelayStats(*db, engine::AllSources(*db));
   const auto s = *db->sources().Find("s.com");
   EXPECT_EQ(stats[s].median, 6);
   // The quarterly path must agree with the per-source path.
@@ -270,7 +272,7 @@ TEST(DelayTest, MedianEvenCountFloorsHalfSteps) {
   }
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
-  const auto stats = PerSourceDelayStats(*db);
+  const auto stats = PerSourceDelayStats(*db, engine::AllSources(*db));
   const auto s = *db->sources().Find("s.com");
   EXPECT_EQ(stats[s].median, 1);
   const QuarterlyDelay q = QuarterlyDelayStats(*db);
@@ -287,7 +289,7 @@ TEST(DelayTest, MedianOddCountIsMiddleElement) {
   }
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
-  const auto stats = PerSourceDelayStats(*db);
+  const auto stats = PerSourceDelayStats(*db, engine::AllSources(*db));
   const auto s = *db->sources().Find("s.com");
   EXPECT_EQ(stats[s].median, 9);
   const QuarterlyDelay q = QuarterlyDelayStats(*db);

@@ -45,10 +45,10 @@ class CoReportEquivalenceTest : public ::testing::Test {
   /// sources, counting every selected (a, b) pair into both triangles.
   static std::vector<std::uint32_t> NaiveCounts(
       std::span<const std::uint32_t> subset) {
-    const std::size_t n = subset.empty() ? db_->num_sources() : subset.size();
+    const std::size_t n = subset.size();
     std::vector<std::int64_t> slot(db_->num_sources(), -1);
     for (std::size_t k = 0; k < n; ++k) {
-      slot[subset.empty() ? k : subset[k]] = static_cast<std::int64_t>(k);
+      slot[subset[k]] = static_cast<std::int64_t>(k);
     }
     std::vector<std::uint32_t> counts(n * n, 0);
     const auto& index = db_->event_distinct_sources();
@@ -70,10 +70,14 @@ class CoReportEquivalenceTest : public ::testing::Test {
     const auto reference = NaiveCounts(subset);
     TiledCoReportOptions dense;
     dense.tile_elems = tile_elems;
-    EXPECT_EQ(ComputeCoReporting(*db_, subset, dense).counts(), reference);
+    EXPECT_EQ(ComputeCoReporting(*db_, subset, kWholeRange, nullptr, dense)
+                  .counts(),
+              reference);
     TiledCoReportOptions sparse = dense;
     sparse.dense_partials_budget_bytes = 0;  // force the sparse flavor
-    EXPECT_EQ(ComputeCoReporting(*db_, subset, sparse).counts(), reference);
+    EXPECT_EQ(ComputeCoReporting(*db_, subset, kWholeRange, nullptr, sparse)
+                  .counts(),
+              reference);
   }
 
   static inline TempDir* dirs_ = nullptr;
@@ -87,7 +91,13 @@ TEST_F(CoReportEquivalenceTest, SubsetsOfSeveralSizes) {
   }
 }
 
-TEST_F(CoReportEquivalenceTest, AllSources) { ExpectMatchesNaive({}); }
+TEST_F(CoReportEquivalenceTest, AllSources) {
+  ExpectMatchesNaive(engine::AllSources(*db_));
+}
+
+TEST_F(CoReportEquivalenceTest, EmptySubsetIsEmptyMatrix) {
+  EXPECT_EQ(ComputeCoReporting(*db_, {}).size(), 0u);
+}
 
 TEST_F(CoReportEquivalenceTest, SingleAndManyThreads) {
   const auto top = engine::TopSourcesByArticles(*db_, 20);
@@ -96,7 +106,7 @@ TEST_F(CoReportEquivalenceTest, SingleAndManyThreads) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SetThreads(threads);
     ExpectMatchesNaive(top);
-    ExpectMatchesNaive({});
+    ExpectMatchesNaive(engine::AllSources(*db_));
   }
   SetThreads(hw);
 }

@@ -13,7 +13,6 @@
 #include "convert/converter.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
-#include "engine/sharded.hpp"
 #include "io/file.hpp"
 #include "test_util.hpp"
 #include "util/logging.hpp"
@@ -68,9 +67,11 @@ TEST_F(EmptyDatabaseTest, AllEngineQueriesAreSafe) {
   const auto cross = engine::CountryCrossReporting(*db_);
   for (const auto v : cross.counts) EXPECT_EQ(v, 0u);
   EXPECT_TRUE(engine::SelectMentions(*db_, engine::MentionFilter{}).empty());
-  for (const auto& shard : engine::MakeTimeShards(*db_, 4)) {
-    const auto partial = engine::CrossReportingOnShard(*db_, shard);
+  // Every partition of the (empty) mention axis is empty too.
+  for (const IndexRange part : SplitRange(db_->num_mentions(), 4)) {
+    const auto partial = engine::CountryCrossReporting(*db_, part);
     EXPECT_EQ(partial.counts, cross.counts);
+    EXPECT_EQ(partial.articles_per_publisher, cross.articles_per_publisher);
   }
 }
 
@@ -79,13 +80,15 @@ TEST_F(EmptyDatabaseTest, AllAnalysesAreSafe) {
   EXPECT_EQ(stats.articles, 0u);
   EXPECT_EQ(stats.capture_intervals, 0u);
   EXPECT_DOUBLE_EQ(stats.weighted_avg_articles_per_event, 0.0);
-  EXPECT_TRUE(analysis::PerSourceDelayStats(*db_).empty());
+  EXPECT_TRUE(
+      analysis::PerSourceDelayStats(*db_, engine::AllSources(*db_)).empty());
   const auto quarterly = analysis::QuarterlyDelayStats(*db_);
   EXPECT_TRUE(quarterly.average.empty());
-  const auto coreport = analysis::ComputeCoReporting(*db_);
+  const auto coreport =
+      analysis::ComputeCoReporting(*db_, engine::AllSources(*db_));
   EXPECT_EQ(coreport.size(), 0u);
   const auto country = analysis::ComputeCountryCoReporting(*db_);
-  for (const auto c : country.event_counts) EXPECT_EQ(c, 0u);
+  for (const auto c : country.pair_counts) EXPECT_EQ(c, 0u);
   const auto first = analysis::ComputeFirstReports(*db_);
   EXPECT_EQ(first.events_broken_within_hour, 0u);
   const auto tone = analysis::ToneByQuadClass(*db_);
@@ -101,7 +104,8 @@ TEST(SingleMentionTest, AllPathsWork) {
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(analysis::ComputeDatasetStatistics(*db).capture_intervals, 1u);
-  const auto stats = analysis::PerSourceDelayStats(*db);
+  const auto stats =
+      analysis::PerSourceDelayStats(*db, engine::AllSources(*db));
   EXPECT_EQ(stats[0].min, 4);
   EXPECT_EQ(stats[0].max, 4);
   EXPECT_EQ(stats[0].median, 4);

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "convert/converter.hpp"
-#include "engine/queries.hpp"
+#include "engine/filter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
 #include "test_util.hpp"

@@ -159,7 +159,7 @@ TEST_F(FilterTest, FilteredArticlesPerSourceConsistent) {
   f.publisher_country = country::kUK;
   const auto sel = SelectMentionsBitmap(*db_, f);
   const auto rows = sel.ToRows();
-  const auto counts = ArticlesPerSource(*db_, sel);
+  const auto counts = ArticlesPerSource(*db_, kWholeRange, &sel);
   std::uint64_t total = 0;
   for (std::uint32_t s = 0; s < db_->num_sources(); ++s) {
     total += counts[s];
@@ -172,7 +172,7 @@ TEST_F(FilterTest, FilteredArticlesPerSourceConsistent) {
 
 TEST_F(FilterTest, FilteredCrossReportEqualsFullOnAllRows) {
   const auto sel = SelectMentionsBitmap(*db_, MentionFilter{});
-  const auto filtered = CountryCrossReporting(*db_, sel);
+  const auto filtered = CountryCrossReporting(*db_, kWholeRange, &sel);
   const auto full = CountryCrossReporting(*db_);
   EXPECT_EQ(filtered.counts, full.counts);
   EXPECT_EQ(filtered.articles_per_publisher, full.articles_per_publisher);
@@ -264,10 +264,10 @@ TEST_F(FilterTest, BitmapAggregatesMatchNaiveAggregates) {
       const auto sel = SelectMentionsBitmap(*db_, f);
       const auto rows = BruteForceSelect(*db_, f);
 
-      EXPECT_EQ(ArticlesPerSource(*db_, sel),
+      EXPECT_EQ(ArticlesPerSource(*db_, kWholeRange, &sel),
                 NaiveArticlesPerSource(*db_, rows));
 
-      const auto cross_sel = CountryCrossReporting(*db_, sel);
+      const auto cross_sel = CountryCrossReporting(*db_, kWholeRange, &sel);
       const auto cross_rows = NaiveCrossReport(*db_, rows);
       EXPECT_EQ(cross_sel.counts, cross_rows.counts);
       EXPECT_EQ(cross_sel.articles_per_publisher,
@@ -312,7 +312,7 @@ TEST(FilterSmallTest, EmptySelection) {
   EXPECT_TRUE(rows.empty());
   EXPECT_EQ(DistinctEvents(*db, rows), 0u);
   const auto sel = SelectMentionsBitmap(*db, f);
-  EXPECT_EQ(ArticlesPerSource(*db, sel)[0], 0u);
+  EXPECT_EQ(ArticlesPerSource(*db, kWholeRange, &sel)[0], 0u);
   EXPECT_EQ(sel.CountSet(), 0u);
   EXPECT_EQ(DistinctEvents(*db, sel), 0u);
 }
@@ -498,10 +498,10 @@ TEST_F(ZoneMapTest, SelectionEqualsBruteForceAtEveryWindow) {
         }
         EXPECT_EQ(sel.ToRows(), rows) << where;
         EXPECT_EQ(sel.CountSet(), rows.size()) << where;
-        EXPECT_EQ(ArticlesPerSource(*db_, sel),
+        EXPECT_EQ(ArticlesPerSource(*db_, kWholeRange, &sel),
                   NaiveArticlesPerSource(*db_, rows))
             << where;
-        const auto cross = CountryCrossReporting(*db_, sel);
+        const auto cross = CountryCrossReporting(*db_, kWholeRange, &sel);
         const auto naive = NaiveCrossReport(*db_, rows);
         EXPECT_EQ(cross.counts, naive.counts) << where;
         EXPECT_EQ(cross.articles_per_publisher, naive.articles_per_publisher)

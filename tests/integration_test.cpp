@@ -14,7 +14,7 @@
 #include "analysis/followreport.hpp"
 #include "analysis/stats.hpp"
 #include "convert/converter.hpp"
-#include "engine/queries.hpp"
+#include "engine/filter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
 #include "test_util.hpp"
@@ -111,7 +111,8 @@ TEST_F(PipelineTest, CoReportingDiagonalMatchesBruteForce) {
   for (const auto& m : dataset_->mentions) {
     events_of[m.source_index].insert(m.global_event_id);
   }
-  const auto matrix = analysis::ComputeCoReporting(*db_);
+  const auto matrix =
+      analysis::ComputeCoReporting(*db_, engine::AllSources(*db_));
   for (const auto& [world_idx, events] : events_of) {
     const std::uint32_t dict = world_to_dict_[world_idx];
     ASSERT_NE(dict, UINT32_MAX);
@@ -165,7 +166,8 @@ TEST_F(PipelineTest, CrossReportingMatchesBruteForce) {
 }
 
 TEST_F(PipelineTest, PerSourceDelayMatchesBruteForce) {
-  const auto stats = analysis::PerSourceDelayStats(*db_);
+  const auto stats =
+      analysis::PerSourceDelayStats(*db_, engine::AllSources(*db_));
   // Brute force for the three most productive sources.
   const auto top = engine::TopSourcesByArticles(*db_, 3);
   std::map<std::uint64_t, std::int64_t> event_time;
@@ -224,7 +226,7 @@ TEST_F(PipelineTest, CountryCoReportingSymmetricAndBounded) {
       ++usa_events_bruteforce;
     }
   }
-  EXPECT_EQ(r.event_counts[country::kUSA], usa_events_bruteforce);
+  EXPECT_EQ(r.EventCount(country::kUSA), usa_events_bruteforce);
 }
 
 TEST_F(PipelineTest, UrlsSurviveConversion) {

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "engine/database.hpp"
-#include "engine/sharded.hpp"
 #include "gtime/timestamp.hpp"
 #include "parallel/parallel.hpp"
+#include "partial_fixture.hpp"
 #include "serve/json.hpp"
 #include "serve/partial.hpp"
 #include "serve/protocol.hpp"
@@ -51,39 +51,7 @@ class PartialMergeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::make_unique<TempDir>("partial");
-    TestDbBuilder builder;
-    // Enough events, countries and sources that every kind has real
-    // structure to split: co-reporting pairs spanning partition
-    // boundaries, repeat mentions for first-reports, multi-mention
-    // events for delay medians, three countries for the country kinds.
-    std::vector<std::uint64_t> events;
-    for (int i = 0; i < 14; ++i) {
-      const CountryId country =
-          i % 4 == 3 ? kNoCountry : static_cast<CountryId>(1 + i % 3);
-      events.push_back(builder.AddEvent(100 * (i + 1), country));
-    }
-    const char* sources[] = {"a.com", "b.com", "c.com",
-                             "d.com", "e.com", "f.com"};
-    int tick = 0;
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      // Every event is mentioned by a sliding window of sources so
-      // adjacent partitions share pairs.
-      for (std::size_t s = 0; s < 3; ++s) {
-        const char* source = sources[(e + s) % 6];
-        const auto when =
-            static_cast<std::int64_t>(100 * (e + 1) + 1 + s + (tick++ % 5));
-        const auto confidence = static_cast<std::uint8_t>(30 + 10 * s);
-        builder.AddMention(events[e], when, source, confidence);
-      }
-      // Repeat mention: the windows's first source covers it again later
-      // (first-reports repeat-rate fodder).
-      if (e % 2 == 0) {
-        builder.AddMention(events[e],
-                           static_cast<std::int64_t>(100 * (e + 1) + 40),
-                           sources[e % 6], 90);
-      }
-    }
-    auto db = builder.Build(dir_->path());
+    auto db = ::gdelt::testing::BuildPartialFixture(dir_->path());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::make_unique<engine::Database>(std::move(*db));
   }
@@ -158,6 +126,24 @@ TEST_F(PartialMergeTest, RestrictedKindsRoundTrip) {
   }
 }
 
+TEST_F(PartialMergeTest, TopZeroRoundTrips) {
+  // An empty top-k is a 0x0 matrix on both paths, never "every source".
+  const auto expect_top_zero = [this](const Request& r) {
+    const std::string truth = SingleNode(r);
+    ASSERT_FALSE(truth.empty()) << r.kind;
+    for (const std::uint32_t of : {1u, 2u, 3u}) {
+      auto merged = ViaPartials(r, of);
+      ASSERT_TRUE(merged.ok())
+          << r.kind << " of=" << of << ": " << merged.status().ToString();
+      EXPECT_EQ(*merged, truth) << r.kind << " of=" << of;
+    }
+  };
+  for (const char* kind : kPartialKinds) {
+    expect_top_zero(MakeRequest(kind, 0));
+  }
+  expect_top_zero(MakeRequest("coreport", 0, ",\"min_confidence\":45"));
+}
+
 TEST_F(PartialMergeTest, RestrictedBlockEdgeWindowRoundTrips) {
   // A table of several zone-map blocks whose window starts and ends
   // exactly on block edges: 16 rows per interval in capture order, so
@@ -219,19 +205,6 @@ TEST_F(PartialMergeTest, SparseEncodingRoundTrips) {
   for (const char* kind :
        {"coreport", "follow", "country-coreport", "cross-report"}) {
     ExpectRoundTrip(MakeRequest(kind, 4));
-  }
-}
-
-TEST_F(PartialMergeTest, TimeShardsPartitionMentions) {
-  for (const std::uint32_t of : kShardCounts) {
-    const auto shards = engine::MakeTimeShards(*db_, of);
-    ASSERT_FALSE(shards.empty());
-    EXPECT_LE(shards.size(), of);
-    EXPECT_EQ(shards.front().begin, 0u);
-    EXPECT_EQ(shards.back().end, db_->num_mentions());
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-      EXPECT_EQ(shards[s].begin, shards[s - 1].end);
-    }
   }
 }
 
