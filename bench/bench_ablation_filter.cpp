@@ -117,7 +117,8 @@ void Print() {
   // filter→aggregate chain.
   BenchJsonWriter writer("ablation_filter");
   constexpr int kReps = 5;
-  const int threads = MaxThreads();
+  const auto threads =
+      static_cast<int>(parallel::MorselPool::Shared().num_workers());
   const bool saved_simd = engine::SimdEnabled();
 
   engine::SetSimdEnabled(false);

@@ -1,11 +1,11 @@
 // Ablation: aggregation strategy for the per-source article count —
-// per-thread histogram merge (the engine's choice) vs hash-map group-by
-// vs sort-based group-by (DESIGN.md section 5).
+// per-slot pool histogram merge (the engine's choice) vs hash-map
+// group-by (DESIGN.md section 5). The sort-based group-by variant was
+// retired with its parallel sort; its last number is in EXPERIMENTS.md.
 #include <unordered_map>
 
 #include "common/fixture.hpp"
-#include "parallel/parallel.hpp"
-#include "parallel/sort.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt::bench {
 namespace {
@@ -14,10 +14,9 @@ void BM_GroupByHistogram(benchmark::State& state) {
   const auto& db = Db();
   const auto src = db.mention_source_id();
   for (auto _ : state) {
-    auto counts = ParallelHistogram(src.size(), db.num_sources(),
-                                    [&](std::size_t i) -> std::size_t {
-                                      return src[i];
-                                    });
+    auto counts = parallel::PoolHistogram(
+        {0, src.size()}, db.num_sources(),
+        [&](std::size_t i) -> std::size_t { return src[i]; });
     benchmark::DoNotOptimize(counts);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(src.size()) *
@@ -39,33 +38,11 @@ void BM_GroupByHashMap(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByHashMap);
 
-void BM_GroupBySort(benchmark::State& state) {
-  const auto& db = Db();
-  const auto src = db.mention_source_id();
-  for (auto _ : state) {
-    std::vector<std::uint32_t> keys(src.begin(), src.end());
-    ParallelSort(keys);
-    // Run-length encode the sorted keys.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> counts;
-    counts.reserve(db.num_sources());
-    for (std::size_t i = 0; i < keys.size();) {
-      std::size_t j = i;
-      while (j < keys.size() && keys[j] == keys[i]) ++j;
-      counts.emplace_back(keys[i], j - i);
-      i = j;
-    }
-    benchmark::DoNotOptimize(counts);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(src.size()) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_GroupBySort);
-
 void Print() {
   std::printf("\n=== Ablation: group-by strategy ===\n");
   std::printf("Expected ordering on dense low-cardinality keys: histogram "
-              "< hash-map < sort (the engine uses the per-thread histogram "
-              "merge; sort-based wins only for very high cardinality).\n");
+              "< hash-map (the engine uses the per-slot pool histogram "
+              "merge).\n");
 }
 
 }  // namespace

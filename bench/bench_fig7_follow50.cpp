@@ -8,6 +8,7 @@
 // the figure conveys.
 #include "analysis/followreport.hpp"
 #include "common/fixture.hpp"
+#include "parallel/morsel.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
@@ -37,7 +38,9 @@ void Print() {
   const auto m = analysis::ComputeFollowReporting(db, top);
   {
     BenchJsonWriter json("fig7_follow50");
-    json.Record("follow-top50", MaxThreads(), timer.ElapsedSeconds());
+    json.Record("follow-top50",
+                static_cast<int>(parallel::MorselPool::Shared().num_workers()),
+                timer.ElapsedSeconds());
   }
   std::printf("\n=== Figure 7: follow-reporting, top %zu sources ===\n",
               top.size());

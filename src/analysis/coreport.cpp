@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "parallel/morsel.hpp"
-#include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::analysis {
@@ -42,13 +41,19 @@ inline std::uint64_t UpperKey(std::uint32_t a, std::uint32_t b) noexcept {
   return static_cast<std::uint64_t>(i) << 32 | j;
 }
 
-/// Copies the upper triangle (including diagonal) onto the lower one.
+/// Copies the upper triangle (including diagonal) onto the lower one,
+/// about MorselRows() cells per morsel.
 void MirrorLowerTriangle(std::uint32_t* counts, std::size_t n) {
-  ParallelFor(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      counts[i * n + j] = counts[j * n + i];
-    }
-  });
+  parallel::PoolParallelFor(
+      n,
+      [&](IndexRange r, std::size_t) {
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            counts[i * n + j] = counts[j * n + i];
+          }
+        }
+      },
+      std::max<std::size_t>(1, parallel::MorselRows() / n));
 }
 
 /// Dense pair-count accumulation for events [r.begin, r.end).
@@ -92,8 +97,9 @@ void TiledDense(const CsrSetIndex& index,
         /*morsel_rows=*/0, options.cancel);
   }
   TRACE_SPAN("coreport.merge");
-  MergeTiledPartials(std::span<std::uint32_t>(matrix.mutable_counts()),
-                     locals, options.tile_elems);
+  parallel::MergeSlotPartials(
+      std::span<std::uint32_t>(matrix.mutable_counts()), locals,
+      options.tile_elems);
 }
 
 /// Tiled kernel, sparse flavor for large n: per-slot hash accumulation

@@ -80,7 +80,7 @@ struct TiledCoReportOptions {
 ///
 /// Unrestricted, this is the atomic-free tiled kernel: event morsels on
 /// the shared pool with per-slot private accumulation, merged
-/// deterministically in tile order (parallel/MergeTiledPartials) — no
+/// deterministically in tile order (parallel::MergeSlotPartials) — no
 /// atomics on the hot path and bitwise-reproducible output at any thread
 /// count. With a selection bitmap each event's distinct-source set is
 /// rebuilt from only the selected mentions, so time-window / confidence

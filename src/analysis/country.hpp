@@ -37,10 +37,10 @@ struct CountryCoReport {
 };
 
 /// Computes country co-reporting over the events in `events`. Parallel
-/// over events; each event's publisher-country set is packed into a
-/// 64-bit mask (the registry is <= 64 countries by design). Summing
-/// pair_counts over a partition of the event axis reproduces the
-/// whole-range counts exactly.
+/// over events on the morsel pool, which polls `cancel`; each event's
+/// publisher-country set is packed into a 64-bit mask (the registry is
+/// <= 64 countries by design). Summing pair_counts over a partition of
+/// the event axis reproduces the whole-range counts exactly.
 CountryCoReport ComputeCountryCoReporting(
     const engine::Database& db, IndexRange events = kWholeRange,
     const util::CancelToken* cancel = nullptr);

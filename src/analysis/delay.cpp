@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "parallel/morsel.hpp"
-#include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::analysis {
@@ -100,7 +99,8 @@ std::vector<std::uint64_t> DelayMetricHistogram(
 }
 
 QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
-                                   std::uint32_t shard, std::uint32_t of) {
+                                   std::uint32_t shard, std::uint32_t of,
+                                   const util::CancelToken* cancel) {
   TRACE_SPAN("delay.quarterly");
   const auto w = engine::QuartersOf(db);
   const auto quarters = engine::MentionQuarters(db);
@@ -117,10 +117,11 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
   // Group delays by quarter (serial scatter after a parallel count): the
   // scatter fixes each quarter's delay order, hence its float sum. Then
   // reduce each owned quarter independently in parallel.
-  std::vector<std::uint64_t> counts =
-      ParallelHistogram(quarters.size(), nq, [&](std::size_t i) {
-        return static_cast<std::size_t>(quarters[i]);
-      });
+  std::vector<std::uint64_t> counts = parallel::PoolHistogram(
+      {0, quarters.size()}, nq,
+      [&](std::size_t i) { return static_cast<std::size_t>(quarters[i]); },
+      nullptr, cancel);
+  if (util::Cancelled(cancel)) return result;  // the counts are partial
   std::vector<std::uint64_t> offsets(nq + 1, 0);
   for (std::size_t q = 0; q < nq; ++q) offsets[q + 1] = offsets[q] + counts[q];
   std::vector<std::int64_t> delays(quarters.size());
@@ -130,20 +131,28 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
     delays[cursor[q]++] = when[i] - event_when[i];
   }
 
+  // Every owned quarter is its own morsel: quarter sizes are skewed, and
+  // the pool's stealing does the balancing.
   const std::size_t owned = (nq - shard + of - 1) / of;
-  ParallelFor(owned, [&](std::size_t k) {
-    const std::size_t q = shard + k * of;
-    auto* begin = delays.data() + offsets[q];
-    auto* end = delays.data() + offsets[q + 1];
-    // Exclude negative (defective) delays.
-    end = std::partition(begin, end, [](std::int64_t d) { return d >= 0; });
-    const auto n = static_cast<std::size_t>(end - begin);
-    if (n == 0) return;
-    double sum = 0.0;
-    for (auto* p = begin; p != end; ++p) sum += static_cast<double>(*p);
-    result.average[q] = sum / static_cast<double>(n);
-    result.median[q] = MedianInPlace(begin, end);
-  });
+  parallel::PoolParallelFor(
+      owned,
+      [&](IndexRange r, std::size_t) {
+        for (std::size_t k = r.begin; k < r.end; ++k) {
+          const std::size_t q = shard + k * of;
+          auto* begin = delays.data() + offsets[q];
+          auto* end = delays.data() + offsets[q + 1];
+          // Exclude negative (defective) delays.
+          end = std::partition(begin, end,
+                               [](std::int64_t d) { return d >= 0; });
+          const auto n = static_cast<std::size_t>(end - begin);
+          if (n == 0) continue;
+          double sum = 0.0;
+          for (auto* p = begin; p != end; ++p) sum += static_cast<double>(*p);
+          result.average[q] = sum / static_cast<double>(n);
+          result.median[q] = MedianInPlace(begin, end);
+        }
+      },
+      /*morsel_rows=*/1, cancel);
   return result;
 }
 
@@ -156,8 +165,8 @@ engine::QuarterSeries SlowArticlesPerQuarter(const engine::Database& db,
   const auto event_when = db.mention_event_interval();
   engine::QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = ParallelHistogram(
-      quarters.size(), static_cast<std::size_t>(w.count),
+  series.values = parallel::PoolHistogram(
+      {0, quarters.size()}, static_cast<std::size_t>(w.count),
       [&](std::size_t i) -> std::size_t {
         const std::int64_t d = when[i] - event_when[i];
         if (d <= threshold) return SIZE_MAX;

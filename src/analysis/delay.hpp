@@ -52,10 +52,12 @@ struct QuarterlyDelay {
 /// quarter q with q % of == shard); other entries stay zeroed. Every
 /// owned quarter reduces its delays in the one order the grouping pass
 /// fixes, so the union of the partitions is bitwise identical to the
-/// whole run (shard 0 of 1).
+/// whole run (shard 0 of 1). Runs on the morsel pool, which polls
+/// `cancel`; a cancelled result is partial and must be discarded.
 QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
                                    std::uint32_t shard = 0,
-                                   std::uint32_t of = 1);
+                                   std::uint32_t of = 1,
+                                   const util::CancelToken* cancel = nullptr);
 
 /// Articles per quarter with delay > 96 intervals / 24 h (Fig 11).
 engine::QuarterSeries SlowArticlesPerQuarter(const engine::Database& db,

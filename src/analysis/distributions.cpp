@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt::analysis {
 
@@ -10,10 +10,9 @@ std::vector<std::uint64_t> EventSizeDistribution(const engine::Database& db) {
   const auto counts = db.event_article_count();
   std::uint32_t max_count = 0;
   for (const std::uint32_t c : counts) max_count = std::max(max_count, c);
-  return ParallelHistogram(counts.size(), max_count + 1,
-                           [&](std::size_t e) -> std::size_t {
-                             return counts[e];
-                           });
+  return parallel::PoolHistogram(
+      {0, counts.size()}, max_count + 1,
+      [&](std::size_t e) -> std::size_t { return counts[e]; });
 }
 
 double PowerLawAlphaMle(std::span<const std::uint64_t> samples,

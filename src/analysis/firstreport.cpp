@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "parallel/morsel.hpp"
-#include "parallel/parallel.hpp"
 
 namespace gdelt::analysis {
 namespace {

@@ -4,7 +4,6 @@
 
 #include "engine/queries.hpp"
 #include "parallel/morsel.hpp"
-#include "parallel/parallel.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::analysis {
@@ -104,7 +103,8 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
                           scratch[s], local);
       },
       /*morsel_rows=*/0, cancel);
-  MergeTiledPartials(std::span<std::uint64_t>(result.follow_counts), locals);
+  parallel::MergeSlotPartials(std::span<std::uint64_t>(result.follow_counts),
+                              locals);
   return result;
 }
 

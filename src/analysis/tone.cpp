@@ -1,31 +1,39 @@
 #include "analysis/tone.hpp"
 
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt::analysis {
 namespace {
 
-/// Generic parallel mean-by-bin over events: per-thread partials, merged
-/// deterministically.
+/// Events per accumulation block. A fixed constant, not the pool size or
+/// the morsel size, so the float sums are the same at any of those.
+constexpr std::size_t kToneBlockEvents = 1024;
+
+/// Generic parallel mean-by-bin over events: one partial per fixed-size
+/// block of events (each block is one pool morsel), merged in block
+/// order, so the double sums are bitwise reproducible.
 template <typename BinFn, typename ValueFn>
 std::vector<MeanAccumulator> MeanByBin(const engine::Database& db,
                                        std::size_t bins, BinFn&& bin_of,
                                        ValueFn&& value_of) {
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::vector<MeanAccumulator>> locals(nt);
-  ParallelForChunks(db.num_events(), [&](IndexRange r, int tid) {
-    auto& local = locals[static_cast<std::size_t>(tid)];
-    local.assign(bins, MeanAccumulator{});
-    for (std::size_t e = r.begin; e < r.end; ++e) {
-      const std::size_t b = bin_of(e);
-      if (b >= bins) continue;
-      local[b].sum += value_of(e);
-      ++local[b].count;
-    }
-  });
+  const std::size_t n = db.num_events();
+  std::vector<std::vector<MeanAccumulator>> blocks(
+      (n + kToneBlockEvents - 1) / kToneBlockEvents);
+  parallel::PoolParallelFor(
+      n,
+      [&](IndexRange r, std::size_t) {
+        auto& local = blocks[r.begin / kToneBlockEvents];
+        local.assign(bins, MeanAccumulator{});
+        for (std::size_t e = r.begin; e < r.end; ++e) {
+          const std::size_t b = bin_of(e);
+          if (b >= bins) continue;
+          local[b].sum += value_of(e);
+          ++local[b].count;
+        }
+      },
+      kToneBlockEvents);
   std::vector<MeanAccumulator> merged(bins);
-  for (const auto& local : locals) {
-    if (local.empty()) continue;
+  for (const auto& local : blocks) {
     for (std::size_t b = 0; b < bins; ++b) {
       merged[b].sum += local[b].sum;
       merged[b].count += local[b].count;

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt {
 
@@ -77,15 +77,16 @@ struct CsrSetIndex {
 
 /// Builds a CsrIndex from a key column. `keys[i]` < num_keys for all i
 /// (callers guarantee this; checked in debug builds). Two-pass counting
-/// sort; the counting pass is parallel, the scatter pass is sequential to
-/// keep row order within each key ascending (stability matters for
-/// follow-reporting, which relies on time-sorted mention rows).
+/// sort; the counting pass runs on the morsel pool, the scatter pass is
+/// sequential to keep row order within each key ascending (stability
+/// matters for follow-reporting, which relies on time-sorted mention
+/// rows).
 inline CsrIndex BuildCsrIndex(std::span<const std::uint32_t> keys,
                               std::size_t num_keys) {
   CsrIndex csr;
-  std::vector<std::uint64_t> counts =
-      ParallelHistogram(keys.size(), num_keys,
-                        [&](std::size_t i) -> std::size_t { return keys[i]; });
+  std::vector<std::uint64_t> counts = parallel::PoolHistogram(
+      {0, keys.size()}, num_keys,
+      [&](std::size_t i) -> std::size_t { return keys[i]; });
   // gdelt-lint: allow(unchecked-copy) — num_keys comes from the caller's
   // in-memory dictionary, never from a file; ReadFromFile bounds it before
   // any index is built.

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "convert/binary_format.hpp"
+#include "parallel/morsel.hpp"
 #include "parallel/numa.hpp"
-#include "parallel/parallel.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -29,8 +29,8 @@ Status BindSpan(const Table& table, std::string_view name,
   return Status::Ok();
 }
 
-/// Builds the event -> distinct-source index: one parallel pass where each
-/// thread sorts/dedups its contiguous event range into a private buffer,
+/// Builds the event -> distinct-source index: one pool pass where each
+/// morsel sorts/dedups its contiguous event range into a private buffer,
 /// then a prefix sum over per-event counts and a parallel copy into the
 /// final CSR arrays. Deterministic: output depends only on the data.
 CsrSetIndex BuildEventDistinctSources(const CsrIndex& by_event,
@@ -39,34 +39,46 @@ CsrSetIndex BuildEventDistinctSources(const CsrIndex& by_event,
   CsrSetIndex index;
   index.offsets.assign(num_events + 1, 0);
 
-  const auto parts = SplitRange(num_events, static_cast<std::size_t>(MaxThreads()));
-  std::vector<std::vector<std::uint32_t>> locals(parts.size());
-  ParallelFor(parts.size(), [&](std::size_t p) {
-    auto& local = locals[p];
-    std::vector<std::uint32_t> scratch;
-    for (std::size_t e = parts[p].begin; e < parts[p].end; ++e) {
-      scratch.clear();
-      for (const std::uint64_t row :
-           by_event.RowsOf(static_cast<std::uint32_t>(e))) {
-        scratch.push_back(src[row]);
-      }
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      index.offsets[e + 1] = scratch.size();
-      local.insert(local.end(), scratch.begin(), scratch.end());
-    }
-  });
+  // One buffer per morsel, indexed by its first event: the layout is
+  // fixed by `rows` alone, whichever worker runs each morsel.
+  const std::size_t rows = parallel::MorselRows();
+  std::vector<std::vector<std::uint32_t>> locals((num_events + rows - 1) /
+                                                 rows);
+  parallel::PoolParallelFor(
+      num_events,
+      [&](IndexRange r, std::size_t) {
+        auto& local = locals[r.begin / rows];
+        // At most one value per mention row: one allocation per morsel.
+        local.reserve(by_event.offsets[r.end] - by_event.offsets[r.begin]);
+        std::vector<std::uint32_t> scratch;
+        for (std::size_t e = r.begin; e < r.end; ++e) {
+          scratch.clear();
+          for (const std::uint64_t row :
+               by_event.RowsOf(static_cast<std::uint32_t>(e))) {
+            scratch.push_back(src[row]);
+          }
+          std::sort(scratch.begin(), scratch.end());
+          scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                        scratch.end());
+          index.offsets[e + 1] = scratch.size();
+          local.insert(local.end(), scratch.begin(), scratch.end());
+        }
+      },
+      rows);
   for (std::size_t e = 0; e < num_events; ++e) {
     index.offsets[e + 1] += index.offsets[e];
   }
   index.values.resize(index.offsets[num_events]);
-  ParallelFor(parts.size(), [&](std::size_t p) {
-    if (parts[p].empty()) return;
-    std::copy(locals[p].begin(), locals[p].end(),
-              index.values.begin() +
-                  static_cast<std::ptrdiff_t>(index.offsets[parts[p].begin]));
-  });
+  parallel::PoolParallelFor(
+      locals.size(),
+      [&](IndexRange r, std::size_t) {
+        for (std::size_t m = r.begin; m < r.end; ++m) {
+          std::copy(locals[m].begin(), locals[m].end(),
+                    index.values.begin() +
+                        static_cast<std::ptrdiff_t>(index.offsets[m * rows]));
+        }
+      },
+      /*morsel_rows=*/1);
   return index;
 }
 
@@ -80,8 +92,7 @@ const CsrSetIndex& Database::event_distinct_sources() const {
   return lazy_->distinct_sources;
 }
 
-Result<Database> Database::Load(const std::string& dir,
-                                const LoadOptions& options) {
+Result<Database> Database::Load(const std::string& dir) {
   Database db;
   GDELT_ASSIGN_OR_RETURN(
       db.events_,
@@ -137,31 +148,42 @@ Result<Database> Database::Load(const std::string& dir,
 
   // Derived: source -> country via the TLD heuristic (Section VI-C).
   db.source_country_.resize(db.sources_.size());
-  ParallelFor(db.sources_.size(), [&](std::size_t i) {
-    const auto country =
-        CountryOfSourceDomain(db.sources_.At(static_cast<std::uint32_t>(i)));
-    db.source_country_[i] = country.value_or(kNoCountry);
+  parallel::PoolParallelFor(
+      db.sources_.size(), [&](IndexRange r, std::size_t) {
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          const auto country = CountryOfSourceDomain(
+              db.sources_.At(static_cast<std::uint32_t>(i)));
+          db.source_country_[i] = country.value_or(kNoCountry);
+        }
+      });
+
+  // Orphan mentions go into an extra trailing bucket so keys stay dense.
+  std::vector<std::uint32_t> event_keys(db.num_mentions_);
+  parallel::PoolParallelFor(db.num_mentions_, [&](IndexRange r, std::size_t) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      const std::uint32_t row = db.mention_event_row_[i];
+      event_keys[i] =
+          row == kOrphanEventRow ? static_cast<std::uint32_t>(db.num_events_)
+                                 : row;
+    }
   });
+  db.mentions_by_event_ = BuildCsrIndex(event_keys, db.num_events_ + 1);
+  db.mentions_by_source_ =
+      BuildCsrIndex(db.mention_source_id_, db.sources_.size());
 
-  // Derived: true article counts per event.
-  db.event_article_count_.assign(db.num_events_, 0);
-  {
-    auto counts = ParallelHistogram(
-        db.num_mentions_, db.num_events_, [&](std::size_t i) -> std::size_t {
-          const std::uint32_t row = db.mention_event_row_[i];
-          return row == kOrphanEventRow ? SIZE_MAX : row;
-        });
-    ParallelFor(db.num_events_, [&](std::size_t e) {
-      db.event_article_count_[e] = static_cast<std::uint32_t>(counts[e]);
-    });
+  // Derived: true article counts per event, and the whole-table totals
+  // behind the source and country rankings, paid once here instead of by
+  // every query that ranks. Both are the lengths of the index lists.
+  db.event_article_count_.resize(db.num_events_);
+  for (std::uint32_t e = 0; e < db.num_events_; ++e) {
+    db.event_article_count_[e] =
+        static_cast<std::uint32_t>(db.mentions_by_event_.CountOf(e));
   }
-
-  // Derived: whole-table totals behind the source and country rankings,
-  // paid once here instead of by every query that ranks.
+  db.source_article_count_.resize(db.sources_.size());
+  for (std::uint32_t s = 0; s < db.sources_.size(); ++s) {
+    db.source_article_count_[s] = db.mentions_by_source_.CountOf(s);
+  }
   const std::size_t nc = Countries().size();
-  db.source_article_count_ = ParallelHistogram(
-      db.num_mentions_, db.sources_.size(),
-      [&](std::size_t i) -> std::size_t { return db.mention_source_id_[i]; });
   db.country_article_count_.assign(nc, 0);
   for (std::size_t s = 0; s < db.source_country_.size(); ++s) {
     const std::uint16_t c = db.source_country_[s];
@@ -169,8 +191,8 @@ Result<Database> Database::Load(const std::string& dir,
       db.country_article_count_[c] += db.source_article_count_[s];
     }
   }
-  db.country_event_count_ = ParallelHistogram(
-      db.num_events_, nc, [&](std::size_t i) -> std::size_t {
+  db.country_event_count_ = parallel::PoolHistogram(
+      {0, db.num_events_}, nc, [&](std::size_t i) -> std::size_t {
         const std::uint16_t c = db.event_country_[i];
         return c == kNoCountry ? SIZE_MAX : c;
       });
@@ -180,12 +202,15 @@ Result<Database> Database::Load(const std::string& dir,
   const std::size_t zones = (db.num_mentions_ + kZoneRows - 1) / kZoneRows;
   db.zone_min_interval_.resize(zones);
   db.zone_max_interval_.resize(zones);
-  ParallelFor(zones, [&](std::size_t z) {
-    const auto block = db.mention_interval_.subspan(
-        z * kZoneRows, std::min(kZoneRows, db.num_mentions_ - z * kZoneRows));
-    const auto [lo, hi] = std::minmax_element(block.begin(), block.end());
-    db.zone_min_interval_[z] = *lo;
-    db.zone_max_interval_[z] = *hi;
+  parallel::PoolParallelFor(zones, [&](IndexRange r, std::size_t) {
+    for (std::size_t z = r.begin; z < r.end; ++z) {
+      const auto block = db.mention_interval_.subspan(
+          z * kZoneRows,
+          std::min(kZoneRows, db.num_mentions_ - z * kZoneRows));
+      const auto [lo, hi] = std::minmax_element(block.begin(), block.end());
+      db.zone_min_interval_[z] = *lo;
+      db.zone_max_interval_[z] = *hi;
+    }
   });
   if (zones > 0) {
     db.first_interval_ = *std::min_element(db.zone_min_interval_.begin(),
@@ -194,30 +219,14 @@ Result<Database> Database::Load(const std::string& dir,
                                           db.zone_max_interval_.end());
   }
 
-  if (options.build_indexes) {
-    // Orphan mentions go into an extra trailing bucket so keys stay dense.
-    std::vector<std::uint32_t> event_keys(db.num_mentions_);
-    ParallelFor(db.num_mentions_, [&](std::size_t i) {
-      const std::uint32_t row = db.mention_event_row_[i];
-      event_keys[i] = row == kOrphanEventRow
-                          ? static_cast<std::uint32_t>(db.num_events_)
-                          : row;
-    });
-    db.mentions_by_event_ = BuildCsrIndex(event_keys, db.num_events_ + 1);
-    db.mentions_by_source_ =
-        BuildCsrIndex(db.mention_source_id_, db.sources_.size());
-  }
-
-  if (options.numa_first_touch) {
-    // Fault the big read-side buffers in with the same static thread
-    // distribution the scan kernels use (read-only page warming).
-    WarmPagesParallel(db.mention_interval_.data(),
-                      db.mention_interval_.size() * sizeof(std::int64_t));
-    WarmPagesParallel(db.mention_event_interval_.data(),
-                      db.mention_event_interval_.size() * sizeof(std::int64_t));
-    WarmPagesParallel(db.mention_source_id_.data(),
-                      db.mention_source_id_.size() * sizeof(std::uint32_t));
-  }
+  // Fault the big read-side buffers in on the pool that scans them
+  // (read-only page warming).
+  WarmPagesParallel(db.mention_interval_.data(),
+                    db.mention_interval_.size() * sizeof(std::int64_t));
+  WarmPagesParallel(db.mention_event_interval_.data(),
+                    db.mention_event_interval_.size() * sizeof(std::int64_t));
+  WarmPagesParallel(db.mention_source_id_.data(),
+                    db.mention_source_id_.size() * sizeof(std::uint32_t));
 
   GDELT_LOG(kInfo, StrFormat("database loaded: %zu events, %zu mentions, "
                              "%u sources, %.1f MiB resident",

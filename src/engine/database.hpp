@@ -22,15 +22,6 @@
 
 namespace gdelt::engine {
 
-struct LoadOptions {
-  /// Build the event/source inverted indexes (needed by co-reporting,
-  /// follow-reporting and per-source delay queries).
-  bool build_indexes = true;
-  /// Run a parallel first-touch pass over the large buffers so pages are
-  /// distributed across NUMA nodes before the first scan.
-  bool numa_first_touch = true;
-};
-
 /// Read-only, fully materialized database.
 class Database {
  public:
@@ -38,8 +29,7 @@ class Database {
   static constexpr std::size_t kZoneRows = 4096;
 
   /// Loads a directory written by convert::ConvertDataset.
-  static Result<Database> Load(const std::string& dir,
-                               const LoadOptions& options = {});
+  static Result<Database> Load(const std::string& dir);
 
   // --- sizes ---
   std::size_t num_events() const noexcept { return num_events_; }
@@ -123,7 +113,7 @@ class Database {
     return zone_max_interval_;
   }
 
-  // --- indexes (valid when LoadOptions::build_indexes) ---
+  // --- indexes ---
   /// Mentions of each event row, ascending capture time.
   const CsrIndex& mentions_by_event() const noexcept {
     return mentions_by_event_;
@@ -138,7 +128,7 @@ class Database {
   /// parallel on first use (thread-safe) and cached for the lifetime of
   /// the database; the whole co-reporting query family shares it instead
   /// of re-walking mentions_by_event() and re-sorting per event on every
-  /// invocation. Requires LoadOptions::build_indexes.
+  /// invocation.
   const CsrSetIndex& event_distinct_sources() const;
 
   const StringDictionary& sources() const noexcept { return sources_; }

@@ -12,7 +12,6 @@
 
 #include "convert/binary_format.hpp"
 #include "parallel/morsel.hpp"
-#include "parallel/parallel.hpp"
 #include "schema/countries.hpp"
 #include "trace/trace.hpp"
 
@@ -127,54 +126,9 @@ std::size_t WordsPerMorsel() {
   return std::max<std::size_t>(1, parallel::MorselRows() / 64);
 }
 
-/// Deterministic pool histogram over the bits `sel` sets among the rows
-/// of `rows`: per-slot partials merged in slot order (integer sums
-/// commute, so the result is identical no matter which worker ran which
-/// morsel).
-template <typename BinOf>
-std::vector<std::uint64_t> BitmapHistogram(
-    const SelectionBitmap& sel, IndexRange rows, std::size_t num_bins,
-    BinOf&& bin_of, const util::CancelToken* cancel = nullptr) {
-  rows = ClampRange(rows, sel.num_rows);
-  const std::size_t first_word = std::max(sel.begin_word, rows.begin / 64);
-  const std::size_t end_word = std::min(sel.end_word, (rows.end + 63) / 64);
-  std::vector<std::vector<std::uint64_t>> partials(parallel::PoolSlots());
-  parallel::PoolParallelFor(
-      end_word > first_word ? end_word - first_word : 0,
-      [&](IndexRange r, std::size_t slot) {
-        auto& local = partials[slot];
-        if (local.size() != num_bins) local.assign(num_bins, 0);
-        for (std::size_t w = first_word + r.begin; w < first_word + r.end;
-             ++w) {
-          // Clip the edge words to the row range.
-          std::uint64_t bits = sel.words[w];
-          const std::size_t base = w * 64;
-          if (rows.begin > base) {
-            bits &= ~std::uint64_t{0} << (rows.begin - base);
-          }
-          if (rows.end < base + 64) {
-            bits &= ~std::uint64_t{0} >> (base + 64 - rows.end);
-          }
-          while (bits) {
-            const auto b = static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const std::size_t bin = bin_of(base + b);
-            if (bin < num_bins) ++local[bin];
-          }
-        }
-      },
-      WordsPerMorsel(), cancel);
-  std::vector<std::uint64_t> merged(num_bins, 0);
-  for (const auto& local : partials) {
-    if (local.size() != num_bins) continue;  // slot never ran a morsel
-    for (std::size_t b = 0; b < num_bins; ++b) merged[b] += local[b];
-  }
-  return merged;
-}
-
 /// Histogram of bin_of(i) over the mention rows of `rows`, or over only
-/// the rows `sel` selects there: parallel.hpp for a plain range, the
-/// morsel pool for a selection.
+/// the rows `sel` selects there (words outside its span are zero, so the
+/// scan stops at the span).
 template <typename BinOf>
 std::vector<std::uint64_t> MentionHistogram(const Database& db,
                                             IndexRange rows,
@@ -182,11 +136,14 @@ std::vector<std::uint64_t> MentionHistogram(const Database& db,
                                             std::size_t num_bins,
                                             BinOf&& bin_of,
                                             const util::CancelToken* cancel) {
+  rows = ClampRange(rows, db.num_mentions());
   if (sel != nullptr) {
-    return BitmapHistogram(*sel, rows, num_bins, bin_of, cancel);
+    const IndexRange span = sel->RowSpan();
+    rows = {std::max(rows.begin, span.begin), std::min(rows.end, span.end)};
   }
-  return ParallelHistogram(ClampRange(rows, db.num_mentions()), num_bins,
-                           bin_of);
+  return parallel::PoolHistogram(rows, num_bins, bin_of,
+                                 sel != nullptr ? sel->words.data() : nullptr,
+                                 cancel);
 }
 
 /// What the zone map says about one block of rows against a window.
@@ -427,8 +384,8 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
   const auto when = db.mention_interval();
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = ParallelHistogram(
-      rows.size(), static_cast<std::size_t>(w.count),
+  series.values = parallel::PoolHistogram(
+      {0, rows.size()}, static_cast<std::size_t>(w.count),
       [&](std::size_t k) -> std::size_t {
         const std::int32_t q =
             QuarterOfUnixSeconds(IntervalStartUnixSeconds(when[rows[k]])) -
@@ -444,13 +401,14 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
   const auto when = db.mention_interval();
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = BitmapHistogram(
-      sel, kWholeRange, static_cast<std::size_t>(w.count),
+  series.values = MentionHistogram(
+      db, kWholeRange, &sel, static_cast<std::size_t>(w.count),
       [&](std::uint64_t i) -> std::size_t {
         const std::int32_t q =
             QuarterOfUnixSeconds(IntervalStartUnixSeconds(when[i])) - w.first;
         return q < 0 ? SIZE_MAX : static_cast<std::size_t>(q);
-      });
+      },
+      nullptr);
   return series;
 }
 

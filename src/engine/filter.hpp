@@ -101,8 +101,8 @@ std::uint64_t DistinctEvents(const Database& db,
 
 // The mention-range kernels: each aggregates the rows of `mentions`, or
 // with a non-null `sel` only the rows it selects there, without
-// materializing them. Unrestricted ranges run on parallel.hpp's
-// histogram, selections on the morsel pool (which polls `cancel`).
+// materializing them. Both run on the morsel pool's histogram, which
+// polls `cancel` per morsel.
 // Summing the results over a partition of the mention rows reproduces
 // the whole-range result exactly.
 

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "parallel/morsel.hpp"
 #include "trace/trace.hpp"
 
 namespace gdelt::engine {
@@ -45,9 +46,12 @@ std::vector<std::int32_t> MentionQuarters(const Database& db) {
   const auto intervals = db.mention_interval();
   const QuarterWindow w = QuartersOf(db);
   std::vector<std::int32_t> quarters(intervals.size());
-  ParallelFor(intervals.size(), [&](std::size_t i) {
-    quarters[i] =
-        QuarterOfUnixSeconds(IntervalStartUnixSeconds(intervals[i])) - w.first;
+  parallel::PoolParallelFor(intervals.size(), [&](IndexRange r, std::size_t) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      quarters[i] =
+          QuarterOfUnixSeconds(IntervalStartUnixSeconds(intervals[i])) -
+          w.first;
+    }
   });
   return quarters;
 }
@@ -58,8 +62,8 @@ QuarterSeries ArticlesPerQuarter(const Database& db) {
   const auto quarters = MentionQuarters(db);
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = ParallelHistogram(
-      quarters.size(), static_cast<std::size_t>(w.count),
+  series.values = parallel::PoolHistogram(
+      {0, quarters.size()}, static_cast<std::size_t>(w.count),
       [&](std::size_t i) -> std::size_t {
         return static_cast<std::size_t>(quarters[i]);
       });
@@ -72,8 +76,8 @@ QuarterSeries EventsPerQuarter(const Database& db) {
   const auto added = db.event_added_interval();
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = ParallelHistogram(
-      added.size(), static_cast<std::size_t>(w.count),
+  series.values = parallel::PoolHistogram(
+      {0, added.size()}, static_cast<std::size_t>(w.count),
       [&](std::size_t i) -> std::size_t {
         const std::int32_t q =
             QuarterOfUnixSeconds(IntervalStartUnixSeconds(added[i])) - w.first;
@@ -90,16 +94,16 @@ QuarterSeries ActiveSourcesPerQuarter(const Database& db) {
   const std::size_t nq = static_cast<std::size_t>(w.count);
   const std::size_t ns = db.num_sources();
 
-  // (source, quarter) presence bitmap, built with per-thread OR then merged.
-  const auto nt = static_cast<std::size_t>(MaxThreads());
-  std::vector<std::vector<std::uint8_t>> locals(nt);
-  ParallelForChunks(quarters.size(), [&](IndexRange r, int tid) {
-    auto& local = locals[static_cast<std::size_t>(tid)];
-    local.assign(nq * ns, 0);
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      local[static_cast<std::size_t>(quarters[i]) * ns + src[i]] = 1;
-    }
-  });
+  // (source, quarter) presence bitmap, built with per-slot OR then merged.
+  std::vector<std::vector<std::uint8_t>> locals(parallel::PoolSlots());
+  parallel::PoolParallelFor(
+      quarters.size(), [&](IndexRange r, std::size_t slot) {
+        auto& local = locals[slot];
+        if (local.empty()) local.assign(nq * ns, 0);
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          local[static_cast<std::size_t>(quarters[i]) * ns + src[i]] = 1;
+        }
+      });
   QuarterSeries series;
   series.first_quarter = w.first;
   series.values.assign(nq, 0);
@@ -131,8 +135,8 @@ std::vector<QuarterSeries> SourceArticlesPerQuarter(
     slot_of[source_ids[s]] = static_cast<std::int32_t>(s);
   }
   const std::size_t bins = source_ids.size() * nq;
-  auto flat = ParallelHistogram(
-      quarters.size(), bins, [&](std::size_t i) -> std::size_t {
+  auto flat = parallel::PoolHistogram(
+      {0, quarters.size()}, bins, [&](std::size_t i) -> std::size_t {
         const std::int32_t slot = slot_of[src[i]];
         if (slot < 0) return SIZE_MAX;
         return static_cast<std::size_t>(slot) * nq +

@@ -1,11 +1,11 @@
 // Aggregated query kernels over the in-memory database.
 //
 // These are the "most intensive aggregated queries" the paper parallelizes
-// with OpenMP (Sections IV, VI-G). Each kernel is a single scan with
-// per-thread partials merged deterministically at the end. The kernels
-// of the decomposable query kinds take the partition they cover (an
-// event or mention-row range, kWholeRange by default), so a single node
-// runs partition 0 of 1 of the same code a shard runs
+// with OpenMP (Sections IV, VI-G); here each is a single scan on the
+// morsel pool with per-slot partials merged deterministically at the
+// end. The kernels of the decomposable query kinds take the partition
+// they cover (an event or mention-row range, kWholeRange by default), so
+// a single node runs partition 0 of 1 of the same code a shard runs
 // (serve/partial.hpp).
 #pragma once
 

@@ -3,9 +3,41 @@
 #include <algorithm>
 #include <cmath>
 
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt::graph {
+namespace {
+
+/// Row r of a * b into (cols, vals), ascending columns. `acc` is a
+/// zeroed dense row of b.cols entries and is left zeroed; `touched` is
+/// scratch.
+void MultiplyRow(const SparseMatrix& a, const SparseMatrix& b, std::size_t r,
+                 std::vector<double>& acc, std::vector<std::uint32_t>& touched,
+                 std::vector<std::uint32_t>& cols, std::vector<double>& vals) {
+  touched.clear();
+  for (std::uint64_t ka = a.row_offsets[r]; ka < a.row_offsets[r + 1]; ++ka) {
+    const std::uint32_t j = a.col_index[ka];
+    const double av = a.values[ka];
+    for (std::uint64_t kb = b.row_offsets[j]; kb < b.row_offsets[j + 1];
+         ++kb) {
+      const std::uint32_t c = b.col_index[kb];
+      if (acc[c] == 0.0) touched.push_back(c);
+      acc[c] += av * b.values[kb];
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  cols.reserve(touched.size());
+  vals.reserve(touched.size());
+  for (const std::uint32_t c : touched) {
+    if (acc[c] != 0.0) {
+      cols.push_back(c);
+      vals.push_back(acc[c]);
+    }
+    acc[c] = 0.0;
+  }
+}
+
+}  // namespace
 
 SparseMatrix DenseToSparse(const DenseMatrix& dense, double threshold) {
   SparseMatrix out;
@@ -21,14 +53,16 @@ SparseMatrix DenseToSparse(const DenseMatrix& dense, double threshold) {
   }
   out.col_index.resize(out.row_offsets.back());
   out.values.resize(out.row_offsets.back());
-  ParallelFor(out.rows, [&](std::size_t r) {
-    std::uint64_t at = out.row_offsets[r];
-    const auto row = dense.Row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (std::abs(row[c]) > threshold) {
-        out.col_index[at] = static_cast<std::uint32_t>(c);
-        out.values[at] = row[c];
-        ++at;
+  parallel::PoolParallelFor(out.rows, [&](IndexRange rows, std::size_t) {
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      std::uint64_t at = out.row_offsets[r];
+      const auto row = dense.Row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        if (std::abs(row[c]) > threshold) {
+          out.col_index[at] = static_cast<std::uint32_t>(c);
+          out.values[at] = row[c];
+          ++at;
+        }
       }
     }
   });
@@ -37,10 +71,12 @@ SparseMatrix DenseToSparse(const DenseMatrix& dense, double threshold) {
 
 DenseMatrix SparseToDense(const SparseMatrix& sparse) {
   DenseMatrix out(sparse.rows, sparse.cols);
-  ParallelFor(sparse.rows, [&](std::size_t r) {
-    for (std::uint64_t k = sparse.row_offsets[r];
-         k < sparse.row_offsets[r + 1]; ++k) {
-      out.At(r, sparse.col_index[k]) = sparse.values[k];
+  parallel::PoolParallelFor(sparse.rows, [&](IndexRange rows, std::size_t) {
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      for (std::uint64_t k = sparse.row_offsets[r];
+           k < sparse.row_offsets[r + 1]; ++k) {
+        out.At(r, sparse.col_index[k]) = sparse.values[k];
+      }
     }
   });
   return out;
@@ -52,54 +88,37 @@ SparseMatrix Multiply(const SparseMatrix& a, const SparseMatrix& b) {
   out.cols = b.cols;
   out.row_offsets.assign(out.rows + 1, 0);
 
-  // Two-phase Gustavson: count nnz per row, then fill. Parallel over rows
-  // with a per-thread dense accumulator.
+  // Two-phase Gustavson: count nnz per row, then fill. Parallel over rows,
+  // 64 per morsel (row costs are skewed), with a per-slot dense
+  // accumulator that every row leaves zeroed again.
   std::vector<std::vector<std::uint32_t>> row_cols(out.rows);
   std::vector<std::vector<double>> row_vals(out.rows);
-#pragma omp parallel
-  {
-    std::vector<double> acc(b.cols, 0.0);
-    std::vector<std::uint32_t> touched;
-#pragma omp for schedule(dynamic, 64)
-    for (std::int64_t r = 0; r < static_cast<std::int64_t>(a.rows); ++r) {
-      touched.clear();
-      for (std::uint64_t ka = a.row_offsets[r]; ka < a.row_offsets[r + 1];
-           ++ka) {
-        const std::uint32_t j = a.col_index[ka];
-        const double av = a.values[ka];
-        for (std::uint64_t kb = b.row_offsets[j]; kb < b.row_offsets[j + 1];
-             ++kb) {
-          const std::uint32_t c = b.col_index[kb];
-          if (acc[c] == 0.0) touched.push_back(c);
-          acc[c] += av * b.values[kb];
+  std::vector<std::vector<double>> accs(parallel::PoolSlots());
+  std::vector<std::vector<std::uint32_t>> touches(accs.size());
+  parallel::PoolParallelFor(
+      a.rows,
+      [&](IndexRange range, std::size_t slot) {
+        auto& acc = accs[slot];
+        auto& touched = touches[slot];
+        if (acc.size() != b.cols) acc.assign(b.cols, 0.0);
+        for (std::size_t r = range.begin; r < range.end; ++r) {
+          MultiplyRow(a, b, r, acc, touched, row_cols[r], row_vals[r]);
         }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& cols = row_cols[static_cast<std::size_t>(r)];
-      auto& vals = row_vals[static_cast<std::size_t>(r)];
-      cols.reserve(touched.size());
-      vals.reserve(touched.size());
-      for (const std::uint32_t c : touched) {
-        if (acc[c] != 0.0) {
-          cols.push_back(c);
-          vals.push_back(acc[c]);
-        }
-        acc[c] = 0.0;
-      }
-    }
-  }
+      },
+      /*morsel_rows=*/64);
   for (std::size_t r = 0; r < out.rows; ++r) {
     out.row_offsets[r + 1] = out.row_offsets[r] + row_cols[r].size();
   }
   out.col_index.resize(out.row_offsets.back());
   out.values.resize(out.row_offsets.back());
-  ParallelFor(out.rows, [&](std::size_t r) {
-    std::copy(row_cols[r].begin(), row_cols[r].end(),
-              out.col_index.begin() +
-                  static_cast<std::ptrdiff_t>(out.row_offsets[r]));
-    std::copy(row_vals[r].begin(), row_vals[r].end(),
-              out.values.begin() +
-                  static_cast<std::ptrdiff_t>(out.row_offsets[r]));
+  parallel::PoolParallelFor(out.rows, [&](IndexRange rows, std::size_t) {
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      const auto at = static_cast<std::ptrdiff_t>(out.row_offsets[r]);
+      std::copy(row_cols[r].begin(), row_cols[r].end(),
+                out.col_index.begin() + at);
+      std::copy(row_vals[r].begin(), row_vals[r].end(),
+                out.values.begin() + at);
+    }
   });
   return out;
 }

@@ -23,8 +23,27 @@ thread_local Priority tls_priority = Priority::kBatch;
 /// or a caller draining its own job), and the scratch slot it holds.
 /// A ParallelFor re-entered from inside a body of the *same* pool runs
 /// inline on this slot instead of deadlocking on its own job.
-thread_local const MorselPool* tls_pool = nullptr;
+thread_local MorselPool* tls_pool = nullptr;
 thread_local std::size_t tls_slot = 0;
+
+/// The innermost ScopedPool of this thread, if any.
+thread_local MorselPool* tls_scoped_pool = nullptr;
+
+/// Worker count of a default-sized pool: the leading number of
+/// OMP_NUM_THREADS when it is set (the variable the deployment scripts
+/// already use to give each server its share of the host), else the
+/// hardware thread count.
+std::size_t DefaultWorkers() {
+  if (const char* env = std::getenv("OMP_NUM_THREADS");
+      env != nullptr && *env != '\0') {
+    char* end = nullptr;
+    const long long v = std::strtoll(env, &end, 10);
+    if (end != env && v > 0) {
+      return static_cast<std::size_t>(std::min<long long>(v, 1024));
+    }
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 }  // namespace
 
@@ -87,9 +106,8 @@ struct MorselPool::Worker {
 };
 
 MorselPool::MorselPool(int workers) {
-  std::size_t w = workers > 0 ? static_cast<std::size_t>(workers)
-                              : static_cast<std::size_t>(
-                                    std::max(1, gdelt::MaxThreads()));
+  const std::size_t w =
+      workers > 0 ? static_cast<std::size_t>(workers) : DefaultWorkers();
   workers_.reserve(w);
   for (std::size_t i = 0; i < w; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -117,13 +135,26 @@ MorselPool& MorselPool::Shared() {
   return *pool;
 }
 
+ScopedPool::ScopedPool(MorselPool& pool) noexcept
+    : previous_(tls_scoped_pool) {
+  tls_scoped_pool = &pool;
+}
+
+ScopedPool::~ScopedPool() { tls_scoped_pool = previous_; }
+
+MorselPool& CurrentPool() {
+  if (tls_pool != nullptr) return *tls_pool;
+  if (tls_scoped_pool != nullptr) return *tls_scoped_pool;
+  return MorselPool::Shared();
+}
+
 void PoolParallelFor(std::size_t n,
                      const std::function<void(IndexRange, std::size_t)>& body,
                      std::size_t morsel_rows, const util::CancelToken* cancel) {
-  MorselPool::Shared().ParallelFor(n, body, morsel_rows, cancel);
+  CurrentPool().ParallelFor(n, body, morsel_rows, cancel);
 }
 
-std::size_t PoolSlots() noexcept { return MorselPool::Shared().num_slots(); }
+std::size_t PoolSlots() noexcept { return CurrentPool().num_slots(); }
 
 bool MorselPool::ParallelFor(
     std::size_t n, const std::function<void(IndexRange, std::size_t)>& body,
@@ -202,7 +233,7 @@ bool MorselPool::ParallelFor(
   // The caller participates: it drains queued runs of its own job (any
   // deque), then waits for in-flight morsels to finish on the workers.
   const std::size_t slot = AcquireCallerSlot();
-  const MorselPool* saved_pool = tls_pool;
+  MorselPool* saved_pool = tls_pool;
   const std::size_t saved_slot = tls_slot;
   tls_pool = this;
   tls_slot = slot;
@@ -222,7 +253,7 @@ void MorselPool::RunInline(
     std::size_t n, const std::function<void(IndexRange, std::size_t)>& body,
     std::size_t morsel_rows, std::size_t slot,
     const util::CancelToken* cancel) {
-  const MorselPool* saved_pool = tls_pool;
+  MorselPool* saved_pool = tls_pool;
   const std::size_t saved_slot = tls_slot;
   tls_pool = this;
   tls_slot = slot;

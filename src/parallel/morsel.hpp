@@ -1,15 +1,14 @@
 // Morsel-driven work-stealing execution (cf. HyPer's morsel model and
-// RegionsMT's thread pool).
+// RegionsMT's thread pool): the one executor of every parallel loop.
 //
-// The OpenMP wrappers in parallel.hpp give each kernel a private thread
-// team: under the serve layer that means one saturating co-reporting
-// query owns its whole team while a point query queues behind it. The
-// MorselPool replaces per-query teams with one shared set of workers.
-// A job is split into fixed-size row-range *morsels* (default
-// kDefaultMorselRows rows, override with GDELT_MORSEL_ROWS); each worker
-// owns a deque per priority class and steals the front half of a
-// victim's deque when its own runs dry, so load balance emerges without
-// a central queue on the hot path.
+// One shared set of workers runs every loop of the process, from the
+// load-time column passes to the aggregate kernels, so a saturating
+// co-reporting query cannot own the machine while a point query queues
+// behind it. A job is split into fixed-size row-range *morsels*
+// (default kDefaultMorselRows rows, override with GDELT_MORSEL_ROWS);
+// each worker owns a deque per priority class and steals the front half
+// of a victim's deque when its own runs dry, so load balance emerges
+// without a central queue on the hot path.
 //
 // Two priority classes exist so a small interactive query submitted
 // while a big batch query is in flight gets its morsels drained first:
@@ -21,19 +20,23 @@
 // morsels and the per-slot reduction helpers merge partials in slot
 // order, so results are bitwise identical regardless of which worker
 // ran which morsel (integer sums commute; float-producing kernels
-// confine their non-commutative math to a single morsel).
+// confine their non-commutative math to a fixed block or a single
+// morsel and merge in block order).
 //
 // Locking discipline (PR 5): every mutex is a sync::Mutex annotated for
 // Clang TSA. Per-worker deque locks are leaves (never held while taking
 // another lock); the pool-wide mu_ serializes sleep/wake and shutdown.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -98,7 +101,8 @@ struct MorselPoolStats {
 /// the whole process (Shared()), but tests construct private pools.
 class MorselPool {
  public:
-  /// Spawns `workers` threads (<=0: one per hardware thread).
+  /// Spawns `workers` threads (<=0: OMP_NUM_THREADS when set, else one
+  /// per hardware thread).
   explicit MorselPool(int workers = 0);
   ~MorselPool();
 
@@ -158,8 +162,8 @@ class MorselPool {
   /// submitted job still runs to completion, inline if need be).
   void Shutdown();
 
-  /// Process-wide pool, sized by gdelt::MaxThreads(), created on first
-  /// use and shut down at exit.
+  /// Process-wide pool, created on first use with the default worker
+  /// count (see the constructor) and never destroyed.
   static MorselPool& Shared();
 
  private:
@@ -208,14 +212,105 @@ class MorselPool {
   std::atomic<std::uint64_t> morsels_skipped_{0};
 };
 
-/// Convenience: MorselPool::Shared().ParallelFor(...), the executor of
-/// the aggregate kernels.
+/// RAII override: pool loops this thread starts while the scope lives
+/// (PoolParallelFor, PoolSlots and the helpers below) run on `pool`
+/// instead of the shared one. Thread-local and nesting like
+/// ScopedPriority; thread-count sweeps use it to run on a private
+/// MorselPool(t).
+class ScopedPool {
+ public:
+  explicit ScopedPool(MorselPool& pool) noexcept;
+  ~ScopedPool();
+  ScopedPool(const ScopedPool&) = delete;
+  ScopedPool& operator=(const ScopedPool&) = delete;
+
+ private:
+  MorselPool* previous_;
+};
+
+/// The pool a loop started on this thread runs on: the pool whose morsel
+/// the thread is executing (nested loops stay there and run inline),
+/// else the innermost ScopedPool, else MorselPool::Shared().
+MorselPool& CurrentPool();
+
+/// CurrentPool().ParallelFor(...): the executor of every parallel loop.
 void PoolParallelFor(std::size_t n,
                      const std::function<void(IndexRange, std::size_t)>& body,
                      std::size_t morsel_rows = 0,
                      const util::CancelToken* cancel = nullptr);
 
-/// Scratch-slot count of the shared pool (for sizing partial arrays).
+/// Scratch-slot count of CurrentPool() (for sizing partial arrays).
 std::size_t PoolSlots() noexcept;
+
+/// out[i] += partials[s][i] for every slot s in slot order, in parallel
+/// over tiles of `tile_elems` elements of `out` (0 = MorselRows()). Each
+/// tile is written by one morsel and sums its partials in a fixed order,
+/// so the result is bitwise reproducible for any element type. Partials
+/// of another size (slots that never ran a morsel) are skipped.
+template <typename T>
+void MergeSlotPartials(std::span<T> out,
+                       const std::vector<std::vector<T>>& partials,
+                       std::size_t tile_elems = 0) {
+  PoolParallelFor(
+      out.size(),
+      [&](IndexRange r, std::size_t) {
+        for (const auto& local : partials) {
+          if (local.size() != out.size()) continue;
+          for (std::size_t i = r.begin; i < r.end; ++i) out[i] += local[i];
+        }
+      },
+      tile_elems);
+}
+
+/// Deterministic pool histogram: counts bin_of(i) for each index i of
+/// `rows`, or with a non-null `selected` only for those whose bit is set
+/// there (bit i of selected[i / 64]). Bins >= num_bins are skipped.
+/// Morsels are whole 64-row words, MorselRows() rows each; a slot
+/// allocates its partial only when it runs one, and the partials merge
+/// in slot order (integer sums commute, so which worker ran which morsel
+/// cannot change the result). `cancel` is polled per morsel.
+template <typename BinOf>
+std::vector<std::uint64_t> PoolHistogram(
+    IndexRange rows, std::size_t num_bins, BinOf&& bin_of,
+    const std::uint64_t* selected = nullptr,
+    const util::CancelToken* cancel = nullptr) {
+  std::vector<std::uint64_t> merged(num_bins, 0);
+  if (rows.empty()) return merged;
+  const std::size_t first_word = rows.begin / 64;
+  const std::size_t end_word = (rows.end + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> partials(PoolSlots());
+  PoolParallelFor(
+      end_word - first_word,
+      [&](IndexRange r, std::size_t slot) {
+        auto& local = partials[slot];
+        if (local.size() != num_bins) local.assign(num_bins, 0);
+        const std::size_t lo =
+            std::max(rows.begin, (first_word + r.begin) * 64);
+        const std::size_t hi = std::min(rows.end, (first_word + r.end) * 64);
+        if (selected == nullptr) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const std::size_t bin = bin_of(i);
+            if (bin < num_bins) ++local[bin];
+          }
+          return;
+        }
+        for (std::size_t w = lo / 64; w * 64 < hi; ++w) {
+          // Clip the edge words to [lo, hi).
+          std::uint64_t bits = selected[w];
+          const std::size_t base = w * 64;
+          if (lo > base) bits &= ~std::uint64_t{0} << (lo - base);
+          if (hi < base + 64) bits &= ~std::uint64_t{0} >> (base + 64 - hi);
+          while (bits) {
+            const auto b = static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            const std::size_t bin = bin_of(base + b);
+            if (bin < num_bins) ++local[bin];
+          }
+        }
+      },
+      std::max<std::size_t>(1, MorselRows() / 64), cancel);
+  MergeSlotPartials(std::span<std::uint64_t>(merged), partials);
+  return merged;
+}
 
 }  // namespace gdelt::parallel

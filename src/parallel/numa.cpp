@@ -1,139 +1,23 @@
 #include "parallel/numa.hpp"
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-#include <omp.h>
-#include <unistd.h>
+#include <atomic>
 
-#include <algorithm>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-
-#include "util/strings.hpp"
+#include "parallel/morsel.hpp"
 
 namespace gdelt {
-namespace {
-
-/// Parses a Linux cpulist like "0-3,8,10-11" into CPU ids.
-std::vector<int> ParseCpuList(std::string_view text) {
-  std::vector<int> cpus;
-  for (std::string_view part : SplitView(TrimView(text), ',')) {
-    part = TrimView(part);
-    if (part.empty()) continue;
-    const auto dash = part.find('-');
-    if (dash == std::string_view::npos) {
-      if (const auto v = ParseInt64(part)) cpus.push_back(static_cast<int>(*v));
-      continue;
-    }
-    const auto lo = ParseInt64(part.substr(0, dash));
-    const auto hi = ParseInt64(part.substr(dash + 1));
-    if (lo && hi && *lo <= *hi) {
-      for (std::int64_t c = *lo; c <= *hi; ++c) {
-        cpus.push_back(static_cast<int>(c));
-      }
-    }
-  }
-  return cpus;
-}
-
-NumaTopology SingleNodeFallback() {
-  NumaTopology topo;
-  NumaNode node;
-  node.id = 0;
-  const long n = sysconf(_SC_NPROCESSORS_ONLN);
-  for (int c = 0; c < std::max(1L, n); ++c) node.cpus.push_back(c);
-  topo.nodes.push_back(std::move(node));
-  return topo;
-}
-
-}  // namespace
-
-std::string NumaTopology::ToString() const {
-  std::string out = StrFormat("%d NUMA node(s):", num_nodes());
-  for (const auto& node : nodes) {
-    out += StrFormat(" node%d[%zu cpus]", node.id, node.cpus.size());
-  }
-  return out;
-}
-
-NumaTopology DetectNumaTopology() {
-  namespace fs = std::filesystem;
-  const fs::path root = "/sys/devices/system/node";
-  std::error_code ec;
-  if (!fs::is_directory(root, ec)) return SingleNodeFallback();
-
-  NumaTopology topo;
-  for (const auto& entry : fs::directory_iterator(root, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "node")) continue;
-    const auto id = ParseInt64(std::string_view(name).substr(4));
-    if (!id) continue;
-    std::ifstream cpulist(entry.path() / "cpulist");
-    if (!cpulist) continue;
-    std::string line;
-    std::getline(cpulist, line);
-    NumaNode node;
-    node.id = static_cast<int>(*id);
-    node.cpus = ParseCpuList(line);
-    if (!node.cpus.empty()) topo.nodes.push_back(std::move(node));
-  }
-  if (topo.nodes.empty()) return SingleNodeFallback();
-  std::sort(topo.nodes.begin(), topo.nodes.end(),
-            [](const NumaNode& a, const NumaNode& b) { return a.id < b.id; });
-  return topo;
-}
-
-bool PinThreadToCpu(int cpu) noexcept {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-void PinOpenMpThreadsRoundRobin(const NumaTopology& topology) {
-  if (topology.nodes.empty()) return;
-#pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    const auto& node = topology.nodes[static_cast<std::size_t>(tid) %
-                                      topology.nodes.size()];
-    if (!node.cpus.empty()) {
-      const int round = tid / topology.num_nodes();
-      const int cpu =
-          node.cpus[static_cast<std::size_t>(round) % node.cpus.size()];
-      PinThreadToCpu(cpu);
-    }
-  }
-}
-
-void FirstTouchParallel(void* data, std::size_t bytes) noexcept {
-  auto* p = static_cast<unsigned char*>(data);
-  constexpr std::size_t kPage = 4096;
-  const std::size_t pages = (bytes + kPage - 1) / kPage;
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(pages); ++i) {
-    p[static_cast<std::size_t>(i) * kPage] = 0;
-  }
-}
 
 void WarmPagesParallel(const void* data, std::size_t bytes) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   constexpr std::size_t kPage = 4096;
   const std::size_t pages = (bytes + kPage - 1) / kPage;
-  unsigned char sink = 0;
-#pragma omp parallel for schedule(static) reduction(^ : sink)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(pages); ++i) {
-    sink ^= p[static_cast<std::size_t>(i) * kPage];
-  }
-  // The reduction keeps the reads observable so they are not elided.
-  (void)sink;
+  // The xor into an atomic keeps the reads observable so they are not
+  // elided.
+  std::atomic<unsigned char> sink{0};
+  parallel::PoolParallelFor(pages, [&](IndexRange r, std::size_t) {
+    unsigned char local = 0;
+    for (std::size_t i = r.begin; i < r.end; ++i) local ^= p[i * kPage];
+    sink.fetch_xor(local, std::memory_order_relaxed);
+  });
 }
 
 }  // namespace gdelt

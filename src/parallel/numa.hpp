@@ -1,60 +1,18 @@
-// NUMA topology awareness.
+// Page warming for freshly loaded tables.
 //
-// The paper's machine (dual EPYC 7601) exposes eight NUMA nodes with limited
-// inter-node bandwidth; Section IV stresses that threads and allocations
-// must be placed deliberately. This module detects the topology from
-// /sys/devices/system/node, supports pinning OpenMP threads to cores
-// round-robin across nodes, and provides parallel first-touch page
-// initialization so large tables are faulted in by the threads that will
-// scan them. On non-NUMA machines everything degrades to a single node.
+// The paper's machine (dual EPYC 7601) exposes eight NUMA nodes with
+// limited inter-node bandwidth; Section IV stresses that threads and
+// allocations must be placed deliberately. Here the large read-side
+// buffers are faulted in by the same morsel pool that later scans them,
+// so the first query does not pay the page faults.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace gdelt {
 
-/// One NUMA node and the logical CPUs it owns.
-struct NumaNode {
-  int id = 0;
-  std::vector<int> cpus;
-};
-
-/// Detected (or degenerate single-node) machine topology.
-struct NumaTopology {
-  std::vector<NumaNode> nodes;
-
-  int num_nodes() const noexcept { return static_cast<int>(nodes.size()); }
-  std::size_t num_cpus() const noexcept {
-    std::size_t n = 0;
-    for (const auto& node : nodes) n += node.cpus.size();
-    return n;
-  }
-  std::string ToString() const;
-};
-
-/// Reads /sys/devices/system/node; falls back to one node spanning all
-/// online CPUs when the sysfs tree is absent (e.g. containers).
-NumaTopology DetectNumaTopology();
-
-/// Pins the calling thread to the given CPU. Returns false on failure
-/// (non-fatal: placement is an optimization, not a correctness need).
-bool PinThreadToCpu(int cpu) noexcept;
-
-/// Inside a fresh parallel region, pins every OpenMP thread round-robin
-/// across NUMA nodes (thread t -> node t % nodes, next free cpu there).
-void PinOpenMpThreadsRoundRobin(const NumaTopology& topology);
-
-/// Zeroes one byte per page with a static-scheduled parallel loop so fresh
-/// (never-written) pages are first-touched by the same thread distribution
-/// that later scans them. DESTRUCTIVE: only call on buffers that have not
-/// been filled yet (it writes). For populated buffers use WarmPagesParallel.
-void FirstTouchParallel(void* data, std::size_t bytes) noexcept;
-
-/// Reads one byte per page in parallel, faulting lazily-mapped pages in
-/// without modifying the data (e.g. after loading an mmap'd table).
+/// Reads one byte per page on the morsel pool, faulting lazily-mapped
+/// pages in without modifying the data (e.g. after loading a table).
 void WarmPagesParallel(const void* data, std::size_t bytes) noexcept;
 
 }  // namespace gdelt

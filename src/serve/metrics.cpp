@@ -92,8 +92,7 @@ std::string ServerMetrics::ToJson(const Gauges& gauges) const {
   counter("queue_depth", gauges.queue_depth);
   counter("queue_capacity", gauges.queue_capacity);
   counter("workers", static_cast<std::uint64_t>(gauges.workers));
-  counter("threads_per_query",
-          static_cast<std::uint64_t>(gauges.threads_per_query));
+  counter("pool_workers", gauges.pool_workers);
   counter("epoch", gauges.epoch);
   counter("cache_entries", gauges.cache_entries);
   counter("cache_text_bytes", gauges.cache_text_bytes);

@@ -87,7 +87,7 @@ class ServerMetrics {
     std::size_t queue_depth = 0;
     std::size_t queue_capacity = 0;
     int workers = 0;
-    int threads_per_query = 0;
+    std::size_t pool_workers = 0;  ///< workers of the shared morsel pool
     std::uint64_t epoch = 0;
     std::size_t cache_entries = 0;
     std::uint64_t cache_text_bytes = 0;

@@ -745,7 +745,7 @@ struct Delay {
         analysis::PerSourceDelayStats(p.db, owned, p.cancel);
     Partial x{Widen(top), DomainsOf(p.db, top),
               std::vector<analysis::DelayStats>(top.size()),
-              analysis::QuarterlyDelayStats(p.db, p.shard, p.of)};
+              analysis::QuarterlyDelayStats(p.db, p.shard, p.of, p.cancel)};
     for (std::size_t k = 0, j = 0; k < top.size(); ++k) {
       if (p.Owns(top[k])) x.stats[k] = owned_stats[j++];
     }

@@ -65,7 +65,7 @@ std::string PrometheusText(const ServerMetrics& metrics,
   Gauge(out, "gdelt_queue_capacity",
         static_cast<double>(gauges.queue_capacity));
   Gauge(out, "gdelt_workers", gauges.workers);
-  Gauge(out, "gdelt_threads_per_query", gauges.threads_per_query);
+  Gauge(out, "gdelt_pool_workers", static_cast<double>(gauges.pool_workers));
   Gauge(out, "gdelt_epoch", static_cast<double>(gauges.epoch));
   Gauge(out, "gdelt_cache_entries", static_cast<double>(gauges.cache_entries));
   Gauge(out, "gdelt_cache_text_bytes",

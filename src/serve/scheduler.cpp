@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
-#include "parallel/parallel.hpp"
-
 namespace gdelt::serve {
 
 Scheduler::Scheduler(const Options& options) : opt_(options) {
   opt_.workers = std::max(1, opt_.workers);
   opt_.queue_capacity = std::max<std::size_t>(1, opt_.queue_capacity);
-  threads_per_query_ =
-      opt_.threads_per_query > 0
-          ? opt_.threads_per_query
-          : std::max(1, MaxThreads() / opt_.workers);
-  // Size the shared pool here, before any worker narrows its own OpenMP
-  // budget: MorselPool::Shared() reads MaxThreads() on whichever thread
-  // first touches it, and a worker would size it to threads_per_query_.
-  parallel::MorselPool::Shared();
   sync::MutexLock lock(drain_mu_);
   workers_.reserve(static_cast<std::size_t>(opt_.workers));
   for (int w = 0; w < opt_.workers; ++w) {
@@ -63,12 +53,6 @@ std::size_t Scheduler::QueueDepth() const {
 }
 
 void Scheduler::WorkerLoop() {
-  // The OpenMP num-threads ICV is per native thread: setting it here caps
-  // every parallel region this worker opens, so concurrent queries share
-  // the machine instead of each grabbing all cores. The hot kernels run
-  // on the shared pool, but the budget still caps the remaining OpenMP
-  // regions (engine row aggregates, merges).
-  SetThreads(threads_per_query_);
   while (true) {
     Entry entry;
     {

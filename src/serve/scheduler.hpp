@@ -2,15 +2,11 @@
 //
 // The paper's aggregated queries each want the whole machine (they scale
 // to 64 cores, Fig 12), but a service answering many users cannot let
-// every request spawn a full-width OpenMP team — the oversubscription
-// collapses throughput. This scheduler bounds concurrency three ways:
-// a bounded request queue (overflow is rejected up front as `overloaded`
-// instead of building unbounded latency), a fixed pool of worker threads,
-// and a per-query OpenMP thread budget (each worker pins its own
-// omp_set_num_threads, so workers * budget ≈ the hardware).
-//
-// The aggregate kernels run their row morsels on the shared work-stealing
-// pool (parallel::MorselPool) instead of private OpenMP teams: each
+// every request claim it. This scheduler bounds concurrency two ways: a
+// bounded request queue (overflow is rejected up front as `overloaded`
+// instead of building unbounded latency) and a fixed pool of worker
+// threads. The workers share the machine through the one work-stealing
+// pool (parallel::MorselPool) that runs every parallel loop: each
 // admitted request carries a priority class, workers execute it under
 // parallel::ScopedPriority, and the two-lane queue below dequeues
 // interactive requests ahead of batch ones — so a cheap query admitted
@@ -34,13 +30,9 @@ class Scheduler {
   struct Options {
     int workers = 2;                 ///< fixed worker pool size (>= 1)
     std::size_t queue_capacity = 64; ///< pending requests beyond the pool
-    /// OpenMP budget per worker; 0 = MaxThreads() (OMP_NUM_THREADS when
-    /// set, else the core count) divided by workers.
-    int threads_per_query = 0;
   };
 
-  /// Creates the shared morsel pool (sized on this thread, whose OpenMP
-  /// budget the workers have not narrowed) and starts the worker pool.
+  /// Starts the worker pool.
   explicit Scheduler(const Options& options);
   /// Drains (runs everything already admitted) and joins.
   ~Scheduler();
@@ -65,7 +57,6 @@ class Scheduler {
   std::size_t QueueDepth() const;
   std::size_t queue_capacity() const noexcept { return opt_.queue_capacity; }
   int workers() const noexcept { return opt_.workers; }
-  int threads_per_query() const noexcept { return threads_per_query_; }
 
  private:
   struct Entry {
@@ -76,7 +67,6 @@ class Scheduler {
   void WorkerLoop();
 
   Options opt_;
-  int threads_per_query_ = 1;
 
   /// Serializes Drain callers: without it two concurrent drains both see
   /// the workers still present and double-join the same std::threads.

@@ -79,10 +79,10 @@ Status Server::Start() {
     log_thread_ = std::thread([this] { MetricsLogLoop(); });
   }
   GDELT_LOG(kInfo, StrFormat("serve: listening on %s:%d (workers=%d "
-                             "threads/query=%d queue=%zu cache=%zu)",
+                             "pool_workers=%zu queue=%zu cache=%zu)",
                              opt_.host.c_str(), front_.port(),
                              scheduler_.workers(),
-                             scheduler_.threads_per_query(),
+                             parallel::MorselPool::Shared().num_workers(),
                              scheduler_.queue_capacity(), opt_.cache_entries));
   return Status::Ok();
 }
@@ -119,7 +119,7 @@ ServerMetrics::Gauges Server::GaugesNow() const {
   g.queue_depth = scheduler_.QueueDepth();
   g.queue_capacity = scheduler_.queue_capacity();
   g.workers = scheduler_.workers();
-  g.threads_per_query = scheduler_.threads_per_query();
+  g.pool_workers = parallel::MorselPool::Shared().num_workers();
   g.epoch = Epoch();
   g.cache_entries = cache_.entries();
   g.cache_text_bytes = cache_.text_bytes();

@@ -3,19 +3,22 @@
 //
 // The query dispatch and text rendering live in serve::RenderQuery, which
 // is shared with the gdelt_serve daemon so both produce byte-identical
-// output. Only `scaling` stays here: it mutates the process-wide thread
-// count, which a shared server must never do.
+// output. Only `scaling` stays here: it times one query on private pools
+// of 1, 2, 4, ... workers, which a shared server has no use for.
 //
 // Usage: gdelt_query --db <dir> --query <name> [--top N] [--threads N]
 //   queries: stats | top-sources | top-events | quarterly | coreport |
 //            follow | country-coreport | cross-report | delay | tone |
 //            first-reports | scaling
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "engine/database.hpp"
 #include "engine/filter.hpp"
 #include "gtime/timestamp.hpp"
+#include "parallel/morsel.hpp"
 #include "serve/render.hpp"
 #include "trace/trace.hpp"
 #include "util/args.hpp"
@@ -26,16 +29,16 @@ using namespace gdelt;
 namespace {
 
 int RunScaling(const engine::Database& db) {
-  const int max_threads = MaxThreads();
+  const std::size_t max_workers = parallel::CurrentPool().num_workers();
   std::printf("Aggregated-query scaling (cf. Fig 12):\n");
-  for (int t = 1; t <= max_threads; t *= 2) {
-    SetThreads(t);
+  for (std::size_t t = 1; t <= max_workers; t *= 2) {
+    parallel::MorselPool pool(static_cast<int>(t));
+    const parallel::ScopedPool use_pool(pool);
     WallTimer timer;
     const auto report = engine::CountryCrossReporting(db);
     (void)report;
-    std::printf("  %2d thread(s): %.3fs\n", t, timer.ElapsedSeconds());
+    std::printf("  %2zu worker(s): %.3fs\n", t, timer.ElapsedSeconds());
   }
-  SetThreads(max_threads);
   return 0;
 }
 
@@ -50,7 +53,8 @@ int main(int argc, char** argv) {
                  "stats | top-sources | top-events | quarterly | coreport | "
                  "follow | country-coreport | cross-report | delay | scaling");
   args.AddInt("top", 10, "number of rows for top-k queries");
-  args.AddInt("threads", 0, "OpenMP threads (0 = default)");
+  args.AddInt("threads", 0,
+              "morsel-pool workers (0 = OMP_NUM_THREADS, else cores)");
   args.AddString("from", "",
                  "restrict top-sources/coreport/cross-report to captures "
                  "at/after this YYYYMMDDHHMMSS timestamp");
@@ -71,8 +75,14 @@ int main(int argc, char** argv) {
     std::printf("%s", args.HelpText().c_str());
     return 0;
   }
+  // --threads runs every loop of this process on a private pool of that
+  // many workers instead of the default-sized shared one.
+  std::unique_ptr<parallel::MorselPool> pool;
+  std::optional<parallel::ScopedPool> use_pool;
   if (args.GetInt("threads") > 0) {
-    SetThreads(static_cast<int>(args.GetInt("threads")));
+    pool = std::make_unique<parallel::MorselPool>(
+        static_cast<int>(args.GetInt("threads")));
+    use_pool.emplace(*pool);
   }
   const std::string trace_out = args.GetString("trace-out");
   if (!trace_out.empty()) trace::SetEnabled(true);

@@ -7,7 +7,10 @@
 // without a restart; each ingest bumps the cache epoch.
 //
 // Usage: gdelt_serve --db <dir> [--port 0] [--workers N] [--queue N]
-//                    [--threads-per-query N] [--cache N] [--follow]
+//                    [--cache N] [--follow]
+//
+// Every parallel loop runs on one shared morsel pool of OMP_NUM_THREADS
+// workers when that variable is set, else one per hardware thread.
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -40,9 +43,6 @@ int main(int argc, char** argv) {
   args.AddInt("port", 0, "listen port (0 = pick an ephemeral port)");
   args.AddInt("workers", 2, "query worker threads");
   args.AddInt("queue", 64, "admission queue capacity");
-  args.AddInt("threads-per-query", 0,
-              "OpenMP threads per query (0 = OMP_NUM_THREADS, else cores, "
-              "divided by workers)");
   args.AddInt("cache", 1024, "result cache entries (0 disables)");
   args.AddInt("timeout-ms", 30000, "default per-request deadline");
   args.AddInt("max-timeout-ms", 300000,
@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
   options.scheduler.workers = static_cast<int>(args.GetInt("workers"));
   options.scheduler.queue_capacity =
       static_cast<std::size_t>(args.GetInt("queue"));
-  options.scheduler.threads_per_query =
-      static_cast<int>(args.GetInt("threads-per-query"));
   options.cache_entries = static_cast<std::size_t>(args.GetInt("cache"));
   options.default_timeout_ms = args.GetInt("timeout-ms");
   options.max_timeout_ms = args.GetInt("max-timeout-ms");

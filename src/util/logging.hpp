@@ -1,5 +1,5 @@
 // Minimal leveled logging to stderr. Thread-safe line-at-a-time output so
-// OpenMP workers can log without interleaving.
+// pool workers can log without interleaving.
 #pragma once
 
 #include <string>

@@ -2,7 +2,7 @@
 // world model and for test/benchmark workloads.
 //
 // xoshiro256** (Blackman & Vigna) is used instead of std::mt19937_64: it is
-// ~4x faster, has a tiny state that can be split per OpenMP thread via
+// ~4x faster, has a tiny state that can be split per worker thread via
 // jump(), and gives identical streams across platforms (std distributions
 // are not portable, so all distributions here are hand-rolled).
 #pragma once

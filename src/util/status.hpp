@@ -2,7 +2,7 @@
 //
 // The engine is exception-free on hot paths: recoverable errors travel as
 // `Status` / `Result<T>` values so that parallel regions and I/O loops can
-// propagate failures without unwinding across OpenMP boundaries.
+// propagate failures without unwinding across morsel-pool workers.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@
 #include "engine/queries.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 #include "test_util.hpp"
 
 namespace gdelt::analysis {
@@ -101,14 +101,13 @@ TEST_F(CoReportEquivalenceTest, EmptySubsetIsEmptyMatrix) {
 
 TEST_F(CoReportEquivalenceTest, SingleAndManyThreads) {
   const auto top = engine::TopSourcesByArticles(*db_, 20);
-  const int hw = MaxThreads();
-  for (const int threads : {1, hw}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SetThreads(threads);
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("pool workers=" + std::to_string(workers));
+    parallel::MorselPool pool(workers);
+    const parallel::ScopedPool use_pool(pool);
     ExpectMatchesNaive(top);
     ExpectMatchesNaive(engine::AllSources(*db_));
   }
-  SetThreads(hw);
 }
 
 TEST_F(CoReportEquivalenceTest, ManyTileWidths) {

@@ -2,6 +2,9 @@
 // and the logging utility.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "analysis/coreport.hpp"
 #include "analysis/country.hpp"
 #include "analysis/delay.hpp"
@@ -126,11 +129,14 @@ TEST(LoggingTest, LevelFilteringAndThreadSafety) {
   GDELT_LOG(kDebug, "suppressed");
   GDELT_LOG(kError, std::string("emitted to stderr (expected in test log)"));
   SetLogLevel(LogLevel::kDebug);
-#pragma omp parallel for
+  std::vector<std::thread> racers;
   for (int i = 0; i < 8; ++i) {
-    SetLogLevel(LogLevel::kWarning);  // racing set/get must be safe
-    (void)GetLogLevel();
+    racers.emplace_back([] {
+      SetLogLevel(LogLevel::kWarning);  // racing set/get must be safe
+      (void)GetLogLevel();
+    });
   }
+  for (auto& racer : racers) racer.join();
   SetLogLevel(original);
 }
 

@@ -25,6 +25,7 @@
 #include "analysis/delay.hpp"
 #include "analysis/firstreport.hpp"
 #include "analysis/followreport.hpp"
+#include "analysis/tone.hpp"
 #include "convert/converter.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
@@ -467,6 +468,51 @@ TEST_F(MorselInvarianceTest, PerSourceDelayStats) {
   const std::vector<std::uint32_t> picked = {ids.back(), ids.front()};
   expect_eq(PerSourceDelayStats(*db_, picked),
             {naive[ids.back()], naive[ids.front()]});
+}
+
+TEST_F(MorselInvarianceTest, ToneSumsAreBitIdenticalAtAnyPoolAndMorselSize) {
+  // Tone sums doubles, so only a fixed summation order makes the sums
+  // reproducible: the kernel sums fixed-size event blocks and merges
+  // them in block order, whatever the pool and morsel sizes.
+  ASSERT_GT(db_->num_events(), 2048u);  // > 2 of its 1024-event blocks
+  using Sums = std::vector<std::pair<double, std::uint64_t>>;
+  const auto run = [] {
+    Sums out;
+    for (const MeanAccumulator& m : AverageToneByCountry(*db_)) {
+      out.emplace_back(m.sum, m.count);
+    }
+    const QuadClassTone quad = ToneByQuadClass(*db_);
+    for (std::size_t q = 0; q < quad.tone.size(); ++q) {
+      out.emplace_back(quad.tone[q].sum, quad.tone[q].count);
+      out.emplace_back(quad.goldstein[q].sum, quad.goldstein[q].count);
+    }
+    return out;
+  };
+  std::vector<Sums> runs;
+  for (const int workers : {1, 4}) {
+    parallel::MorselPool pool(workers);
+    const parallel::ScopedPool use_pool(pool);
+    for (const std::size_t rows : {std::size_t{64}, std::size_t{0}}) {
+      parallel::SetMorselRows(rows);
+      runs.push_back(run());
+    }
+  }
+  parallel::SetMorselRows(0);
+  for (const Sums& got : runs) EXPECT_EQ(got, runs.front());
+  // The sums are the plain per-country ones up to rounding.
+  std::vector<std::pair<double, std::uint64_t>> naive(Countries().size());
+  for (std::size_t e = 0; e < db_->num_events(); ++e) {
+    const CountryId c = db_->event_country()[e];
+    if (c == kNoCountry) continue;
+    naive[c].first += db_->events_tone()[e];
+    ++naive[c].second;
+  }
+  for (std::size_t c = 0; c < naive.size(); ++c) {
+    EXPECT_EQ(runs.front()[c].second, naive[c].second) << "country " << c;
+    EXPECT_NEAR(runs.front()[c].first, naive[c].first,
+                1e-9 * (1.0 + std::abs(naive[c].first)))
+        << "country " << c;
+  }
 }
 
 TEST(QuarterlyInvarianceTest, QuarterlyDelayStats) {

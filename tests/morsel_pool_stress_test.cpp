@@ -5,9 +5,10 @@
 // check the two priority lanes exist for (a small interactive job
 // finishes while a saturating batch job is still in flight).
 //
-// Private pools are used throughout: the shared pool is sized by
-// MaxThreads() and owns process-global counters, so these tests spawn
-// their own workers for deterministic worker counts on any host.
+// Private pools are used throughout: the shared pool is sized by the
+// host (or OMP_NUM_THREADS) and owns process-global counters, so these
+// tests spawn their own workers for deterministic worker counts on any
+// host.
 #include "parallel/morsel.hpp"
 
 #include <gtest/gtest.h>

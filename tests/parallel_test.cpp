@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
-#include "parallel/sort.hpp"
+#include "parallel/morsel.hpp"
 #include "util/rng.hpp"
 
 namespace gdelt {
@@ -40,59 +39,7 @@ TEST(SplitRangeTest, BalancedWithinOne) {
   EXPECT_LE(max_size - min_size, 1u);
 }
 
-class ParallelForTest : public ::testing::TestWithParam<Schedule> {};
-
-TEST_P(ParallelForTest, VisitsEachIndexOnce) {
-  const std::size_t n = 10000;
-  std::vector<std::atomic<int>> visits(n);
-  ParallelFor(
-      n, [&](std::size_t i) { visits[i].fetch_add(1); }, GetParam());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Schedules, ParallelForTest,
-                         ::testing::Values(Schedule::kStatic,
-                                           Schedule::kDynamic));
-
-TEST(ParallelForChunksTest, ChunksPartitionRange) {
-  const std::size_t n = 5000;
-  std::vector<std::atomic<int>> visits(n);
-  ParallelForChunks(n, [&](IndexRange r, int tid) {
-    EXPECT_GE(tid, 0);
-    for (std::size_t i = r.begin; i < r.end; ++i) visits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i].load(), 1);
-}
-
-TEST(ParallelReduceTest, MatchesSerialSum) {
-  const std::size_t n = 100000;
-  std::vector<std::uint64_t> data(n);
-  Xoshiro256 rng(3);
-  for (auto& d : data) d = UniformBelow(rng, 1000);
-  const std::uint64_t serial = std::accumulate(data.begin(), data.end(), 0ull);
-  const std::uint64_t parallel = ParallelSum<std::uint64_t>(
-      n, [&](std::size_t i) { return data[i]; });
-  EXPECT_EQ(parallel, serial);
-}
-
-TEST(ParallelReduceTest, MinMax) {
-  const std::size_t n = 50000;
-  std::vector<std::int64_t> data(n);
-  Xoshiro256 rng(5);
-  for (auto& d : data) d = UniformInt(rng, -1000000, 1000000);
-  const auto mn = ParallelReduce<std::int64_t>(
-      n, INT64_MAX, [&](std::size_t i) { return data[i]; },
-      [](std::int64_t a, std::int64_t b) { return std::min(a, b); });
-  const auto mx = ParallelReduce<std::int64_t>(
-      n, INT64_MIN, [&](std::size_t i) { return data[i]; },
-      [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
-  EXPECT_EQ(mn, *std::min_element(data.begin(), data.end()));
-  EXPECT_EQ(mx, *std::max_element(data.begin(), data.end()));
-}
-
-TEST(ParallelHistogramTest, MatchesSerial) {
+TEST(PoolHistogramTest, MatchesSerial) {
   const std::size_t n = 200000;
   const std::size_t bins = 64;
   std::vector<std::size_t> keys(n);
@@ -102,14 +49,64 @@ TEST(ParallelHistogramTest, MatchesSerial) {
   for (const auto k : keys) {
     if (k < bins) ++serial[k];
   }
-  const auto parallel =
-      ParallelHistogram(n, bins, [&](std::size_t i) { return keys[i]; });
-  EXPECT_EQ(parallel, serial);
+  const auto pooled = parallel::PoolHistogram(
+      {0, n}, bins, [&](std::size_t i) { return keys[i]; });
+  EXPECT_EQ(pooled, serial);
 }
 
-TEST(ParallelHistogramTest, EmptyInput) {
-  const auto h = ParallelHistogram(0, 4, [](std::size_t) { return 0u; });
+TEST(PoolHistogramTest, EmptyInput) {
+  const auto h =
+      parallel::PoolHistogram({0, 0}, 4, [](std::size_t) { return 0u; });
   EXPECT_EQ(h, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+}
+
+TEST(PoolHistogramTest, SelectionAndUnalignedRangeMatchSerial) {
+  // A bitmap selection over a range whose ends fall inside words, at the
+  // smallest morsel size so many morsels share edge words.
+  const std::size_t n = 10000;
+  const std::size_t bins = 16;
+  std::vector<std::uint64_t> words((n + 63) / 64, 0);
+  Xoshiro256 rng(9);
+  for (auto& w : words) w = rng();
+  const IndexRange rows{37, n - 29};
+  const auto bin_of = [](std::size_t i) -> std::size_t { return i % 19; };
+  std::vector<std::uint64_t> serial(bins, 0);
+  std::vector<std::uint64_t> serial_all(bins, 0);
+  for (std::size_t i = rows.begin; i < rows.end; ++i) {
+    if (bin_of(i) >= bins) continue;
+    ++serial_all[bin_of(i)];
+    if ((words[i / 64] >> (i % 64)) & 1u) ++serial[bin_of(i)];
+  }
+  parallel::SetMorselRows(64);
+  EXPECT_EQ(parallel::PoolHistogram(rows, bins, bin_of, words.data()), serial);
+  EXPECT_EQ(parallel::PoolHistogram(rows, bins, bin_of), serial_all);
+  parallel::SetMorselRows(0);
+  EXPECT_EQ(parallel::PoolHistogram(rows, bins, bin_of, words.data()), serial);
+}
+
+TEST(ScopedPoolTest, RoutesLoopsAndNestedLoopsToThePrivatePool) {
+  parallel::MorselPool pool(2);
+  std::atomic<int> visits{0};
+  {
+    const parallel::ScopedPool use(pool);
+    EXPECT_EQ(&parallel::CurrentPool(), &pool);
+    EXPECT_EQ(parallel::PoolSlots(), pool.num_slots());
+    parallel::PoolParallelFor(
+        8,
+        [&](IndexRange r, std::size_t) {
+          // A loop started inside a morsel stays on the morsel's pool.
+          EXPECT_EQ(&parallel::CurrentPool(), &pool);
+          parallel::PoolParallelFor(
+              4, [&](IndexRange inner, std::size_t) {
+                visits += static_cast<int>(inner.size() * r.size());
+              });
+        },
+        /*morsel_rows=*/1);
+  }
+  EXPECT_EQ(visits.load(), 8 * 4);
+  EXPECT_EQ(pool.stats().jobs, 1u);
+  EXPECT_EQ(pool.stats().inline_jobs, 8u);
+  EXPECT_EQ(&parallel::CurrentPool(), &parallel::MorselPool::Shared());
 }
 
 TEST(PrefixSumTest, ExclusiveSemantics) {
@@ -117,36 +114,6 @@ TEST(PrefixSumTest, ExclusiveSemantics) {
   const std::uint64_t total = ExclusivePrefixSum(v);
   EXPECT_EQ(total, 10u);
   EXPECT_EQ(v, (std::vector<std::uint64_t>{0, 3, 3, 5}));
-}
-
-TEST(ParallelSortTest, SortsLargeRandom) {
-  Xoshiro256 rng(11);
-  std::vector<std::uint64_t> v(300000);
-  for (auto& x : v) x = rng();
-  auto expected = v;
-  std::sort(expected.begin(), expected.end());
-  ParallelSort(v);
-  EXPECT_EQ(v, expected);
-}
-
-TEST(ParallelSortTest, CustomComparatorDescending) {
-  Xoshiro256 rng(13);
-  std::vector<int> v(50000);
-  for (auto& x : v) x = static_cast<int>(UniformBelow(rng, 1000));
-  ParallelSort(v, std::greater<>());
-  EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<>()));
-}
-
-TEST(ParallelSortTest, SmallAndEmpty) {
-  std::vector<int> empty;
-  ParallelSort(empty);
-  EXPECT_TRUE(empty.empty());
-  std::vector<int> one{5};
-  ParallelSort(one);
-  EXPECT_EQ(one, std::vector<int>{5});
-  std::vector<int> few{3, 1, 2};
-  ParallelSort(few);
-  EXPECT_EQ(few, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/country.hpp"
+#include "analysis/delay.hpp"
 #include "engine/database.hpp"
 #include "gtime/timestamp.hpp"
-#include "parallel/parallel.hpp"
+#include "parallel/morsel.hpp"
 #include "partial_fixture.hpp"
 #include "serve/json.hpp"
 #include "serve/partial.hpp"
@@ -259,6 +261,35 @@ TEST_F(PartialMergeTest, WireLineReproducesInProcessFrame) {
       RenderPartialFrame(*db_, direct, parallel::Backend::kMorselPool);
   ASSERT_TRUE(in_process.ok());
   EXPECT_EQ(wire->text, in_process->text);
+}
+
+TEST_F(PartialMergeTest, PreCancelledTokenSkipsTheScanMorsels) {
+  // The mention-range histogram of an unrestricted shard partial, the two
+  // country-coreport passes and the quarterly-delay scan poll the cancel
+  // token per morsel, so a token cancelled up front skips their morsels.
+  util::CancelToken cancelled;
+  cancelled.Cancel(util::CancelReason::kDisconnect);
+  const auto skipped = [] {
+    return parallel::MorselPool::Shared().stats().morsels_skipped;
+  };
+  for (const char* kind : {"top-sources", "cross-report"}) {
+    SCOPED_TRACE(kind);
+    Request r = MakeRequest(kind, 3);
+    r.partial = true;
+    r.shard = 0;
+    r.of = 2;
+    const auto before = skipped();
+    ASSERT_TRUE(RenderPartialFrame(*db_, r, parallel::Backend::kMorselPool,
+                                   &cancelled)
+                    .ok());
+    EXPECT_GT(skipped(), before);
+  }
+  auto before = skipped();
+  (void)analysis::ComputeCountryCoReporting(*db_, kWholeRange, &cancelled);
+  EXPECT_GT(skipped(), before);
+  before = skipped();
+  (void)analysis::QuarterlyDelayStats(*db_, 0, 1, &cancelled);
+  EXPECT_GT(skipped(), before);
 }
 
 TEST_F(PartialMergeTest, MergerRejectsBadFrames) {

@@ -25,7 +25,6 @@ TEST(SchedulerStressTest, SubmitRacingDrainRunsOrRejectsEveryTask) {
     Scheduler::Options options;
     options.workers = 4;
     options.queue_capacity = 16;
-    options.threads_per_query = 1;
     Scheduler scheduler(options);
 
     std::atomic<std::uint64_t> executed{0};
@@ -66,7 +65,6 @@ TEST(SchedulerStressTest, ConcurrentDrainsDoNotDoubleJoin) {
   Scheduler::Options options;
   options.workers = 2;
   options.queue_capacity = 64;
-  options.threads_per_query = 1;
   Scheduler scheduler(options);
 
   std::atomic<int> ran{0};
@@ -96,7 +94,6 @@ TEST(SchedulerStressTest, DrainWaitsForInFlightTask) {
   Scheduler::Options options;
   options.workers = 1;
   options.queue_capacity = 4;
-  options.threads_per_query = 1;
   Scheduler scheduler(options);
 
   std::atomic<bool> started{false};

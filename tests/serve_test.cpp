@@ -506,7 +506,6 @@ TEST_F(ServeTest, MidScanDeadlineAbortsWithinSliceBudget) {
 TEST_F(ServeTest, CancelVerbAbortsInFlightRequest) {
   ServerOptions options;
   options.scheduler.workers = 1;
-  options.scheduler.threads_per_query = 1;
   options.cache_entries = 0;
   StartServer(options);
   auto victim = Connect();
@@ -597,7 +596,6 @@ TEST_F(ServeTest, LateRenderIsCachedAndSalvagesRetry) {
 TEST_F(ServeTest, QueueOverflowReturnsOverloaded) {
   ServerOptions options;
   options.scheduler.workers = 1;
-  options.scheduler.threads_per_query = 1;
   options.scheduler.queue_capacity = 1;
   options.cache_entries = 0;  // every request must reach the queue
   StartServer(options);
@@ -654,7 +652,6 @@ TEST_F(ServeTest, StopDrainsInFlightRequests) {
 TEST_F(ServeTest, PingAndConcurrentClients) {
   ServerOptions options;
   options.scheduler.workers = 4;
-  options.scheduler.threads_per_query = 1;
   StartServer(options);
   const auto ping = Connect().RoundTrip(R"({"query":"ping"})");
   ASSERT_TRUE(ping.ok());

@@ -28,12 +28,6 @@ Clang enforces, leaving GCC-only boxes unprotected):
   raw-random      rand() and std::random_device are banned outside
                   src/gen: kernels and tests must use the seeded
                   Xoshiro256 helpers so every run is replayable.
-  raw-omp         `#pragma omp parallel` in src/analysis and src/engine
-                  is banned: migrated kernels run on the shared morsel
-                  pool (parallel/morsel.hpp) so one saturating query
-                  cannot monopolize a private thread team. Ablation
-                  baselines that must keep a private OpenMP team carry
-                  `// gdelt-lint: allow(raw-omp)` with a reason.
   cancel-blind-loop  (fallback only — run with --no-ast)
                   In src/analysis, src/engine and src/stream, a `for`
                   loop bounded by the full row range (num_events()/
@@ -89,7 +83,6 @@ RESIZE_RE = re.compile(r"\.\s*(resize|reserve)\s*\(")
 TRACE_SPAN_RE = re.compile(r"\bTRACE_SPAN\s*\(\s*\"([^\"]*)\"")
 TRACE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 RAW_RANDOM_RE = re.compile(r"(?<![\w:])rand\s*\(\s*\)|\bstd::random_device\b")
-RAW_OMP_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
 # A row-range loop: a `for` whose header names the full event/mention
 # extent, or walks the streaming store's full chunk list (every delta
 # row accumulated since startup). Morsel bodies iterate IndexRange
@@ -190,19 +183,12 @@ def in_gen_scope(path: str) -> bool:
     return "/gen/" in p or p.startswith("gen/")
 
 
-def in_morsel_scope(path: str) -> bool:
-    """Directories whose kernels were migrated onto the morsel pool."""
-    p = norm(path)
-    return "/analysis/" in p or p.startswith("analysis/") or \
-        "/engine/" in p or p.startswith("engine/")
-
-
 def in_cancel_scope(path: str) -> bool:
     """Directories whose full-table scans must observe cancellation:
-    the morsel-pool kernels plus the streaming delta scans."""
+    the query kernels plus the streaming delta scans."""
     p = norm(path)
-    return in_morsel_scope(path) or "/stream/" in p or \
-        p.startswith("stream/")
+    return any(f"/{d}/" in p or p.startswith(f"{d}/")
+               for d in ("analysis", "engine", "stream"))
 
 
 def check_file(path: str, rel: str,
@@ -291,17 +277,6 @@ def check_file(path: str, rel: str,
                     f'TRACE_SPAN name "{name}" does not match the '
                     "area.verb convention (lowercase dotted path, e.g. "
                     '"convert.parse_events")')
-
-        # --- raw-omp -----------------------------------------------------
-        if in_morsel_scope(rel):
-            m = RAW_OMP_RE.search(code)
-            if m and not has_allow(lines, i, "raw-omp"):
-                yield Finding(
-                    rel, lineno, "raw-omp",
-                    "raw `#pragma omp parallel` in a migrated kernel "
-                    "directory; use parallel::PoolParallelFor (shared "
-                    "morsel pool) or annotate an ablation baseline with "
-                    "`// gdelt-lint: allow(raw-omp)` and a reason")
 
         # --- cancel-blind-loop (fallback; gdelt_astcheck owns this) ------
         if cancel_fallback and in_cancel_scope(rel) and \

@@ -45,7 +45,6 @@ class GdeltLintTest(unittest.TestCase):
         self.assertEqual(counts.get("unchecked-copy"), 3, out)
         self.assertEqual(counts.get("trace-name"), 2, out)
         self.assertEqual(counts.get("raw-random"), 2, out)
-        self.assertEqual(counts.get("raw-omp"), 2, out)
         # Retired from the default run: the AST cancel-poll rule in
         # tools/analyze/gdelt_astcheck.py owns this class now.
         self.assertNotIn("cancel-blind-loop", counts, out)
