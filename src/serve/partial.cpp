@@ -1,17 +1,22 @@
 #include "serve/partial.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/coreport.hpp"
 #include "analysis/country.hpp"
 #include "analysis/delay.hpp"
+#include "analysis/distributions.hpp"
 #include "analysis/firstreport.hpp"
 #include "analysis/followreport.hpp"
+#include "analysis/stats.hpp"
+#include "analysis/tone.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
 #include "parallel/parallel.hpp"
@@ -52,100 +57,185 @@ struct Part {
   bool Owns(std::uint64_t slot) const { return slot % of == shard; }
 };
 
-std::vector<std::string_view> DomainsOf(const engine::Database& db,
-                                        std::span<const std::uint32_t> ids) {
-  std::vector<std::string_view> out;
-  out.reserve(ids.size());
-  for (const std::uint32_t s : ids) out.push_back(db.source_domain(s));
-  return out;
-}
+// ---------------------------------------------------------------------------
+// Partials: one column per frame field.
 
-/// The domain of every source id: looked up in the database where the
-/// partial was computed, decoded from the frames where it was merged.
-/// A single node thus labels only the ranked sources it prints.
-class SourceDomains {
+/// String elements as views: into the frames where a partial was merged,
+/// into the database where it was computed. Strings(db) is every source's
+/// domain in id order, looked up on demand, so a single node labels only
+/// the sources it prints.
+class Strings {
  public:
-  SourceDomains() = default;
-  explicit SourceDomains(const engine::Database& db) : db_(&db) {}
+  Strings() = default;
+  explicit Strings(const engine::Database& db) : db_(&db) {}
 
   std::size_t size() const {
-    return db_ != nullptr ? db_->num_sources() : decoded_.size();
+    return db_ != nullptr ? db_->num_sources() : views_.size();
   }
-  std::string_view operator[](std::size_t s) const {
-    return db_ != nullptr ? db_->source_domain(static_cast<std::uint32_t>(s))
-                          : decoded_[s];
+  std::string_view operator[](std::size_t k) const {
+    return db_ != nullptr ? db_->source_domain(static_cast<std::uint32_t>(k))
+                          : views_[k];
   }
-  std::vector<std::string_view>& decoded() { return decoded_; }
+  std::vector<std::string_view>& views() { return views_; }
+
+  /// Compares decoded strings (the only ones a merge carries).
+  friend bool operator==(const Strings&, const Strings&) = default;
 
  private:
   const engine::Database* db_ = nullptr;
-  std::vector<std::string_view> decoded_;
+  std::vector<std::string_view> views_;
 };
 
-/// Text labels of ranked domains.
-std::vector<std::string> Labels(std::span<const std::string_view> domains) {
-  return {domains.begin(), domains.end()};
-}
+/// One field's value in a partial. `u` holds the numeric elements as
+/// 64-bit words (kI64 as two's complement, kF64 as IEEE bits) and matrix
+/// cells (row-major n*n, symmetric matrices mirrored); `s` holds string
+/// elements.
+struct Column {
+  std::vector<std::uint64_t> u;
+  Strings s;
+  std::size_t n = 0;  ///< matrix dimension
 
-/// Text labels of the ranked source ids `ids`.
-std::vector<std::string> Labels(const SourceDomains& domains,
-                                std::span<const std::uint32_t> ids) {
-  std::vector<std::string> out;
-  for (const std::uint32_t s : ids) out.emplace_back(domains[s]);
+  friend bool operator==(const Column&, const Column&) = default;
+};
+
+/// A decomposable kind's partial: column k is the value of frame field k.
+using Partial = std::vector<Column>;
+
+Strings DomainsOf(const engine::Database& db,
+                  std::span<const std::uint32_t> ids) {
+  Strings out;
+  for (const std::uint32_t s : ids) out.views().push_back(db.source_domain(s));
   return out;
 }
 
-template <typename Id>
-std::vector<std::uint64_t> Widen(const std::vector<Id>& ids) {
-  return {ids.begin(), ids.end()};
+/// Text labels of every string, or of the ranked ids `ids`.
+std::vector<std::string> Labels(const Strings& strings) {
+  std::vector<std::string> out;
+  for (std::size_t k = 0; k < strings.size(); ++k) {
+    out.emplace_back(strings[k]);
+  }
+  return out;
+}
+std::vector<std::string> Labels(const Strings& strings,
+                                std::span<const std::uint32_t> ids) {
+  std::vector<std::string> out;
+  for (const std::uint32_t s : ids) out.emplace_back(strings[s]);
+  return out;
 }
 
 std::vector<CountryId> CountryIds(const std::vector<std::uint64_t>& ids) {
-  std::vector<CountryId> out;
-  out.reserve(ids.size());
-  for (const std::uint64_t c : ids) out.push_back(static_cast<CountryId>(c));
-  return out;
+  return {ids.begin(), ids.end()};
 }
 
 // ---------------------------------------------------------------------------
-// Frame emission.
+// Frame fields.
 
-template <typename Ints>
-void AppendIntArray(std::string& out, const Ints& values) {
-  out += '[';
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    if (k) out += ',';
-    Appendf(out, "%lld", static_cast<long long>(values[k]));
-  }
-  out += ']';
+/// How a field merges across the frames of one scatter.
+enum class Shape : std::uint8_t {
+  kSum,     ///< u64 vector (or scalar), summed element-wise
+  kMatrix,  ///< n x n count matrix, summed; dense or sparse on the wire
+  kCarry,   ///< a value every frame must repeat byte-for-byte
+  kAppend,  ///< a candidate list: the frames' elements concatenated
+  kSlots,   ///< slot-owned rows: each frame fills the rows it owns
+};
+
+enum class Elem : std::uint8_t { kU64, kI64, kF64, kStr };
+
+/// Bounds on frame-carried values, checked before anything is sized from
+/// them.
+enum class Bound : std::uint8_t {
+  kNone,
+  kTopK,          ///< a matrix dimension: at most the request's top_k
+  kCountry,       ///< every element is a country id
+  kQuarter,       ///< a QuarterId that kMaxQuarterSlots quarters cannot
+                  ///< overflow
+  kQuarterSlots,  ///< at most kMaxQuarterSlots
+};
+
+inline constexpr int kOwnLength = -1;  ///< the first frame fixes the length
+inline constexpr int kCountries = -2;  ///< the length is Countries().size()
+
+/// One named member of a frame's "data", in frame order.
+struct Field {
+  std::string_view name;
+  Shape shape;
+  Elem elem = Elem::kU64;
+  /// The dimension this field's length (a matrix: its n) must equal: an
+  /// earlier field's length, or its value when that field is a scalar;
+  /// else kOwnLength or kCountries. A kSlots field whose dim is a carried
+  /// field lists the slots a frame owns (each < that dimension); one
+  /// whose dim is such a slot list holds the owned rows, in slot order.
+  int dim = kOwnLength;
+  Bound bound = Bound::kNone;
+  bool scalar = false;  ///< kSum/kCarry: one number, not an array
+  bool sym = false;     ///< kMatrix: only the upper triangle ships
+};
+
+bool IsSlotRows(std::span<const Field> fields, const Field& f) {
+  return f.shape == Shape::kSlots && fields[f.dim].shape == Shape::kSlots;
 }
 
-void AppendDoubleArray(std::string& out, const std::vector<double>& values) {
-  out += '[';
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    if (k) out += ',';
-    // %.17g round-trips every IEEE double through strtod, so the merged
-    // averages re-parse to the exact bits the shard computed.
-    Appendf(out, "%.17g", values[k]);
+/// What the decoder relies on: every dim names an earlier field, only
+/// u64 fields are summed, matrix dimensions are bounded, slot lists index
+/// a carried dimension, and a scalar that sizes rows carries a bound.
+constexpr bool ValidFields(std::span<const Field> fields) {
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    const Field& f = fields[k];
+    if (f.dim >= static_cast<int>(k)) return false;
+    if ((f.shape == Shape::kSum || f.shape == Shape::kMatrix) &&
+        f.elem != Elem::kU64) {
+      return false;
+    }
+    if (f.shape == Shape::kMatrix && f.dim != kCountries &&
+        f.bound != Bound::kTopK) {
+      return false;
+    }
+    if (f.shape == Shape::kSlots &&
+        (f.dim < 0 || (fields[f.dim].shape != Shape::kSlots &&
+                       fields[f.dim].shape != Shape::kCarry))) {
+      return false;
+    }
+    if (f.dim >= 0 && fields[f.dim].scalar &&
+        fields[f.dim].bound == Bound::kNone) {
+      return false;
+    }
   }
-  out += ']';
+  return true;
 }
 
-template <typename Strings>
-void AppendStringArray(std::string& out, const Strings& values) {
-  out += '[';
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    if (k) out += ',';
-    AppendJsonString(out, values[k]);
+std::size_t Len(const Field& f, const Column& c) {
+  return f.elem == Elem::kStr ? c.s.size() : c.u.size();
+}
+
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+double Double(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+// ---------------------------------------------------------------------------
+// Encoding: one writer per shape.
+
+void AppendElem(std::string& out, Elem elem, const Column& c, std::size_t k) {
+  switch (elem) {
+    case Elem::kU64:
+      Appendf(out, "%llu", static_cast<unsigned long long>(c.u[k]));
+      return;
+    case Elem::kI64:
+      Appendf(out, "%lld", static_cast<long long>(c.u[k]));
+      return;
+    case Elem::kF64:
+      // %.17g round-trips every IEEE double through strtod, so the merged
+      // averages re-parse to the exact bits the shard computed.
+      Appendf(out, "%.17g", Double(c.u[k]));
+      return;
+    case Elem::kStr:
+      AppendJsonString(out, c.s[k]);
+      return;
   }
-  out += ']';
 }
 
 /// Emits a count matrix (full row-major n*n, symmetric matrices already
 /// mirrored) as a frame matrix object. Symmetric matrices ship only the
 /// upper triangle.
-template <typename T>
-void AppendCountMatrix(std::string& out, const std::vector<T>& full,
+void AppendCountMatrix(std::string& out, const std::vector<std::uint64_t>& full,
                        std::size_t n, bool sym) {
   const std::size_t dense_elems = sym ? n * (n + 1) / 2 : n * n;
   std::size_t nnz = 0;
@@ -162,113 +252,147 @@ void AppendCountMatrix(std::string& out, const std::vector<T>& full,
   }
   Appendf(out, "{\"n\":%zu,\"sym\":%s,\"enc\":\"%s\",", n,
           sym ? "true" : "false", sparse ? "sparse" : "dense");
-  if (sparse) {
-    out += "\"items\":[";
-    bool first = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = sym ? i : 0; j < n; ++j) {
-        const T v = full[i * n + j];
-        if (v == 0) continue;
-        if (!first) out += ',';
-        first = false;
-        Appendf(out, "[%zu,%zu,%llu]", i, j,
-                static_cast<unsigned long long>(v));
+  out += sparse ? "\"items\":[" : sym ? "\"tri\":[" : "\"cells\":[";
+  bool first = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = sym ? i : 0; j < n; ++j) {
+      const auto v = static_cast<unsigned long long>(full[i * n + j]);
+      if (sparse && v == 0) continue;
+      if (!first) out += ',';
+      first = false;
+      if (sparse) {
+        Appendf(out, "[%zu,%zu,%llu]", i, j, v);
+      } else {
+        Appendf(out, "%llu", v);
       }
     }
-    out += ']';
-  } else {
-    out += sym ? "\"tri\":[" : "\"cells\":[";
-    bool first = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = sym ? i : 0; j < n; ++j) {
-        if (!first) out += ',';
-        first = false;
-        Appendf(out, "%llu", static_cast<unsigned long long>(full[i * n + j]));
-      }
+  }
+  out += "]}";
+}
+
+/// Writes partial `x` as the members of a frame's "data". Slot rows ship
+/// only the rows of the slots the partition owns.
+void EncodeFrame(std::span<const Field> fields, const Partial& x,
+                 std::string& out) {
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    const Field& f = fields[k];
+    const Column& c = x[k];
+    if (k) out += ',';
+    out += '"';
+    out += f.name;
+    out += "\":";
+    if (f.shape == Shape::kMatrix) {
+      AppendCountMatrix(out, c.u, c.n, f.sym);
+      continue;
+    }
+    if (f.scalar) {
+      AppendElem(out, f.elem, c, 0);
+      continue;
+    }
+    const std::vector<std::uint64_t>* slots =
+        IsSlotRows(fields, f) ? &x[f.dim].u : nullptr;
+    const std::size_t count = slots ? slots->size() : Len(f, c);
+    out += '[';
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i) out += ',';
+      AppendElem(out, f.elem, c, slots ? (*slots)[i] : i);
     }
     out += ']';
   }
-  out += '}';
 }
 
 // ---------------------------------------------------------------------------
-// Frame parsing.
+// Decoding: one reader per shape, and every frame bound.
 
 Status FrameError(std::string what) {
   return status::InvalidArgument("bad partial frame: " + std::move(what));
 }
 
-Result<std::uint64_t> U64Of(const JsonValue& v, std::string_view what) {
-  if (!v.is_number() || v.AsNumber() < 0) {
-    return FrameError("'" + std::string(what) +
-                      "' must be a non-negative number");
-  }
-  return static_cast<std::uint64_t>(v.AsInt());
+/// A frame error about field `f`.
+Status FieldError(const Field& f, const char* what) {
+  return FrameError(StrFormat("'%.*s' %s", static_cast<int>(f.name.size()),
+                              f.name.data(), what));
 }
 
-/// Parses the array member `key` of a frame's data. Unsigned elements
-/// must be non-negative numbers; string elements stay views into `data`.
-template <typename T>
-Status TakeVec(const JsonValue& data, std::string_view key,
-               std::vector<T>& out) {
-  const JsonValue* arr = data.Find(key);
-  if (arr == nullptr || arr->kind() != JsonValue::Kind::kArray) {
-    return FrameError("missing array '" + std::string(key) + "'");
+Status Disagree(const Field& f) {
+  return status::Internal("shard partials disagree on '" +
+                          std::string(f.name) +
+                          "' (mixed data epochs behind the router?)");
+}
+
+/// A frame number as a 64-bit integer (signed ones as two's complement).
+/// The range check comes first: casting an out-of-range double is
+/// undefined.
+Result<std::uint64_t> IntOf(const JsonValue& v, std::string_view what,
+                            bool is_signed = false) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const double d = v.AsNumber();
+  if (!v.is_number() || !(d >= (is_signed ? -kTwo63 : 0.0) && d < kTwo63)) {
+    return FrameError(StrFormat("'%.*s' must hold %s integers",
+                                static_cast<int>(what.size()), what.data(),
+                                is_signed ? "64-bit" : "non-negative"));
   }
-  out.clear();
-  out.reserve(arr->elements().size());
-  for (const JsonValue& e : arr->elements()) {
-    if constexpr (std::is_same_v<T, std::uint64_t>) {
-      GDELT_ASSIGN_OR_RETURN(const std::uint64_t v, U64Of(e, key));
-      out.push_back(v);
-    } else if constexpr (std::is_same_v<T, std::string_view>) {
-      if (!e.is_string()) {
-        return FrameError("'" + std::string(key) + "' must hold strings");
-      }
-      out.push_back(e.AsString());
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(d));
+}
+
+/// Member `key` of a frame object as a non-negative integer.
+Result<std::uint64_t> IntMember(const JsonValue& object,
+                                std::string_view key) {
+  const JsonValue* v = object.Find(key);
+  if (v == nullptr) {
+    return FrameError(StrFormat("missing '%.*s'", static_cast<int>(key.size()),
+                                key.data()));
+  }
+  return IntOf(*v, key);
+}
+
+/// Parses member `f` of a frame's data into `c`; a scalar is read as a
+/// one-element array. Strings stay views into the frame.
+Status ParseField(const Field& f, const JsonValue& data, Column& c) {
+  const JsonValue* v = data.Find(f.name);
+  if (v == nullptr) return FieldError(f, "is missing");
+  if (!f.scalar && v->kind() != JsonValue::Kind::kArray) {
+    return FieldError(f, "must be an array");
+  }
+  const std::span<const JsonValue> elems =
+      f.scalar ? std::span(v, 1) : std::span(v->elements());
+  if (f.elem == Elem::kStr) {
+    c.s.views().reserve(elems.size());
+    for (const JsonValue& e : elems) {
+      if (!e.is_string()) return FieldError(f, "must hold strings");
+      c.s.views().push_back(e.AsString());
+    }
+    return Status::Ok();
+  }
+  c.u.reserve(elems.size());
+  for (const JsonValue& e : elems) {
+    if (f.elem == Elem::kF64) {
+      if (!e.is_number()) return FieldError(f, "must hold numbers");
+      c.u.push_back(Bits(e.AsNumber()));
     } else {
-      if (!e.is_number()) {
-        return FrameError("'" + std::string(key) + "' must hold numbers");
-      }
-      if constexpr (std::is_same_v<T, double>) {
-        out.push_back(e.AsNumber());
-      } else {
-        out.push_back(e.AsInt());
-      }
+      GDELT_ASSIGN_OR_RETURN(const std::uint64_t x,
+                             IntOf(e, f.name, f.elem == Elem::kI64));
+      c.u.push_back(x);
     }
   }
-  return Status::Ok();
-}
-
-Status TakeU64Field(const JsonValue& data, std::string_view key,
-                    std::uint64_t& out) {
-  const JsonValue* v = data.Find(key);
-  if (v == nullptr) return FrameError("missing '" + std::string(key) + "'");
-  GDELT_ASSIGN_OR_RETURN(out, U64Of(*v, key));
   return Status::Ok();
 }
 
 /// Parses a frame matrix object and ADDS it into `acc` (row-major n*n).
 /// A symmetric matrix's upper-triangle cells are added to both
 /// triangles, so `acc` stays mirrored.
-template <typename T>
 Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
-                            std::span<T> acc) {
-  if (m == nullptr || !m->is_object()) {
-    return FrameError("missing matrix object");
-  }
-  const JsonValue* nv = m->Find("n");
-  if (nv == nullptr || !nv->is_number() ||
-      static_cast<std::size_t>(nv->AsInt()) != n) {
-    return FrameError("matrix dimension mismatch");
-  }
+                            std::span<std::uint64_t> acc) {
+  if (m == nullptr) return FrameError("missing matrix object");
+  GDELT_ASSIGN_OR_RETURN(const std::uint64_t dim, IntMember(*m, "n"));
+  if (dim != n) return FrameError("matrix dimension mismatch");
   const JsonValue* sv = m->Find("sym");
   if (sv == nullptr || !sv->is_bool() || sv->AsBool() != sym) {
     return FrameError("matrix symmetry mismatch");
   }
   const auto add = [&](std::size_t i, std::size_t j, std::uint64_t v) {
-    acc[i * n + j] += static_cast<T>(v);
-    if (sym && i != j) acc[j * n + i] += static_cast<T>(v);
+    acc[i * n + j] += v;
+    if (sym && i != j) acc[j * n + i] += v;
   };
   const JsonValue* enc = m->Find("enc");
   if (enc == nullptr || !enc->is_string()) {
@@ -288,7 +412,7 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = sym ? i : 0; j < n; ++j) {
         GDELT_ASSIGN_OR_RETURN(const std::uint64_t v,
-                               U64Of(arr->elements()[at++], key));
+                               IntOf(arr->elements()[at++], key));
         add(i, j, v);
       }
     }
@@ -305,11 +429,11 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
         return FrameError("sparse item must be [i,j,count]");
       }
       GDELT_ASSIGN_OR_RETURN(const std::uint64_t i,
-                             U64Of(item.elements()[0], "items"));
+                             IntOf(item.elements()[0], "items"));
       GDELT_ASSIGN_OR_RETURN(const std::uint64_t j,
-                             U64Of(item.elements()[1], "items"));
+                             IntOf(item.elements()[1], "items"));
       GDELT_ASSIGN_OR_RETURN(const std::uint64_t v,
-                             U64Of(item.elements()[2], "items"));
+                             IntOf(item.elements()[2], "items"));
       if (i >= n || j >= n || (sym && j < i)) {
         return FrameError("sparse item index out of range");
       }
@@ -320,89 +444,168 @@ Status ParseCountMatrixInto(const JsonValue* m, std::size_t n, bool sym,
   return FrameError("unknown matrix encoding '" + enc->AsString() + "'");
 }
 
-/// First frame records a carried-global field; later frames must agree
-/// byte-for-byte, or the shards answered over different data.
-template <typename T>
-Status CarryCheck(bool first, T& expected, T&& got, std::string_view what) {
-  if (first) {
-    expected = std::move(got);
-    return Status::Ok();
-  }
-  if (!(expected == got)) {
-    return status::Internal("shard partials disagree on '" +
-                            std::string(what) +
-                            "' (mixed data epochs behind the router?)");
+/// Checks field `f` (length `len`; a matrix: its dimension) against its
+/// bound.
+Status CheckBound(const Field& f, const Request& r, const Column& c,
+                  std::size_t len) {
+  switch (f.bound) {
+    case Bound::kNone:
+      return Status::Ok();
+    case Bound::kTopK:
+      // n*n sizes the accumulator matrix (top_k=100k would demand an
+      // 80 GB allocation), and no honest shard reports more sources than
+      // the request asked for.
+      if (len > r.top_k) {
+        return FieldError(f, "larger than requested top_k");
+      }
+      return Status::Ok();
+    case Bound::kCountry:
+      for (const std::uint64_t id : c.u) {
+        if (id >= Countries().size()) {
+          return FrameError("country id out of range");
+        }
+      }
+      return Status::Ok();
+    case Bound::kQuarter: {
+      // The finish labels quarters first + q for q < kMaxQuarterSlots.
+      const auto q = static_cast<std::int64_t>(c.u[0]);
+      if (q < std::numeric_limits<QuarterId>::min() ||
+          q > std::numeric_limits<QuarterId>::max() -
+                  static_cast<std::int64_t>(kMaxQuarterSlots)) {
+        return FrameError("quarter out of range");
+      }
+      return Status::Ok();
+    }
+    case Bound::kQuarterSlots:
+      // It sizes the quarterly rows; a hostile 2^62 would be an OOM.
+      if (c.u[0] > kMaxQuarterSlots) {
+        return FrameError("quarterly span too large");
+      }
+      return Status::Ok();
   }
   return Status::Ok();
 }
 
-Status CheckCountryIds(const std::vector<std::uint64_t>& ids) {
-  for (const std::uint64_t c : ids) {
-    if (c >= Countries().size()) return FrameError("country id out of range");
+/// Parses one frame's data and merges it into `acc` (`first`: nothing
+/// merged yet). Each field is parsed, tied to its dimension, checked
+/// against its bound, then merged by its shape.
+Status DecodeFrame(std::span<const Field> fields, const Request& r,
+                   const JsonValue& data, bool first, Partial& acc) {
+  Partial cur(fields.size());
+  // This frame's length of each field, or a scalar's value.
+  std::vector<std::size_t> dims(fields.size(), 0);
+  const auto dim_of = [&dims](int d) {
+    return d == kCountries ? Countries().size()
+                           : dims[static_cast<std::size_t>(d)];
+  };
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    const Field& f = fields[k];
+    Column& c = cur[k];
+    Column& a = acc[k];
+    if (f.shape == Shape::kMatrix) {
+      const std::size_t n = dim_of(f.dim);
+      if (Status s = CheckBound(f, r, c, n); !s.ok()) return s;
+      if (first) {
+        a.n = n;
+        a.u.assign(n * n, 0);
+      } else if (a.n != n) {
+        return Disagree(f);
+      }
+      GDELT_RETURN_IF_ERROR(
+          ParseCountMatrixInto(data.Find(f.name), n, f.sym, std::span(a.u)));
+      continue;
+    }
+    GDELT_RETURN_IF_ERROR(ParseField(f, data, c));
+    const std::size_t len = Len(f, c);
+    dims[k] = f.scalar ? c.u[0] : len;
+    const bool slot_list = f.shape == Shape::kSlots && !IsSlotRows(fields, f);
+    if (f.dim != kOwnLength && !slot_list && len != dim_of(f.dim)) {
+      return FieldError(f, "length does not match its dimension");
+    }
+    GDELT_RETURN_IF_ERROR(CheckBound(f, r, c, len));
+    switch (f.shape) {
+      case Shape::kSum:
+        if (first) {
+          a = std::move(c);
+        } else if (a.u.size() != len) {
+          return Disagree(f);
+        } else {
+          for (std::size_t i = 0; i < len; ++i) a.u[i] += c.u[i];
+        }
+        break;
+      case Shape::kCarry:
+        if (first) {
+          a = std::move(c);
+        } else if (a != c) {
+          return Disagree(f);
+        }
+        break;
+      case Shape::kAppend:
+        a.u.insert(a.u.end(), c.u.begin(), c.u.end());
+        a.s.views().insert(a.s.views().end(), c.s.views().begin(),
+                           c.s.views().end());
+        break;
+      case Shape::kSlots: {
+        if (slot_list) {
+          for (const std::uint64_t slot : c.u) {
+            if (slot >= dim_of(f.dim)) {
+              return FieldError(f, "slot out of range");
+            }
+          }
+          break;  // stays in `cur` for the rows that follow
+        }
+        const std::vector<std::uint64_t>& slots = cur[f.dim].u;
+        if (first) {
+          // gdelt-astcheck: allow(bounded-alloc) — the rows number a
+          // carried array's length, or a scalar with a Bound (ValidFields).
+          a.u.assign(dim_of(fields[f.dim].dim), 0);
+        }
+        for (std::size_t i = 0; i < slots.size(); ++i) a.u[slots[i]] = c.u[i];
+        break;
+      }
+      case Shape::kMatrix:
+        break;
+    }
   }
   return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
-// The decomposable kinds. Each one defines its typed partial and four
-// steps over it:
+// The decomposable kinds. Each declares its frame fields and two steps:
 //   Compute  runs the kind's one kernel over a partition;
-//   Encode   writes a partial as the members of a frame's "data";
-//   Decode   parses one frame's "data" and adds it into an accumulator
-//            (`first`: nothing added yet; carried globals must agree);
-//   Finish   renders a partial, computed whole or summed from frames, as
-//            the query's text.
+//   Finish   renders a partial, computed whole or decoded and summed from
+//            frames, as the query's text.
 // A single node is Finish(Compute(partition 0 of 1)); a shard is
-// Encode(Compute(partition k of n)); the router is Finish of the Decoded
-// sum. So routed output equals single-node output by construction.
+// EncodeFrame(Compute(partition k of n)); the router is Finish of the
+// DecodeFrame sum. So routed output equals single-node output by
+// construction.
 
 /// Articles per source over a mention range (time shards) and the
 /// optional selection; the ranking happens at Finish.
 struct TopSources {
-  static constexpr std::string_view kName = "top-sources";
-  static constexpr bool kFiltered = true;
-  struct Partial {
-    std::vector<std::uint64_t> counts;  ///< per source id
-    SourceDomains domains;
+  enum { kCounts, kDomains };
+  static constexpr Field kFields[] = {
+      {"counts", Shape::kSum},
+      {"domains", Shape::kCarry, Elem::kStr, kCounts},
   };
 
   static Partial Compute(const Part& p) {
-    return {engine::ArticlesPerSource(p.db, p.mentions(), p.sel, p.cancel),
-            SourceDomains(p.db)};
+    Partial x(std::size(kFields));
+    x[kCounts].u =
+        engine::ArticlesPerSource(p.db, p.mentions(), p.sel, p.cancel);
+    x[kDomains].s = Strings(p.db);
+    return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    out += "\"counts\":";
-    AppendIntArray(out, x.counts);
-    out += ",\"domains\":";
-    AppendStringArray(out, x.domains);
-  }
-  static Status Decode(const Request&, const JsonValue& data, bool first,
-                       Partial& acc) {
-    std::vector<std::uint64_t> c;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "counts", c));
-    std::vector<std::string_view> d;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", d));
-    if (c.size() != d.size()) {
-      return FrameError("counts/domains length mismatch");
-    }
-    if (first) {
-      acc.counts.assign(c.size(), 0);
-    } else if (c.size() != acc.counts.size()) {
-      return status::Internal("shard partials disagree on 'counts' size");
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains.decoded(),
-                                     std::move(d), "domains"));
-    for (std::size_t s = 0; s < c.size(); ++s) acc.counts[s] += c[s];
-    return Status::Ok();
-  }
-  static std::string Finish(const Request& r, const Partial& x) {
+  static std::string Finish(const Request& r, Partial x) {
+    const std::vector<std::uint64_t>& counts = x[kCounts].u;
     const auto ids =
-        r.restricted ? RankSources(x.counts, r.top_k)
-                     : engine::RankByCount<std::uint32_t>(x.counts, r.top_k);
-    std::vector<std::uint64_t> counts;
-    for (const std::uint32_t s : ids) counts.push_back(x.counts[s]);
+        r.restricted ? RankSources(counts, r.top_k)
+                     : engine::RankByCount<std::uint32_t>(counts, r.top_k);
+    std::vector<std::uint64_t> ranked;
+    for (const std::uint32_t s : ids) ranked.push_back(counts[s]);
     std::string text;
-    AppendTopSourcesText(text, Labels(x.domains, ids), counts, r.restricted);
+    AppendTopSourcesText(text, Labels(x[kDomains].s, ids), ranked,
+                         r.restricted);
     return text;
   }
 };
@@ -410,61 +613,33 @@ struct TopSources {
 /// Local top-k over an event range; the union of the local lists holds
 /// the global top k.
 struct TopEvents {
-  static constexpr std::string_view kName = "top-events";
-  static constexpr bool kFiltered = false;
-  struct Candidate {
-    std::uint64_t event_row = 0;
-    std::uint64_t articles = 0;
-    std::string_view url;
-  };
-  struct Partial {
-    std::vector<Candidate> events;
+  enum { kRows, kArticles, kUrls };
+  static constexpr Field kFields[] = {
+      {"rows", Shape::kAppend},
+      {"articles", Shape::kAppend, Elem::kU64, kRows},
+      {"urls", Shape::kAppend, Elem::kStr, kRows},
   };
 
   static Partial Compute(const Part& p) {
-    Partial x;
+    Partial x(std::size(kFields));
     for (const auto& ev :
          engine::TopReportedEvents(p.db, p.r.top_k, p.events())) {
-      x.events.push_back(
-          {ev.event_row, ev.articles, p.db.event_source_url(ev.event_row)});
+      x[kRows].u.push_back(ev.event_row);
+      x[kArticles].u.push_back(ev.articles);
+      x[kUrls].s.views().push_back(p.db.event_source_url(ev.event_row));
     }
     return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    std::vector<std::uint64_t> rows;
-    std::vector<std::uint64_t> articles;
-    std::vector<std::string_view> urls;
-    for (const Candidate& c : x.events) {
-      rows.push_back(c.event_row);
-      articles.push_back(c.articles);
-      urls.push_back(c.url);
-    }
-    out += "\"rows\":";
-    AppendIntArray(out, rows);
-    out += ",\"articles\":";
-    AppendIntArray(out, articles);
-    out += ",\"urls\":";
-    AppendStringArray(out, urls);
-  }
-  static Status Decode(const Request&, const JsonValue& data, bool,
-                       Partial& acc) {
-    std::vector<std::uint64_t> rows;
-    std::vector<std::uint64_t> articles;
-    std::vector<std::string_view> urls;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "rows", rows));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", articles));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "urls", urls));
-    if (rows.size() != articles.size() || rows.size() != urls.size()) {
-      return FrameError("rows/articles/urls length mismatch");
-    }
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      acc.events.push_back({rows[k], articles[k], urls[k]});
-    }
-    return Status::Ok();
-  }
-  static std::string Finish(const Request& r, const Partial& x) {
+  static std::string Finish(const Request& r, Partial x) {
+    struct Candidate {
+      std::uint64_t event_row;
+      std::uint64_t articles;
+      std::string_view url;
+    };
     engine::TopEventsSelector<Candidate> top(r.top_k);
-    for (const Candidate& c : x.events) top.Offer(c);
+    for (std::size_t k = 0; k < x[kRows].u.size(); ++k) {
+      top.Offer({x[kRows].u[k], x[kArticles].u[k], x[kUrls].s[k]});
+    }
     std::vector<std::uint32_t> articles;
     std::vector<std::string> urls;
     for (const Candidate& c : std::move(top).Take()) {
@@ -480,12 +655,12 @@ struct TopEvents {
 /// Co-reporting pair counts over an event range, among the top sources
 /// (by the selection's article counts when restricted).
 struct Coreport {
-  static constexpr std::string_view kName = "coreport";
-  static constexpr bool kFiltered = true;
-  struct Partial {
-    std::vector<std::uint64_t> subset;
-    std::vector<std::string_view> domains;  ///< per subset member
-    analysis::CoReportMatrix matrix{0};
+  enum { kSubset, kDomains, kMatrix };
+  static constexpr Field kFields[] = {
+      {"subset", Shape::kCarry},
+      {"domains", Shape::kCarry, Elem::kStr, kSubset},
+      {.name = "matrix", .shape = Shape::kMatrix, .dim = kSubset,
+       .bound = Bound::kTopK, .sym = true},
   };
 
   static Partial Compute(const Part& p) {
@@ -497,146 +672,85 @@ struct Coreport {
             : engine::TopSourcesByArticles(p.db, p.r.top_k);
     analysis::TiledCoReportOptions options;
     options.cancel = p.cancel;
-    return {Widen(top), DomainsOf(p.db, top),
-            analysis::ComputeCoReporting(p.db, top, p.events(), p.sel,
-                                         options)};
+    const auto matrix =
+        analysis::ComputeCoReporting(p.db, top, p.events(), p.sel, options);
+    Partial x(std::size(kFields));
+    x[kSubset].u.assign(top.begin(), top.end());
+    x[kDomains].s = DomainsOf(p.db, top);
+    x[kMatrix].u.assign(matrix.counts().begin(), matrix.counts().end());
+    x[kMatrix].n = matrix.size();
+    return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    out += "\"subset\":";
-    AppendIntArray(out, x.subset);
-    out += ",\"domains\":";
-    AppendStringArray(out, x.domains);
-    out += ",\"matrix\":";
-    AppendCountMatrix(out, x.matrix.counts(), x.matrix.size(), /*sym=*/true);
-  }
-  static Status Decode(const Request& r, const JsonValue& data, bool first,
-                       Partial& acc) {
-    std::vector<std::uint64_t> sub;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "subset", sub));
-    std::vector<std::string_view> dom;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
-    if (first) {
-      // The subset a shard reports can never exceed the top_k the
-      // request asked for; a larger n is a hostile or corrupt frame, and
-      // n*n sizes the accumulator matrix (top_k=100k would demand an
-      // 80 GB allocation), so reject before allocating.
-      if (sub.size() > r.top_k) {
-        return FrameError("subset larger than requested top_k");
-      }
-      acc.matrix = analysis::CoReportMatrix(sub.size());
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.subset, std::move(sub),
-                                     "subset"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
-                                     "domains"));
-    return ParseCountMatrixInto(data.Find("matrix"), acc.matrix.size(),
-                                /*sym=*/true,
-                                std::span(acc.matrix.mutable_counts()));
-  }
-  static std::string Finish(const Request& r, const Partial& x) {
+  static std::string Finish(const Request& r, Partial x) {
+    analysis::CoReportMatrix matrix(x[kMatrix].n);
+    std::transform(x[kMatrix].u.begin(), x[kMatrix].u.end(),
+                   matrix.mutable_counts().begin(), [](std::uint64_t v) {
+                     return static_cast<std::uint32_t>(v);
+                   });
     std::string text;
-    AppendCoreportText(text, Labels(x.domains), x.matrix, r.restricted);
+    AppendCoreportText(text, Labels(x[kDomains].s), matrix, r.restricted);
     return text;
   }
 };
 
 /// Follow-reporting counts over an event range among the top sources.
 struct Follow {
-  static constexpr std::string_view kName = "follow";
-  static constexpr bool kFiltered = false;
-  struct Partial {
-    std::vector<std::uint64_t> subset;
-    std::vector<std::string_view> domains;  ///< per subset member
-    analysis::FollowReportMatrix matrix;
+  enum { kSubset, kDomains, kArticles, kMatrix };
+  static constexpr Field kFields[] = {
+      {"subset", Shape::kCarry},
+      {"domains", Shape::kCarry, Elem::kStr, kSubset},
+      {"articles", Shape::kCarry, Elem::kU64, kSubset},
+      {"matrix", Shape::kMatrix, Elem::kU64, kSubset, Bound::kTopK},
   };
 
   static Partial Compute(const Part& p) {
     const auto top = engine::TopSourcesByArticles(p.db, p.r.top_k);
-    return {Widen(top), DomainsOf(p.db, top),
-            analysis::ComputeFollowReporting(p.db, top, p.events(),
-                                             p.cancel)};
+    auto matrix =
+        analysis::ComputeFollowReporting(p.db, top, p.events(), p.cancel);
+    Partial x(std::size(kFields));
+    x[kSubset].u.assign(top.begin(), top.end());
+    x[kDomains].s = DomainsOf(p.db, top);
+    x[kArticles].u = std::move(matrix.articles);
+    x[kMatrix].u = std::move(matrix.follow_counts);
+    x[kMatrix].n = matrix.n;
+    return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    out += "\"subset\":";
-    AppendIntArray(out, x.subset);
-    out += ",\"domains\":";
-    AppendStringArray(out, x.domains);
-    out += ",\"articles\":";
-    AppendIntArray(out, x.matrix.articles);
-    out += ",\"matrix\":";
-    AppendCountMatrix(out, x.matrix.follow_counts, x.matrix.n,
-                      /*sym=*/false);
-  }
-  static Status Decode(const Request& r, const JsonValue& data, bool first,
-                       Partial& acc) {
-    std::vector<std::uint64_t> sub;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "subset", sub));
-    std::vector<std::string_view> dom;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
-    std::vector<std::uint64_t> art;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", art));
-    if (first) {
-      // Same bound as Coreport: n*n sizes the accumulator, and no honest
-      // shard reports more than top_k follow candidates.
-      if (sub.size() > r.top_k) {
-        return FrameError("subset larger than requested top_k");
-      }
-      acc.matrix.n = sub.size();
-      acc.matrix.follow_counts.assign(sub.size() * sub.size(), 0);
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.subset, std::move(sub),
-                                     "subset"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
-                                     "domains"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.matrix.articles,
-                                     std::move(art), "articles"));
-    return ParseCountMatrixInto(data.Find("matrix"), acc.matrix.n,
-                                /*sym=*/false,
-                                std::span(acc.matrix.follow_counts));
-  }
-  static std::string Finish(const Request&, const Partial& x) {
+  static std::string Finish(const Request&, Partial x) {
+    analysis::FollowReportMatrix matrix;
+    matrix.n = x[kMatrix].n;
+    matrix.follow_counts = std::move(x[kMatrix].u);
+    matrix.articles = std::move(x[kArticles].u);
     std::string text;
-    AppendFollowText(text, Labels(x.domains), x.matrix);
+    AppendFollowText(text, Labels(x[kDomains].s), matrix);
     return text;
   }
 };
 
 /// Country co-reporting pair counts over an event range.
 struct CountryCoreport {
-  static constexpr std::string_view kName = "country-coreport";
-  static constexpr bool kFiltered = false;
-  struct Partial {
-    std::vector<std::uint64_t> top;  ///< country ids
-    analysis::CountryCoReport report;
+  enum { kTop, kPairs };
+  static constexpr Field kFields[] = {
+      {"top", Shape::kCarry, Elem::kU64, kOwnLength, Bound::kCountry},
+      {.name = "pairs", .shape = Shape::kMatrix, .dim = kCountries,
+       .sym = true},
   };
 
   static Partial Compute(const Part& p) {
-    return {Widen(engine::CountriesByPublishedArticles(p.db, p.r.top_k)),
-            analysis::ComputeCountryCoReporting(p.db, p.events(), p.cancel)};
+    const auto top = engine::CountriesByPublishedArticles(p.db, p.r.top_k);
+    auto report =
+        analysis::ComputeCountryCoReporting(p.db, p.events(), p.cancel);
+    Partial x(std::size(kFields));
+    x[kTop].u.assign(top.begin(), top.end());
+    x[kPairs].u = std::move(report.pair_counts);
+    x[kPairs].n = report.n;
+    return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    out += "\"top\":";
-    AppendIntArray(out, x.top);
-    out += ",\"pairs\":";
-    AppendCountMatrix(out, x.report.pair_counts, x.report.n, /*sym=*/true);
-  }
-  static Status Decode(const Request&, const JsonValue& data, bool first,
-                       Partial& acc) {
-    const std::size_t nc = Countries().size();
-    std::vector<std::uint64_t> t;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "top", t));
-    GDELT_RETURN_IF_ERROR(CheckCountryIds(t));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.top, std::move(t), "top"));
-    if (first) {
-      acc.report.n = nc;
-      acc.report.pair_counts.assign(nc * nc, 0);
-    }
-    return ParseCountMatrixInto(data.Find("pairs"), nc, /*sym=*/true,
-                                std::span(acc.report.pair_counts));
-  }
-  static std::string Finish(const Request&, const Partial& x) {
+  static std::string Finish(const Request&, Partial x) {
+    analysis::CountryCoReport report;
+    report.n = x[kPairs].n;
+    report.pair_counts = std::move(x[kPairs].u);
     std::string text;
-    AppendCountryCoreportText(text, CountryIds(x.top), x.report);
+    AppendCountryCoreportText(text, CountryIds(x[kTop].u), report);
     return text;
   }
 };
@@ -644,80 +758,47 @@ struct CountryCoreport {
 /// Country cross-reporting over a mention range (time shards) and the
 /// optional selection.
 struct CrossReport {
-  static constexpr std::string_view kName = "cross-report";
-  static constexpr bool kFiltered = true;
-  struct Partial {
-    std::vector<std::uint64_t> reported;    ///< country ids (rows)
-    std::vector<std::uint64_t> publishing;  ///< country ids (columns)
-    engine::CountryCrossReport report;
+  enum { kReported, kPublishing, kCounts, kUntagged };
+  static constexpr Field kFields[] = {
+      {"reported", Shape::kCarry, Elem::kU64, kOwnLength, Bound::kCountry},
+      {"publishing", Shape::kCarry, Elem::kU64, kOwnLength, Bound::kCountry},
+      {"counts", Shape::kMatrix, Elem::kU64, kCountries},
+      {"untagged", Shape::kSum, Elem::kU64, kCountries},
   };
 
   static Partial Compute(const Part& p) {
-    return {Widen(engine::CountriesByReportedEvents(p.db, p.r.top_k)),
-            Widen(engine::CountriesByPublishedArticles(p.db, p.r.top_k)),
-            engine::CountryCrossReporting(p.db, p.mentions(), p.sel,
-                                          p.cancel)};
-  }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    const std::size_t nc = x.report.num_countries;
+    auto report =
+        engine::CountryCrossReporting(p.db, p.mentions(), p.sel, p.cancel);
+    const std::size_t nc = report.num_countries;
+    Partial x(std::size(kFields));
+    const auto reported = engine::CountriesByReportedEvents(p.db, p.r.top_k);
+    const auto publishing =
+        engine::CountriesByPublishedArticles(p.db, p.r.top_k);
+    x[kReported].u.assign(reported.begin(), reported.end());
+    x[kPublishing].u.assign(publishing.begin(), publishing.end());
     // The frame ships each publisher's untagged articles: its total
     // minus the located cells of its column.
-    std::vector<std::uint64_t> untagged = x.report.articles_per_publisher;
+    x[kUntagged].u = std::move(report.articles_per_publisher);
     for (std::size_t rep = 0; rep < nc; ++rep) {
       for (std::size_t pub = 0; pub < nc; ++pub) {
-        untagged[pub] -= x.report.counts[rep * nc + pub];
+        x[kUntagged].u[pub] -= report.counts[rep * nc + pub];
       }
     }
-    out += "\"reported\":";
-    AppendIntArray(out, x.reported);
-    out += ",\"publishing\":";
-    AppendIntArray(out, x.publishing);
-    out += ",\"counts\":";
-    AppendCountMatrix(out, x.report.counts, nc, /*sym=*/false);
-    out += ",\"untagged\":";
-    AppendIntArray(out, untagged);
+    x[kCounts].u = std::move(report.counts);
+    x[kCounts].n = nc;
+    return x;
   }
-  static Status Decode(const Request&, const JsonValue& data, bool first,
-                       Partial& acc) {
-    const std::size_t nc = Countries().size();
-    std::vector<std::uint64_t> rep;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "reported", rep));
-    std::vector<std::uint64_t> pub;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "publishing", pub));
-    GDELT_RETURN_IF_ERROR(CheckCountryIds(rep));
-    GDELT_RETURN_IF_ERROR(CheckCountryIds(pub));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.reported, std::move(rep),
-                                     "reported"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.publishing, std::move(pub),
-                                     "publishing"));
-    // Rebuild this frame's histogram bins (matrix, then untagged) and
+  static std::string Finish(const Request& r, Partial x) {
+    // The histogram bins are the matrix, then the untagged articles;
     // finish them as the kernel does.
-    std::vector<std::uint64_t> bins(nc * nc + nc, 0);
-    GDELT_RETURN_IF_ERROR(ParseCountMatrixInto(
-        data.Find("counts"), nc, /*sym=*/false,
-        std::span(bins).first(nc * nc)));
-    std::vector<std::uint64_t> untagged;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "untagged", untagged));
-    if (untagged.size() != nc) return FrameError("'untagged' length mismatch");
-    std::copy(untagged.begin(), untagged.end(),
-              bins.begin() + static_cast<std::ptrdiff_t>(nc * nc));
-    auto frame = engine::CountryCrossReport::FromBins(nc, std::move(bins));
-    if (first) {
-      acc.report = std::move(frame);
-      return Status::Ok();
-    }
-    for (std::size_t k = 0; k < nc * nc; ++k) {
-      acc.report.counts[k] += frame.counts[k];
-    }
-    for (std::size_t c = 0; c < nc; ++c) {
-      acc.report.articles_per_publisher[c] += frame.articles_per_publisher[c];
-    }
-    return Status::Ok();
-  }
-  static std::string Finish(const Request& r, const Partial& x) {
+    std::vector<std::uint64_t> bins = std::move(x[kCounts].u);
+    bins.insert(bins.end(), x[kUntagged].u.begin(), x[kUntagged].u.end());
+    const auto report =
+        engine::CountryCrossReport::FromBins(x[kCounts].n, std::move(bins));
     std::string text;
-    AppendCrossReportText(text, CountryIds(x.reported),
-                          CountryIds(x.publishing), x.report, r.restricted);
+    AppendCrossReportText(text, CountryIds(x[kReported].u),
+                          CountryIds(x[kPublishing].u), report,
+                          r.restricted);
     return text;
   }
 };
@@ -726,13 +807,28 @@ struct CrossReport {
 /// and the Fig 10 quarters it owns (quarter % of): whole-source and
 /// whole-quarter floats that must not be split.
 struct Delay {
-  static constexpr std::string_view kName = "delay";
-  static constexpr bool kFiltered = false;
-  struct Partial {
-    std::vector<std::uint64_t> top;
-    std::vector<std::string_view> domains;     ///< per top source
-    std::vector<analysis::DelayStats> stats;   ///< per top source
-    analysis::QuarterlyDelay quarterly;
+  enum {
+    kTop, kDomains,
+    kSlots, kCount, kMin, kMax, kAvg, kMedian,
+    kQFirst, kQCount,
+    kQSlots, kQAvg, kQMedian,
+  };
+  static constexpr Field kFields[] = {
+      {"top", Shape::kCarry},
+      {"domains", Shape::kCarry, Elem::kStr, kTop},
+      {"slots", Shape::kSlots, Elem::kU64, kTop},
+      {"count", Shape::kSlots, Elem::kU64, kSlots},
+      {"min", Shape::kSlots, Elem::kI64, kSlots},
+      {"max", Shape::kSlots, Elem::kI64, kSlots},
+      {"avg", Shape::kSlots, Elem::kF64, kSlots},
+      {"median", Shape::kSlots, Elem::kI64, kSlots},
+      {.name = "q_first", .shape = Shape::kCarry, .elem = Elem::kI64,
+       .bound = Bound::kQuarter, .scalar = true},
+      {.name = "q_count", .shape = Shape::kCarry,
+       .bound = Bound::kQuarterSlots, .scalar = true},
+      {"q_slots", Shape::kSlots, Elem::kU64, kQCount},
+      {"q_avg", Shape::kSlots, Elem::kF64, kQSlots},
+      {"q_median", Shape::kSlots, Elem::kI64, kQSlots},
   };
 
   static Partial Compute(const Part& p) {
@@ -741,152 +837,54 @@ struct Delay {
     for (const std::uint32_t s : top) {
       if (p.Owns(s)) owned.push_back(s);
     }
-    const auto owned_stats =
-        analysis::PerSourceDelayStats(p.db, owned, p.cancel);
-    Partial x{Widen(top), DomainsOf(p.db, top),
-              std::vector<analysis::DelayStats>(top.size()),
-              analysis::QuarterlyDelayStats(p.db, p.shard, p.of, p.cancel)};
-    for (std::size_t k = 0, j = 0; k < top.size(); ++k) {
-      if (p.Owns(top[k])) x.stats[k] = owned_stats[j++];
+    const auto stats = analysis::PerSourceDelayStats(p.db, owned, p.cancel);
+    const auto quarterly =
+        analysis::QuarterlyDelayStats(p.db, p.shard, p.of, p.cancel);
+    Partial x(std::size(kFields));
+    x[kTop].u.assign(top.begin(), top.end());
+    x[kDomains].s = DomainsOf(p.db, top);
+    for (const int rows : {kCount, kMin, kMax, kAvg, kMedian}) {
+      x[rows].u.assign(top.size(), 0);  // 0 is also the bits of 0.0
     }
+    for (std::size_t k = 0, j = 0; k < top.size(); ++k) {
+      if (!p.Owns(top[k])) continue;
+      const analysis::DelayStats& st = stats[j++];
+      x[kSlots].u.push_back(k);
+      x[kCount].u[k] = st.article_count;
+      x[kMin].u[k] = static_cast<std::uint64_t>(st.min);
+      x[kMax].u[k] = static_cast<std::uint64_t>(st.max);
+      x[kAvg].u[k] = Bits(st.average);
+      x[kMedian].u[k] = static_cast<std::uint64_t>(st.median);
+    }
+    x[kQFirst].u = {static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(quarterly.first_quarter))};
+    x[kQCount].u = {quarterly.average.size()};
+    for (std::size_t q = 0; q < quarterly.average.size(); ++q) {
+      if (p.Owns(q)) x[kQSlots].u.push_back(q);
+    }
+    std::transform(quarterly.average.begin(), quarterly.average.end(),
+                   std::back_inserter(x[kQAvg].u), Bits);
+    x[kQMedian].u.assign(quarterly.median.begin(), quarterly.median.end());
     return x;
   }
-  static void Encode(const Part& p, const Partial& x, std::string& out) {
-    out += "\"top\":";
-    AppendIntArray(out, x.top);
-    out += ",\"domains\":";
-    AppendStringArray(out, x.domains);
-    // Owned Table VIII rows, as parallel arrays over `slots`.
-    std::vector<std::uint64_t> slots;
-    std::vector<std::uint64_t> count;
-    std::vector<std::int64_t> min;
-    std::vector<std::int64_t> max;
-    std::vector<double> avg;
-    std::vector<std::int64_t> median;
-    for (std::size_t k = 0; k < x.top.size(); ++k) {
-      if (!p.Owns(x.top[k])) continue;
-      const analysis::DelayStats& st = x.stats[k];
-      slots.push_back(k);
-      count.push_back(st.article_count);
-      min.push_back(st.min);
-      max.push_back(st.max);
-      avg.push_back(st.average);
-      median.push_back(st.median);
+  static std::string Finish(const Request&, Partial x) {
+    const auto i64 = [](std::uint64_t v) {
+      return static_cast<std::int64_t>(v);
+    };
+    std::vector<analysis::DelayStats> stats(x[kTop].u.size());
+    for (std::size_t k = 0; k < stats.size(); ++k) {
+      stats[k] = {x[kCount].u[k], i64(x[kMin].u[k]), i64(x[kMax].u[k]),
+                  Double(x[kAvg].u[k]), i64(x[kMedian].u[k])};
     }
-    out += ",\"slots\":";
-    AppendIntArray(out, slots);
-    out += ",\"count\":";
-    AppendIntArray(out, count);
-    out += ",\"min\":";
-    AppendIntArray(out, min);
-    out += ",\"max\":";
-    AppendIntArray(out, max);
-    out += ",\"avg\":";
-    AppendDoubleArray(out, avg);
-    out += ",\"median\":";
-    AppendIntArray(out, median);
-    // Owned Fig 10 quarters.
-    const analysis::QuarterlyDelay& quarterly = x.quarterly;
-    Appendf(out, ",\"q_first\":%lld,\"q_count\":%zu",
-            static_cast<long long>(quarterly.first_quarter),
-            quarterly.average.size());
-    std::vector<std::uint64_t> q_slots;
-    std::vector<double> q_avg;
-    std::vector<std::int64_t> q_median;
-    for (std::size_t q = 0; q < quarterly.average.size(); ++q) {
-      if (!p.Owns(q)) continue;
-      q_slots.push_back(q);
-      q_avg.push_back(quarterly.average[q]);
-      q_median.push_back(quarterly.median[q]);
+    analysis::QuarterlyDelay quarterly;
+    quarterly.first_quarter = static_cast<QuarterId>(i64(x[kQFirst].u[0]));
+    std::transform(x[kQAvg].u.begin(), x[kQAvg].u.end(),
+                   std::back_inserter(quarterly.average), Double);
+    for (const std::uint64_t m : x[kQMedian].u) {
+      quarterly.median.push_back(i64(m));
     }
-    out += ",\"q_slots\":";
-    AppendIntArray(out, q_slots);
-    out += ",\"q_avg\":";
-    AppendDoubleArray(out, q_avg);
-    out += ",\"q_median\":";
-    AppendIntArray(out, q_median);
-  }
-  static Status Decode(const Request&, const JsonValue& data, bool first,
-                       Partial& acc) {
-    std::vector<std::uint64_t> t;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "top", t));
-    std::vector<std::string_view> dom;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
-    if (first) acc.stats.assign(t.size(), analysis::DelayStats{});
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.top, std::move(t), "top"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains, std::move(dom),
-                                     "domains"));
-    std::vector<std::uint64_t> slots;
-    std::vector<std::uint64_t> count;
-    std::vector<std::int64_t> min;
-    std::vector<std::int64_t> max;
-    std::vector<double> avg;
-    std::vector<std::int64_t> median;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "slots", slots));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "count", count));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "min", min));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "max", max));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "avg", avg));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "median", median));
-    if (count.size() != slots.size() || min.size() != slots.size() ||
-        max.size() != slots.size() || avg.size() != slots.size() ||
-        median.size() != slots.size()) {
-      return FrameError("delay slot array length mismatch");
-    }
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      if (slots[k] >= acc.stats.size()) {
-        return FrameError("delay slot out of range");
-      }
-      analysis::DelayStats& st = acc.stats[slots[k]];
-      st.article_count = count[k];
-      st.min = min[k];
-      st.max = max[k];
-      st.average = avg[k];
-      st.median = median[k];
-    }
-    const JsonValue* qf = data.Find("q_first");
-    if (qf == nullptr || !qf->is_number()) {
-      return FrameError("missing 'q_first'");
-    }
-    std::int64_t q_first = acc.quarterly.first_quarter;
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, q_first, qf->AsInt(), "q_first"));
-    std::uint64_t qc = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "q_count", qc));
-    std::uint64_t q_count = acc.quarterly.average.size();
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, q_count, std::move(qc),
-                                     "q_count"));
-    // q_count arrives in the frame and sizes two quarterly arrays; a
-    // hostile 2^63 value would be an OOM, so bound it to a span no real
-    // dataset approaches before allocating.
-    if (q_count > kMaxQuarterSlots) {
-      return FrameError("quarterly span too large");
-    }
-    if (first) {
-      acc.quarterly.first_quarter = static_cast<QuarterId>(q_first);
-      acc.quarterly.average.assign(q_count, 0.0);
-      acc.quarterly.median.assign(q_count, 0);
-    }
-    std::vector<std::uint64_t> q_slots;
-    std::vector<double> q_avg;
-    std::vector<std::int64_t> q_median;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_slots", q_slots));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_avg", q_avg));
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "q_median", q_median));
-    if (q_avg.size() != q_slots.size() || q_median.size() != q_slots.size()) {
-      return FrameError("quarterly slot array length mismatch");
-    }
-    for (std::size_t k = 0; k < q_slots.size(); ++k) {
-      if (q_slots[k] >= acc.quarterly.average.size()) {
-        return FrameError("quarterly slot out of range");
-      }
-      acc.quarterly.average[q_slots[k]] = q_avg[k];
-      acc.quarterly.median[q_slots[k]] = q_median[k];
-    }
-    return Status::Ok();
-  }
-  static std::string Finish(const Request&, const Partial& x) {
     std::string text;
-    AppendDelayText(text, Labels(x.domains), x.stats, x.quarterly);
+    AppendDelayText(text, Labels(x[kDomains].s), stats, quarterly);
     return text;
   }
 };
@@ -894,160 +892,166 @@ struct Delay {
 /// First-reporter counters over an event range; the ranking happens at
 /// Finish.
 struct FirstReports {
-  static constexpr std::string_view kName = "first-reports";
-  static constexpr bool kFiltered = false;
-  struct Partial {
-    analysis::FirstReportStats stats;
-    std::vector<std::uint64_t> articles;  ///< per source id
-    SourceDomains domains;
-    std::uint64_t num_events = 0;
+  enum { kBreaks, kRepeats, kWithinHour, kArticles, kDomains, kNumEvents };
+  static constexpr Field kFields[] = {
+      {"breaks", Shape::kSum},
+      {"repeat_articles", Shape::kSum, Elem::kU64, kBreaks},
+      {.name = "within_hour", .shape = Shape::kSum, .scalar = true},
+      {"articles", Shape::kCarry, Elem::kU64, kBreaks},
+      {"domains", Shape::kCarry, Elem::kStr, kBreaks},
+      {.name = "num_events", .shape = Shape::kCarry, .scalar = true},
   };
 
   static Partial Compute(const Part& p) {
+    auto stats = analysis::ComputeFirstReports(
+        p.db, p.events(), /*histogram_bins=*/18, p.cancel);
     const auto articles = engine::ArticlesPerSource(p.db);
-    return {analysis::ComputeFirstReports(p.db, p.events(),
-                                          /*histogram_bins=*/18, p.cancel),
-            {articles.begin(), articles.end()}, SourceDomains(p.db),
-            p.db.num_events()};
+    Partial x(std::size(kFields));
+    x[kBreaks].u = std::move(stats.first_reports);
+    x[kRepeats].u = std::move(stats.repeat_articles);
+    x[kWithinHour].u = {stats.events_broken_within_hour};
+    x[kArticles].u.assign(articles.begin(), articles.end());
+    x[kDomains].s = Strings(p.db);
+    x[kNumEvents].u = {p.db.num_events()};
+    return x;
   }
-  static void Encode(const Part&, const Partial& x, std::string& out) {
-    out += "\"breaks\":";
-    AppendIntArray(out, x.stats.first_reports);
-    out += ",\"repeat_articles\":";
-    AppendIntArray(out, x.stats.repeat_articles);
-    Appendf(out, ",\"within_hour\":%llu",
-            static_cast<unsigned long long>(
-                x.stats.events_broken_within_hour));
-    out += ",\"articles\":";
-    AppendIntArray(out, x.articles);
-    out += ",\"domains\":";
-    AppendStringArray(out, x.domains);
-    Appendf(out, ",\"num_events\":%llu",
-            static_cast<unsigned long long>(x.num_events));
-  }
-  static Status Decode(const Request&, const JsonValue& data, bool first,
-                       Partial& acc) {
-    std::vector<std::uint64_t> br;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "breaks", br));
-    std::vector<std::uint64_t> ra;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "repeat_articles", ra));
-    std::uint64_t wh = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "within_hour", wh));
-    std::vector<std::uint64_t> art;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "articles", art));
-    std::vector<std::string_view> dom;
-    GDELT_RETURN_IF_ERROR(TakeVec(data, "domains", dom));
-    std::uint64_t ne = 0;
-    GDELT_RETURN_IF_ERROR(TakeU64Field(data, "num_events", ne));
-    if (br.size() != ra.size()) {
-      return FrameError("breaks/repeat_articles length mismatch");
-    }
-    auto& breaks = acc.stats.first_reports;
-    auto& repeats = acc.stats.repeat_articles;
-    if (first) {
-      breaks.assign(br.size(), 0);
-      repeats.assign(ra.size(), 0);
-    } else if (br.size() != breaks.size()) {
-      return status::Internal("shard partials disagree on 'breaks' size");
-    }
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.articles, std::move(art),
-                                     "articles"));
-    GDELT_RETURN_IF_ERROR(CarryCheck(first, acc.domains.decoded(),
-                                     std::move(dom), "domains"));
-    GDELT_RETURN_IF_ERROR(
-        CarryCheck(first, acc.num_events, std::move(ne), "num_events"));
-    if (acc.articles.size() != breaks.size() ||
-        acc.domains.size() != breaks.size()) {
-      return FrameError("first-reports array length mismatch");
-    }
-    for (std::size_t s = 0; s < br.size(); ++s) {
-      breaks[s] += br[s];
-      repeats[s] += ra[s];
-    }
-    acc.stats.events_broken_within_hour += wh;
-    return Status::Ok();
-  }
-  static std::string Finish(const Request& r, const Partial& x) {
-    const auto by_breaks = RankSources(x.stats.first_reports, r.top_k);
+  static std::string Finish(const Request& r, Partial x) {
+    analysis::FirstReportStats stats;
+    stats.first_reports = std::move(x[kBreaks].u);
+    stats.repeat_articles = std::move(x[kRepeats].u);
+    const std::vector<std::uint64_t>& articles = x[kArticles].u;
+    const auto by_breaks = RankSources(stats.first_reports, r.top_k);
     std::vector<std::uint64_t> breaks;
-    std::vector<std::uint64_t> articles;
+    std::vector<std::uint64_t> ranked_articles;
     std::vector<double> rate_pct;
     for (const std::uint32_t s : by_breaks) {
-      breaks.push_back(x.stats.first_reports[s]);
-      articles.push_back(x.articles[s]);
-      rate_pct.push_back(100.0 * x.stats.RepeatRate(s, x.articles[s]));
+      breaks.push_back(stats.first_reports[s]);
+      ranked_articles.push_back(articles[s]);
+      rate_pct.push_back(100.0 * stats.RepeatRate(s, articles[s]));
     }
     std::string text;
-    AppendFirstReportsText(text, Labels(x.domains, by_breaks), breaks,
-                           articles, rate_pct,
-                           x.stats.events_broken_within_hour, x.num_events);
+    AppendFirstReportsText(text, Labels(x[kDomains].s, by_breaks), breaks,
+                           ranked_articles, rate_pct, x[kWithinHour].u[0],
+                           x[kNumEvents].u[0]);
     return text;
   }
 };
 
 // ---------------------------------------------------------------------------
-// Dispatch.
+// The whole-only kinds: order-dependent floating-point reductions, which
+// render whole and are relayed whole.
 
-template <typename K>
-std::string RenderKind(const Part& p) {
-  return K::Finish(p.r, K::Compute(p));
+Result<RenderedQuery> RenderStats(const engine::Database& db, const Request&,
+                                  const util::CancelToken*) {
+  RenderedQuery out;
+  out.text = analysis::ComputeDatasetStatistics(db).ToText();
+  Appendf(out.text, "Event-size power-law alpha (MLE, xmin=2): %.2f\n",
+          analysis::EventSizePowerLawAlpha(db, 2));
+  return out;
 }
 
-template <typename K>
-void FrameKind(const Part& p, std::string& out) {
-  K::Encode(p, K::Compute(p), out);
+Result<RenderedQuery> RenderQuarterly(const engine::Database& db,
+                                      const Request&,
+                                      const util::CancelToken*) {
+  RenderedQuery out;
+  AppendQuarterSeries(out.text, "Active sources per quarter (Fig 3):",
+                      engine::ActiveSourcesPerQuarter(db));
+  AppendQuarterSeries(out.text, "Events per quarter (Fig 4):",
+                      engine::EventsPerQuarter(db));
+  AppendQuarterSeries(out.text, "Articles per quarter (Fig 5):",
+                      engine::ArticlesPerQuarter(db));
+  return out;
 }
 
-template <typename K>
-Result<std::string> MergeKind(const Request& r,
-                              std::span<const JsonValue* const> frames) {
-  typename K::Partial acc;
-  bool first = true;
-  for (const JsonValue* data : frames) {
-    GDELT_RETURN_IF_ERROR(K::Decode(r, *data, first, acc));
-    first = false;
+Result<RenderedQuery> RenderTone(const engine::Database& db, const Request& r,
+                                 const util::CancelToken*) {
+  RenderedQuery out;
+  const auto by_quad = analysis::ToneByQuadClass(db);
+  static constexpr const char* kQuadNames[] = {
+      "", "verbal cooperation", "material cooperation", "verbal conflict",
+      "material conflict"};
+  Appendf(out.text, "Average tone / Goldstein by CAMEO quad class:\n");
+  for (std::size_t q = 1; q <= 4; ++q) {
+    Appendf(out.text, "  %-22s tone %+6.2f  goldstein %+6.2f  (%s events)\n",
+            kQuadNames[q], by_quad.tone[q].Mean(),
+            by_quad.goldstein[q].Mean(),
+            WithThousands(by_quad.tone[q].count).c_str());
   }
-  return K::Finish(r, acc);
+  const auto by_country = analysis::AverageToneByCountry(db);
+  const auto reported = engine::CountriesByReportedEvents(db, r.top_k);
+  Appendf(out.text, "\nAverage event tone by located country:\n");
+  for (const CountryId c : reported) {
+    Appendf(out.text, "  %-14s %+6.2f  (%s events)\n",
+            std::string(CountryName(c)).c_str(), by_country[c].Mean(),
+            WithThousands(by_country[c].count).c_str());
+  }
+  return out;
 }
 
-struct KindOps {
-  std::string_view name;
-  bool filtered;  ///< takes the request's mention filter
-  std::string (*render)(const Part&);
-  void (*frame)(const Part&, std::string&);
-  Result<std::string> (*merge)(const Request&,
-                               std::span<const JsonValue* const>);
+}  // namespace
+
+struct KindFrame {
+  std::span<const Field> fields;
+  Partial (*compute)(const Part&);
+  std::string (*finish)(const Request&, Partial);
 };
 
+namespace {
+
 template <typename K>
-constexpr KindOps OpsOf() {
-  return {K::kName, K::kFiltered, &RenderKind<K>, &FrameKind<K>,
-          &MergeKind<K>};
+constexpr KindFrame FrameOf() {
+  static_assert(ValidFields(K::kFields));
+  return {K::kFields, &K::Compute, &K::Finish};
 }
 
-constexpr KindOps kKinds[] = {
-    OpsOf<TopSources>(),      OpsOf<TopEvents>(),   OpsOf<Coreport>(),
-    OpsOf<Follow>(),          OpsOf<CountryCoreport>(),
-    OpsOf<CrossReport>(),     OpsOf<Delay>(),       OpsOf<FirstReports>(),
+template <typename K>
+constexpr KindFrame kFrame = FrameOf<K>();
+
+constexpr Lane kInteractive = Lane::kInteractive;
+constexpr Lane kBatch = Lane::kBatch;
+
+// The registry. Batch-lane kinds are the whole-table matrix kernels.
+constexpr QueryKindSpec kQueryKinds[] = {
+    {"stats", kInteractive, false, &RenderStats, nullptr},
+    {"top-sources", kInteractive, true, nullptr, &kFrame<TopSources>},
+    {"top-events", kInteractive, false, nullptr, &kFrame<TopEvents>},
+    {"quarterly", kInteractive, false, &RenderQuarterly, nullptr},
+    {"coreport", kBatch, true, nullptr, &kFrame<Coreport>},
+    {"follow", kBatch, false, nullptr, &kFrame<Follow>},
+    {"country-coreport", kBatch, false, nullptr, &kFrame<CountryCoreport>},
+    {"cross-report", kInteractive, true, nullptr, &kFrame<CrossReport>},
+    {"delay", kInteractive, false, nullptr, &kFrame<Delay>},
+    {"tone", kInteractive, false, &RenderTone, nullptr},
+    {"first-reports", kBatch, false, nullptr, &kFrame<FirstReports>},
 };
 
-Result<const KindOps*> FindKind(std::string_view kind) {
-  for (const KindOps& ops : kKinds) {
-    if (ops.name == kind) return &ops;
+Result<const QueryKindSpec*> DecomposableKind(std::string_view kind) {
+  const QueryKindSpec* spec = FindQueryKind(kind);
+  if (spec == nullptr || !spec->decomposes()) {
+    return status::InvalidArgument("query '" + std::string(kind) +
+                                   "' does not decompose into partials");
   }
-  return status::InvalidArgument("query '" + std::string(kind) +
-                                 "' does not decompose into partials");
+  return spec;
 }
 
 /// The selection bitmap a kind computes over: the request's filter when
 /// the kind takes one and the request restricts, else none.
 std::optional<engine::SelectionBitmap> SelectionFor(
-    const KindOps& ops, const engine::Database& db, const Request& r) {
-  if (!ops.filtered || !r.restricted) return std::nullopt;
+    const QueryKindSpec& spec, const engine::Database& db, const Request& r) {
+  if (!spec.filtered || !r.restricted) return std::nullopt;
   return engine::SelectMentionsBitmap(db, r.filter);
 }
 
 }  // namespace
+
+std::span<const QueryKindSpec> QueryKinds() noexcept { return kQueryKinds; }
+
+const QueryKindSpec* FindQueryKind(std::string_view name) noexcept {
+  for (const QueryKindSpec& spec : kQueryKinds) {
+    if (spec.name == name) return &spec;
+  }
+  return nullptr;
+}
 
 void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept {
   g_matrix_encoding = enc;
@@ -1056,15 +1060,21 @@ void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept {
 Result<RenderedQuery> RenderWhole(const engine::Database& db,
                                   const Request& r,
                                   const util::CancelToken* cancel) {
-  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
-  const auto sel = SelectionFor(*ops, db, r);
+  const QueryKindSpec* spec = FindQueryKind(r.kind);
+  if (spec == nullptr) {
+    return status::InvalidArgument("unknown query '" + r.kind + "'");
+  }
+  if (!spec->decomposes()) return spec->render(db, r, cancel);
+  const auto sel = SelectionFor(*spec, db, r);
   RenderedQuery out;
   if (sel) {
     out.note = StrFormat("[filter selects %llu of %zu mentions]",
                          static_cast<unsigned long long>(sel->CountSet()),
                          db.num_mentions());
   }
-  out.text = ops->render({db, r, sel ? &*sel : nullptr, cancel, 0, 1});
+  const KindFrame& frame = *spec->frame;
+  out.text = frame.finish(
+      r, frame.compute({db, r, sel ? &*sel : nullptr, cancel, 0, 1}));
   return out;
 }
 
@@ -1072,13 +1082,17 @@ Result<RenderedQuery> RenderPartialFrame(const engine::Database& db,
                                          const Request& r,
                                          parallel::Backend /*backend*/,
                                          const util::CancelToken* cancel) {
-  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
-  const auto sel = SelectionFor(*ops, db, r);
+  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, DecomposableKind(r.kind));
+  const auto sel = SelectionFor(*spec, db, r);
+  const KindFrame& frame = *spec->frame;
   RenderedQuery out;
   Appendf(out.text, "{\"v\":%d,\"kind\":", kPartialVersion);
   AppendJsonString(out.text, r.kind);
   Appendf(out.text, ",\"shard\":%u,\"of\":%u,\"data\":{", r.shard, r.of);
-  ops->frame({db, r, sel ? &*sel : nullptr, cancel, r.shard, r.of}, out.text);
+  EncodeFrame(frame.fields,
+              frame.compute({db, r, sel ? &*sel : nullptr, cancel, r.shard,
+                             r.of}),
+              out.text);
   out.text += "}}";
   return out;
 }
@@ -1088,57 +1102,49 @@ Result<std::string> MergePartialFrames(const Request& r,
   if (frames.empty()) {
     return status::InvalidArgument("no partial frames to merge");
   }
-  std::vector<const JsonValue*> data;
+  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, DecomposableKind(r.kind));
+  const KindFrame& kind_frame = *spec->frame;
+  Partial acc(kind_frame.fields.size());
   // The partition count comes from the frames themselves (the merge is
   // run on behalf of the original, non-partial request): the first
   // frame pins it, the rest must agree — a mismatch means the frames
   // belong to different scatters.
-  std::int64_t of = 0;
   std::vector<bool> seen;
+  bool first = true;
   for (const JsonValue& frame : frames) {
-    if (!frame.is_object()) return FrameError("frame must be an object");
-    const JsonValue* v = frame.Find("v");
-    if (v == nullptr || !v->is_number() || v->AsInt() != kPartialVersion) {
+    const JsonValue* kind = frame.Find("kind");
+    const JsonValue* data = frame.Find("data");
+    if (kind == nullptr || data == nullptr || !data->is_object()) {
+      return FrameError("frame needs a 'kind' and a 'data' object");
+    }
+    GDELT_ASSIGN_OR_RETURN(const std::uint64_t v, IntMember(frame, "v"));
+    if (v != kPartialVersion) {
       return FrameError(StrFormat("unsupported frame version (want %d)",
                                   kPartialVersion));
     }
-    const JsonValue* kind = frame.Find("kind");
-    if (kind == nullptr || !kind->is_string() || kind->AsString() != r.kind) {
-      return FrameError("frame kind mismatch");
+    if (kind->AsString() != r.kind) return FrameError("frame kind mismatch");
+    // The request-side `of` is parse-clamped to kMaxPartitions, but this
+    // one arrives inside the frame and sizes the seen-shard table — an
+    // unbounded int64 here is an OOM on demand.
+    GDELT_ASSIGN_OR_RETURN(const std::uint64_t of, IntMember(frame, "of"));
+    if (of < 1 || of > kMaxPartitions) {
+      return FrameError("frame 'of' outside 1 .. the partition limit");
     }
-    const JsonValue* of_field = frame.Find("of");
-    if (of_field == nullptr || !of_field->is_number() ||
-        of_field->AsInt() < 1) {
-      return FrameError("frame needs a positive 'of'");
-    }
-    if (of == 0) {
-      // The request-side `of` is parse-clamped to kMaxPartitions, but
-      // this one arrives inside the frame and sizes the seen-shard
-      // table below — an unbounded int64 here is an OOM on demand.
-      if (of_field->AsInt() > kMaxPartitions) {
-        return FrameError("frame 'of' exceeds the partition limit");
-      }
-      of = of_field->AsInt();
-      seen.assign(static_cast<std::size_t>(of), false);
-    } else if (of_field->AsInt() != of) {
+    if (seen.empty()) {
+      seen.assign(of, false);
+    } else if (of != seen.size()) {
       return FrameError("frame 'of' mismatch (mixed partition counts)");
     }
-    const JsonValue* shard = frame.Find("shard");
-    if (shard == nullptr || !shard->is_number() || shard->AsInt() < 0 ||
-        shard->AsInt() >= of) {
-      return FrameError("frame 'shard' out of range");
-    }
-    const std::size_t s = static_cast<std::size_t>(shard->AsInt());
-    if (seen[s]) return FrameError("duplicate frame for one shard");
-    seen[s] = true;
-    const JsonValue* d = frame.Find("data");
-    if (d == nullptr || !d->is_object()) {
-      return FrameError("frame needs a 'data' object");
-    }
-    data.push_back(d);
+    GDELT_ASSIGN_OR_RETURN(const std::uint64_t shard,
+                           IntMember(frame, "shard"));
+    if (shard >= of) return FrameError("frame 'shard' out of range");
+    if (seen[shard]) return FrameError("duplicate frame for one shard");
+    seen[shard] = true;
+    GDELT_RETURN_IF_ERROR(
+        DecodeFrame(kind_frame.fields, r, *data, first, acc));
+    first = false;
   }
-  GDELT_ASSIGN_OR_RETURN(const KindOps* ops, FindKind(r.kind));
-  return ops->merge(r, data);
+  return kind_frame.finish(r, std::move(acc));
 }
 
 std::string BuildShardRequestLine(const Request& r, std::uint32_t shard,

@@ -1,32 +1,33 @@
-// Partial-aggregate execution: the one code path of every decomposable
-// query kind (docs/PROTOCOL.md, "Partial-aggregate execution").
+// The query-kind registry and the partial-aggregate codec
+// (docs/PROTOCOL.md, "Partial-aggregate execution"; DESIGN.md §5e).
 //
-// Each decomposable kind (top-sources, top-events, coreport, follow,
-// country-coreport, cross-report, delay, first-reports) has exactly one
-// compute kernel, which takes its partition, and one finish, which
-// turns the kernel's typed partial into text. A partition is one of:
-//   - an event range (SplitRange over event rows): top-events (local
-//     top-k), coreport, follow, country-coreport, first-reports
-//   - a mention-row range (time shards, since rows are in capture
-//     order) with the request's optional selection bitmap:
-//     top-sources, cross-report
-//   - the slots a partition owns, strided (id % of): the top sources and
-//     the quarters of delay, whose per-source and per-quarter floats are
-//     computed whole and must not be split
-// A single node is partition 0 of 1: RenderWhole hands the typed partial
-// straight to the finish. A `"partial":true` request computes partition
-// `shard` of `of` and answers with a versioned JSON frame of the raw
-// partial; the router parses the frames, sums them into the same typed
-// partial and calls the same finish. Routed output is therefore
-// byte-identical to a single node's by construction. Every partial is an
-// exact integer decomposition, or owns its floats whole. The
-// order-dependent floating-point kinds (stats, quarterly, tone) do not
-// decompose; the router sends those to a single shard whole.
+// Every query kind is one QueryKindSpec in one table: name, scheduler
+// lane, whether it takes the mention filter, and how it renders.
+// Parsing, lane choice, the router's relay-vs-scatter choice,
+// RenderQuery and the gdelt_query help all read that table.
+//
+// stats, quarterly and tone are order-dependent float reductions: they
+// render whole, and the router relays them to one shard. The other eight
+// decompose. Each has one compute kernel, which takes its partition (an
+// event range, a mention-row range with the request's selection bitmap,
+// or the source ids and quarters it owns, id % of), and one finish,
+// which renders the partial. Its frame is an ordered list of named
+// fields, each of one shape: a summed u64 vector or scalar, a summed
+// count matrix, a carried value every frame repeats, an appended
+// candidate list, or slot-owned rows. One encoder and one decoder per
+// shape serve every kind, and the decoder enforces every frame bound.
+//
+// A single node renders partition 0 of 1 straight through the finish; a
+// `"partial":true` request encodes partition `shard` of `of` as a
+// versioned JSON frame; the router decodes and sums the frames into the
+// same partial and calls the same finish. Routed output is therefore
+// byte-identical to a single node's by construction.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "engine/database.hpp"
 #include "parallel/morsel.hpp"
@@ -55,6 +56,35 @@ inline constexpr std::int64_t kMaxPartitions = 4096;
 /// allocations bounded against hostile frames.
 inline constexpr std::uint64_t kMaxQuarterSlots = 4096;
 
+/// The scheduler lane a kind runs on. The whole-table matrix kernels can
+/// monopolize the machine for seconds, so they run at batch priority and
+/// the cheap interactive kinds keep their latency under load.
+enum class Lane { kInteractive, kBatch };
+
+/// A decomposable kind's frame fields, compute kernel and finish
+/// (partial.cpp).
+struct KindFrame;
+
+/// One query kind.
+struct QueryKindSpec {
+  std::string_view name;
+  Lane lane;
+  bool filtered;  ///< takes from/to/min_confidence; other kinds ignore them
+  /// Renders a whole-only kind; null for decomposable kinds, which render
+  /// as partition 0 of 1 of `frame`.
+  Result<RenderedQuery> (*render)(const engine::Database&, const Request&,
+                                  const util::CancelToken*);
+  const KindFrame* frame;  ///< null for whole-only kinds
+
+  bool decomposes() const noexcept { return frame != nullptr; }
+};
+
+/// Every query kind, in the order the CLI lists them.
+std::span<const QueryKindSpec> QueryKinds() noexcept;
+
+/// The kind named `name`, or null.
+const QueryKindSpec* FindQueryKind(std::string_view name) noexcept;
+
 /// Count-matrix encoding inside a frame. Auto picks sparse when the
 /// triple list is smaller than the dense payload; the explicit values
 /// are a process-global test hook to pin down both paths.
@@ -64,10 +94,9 @@ enum class PartialMatrixEncoding { kAuto, kDense, kSparse };
 /// Not thread-safe against in-flight renders; set it before serving.
 void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept;
 
-/// Runs decomposable kind `r.kind` as partition 0 of 1 and renders the
-/// result (RenderQuery's path for these kinds). A restricted request of a
-/// kind that takes the filter gets the selection count as its `note`.
-/// InvalidArgument for kinds that do not decompose.
+/// Renders query `r.kind` whole (RenderQuery's path). A restricted
+/// request of a kind that takes the filter gets the selection count as
+/// its `note`. InvalidArgument for unknown kinds.
 Result<RenderedQuery> RenderWhole(const engine::Database& db,
                                   const Request& r,
                                   const util::CancelToken* cancel = nullptr);
@@ -84,12 +113,13 @@ Result<RenderedQuery> RenderPartialFrame(
 
 /// Merges shard frames (the parsed `"partial"` members of backend
 /// responses, in any order) into the final rendered text. Validates the
-/// version, kind, `of`, shard distinctness and the frame-carried global
-/// fields (which every shard must agree on); a mismatch means the shards
-/// answered over different data and yields an internal error rather than
-/// a silently wrong merge. Frames may cover only a subset of the shards
-/// (degraded mode); missing additive contributions simply undercount,
-/// which the router reports via `"partial_failure"`.
+/// version, kind, `of`, shard distinctness, every field's shape, length
+/// and bound, and the carried fields (which every shard must agree on);
+/// a carried mismatch means the shards answered over different data and
+/// yields an internal error rather than a silently wrong merge. Frames
+/// may cover only a subset of the shards (degraded mode); missing
+/// additive contributions simply undercount, which the router reports
+/// via `"partial_failure"`.
 Result<std::string> MergePartialFrames(const Request& r,
                                        std::span<const JsonValue> frames);
 

@@ -1,20 +1,14 @@
 #include "serve/protocol.hpp"
 
-#include <array>
 #include <cmath>
 
 #include "gtime/timestamp.hpp"
 #include "serve/json.hpp"
+#include "serve/partial.hpp"
 #include "util/strings.hpp"
 
 namespace gdelt::serve {
 namespace {
-
-constexpr std::array<std::string_view, 11> kQueryKinds = {
-    "stats",   "top-sources", "top-events",      "quarterly",
-    "coreport", "follow",     "country-coreport", "cross-report",
-    "delay",   "tone",        "first-reports",
-};
 
 /// Extracts a non-negative integer member with range validation.
 Status TakeInt(const JsonValue& v, std::string_view key, std::int64_t max,
@@ -71,22 +65,17 @@ std::string_view ErrorCodeName(ErrorCode code) noexcept {
 }
 
 bool IsKnownQueryKind(std::string_view kind) noexcept {
-  for (const std::string_view k : kQueryKinds) {
-    if (k == kind) return true;
-  }
-  return false;
+  return FindQueryKind(kind) != nullptr;
 }
 
 bool IsBatchQueryKind(std::string_view kind) noexcept {
-  return kind == "coreport" || kind == "follow" ||
-         kind == "country-coreport" || kind == "first-reports";
+  const QueryKindSpec* spec = FindQueryKind(kind);
+  return spec != nullptr && spec->lane == Lane::kBatch;
 }
 
 bool IsPartialQueryKind(std::string_view kind) noexcept {
-  return kind == "top-sources" || kind == "top-events" ||
-         kind == "coreport" || kind == "follow" ||
-         kind == "country-coreport" || kind == "cross-report" ||
-         kind == "delay" || kind == "first-reports";
+  const QueryKindSpec* spec = FindQueryKind(kind);
+  return spec != nullptr && spec->decomposes();
 }
 
 bool Request::IsQuery() const noexcept { return IsKnownQueryKind(kind); }
@@ -177,11 +166,12 @@ Result<Request> ParseRequest(std::string_view line) {
         "'shard'/'of' require '\"partial\":true'");
   }
   if (r.partial) {
-    if (!IsKnownQueryKind(r.kind)) {
+    const QueryKindSpec* spec = FindQueryKind(r.kind);
+    if (spec == nullptr) {
       return status::InvalidArgument(
           "'partial' applies only to query kinds");
     }
-    if (!IsPartialQueryKind(r.kind)) {
+    if (!spec->decomposes()) {
       return status::InvalidArgument("query '" + r.kind +
                                      "' does not decompose into partials");
     }

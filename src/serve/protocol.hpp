@@ -74,19 +74,16 @@ struct Request {
   bool IsQuery() const noexcept;
 };
 
+// Lookups in the query-kind registry (serve/partial.hpp, QueryKinds()).
+
 /// True if `kind` names one of the dispatchable query kinds.
 bool IsKnownQueryKind(std::string_view kind) noexcept;
 
-/// True for the whole-table matrix builders (coreport, follow,
-/// country-coreport, first-reports) that can monopolize the machine for
-/// seconds. The scheduler runs these at batch priority so the cheap
-/// interactive kinds keep their latency under load.
+/// True for the kinds the scheduler runs on the batch lane.
 bool IsBatchQueryKind(std::string_view kind) noexcept;
 
 /// True for kinds that decompose into mergeable partial aggregates
-/// (`"partial":true` requests). The floating-point reductions whose
-/// result depends on evaluation order as a whole (stats, quarterly,
-/// tone) are excluded: the router sends those to a single shard.
+/// (`"partial":true` requests); the router relays the others whole.
 bool IsPartialQueryKind(std::string_view kind) noexcept;
 
 /// Parses one request line (strict; see file comment).

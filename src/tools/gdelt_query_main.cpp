@@ -7,9 +7,8 @@
 // of 1, 2, 4, ... workers, which a shared server has no use for.
 //
 // Usage: gdelt_query --db <dir> --query <name> [--top N] [--threads N]
-//   queries: stats | top-sources | top-events | quarterly | coreport |
-//            follow | country-coreport | cross-report | delay | tone |
-//            first-reports | scaling
+//   queries: every kind of serve::QueryKinds(), and scaling (--help
+//            lists them)
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "engine/filter.hpp"
 #include "gtime/timestamp.hpp"
 #include "parallel/morsel.hpp"
+#include "serve/partial.hpp"
 #include "serve/render.hpp"
 #include "trace/trace.hpp"
 #include "util/args.hpp"
@@ -49,15 +49,23 @@ int main(int argc, char** argv) {
       "Runs the paper's analyses against a converted binary GDELT "
       "database.");
   args.AddString("db", "gdelt_db", "binary database directory");
-  args.AddString("query", "stats",
-                 "stats | top-sources | top-events | quarterly | coreport | "
-                 "follow | country-coreport | cross-report | delay | scaling");
+  // The kind lists in the help come from the query-kind registry.
+  std::string kinds;
+  std::string filtered;
+  for (const serve::QueryKindSpec& spec : serve::QueryKinds()) {
+    kinds.append(spec.name).append(" | ");
+    if (spec.filtered) {
+      if (!filtered.empty()) filtered += '/';
+      filtered += spec.name;
+    }
+  }
+  args.AddString("query", "stats", kinds + "scaling");
   args.AddInt("top", 10, "number of rows for top-k queries");
   args.AddInt("threads", 0,
               "morsel-pool workers (0 = OMP_NUM_THREADS, else cores)");
   args.AddString("from", "",
-                 "restrict top-sources/coreport/cross-report to captures "
-                 "at/after this YYYYMMDDHHMMSS timestamp");
+                 "restrict " + filtered +
+                     " to captures at/after this YYYYMMDDHHMMSS timestamp");
   args.AddString("to", "",
                  "restrict to captures before this YYYYMMDDHHMMSS timestamp");
   args.AddInt("min-confidence", 0,

@@ -17,14 +17,18 @@ test -f "$WORK/db/mentions.tbl"
 test -f "$WORK/db/sources.dict"
 test -f "$WORK/db/convert_report.txt"
 
-for q in stats top-sources top-events quarterly coreport follow \
-         country-coreport cross-report delay tone scaling; do
+# Every query the CLI lists in its --query help line.
+KINDS=$("$BIN_DIR/gdelt_query" --help | sed -n '/^  --query /{n;s/|/ /g;p;}')
+test -n "$KINDS"
+for q in $KINDS; do
   "$BIN_DIR/gdelt_query" --db "$WORK/db" --query "$q" --top 5 \
       > "$WORK/q_$q.log" 2>&1
 done
 grep -q "General dataset statistics" "$WORK/q_stats.log"
 grep -q "Follow-reporting" "$WORK/q_follow.log"
 grep -q "quad class" "$WORK/q_tone.log"
+grep -q "Sources breaking the most stories" "$WORK/q_first-reports.log"
+grep -q "worker(s)" "$WORK/q_scaling.log"
 
 # Filter-aware queries with a time window and confidence restriction.
 "$BIN_DIR/gdelt_query" --db "$WORK/db" --query top-sources \

@@ -7,7 +7,10 @@
 // mismatched kinds, frames from a different partition count.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/country.hpp"
@@ -21,6 +24,7 @@
 #include "serve/protocol.hpp"
 #include "serve/render.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace gdelt::serve {
 namespace {
@@ -33,10 +37,101 @@ using ::gdelt::testing::TestDbBuilder;
 /// are empty.
 constexpr std::uint32_t kShardCounts[] = {1, 2, 3, 4, 8, 64};
 
-constexpr const char* kPartialKinds[] = {
-    "top-sources", "top-events",       "coreport",
-    "follow",      "country-coreport", "cross-report",
-    "delay",       "first-reports",
+/// The registry's decomposable kinds, or only those that take a filter.
+std::vector<std::string> PartialKinds(bool filtered_only = false) {
+  std::vector<std::string> out;
+  for (const QueryKindSpec& spec : QueryKinds()) {
+    if (spec.decomposes() && (spec.filtered || !filtered_only)) {
+      out.emplace_back(spec.name);
+    }
+  }
+  return out;
+}
+
+/// One text edit of a frame: replace [at, at + len) with `with`.
+struct Edit {
+  std::size_t at;
+  std::size_t len;
+  std::string with;
+  bool structural;  ///< drops, appends or deletes rather than retypes
+};
+
+/// Walks a frame's JSON text and lists its mutations: drop the last
+/// element of an array or append a copy of its first, set a number to
+/// 2^62 or -1, turn a string into a number, delete an object member.
+/// Every edit leaves valid JSON, so the merger sees well-formed hostile
+/// frames rather than parse errors.
+class FrameMutations {
+ public:
+  explicit FrameMutations(const std::string& text) : s_(text) { Value(); }
+  const std::vector<Edit>& edits() const { return edits_; }
+
+ private:
+  /// Parses the value at pos_ and returns where it starts.
+  std::size_t Value() {
+    const std::size_t begin = pos_;
+    const char c = s_[pos_];
+    if (c == '{' || c == '[') {
+      ++pos_;
+      std::vector<std::pair<std::size_t, std::size_t>> items;
+      while (s_[pos_] != (c == '{' ? '}' : ']')) {
+        if (s_[pos_] == ',') ++pos_;
+        const std::size_t item = pos_;
+        if (c == '{') {
+          SkipString();
+          ++pos_;  // ':'
+          Value();
+          Remove(item, pos_);  // delete the member
+        } else {
+          Value();
+        }
+        items.emplace_back(item, pos_);
+      }
+      if (c == '[') {
+        if (items.empty()) {
+          edits_.push_back({pos_, 0, "0", true});
+        } else {
+          Remove(items.back().first, items.back().second);
+          const auto [b, e] = items.front();
+          edits_.push_back({pos_, 0, "," + s_.substr(b, e - b), true});
+        }
+      }
+      ++pos_;
+    } else if (c == '"') {
+      SkipString();
+      edits_.push_back({begin, pos_ - begin, "7", false});
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      while (pos_ < s_.size() && std::strchr("-+.eE0123456789", s_[pos_])) {
+        ++pos_;
+      }
+      edits_.push_back({begin, pos_ - begin, "4611686018427387904", false});
+      edits_.push_back({begin, pos_ - begin, "-1", false});
+    } else {
+      while (pos_ < s_.size() && std::isalpha(s_[pos_])) ++pos_;
+    }
+    return begin;
+  }
+
+  void SkipString() {
+    for (++pos_; s_[pos_] != '"'; ++pos_) {
+      if (s_[pos_] == '\\') ++pos_;
+    }
+    ++pos_;
+  }
+
+  /// Removes the item [b, e) with one of its separating commas.
+  void Remove(std::size_t b, std::size_t e) {
+    if (s_[e] == ',') {
+      ++e;
+    } else if (s_[b - 1] == ',') {
+      --b;
+    }
+    edits_.push_back({b, e - b, "", true});
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+  std::vector<Edit> edits_;
 };
 
 /// Restores the process-global matrix encoding on scope exit so a
@@ -107,13 +202,13 @@ class PartialMergeTest : public ::testing::Test {
 };
 
 TEST_F(PartialMergeTest, AllKindsRoundTripByteIdentically) {
-  for (const char* kind : kPartialKinds) {
+  for (const std::string& kind : PartialKinds()) {
     ExpectRoundTrip(MakeRequest(kind, 3));
   }
 }
 
 TEST_F(PartialMergeTest, TopLargerThanUniverseRoundTrips) {
-  for (const char* kind : kPartialKinds) {
+  for (const std::string& kind : PartialKinds()) {
     ExpectRoundTrip(MakeRequest(kind, 50));
   }
 }
@@ -121,7 +216,7 @@ TEST_F(PartialMergeTest, TopLargerThanUniverseRoundTrips) {
 TEST_F(PartialMergeTest, RestrictedKindsRoundTrip) {
   // The filterable kinds, under a confidence floor and a time window
   // that both actually drop mentions.
-  for (const char* kind : {"top-sources", "coreport", "cross-report"}) {
+  for (const std::string& kind : PartialKinds(/*filtered_only=*/true)) {
     ExpectRoundTrip(MakeRequest(kind, 3, ",\"min_confidence\":45"));
     ExpectRoundTrip(
         MakeRequest(kind, 3, ",\"from\":\"20150101000000\""));
@@ -140,7 +235,7 @@ TEST_F(PartialMergeTest, TopZeroRoundTrips) {
       EXPECT_EQ(*merged, truth) << r.kind << " of=" << of;
     }
   };
-  for (const char* kind : kPartialKinds) {
+  for (const std::string& kind : PartialKinds()) {
     expect_top_zero(MakeRequest(kind, 0));
   }
   expect_top_zero(MakeRequest("coreport", 0, ",\"min_confidence\":45"));
@@ -176,7 +271,7 @@ TEST_F(PartialMergeTest, RestrictedBlockEdgeWindowRoundTrips) {
   const std::string window =
       ",\"from\":\"" + stamp(kBase + kBlock / 16) + "\",\"to\":\"" +
       stamp(kBase + 2 * kBlock / 16) + "\"";
-  for (const char* kind : {"top-sources", "coreport", "cross-report"}) {
+  for (const std::string& kind : PartialKinds(/*filtered_only=*/true)) {
     for (const std::string& extra :
          {window, window + ",\"min_confidence\":60"}) {
       const Request r = MakeRequest(kind, 3, extra);
@@ -196,16 +291,14 @@ TEST_F(PartialMergeTest, RestrictedBlockEdgeWindowRoundTrips) {
 
 TEST_F(PartialMergeTest, DenseEncodingRoundTrips) {
   EncodingGuard guard(PartialMatrixEncoding::kDense);
-  for (const char* kind :
-       {"coreport", "follow", "country-coreport", "cross-report"}) {
+  for (const std::string& kind : PartialKinds()) {
     ExpectRoundTrip(MakeRequest(kind, 4));
   }
 }
 
 TEST_F(PartialMergeTest, SparseEncodingRoundTrips) {
   EncodingGuard guard(PartialMatrixEncoding::kSparse);
-  for (const char* kind :
-       {"coreport", "follow", "country-coreport", "cross-report"}) {
+  for (const std::string& kind : PartialKinds()) {
     ExpectRoundTrip(MakeRequest(kind, 4));
   }
 }
@@ -421,6 +514,113 @@ TEST_F(PartialMergeTest, MergerRejectsOversizedAllocationClaims) {
               std::string::npos)
         << merged.status().ToString();
   }
+}
+
+TEST_F(PartialMergeTest, MergerRejectsMismatchedLabelCounts) {
+  // Every label or parallel array is tied to the dimension it labels: a
+  // `domains` longer than the subset or top list it names, or follow's
+  // `articles` one short, is a frame error, never an index past the end
+  // of the matrix, the delay rows or `articles`.
+  // Renders a 1-shard frame of `kind`, applies `edit` at the first
+  // element of its array `key`, and merges it.
+  const auto merge_edited = [this](const std::string& kind,
+                                   const std::string& key, auto edit) {
+    const Request r = MakeRequest(kind, 3);
+    Request sub = r;
+    sub.partial = true;
+    auto frame = RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+    std::string text = frame.ok() ? frame->text : std::string();
+    const std::size_t open = text.find("\"" + key + "\":[");
+    EXPECT_NE(open, std::string::npos) << text;
+    if (open == std::string::npos) {
+      return Result<std::string>(status::Internal(key));
+    }
+    edit(text, open + key.size() + 4);
+    auto parsed = JsonValue::Parse(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    std::vector<JsonValue> frames;
+    frames.push_back(std::move(*parsed));
+    return MergePartialFrames(r, frames);
+  };
+  const auto four_more = [](std::string& text, std::size_t at) {
+    text.insert(at, R"("x1.com","x2.com","x3.com","x4.com",)");
+  };
+  const auto one_short = [](std::string& text, std::size_t at) {
+    text.erase(at, text.find(',', at) - at + 1);
+  };
+  for (const char* kind : {"coreport", "follow", "delay"}) {
+    const auto merged = merge_edited(kind, "domains", four_more);
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument)
+        << kind << ": " << merged.status().ToString();
+  }
+  const auto merged = merge_edited("follow", "articles", one_short);
+  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument)
+      << merged.status().ToString();
+}
+
+TEST_F(PartialMergeTest, FrameMutationsNeverCrashTheMerger) {
+  // Deterministic frame fuzzing: each decomposable kind's 3-shard frames,
+  // one frame mutated at a time and merged alone and with the other two.
+  // Every structural edit (drop or append an array element, delete a
+  // member) is tried; the value edits (a number set to 2^62 or -1, a
+  // string turned into a number) are sampled with a fixed seed. The
+  // merger must answer each set with an error or text — the sanitizer
+  // builds run this, so an out-of-bounds read fails it.
+  constexpr std::size_t kValueEditsPerFrame = 40;
+  Xoshiro256 rng(17);
+  std::size_t merges = 0;
+  std::size_t rejected = 0;
+  for (const std::string& kind : PartialKinds()) {
+    SCOPED_TRACE(kind);
+    const Request r = MakeRequest(kind, 3);
+    std::vector<std::string> texts;
+    std::vector<JsonValue> frames;
+    for (std::uint32_t shard = 0; shard < 3; ++shard) {
+      Request sub = r;
+      sub.partial = true;
+      sub.shard = shard;
+      sub.of = 3;
+      auto frame =
+          RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      texts.push_back(frame->text);
+      auto parsed = JsonValue::Parse(frame->text);
+      ASSERT_TRUE(parsed.ok());
+      frames.push_back(std::move(*parsed));
+    }
+    for (std::size_t victim = 0; victim < texts.size(); ++victim) {
+      std::vector<Edit> edits;
+      std::vector<Edit> values;
+      const FrameMutations mutations(texts[victim]);
+      for (const Edit& e : mutations.edits()) {
+        (e.structural ? edits : values).push_back(e);
+      }
+      for (std::size_t k = 0; k < kValueEditsPerFrame && !values.empty();
+           ++k) {
+        const std::size_t pick = rng() % values.size();
+        edits.push_back(values[pick]);
+        values.erase(values.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      for (const Edit& e : edits) {
+        std::string text = texts[victim];
+        text.replace(e.at, e.len, e.with);
+        auto mutated = JsonValue::Parse(text);
+        ASSERT_TRUE(mutated.ok()) << text;
+        // Alone (degraded mode), so the first frame's carried values
+        // reach the finish; then among the unmutated frames.
+        std::vector<JsonValue> set = frames;
+        set[victim] = *mutated;
+        for (const auto& merged :
+             {MergePartialFrames(r, std::span(&*mutated, 1)),
+              MergePartialFrames(r, set)}) {
+          ++merges;
+          if (!merged.ok()) ++rejected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, merges / 2) << rejected << " of " << merges;
 }
 
 TEST_F(PartialMergeTest, ParserRejectsBadPartialRequests) {

@@ -34,28 +34,12 @@ namespace {
 
 using ::gdelt::testing::TempDir;
 
-constexpr const char* kAllKinds[] = {
-    "stats",    "top-sources", "top-events",       "quarterly",
-    "coreport", "follow",      "country-coreport", "cross-report",
-    "delay",    "tone",        "first-reports",
-};
-
-constexpr const char* kPartialKinds[] = {
-    "top-sources", "top-events",       "coreport", "follow",
-    "country-coreport", "cross-report", "delay",   "first-reports",
-};
-
-bool TakesFilter(const std::string& kind) {
-  return kind == "top-sources" || kind == "coreport" ||
-         kind == "cross-report";
-}
-
 /// The request-line suffixes a kind is rendered under: no filter, and for
 /// the filterable kinds a capture window and a confidence floor, both of
 /// which drop some but not all of the fixture's mentions.
-std::vector<std::string> FiltersFor(const std::string& kind) {
+std::vector<std::string> FiltersFor(const QueryKindSpec& spec) {
   std::vector<std::string> out = {""};
-  if (!TakesFilter(kind)) return out;
+  if (!spec.filtered) return out;
   const auto stamp = [](std::int64_t interval) {
     return FormatGdeltTimestamp(IntervalStartCivil(interval));
   };
@@ -140,9 +124,10 @@ class RenderGoldenTest : public ::testing::Test {
 
 TEST_F(RenderGoldenTest, SingleNodeTextAndNotes) {
   Sections sections;
-  for (const std::string kind : kAllKinds) {
+  for (const QueryKindSpec& spec : QueryKinds()) {
+    const std::string kind(spec.name);
     for (const std::size_t top : {3u, 50u}) {
-      for (const std::string& filter : FiltersFor(kind)) {
+      for (const std::string& filter : FiltersFor(spec)) {
         const std::string line = "{\"query\":\"" + kind +
                                  "\",\"top\":" + std::to_string(top) +
                                  filter + "}";
@@ -159,9 +144,11 @@ TEST_F(RenderGoldenTest, SingleNodeTextAndNotes) {
 
 TEST_F(RenderGoldenTest, PartialFramesOfThreeShards) {
   Sections sections;
-  for (const std::string kind : kPartialKinds) {
+  for (const QueryKindSpec& spec : QueryKinds()) {
+    if (!spec.decomposes()) continue;
+    const std::string kind(spec.name);
     for (const std::size_t top : {3u, 50u}) {
-      for (const std::string& filter : FiltersFor(kind)) {
+      for (const std::string& filter : FiltersFor(spec)) {
         for (std::uint32_t shard = 0; shard < 3; ++shard) {
           const std::string line =
               "{\"query\":\"" + kind + "\",\"top\":" + std::to_string(top) +

@@ -22,6 +22,7 @@
 #include "router/topology.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/partial.hpp"
 #include "serve/protocol.hpp"
 #include "serve/render.hpp"
 #include "serve/server.hpp"
@@ -234,20 +235,13 @@ class RouterTest : public ::testing::Test {
   std::unique_ptr<Router> router_;
 };
 
-constexpr const char* kAllKinds[] = {
-    "stats",        "top-sources",      "top-events",
-    "quarterly",    "coreport",         "follow",
-    "country-coreport", "cross-report", "delay",
-    "tone",         "first-reports",
-};
-
 TEST_F(RouterTest, TwoShardsByteIdenticalForAllKinds) {
   StartBackends(2);
   StartRouter(2);
   auto client = ConnectRouter();
-  for (const char* kind : kAllKinds) {
+  for (const serve::QueryKindSpec& spec : serve::QueryKinds()) {
     ExpectRouterMatchesSingleNode(
-        client, std::string("{\"query\":\"") + kind + "\",\"top\":3}");
+        client, "{\"query\":\"" + std::string(spec.name) + "\",\"top\":3}");
   }
 }
 
@@ -255,19 +249,85 @@ TEST_F(RouterTest, FourShardsByteIdenticalForAllKinds) {
   StartBackends(2);
   StartRouter(4);
   auto client = ConnectRouter();
-  for (const char* kind : kAllKinds) {
+  for (const serve::QueryKindSpec& spec : serve::QueryKinds()) {
     ExpectRouterMatchesSingleNode(
-        client, std::string("{\"query\":\"") + kind + "\",\"top\":3}");
+        client, "{\"query\":\"" + std::string(spec.name) + "\",\"top\":3}");
   }
+}
+
+/// Pins every registry entry's (lane, filtered, decomposes) against a
+/// literal table, so a flipped flag fails here, and checks what the
+/// protocol, the server and the router derive from it.
+TEST_F(RouterTest, RegistryPinsEveryKind) {
+  using serve::Lane;
+  struct Expected {
+    const char* name;
+    Lane lane;
+    bool filtered;
+    bool decomposes;
+  };
+  constexpr Expected kExpected[] = {
+      {"stats", Lane::kInteractive, false, false},
+      {"top-sources", Lane::kInteractive, true, true},
+      {"top-events", Lane::kInteractive, false, true},
+      {"quarterly", Lane::kInteractive, false, false},
+      {"coreport", Lane::kBatch, true, true},
+      {"follow", Lane::kBatch, false, true},
+      {"country-coreport", Lane::kBatch, false, true},
+      {"cross-report", Lane::kInteractive, true, true},
+      {"delay", Lane::kInteractive, false, true},
+      {"tone", Lane::kInteractive, false, false},
+      {"first-reports", Lane::kBatch, false, true},
+  };
+  const auto kinds = serve::QueryKinds();
+  ASSERT_EQ(kinds.size(), std::size(kExpected));
+  StartBackends(1);
+  StartRouter(2);
+  auto client = ConnectRouter();
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    const Expected& want = kExpected[k];
+    const std::string name = want.name;
+    SCOPED_TRACE(name);
+    EXPECT_EQ(kinds[k].name, name);
+    EXPECT_EQ(kinds[k].lane, want.lane);
+    EXPECT_EQ(kinds[k].filtered, want.filtered);
+    EXPECT_EQ(kinds[k].decomposes(), want.decomposes);
+    EXPECT_EQ(serve::FindQueryKind(name), &kinds[k]);
+    EXPECT_TRUE(serve::IsKnownQueryKind(name));
+    EXPECT_EQ(serve::IsBatchQueryKind(name), want.lane == Lane::kBatch);
+    EXPECT_EQ(serve::IsPartialQueryKind(name), want.decomposes);
+    // "partial":true parses exactly for the decomposable kinds.
+    EXPECT_EQ(
+        serve::ParseRequest("{\"query\":\"" + name + "\",\"partial\":true}")
+            .ok(),
+        want.decomposes);
+    // A window is accepted on every kind; the unfiltered ones ignore it,
+    // routed and single-node alike.
+    ExpectRouterMatchesSingleNode(
+        client, "{\"query\":\"" + name +
+                    "\",\"top\":3,\"from\":\"19700101000000\","
+                    "\"min_confidence\":45}");
+  }
+  // An unknown kind is unknown_query from the server and the router.
+  const std::string unknown = R"({"query":"no-such-kind","top":3})";
+  EXPECT_FALSE(serve::IsKnownQueryKind("no-such-kind"));
+  EXPECT_EQ(Parsed(backends_[0]->HandleLine(unknown))
+                .Find("error")->Find("code")->AsString(),
+            "unknown_query");
+  const auto routed = client.RoundTrip(unknown);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(Parsed(*routed).Find("error")->Find("code")->AsString(),
+            "unknown_query");
 }
 
 TEST_F(RouterTest, RestrictedQueriesMatch) {
   StartBackends(2);
   StartRouter(2);
   auto client = ConnectRouter();
-  for (const char* kind : {"top-sources", "coreport", "cross-report"}) {
+  for (const serve::QueryKindSpec& spec : serve::QueryKinds()) {
+    if (!spec.filtered) continue;
     ExpectRouterMatchesSingleNode(
-        client, std::string("{\"query\":\"") + kind +
+        client, "{\"query\":\"" + std::string(spec.name) +
                     "\",\"top\":3,\"min_confidence\":45}");
   }
 }

@@ -18,6 +18,7 @@
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/metrics.hpp"
+#include "serve/partial.hpp"
 #include "serve/prom.hpp"
 #include "serve/protocol.hpp"
 #include "serve/render.hpp"
@@ -312,10 +313,8 @@ class ServeTest : public ::testing::Test {
 TEST_F(ServeTest, AnswersAllQueryKindsIdenticallyToRenderer) {
   StartServer(ServerOptions{});
   auto client = Connect();
-  for (const char* kind :
-       {"stats", "top-sources", "top-events", "quarterly", "coreport",
-        "follow", "country-coreport", "cross-report", "delay", "tone",
-        "first-reports"}) {
+  for (const QueryKindSpec& spec : QueryKinds()) {
+    const std::string kind(spec.name);
     const auto response = client.RoundTrip(
         std::string(R"({"id":"t","query":")") + kind + R"(","top":3})");
     ASSERT_TRUE(response.ok()) << response.status().ToString();

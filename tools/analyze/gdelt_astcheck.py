@@ -38,7 +38,9 @@ project-specific rules that line-window heuristics cannot express:
                        a GCC-only fallback); the legacy
                        `// gdelt-lint: allow(cancel-blind-loop)` tag is
                        honored as a suppression for this rule.
-  bounded-alloc        In src/io, src/columnar and src/serve/partial.cpp,
+  bounded-alloc        In src/io, src/columnar and the serve files that
+                       size things from network bytes (serve/partial.cpp,
+                       serve/protocol.cpp, serve/json.cpp),
                        `resize`/`reserve`/`assign` whose size argument
                        carries an untrusted identifier must be *dominated*
                        by a guard naming that identifier: the allocation
@@ -1402,7 +1404,8 @@ def in_alloc_scope(rel: str) -> bool:
     if any(seg in p for seg in ("/io/", "/columnar/")) or \
             p.startswith(("io/", "columnar/")):
         return True
-    return p.endswith("serve/partial.cpp")
+    return p.endswith(("serve/partial.cpp", "serve/protocol.cpp",
+                       "serve/json.cpp"))
 
 
 def _size_idents(size_expr: str) -> Set[str]:

@@ -30,7 +30,7 @@ EXPECTED_BAD = {
     "view-escape": 3,
     "snapshot-discipline": 2,
     "cancel-poll": 2,
-    "bounded-alloc": 4,
+    "bounded-alloc": 5,
     "bare-allow": 2,
 }
 
@@ -101,7 +101,7 @@ class GdeltAstcheckTest(unittest.TestCase):
     def test_rule_filter(self):
         code, out, _err = run_check("--rule", "bounded-alloc", "bad")
         self.assertEqual(code, 1, out)
-        self.assertEqual(findings_by_rule(out), {"bounded-alloc": 4}, out)
+        self.assertEqual(findings_by_rule(out), {"bounded-alloc": 5}, out)
 
     def test_json_output_shape(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +134,7 @@ class GdeltAstcheckTest(unittest.TestCase):
                 capture_output=True, text=True, check=False)
         self.assertEqual(cold.stdout, warm.stdout)
         self.assertEqual(cold.returncode, warm.returncode)
-        self.assertIn("cache_hits=6", warm.stderr, warm.stderr)
+        self.assertIn("cache_hits=7", warm.stderr, warm.stderr)
 
     def test_missing_path_is_a_usage_error(self):
         code, _out, _err = run_check("no/such/dir")
