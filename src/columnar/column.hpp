@@ -135,15 +135,13 @@ class Column {
   /// Pre-allocates for n fixed-width rows (or n strings of avg_len bytes).
   void Reserve(std::size_t n, std::size_t avg_len = 16) {
     if (type_ == ColumnType::kStr) {
-      // gdelt-lint: allow(unchecked-copy) — n is an in-memory dictionary
-      // size from the caller, never a length parsed out of a file.
-      // gdelt-astcheck: allow(bounded-alloc) — same in-memory contract.
+      // gdelt-astcheck: allow(bounded-alloc) — n is an in-memory
+      // dictionary size from the caller, never a length parsed out of a file.
       offsets_.reserve(n + 1);
       chars_.reserve(n * avg_len);
     } else {
-      // gdelt-lint: allow(unchecked-copy) — same: capacity hint, not
-      // untrusted input.
-      // gdelt-astcheck: allow(bounded-alloc) — same capacity-hint contract.
+      // gdelt-astcheck: allow(bounded-alloc) — n is a capacity hint from
+      // the caller, not untrusted input.
       bytes_.reserve(n * ColumnTypeSize(type_));
     }
   }

@@ -87,10 +87,9 @@ inline CsrIndex BuildCsrIndex(std::span<const std::uint32_t> keys,
   std::vector<std::uint64_t> counts = parallel::PoolHistogram(
       {0, keys.size()}, num_keys,
       [&](std::size_t i) -> std::size_t { return keys[i]; });
-  // gdelt-lint: allow(unchecked-copy) — num_keys comes from the caller's
-  // in-memory dictionary, never from a file; ReadFromFile bounds it before
-  // any index is built.
-  // gdelt-astcheck: allow(bounded-alloc) — same contract as above.
+  // gdelt-astcheck: allow(bounded-alloc) — num_keys comes from the
+  // caller's in-memory dictionary, never from a file; ReadFromFile bounds
+  // it before any index is built.
   csr.offsets.resize(num_keys + 1);
   std::uint64_t acc = 0;
   for (std::size_t k = 0; k < num_keys; ++k) {
@@ -99,8 +98,6 @@ inline CsrIndex BuildCsrIndex(std::span<const std::uint32_t> keys,
   }
   csr.offsets[num_keys] = acc;
 
-  // gdelt-lint: allow(unchecked-copy) — acc is the sum of in-memory
-  // histogram counts, == keys.size() by construction.
   // gdelt-astcheck: allow(bounded-alloc) — acc == keys.size() by
   // construction (sum of the histogram over the in-memory key column).
   csr.rows.resize(acc);

@@ -32,6 +32,28 @@ std::int64_t MsUntil(Clock::time_point deadline) {
 /// shard unavailable.
 constexpr std::int64_t kRecvGraceMs = 250;
 
+/// Every router counter, in output order. `metrics` reports each under
+/// its name; `metrics_prom` as the counter family gdelt_router_<name>,
+/// with `_total` appended unless the name already ends in it.
+struct CounterField {
+  const char* name;
+  std::atomic<std::uint64_t> RouterMetrics::*value;
+};
+constexpr CounterField kCounters[] = {
+    {"requests_total", &RouterMetrics::requests_total},
+    {"responses_ok", &RouterMetrics::responses_ok},
+    {"relays", &RouterMetrics::relays},
+    {"scatters", &RouterMetrics::scatters},
+    {"shard_failures", &RouterMetrics::shard_failures},
+    {"degraded_responses", &RouterMetrics::degraded_responses},
+    {"cancels_sent", &RouterMetrics::cancels_sent},
+    {"rejected_overloaded", &RouterMetrics::rejected_overloaded},
+    {"bad_requests", &RouterMetrics::bad_requests},
+    {"unknown_queries", &RouterMetrics::unknown_queries},
+    {"unavailable", &RouterMetrics::unavailable},
+    {"connections_opened", &RouterMetrics::connections_opened},
+};
+
 /// True when the (already parsed) backend response is an admission
 /// rejection — worth retrying on a less loaded replica.
 bool IsOverloadedResponse(const serve::JsonValue& response) {
@@ -450,22 +472,11 @@ void Router::ReleaseScatter() {
 
 std::string Router::MetricsJson() {
   std::string out = "{";
-  const auto counter = [&out](const char* name, std::uint64_t value) {
-    out += StrFormat("\"%s\":%llu,", name,
-                     static_cast<unsigned long long>(value));
-  };
-  counter("requests_total", metrics_.requests_total.load());
-  counter("responses_ok", metrics_.responses_ok.load());
-  counter("relays", metrics_.relays.load());
-  counter("scatters", metrics_.scatters.load());
-  counter("shard_failures", metrics_.shard_failures.load());
-  counter("degraded_responses", metrics_.degraded_responses.load());
-  counter("cancels_sent", metrics_.cancels_sent.load());
-  counter("rejected_overloaded", metrics_.rejected_overloaded.load());
-  counter("bad_requests", metrics_.bad_requests.load());
-  counter("unknown_queries", metrics_.unknown_queries.load());
-  counter("unavailable", metrics_.unavailable.load());
-  counter("connections_opened", metrics_.connections_opened.load());
+  for (const CounterField& c : kCounters) {
+    out += StrFormat("\"%s\":%llu,", c.name,
+                     static_cast<unsigned long long>(
+                         (metrics_.*c.value).load()));
+  }
   out += StrFormat("\"retry_after_ms\":%lld,",
                    static_cast<long long>(last_retry_after_ms_.load()));
   out += StrFormat("\"num_shards\":%zu,\"shards\":", pool_.num_shards());
@@ -477,23 +488,14 @@ std::string Router::MetricsJson() {
 std::string Router::PrometheusText() {
   std::string out;
   out.reserve(1024);
-  const auto counter = [&out](const char* name, std::uint64_t value) {
-    out += StrFormat("# TYPE %s counter\n%s %llu\n", name, name,
-                     static_cast<unsigned long long>(value));
-  };
-  counter("gdelt_router_requests_total", metrics_.requests_total.load());
-  counter("gdelt_router_responses_ok_total", metrics_.responses_ok.load());
-  counter("gdelt_router_relays_total", metrics_.relays.load());
-  counter("gdelt_router_scatters_total", metrics_.scatters.load());
-  counter("gdelt_router_shard_failures_total",
-          metrics_.shard_failures.load());
-  counter("gdelt_router_degraded_responses_total",
-          metrics_.degraded_responses.load());
-  counter("gdelt_router_cancels_sent_total", metrics_.cancels_sent.load());
-  counter("gdelt_router_rejected_overloaded_total",
-          metrics_.rejected_overloaded.load());
-  counter("gdelt_router_bad_requests_total", metrics_.bad_requests.load());
-  counter("gdelt_router_unavailable_total", metrics_.unavailable.load());
+  for (const CounterField& c : kCounters) {
+    std::string family = std::string("gdelt_router_") + c.name;
+    if (!family.ends_with("_total")) family += "_total";
+    out += StrFormat("# TYPE %s counter\n%s %llu\n", family.c_str(),
+                     family.c_str(),
+                     static_cast<unsigned long long>(
+                         (metrics_.*c.value).load()));
+  }
   out += StrFormat(
       "# TYPE gdelt_router_retry_after_ms gauge\n"
       "gdelt_router_retry_after_ms %lld\n",

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -108,6 +109,7 @@ void LineServer::Stop(const std::function<void()>& drain) {
 
 void LineServer::AcceptLoop(int listen_fd) {
   while (!stopping_.load()) {
+    ReapFinishedConnections();
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;
@@ -119,6 +121,24 @@ void LineServer::AcceptLoop(int listen_fd) {
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
   }
+}
+
+void LineServer::ReapFinishedConnections() {
+  std::vector<std::thread> done;
+  {
+    sync::MutexLock lock(conn_mu_);
+    for (const std::thread::id id : finished_) {
+      const auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == conn_threads_.end()) continue;
+      done.push_back(std::move(*it));
+      conn_threads_.erase(it);
+    }
+    finished_.clear();
+  }
+  // Join outside the lock, so closing connections never wait on a join.
+  for (auto& t : done) t.join();
 }
 
 void LineServer::ServeConnection(int fd) {
@@ -154,6 +174,9 @@ void LineServer::ServeConnection(int fd) {
   {
     sync::MutexLock lock(conn_mu_);
     std::erase(conn_fds_, fd);
+    // The accept loop added this thread under conn_mu_ before it could
+    // get here, so the reaper always finds it.
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }

@@ -64,6 +64,10 @@ class LineServer {
  private:
   void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
+  /// Joins the threads of connections that have closed. Runs on every
+  /// accept-loop pass: an unjoined thread keeps its stack mapped, and a
+  /// router's health probe opens a connection every 2 s.
+  void ReapFinishedConnections();
 
   LineHandler handler_;
   std::atomic<std::uint64_t>* connections_opened_ = nullptr;
@@ -81,6 +85,8 @@ class LineServer {
   /// closing it, so Stop never shuts down a reused descriptor.
   std::vector<int> conn_fds_ GDELT_GUARDED_BY(conn_mu_);
   std::vector<std::thread> conn_threads_ GDELT_GUARDED_BY(conn_mu_);
+  /// Connection threads that are done serving and wait to be joined.
+  std::vector<std::thread::id> finished_ GDELT_GUARDED_BY(conn_mu_);
 };
 
 }  // namespace gdelt::serve

@@ -22,7 +22,8 @@
 //   };
 //
 // Raw std::mutex / std::lock_guard / std::condition_variable outside this
-// header are a build failure (tools/lint/gdelt_lint.py, rule `raw-sync`).
+// header fail the static analyzer (tools/analyze/gdelt_astcheck.py, rule
+// `raw-mutex`).
 #pragma once
 
 #include <chrono>
@@ -75,8 +76,8 @@
 /// Function returns a reference to the named capability.
 #define GDELT_RETURN_CAPABILITY(x) GDELT_THREAD_ANNOTATION(lock_returned(x))
 
-/// Escape hatch — requires a justification comment on the same line and is
-/// audited by gdelt_lint (rule `tsa-escape`).
+/// Escape hatch — requires a justification comment in the three lines
+/// above it, audited by gdelt_astcheck (rule `tsa-escape`).
 #define GDELT_NO_THREAD_SAFETY_ANALYSIS \
   GDELT_THREAD_ANNOTATION(no_thread_safety_analysis)
 

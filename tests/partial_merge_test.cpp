@@ -7,8 +7,6 @@
 // mismatched kinds, frames from a different partition count.
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +27,8 @@
 namespace gdelt::serve {
 namespace {
 
+using ::gdelt::testing::JsonEdit;
+using ::gdelt::testing::JsonMutations;
 using ::gdelt::testing::TempDir;
 using ::gdelt::testing::TestDbBuilder;
 
@@ -47,92 +47,6 @@ std::vector<std::string> PartialKinds(bool filtered_only = false) {
   }
   return out;
 }
-
-/// One text edit of a frame: replace [at, at + len) with `with`.
-struct Edit {
-  std::size_t at;
-  std::size_t len;
-  std::string with;
-  bool structural;  ///< drops, appends or deletes rather than retypes
-};
-
-/// Walks a frame's JSON text and lists its mutations: drop the last
-/// element of an array or append a copy of its first, set a number to
-/// 2^62 or -1, turn a string into a number, delete an object member.
-/// Every edit leaves valid JSON, so the merger sees well-formed hostile
-/// frames rather than parse errors.
-class FrameMutations {
- public:
-  explicit FrameMutations(const std::string& text) : s_(text) { Value(); }
-  const std::vector<Edit>& edits() const { return edits_; }
-
- private:
-  /// Parses the value at pos_ and returns where it starts.
-  std::size_t Value() {
-    const std::size_t begin = pos_;
-    const char c = s_[pos_];
-    if (c == '{' || c == '[') {
-      ++pos_;
-      std::vector<std::pair<std::size_t, std::size_t>> items;
-      while (s_[pos_] != (c == '{' ? '}' : ']')) {
-        if (s_[pos_] == ',') ++pos_;
-        const std::size_t item = pos_;
-        if (c == '{') {
-          SkipString();
-          ++pos_;  // ':'
-          Value();
-          Remove(item, pos_);  // delete the member
-        } else {
-          Value();
-        }
-        items.emplace_back(item, pos_);
-      }
-      if (c == '[') {
-        if (items.empty()) {
-          edits_.push_back({pos_, 0, "0", true});
-        } else {
-          Remove(items.back().first, items.back().second);
-          const auto [b, e] = items.front();
-          edits_.push_back({pos_, 0, "," + s_.substr(b, e - b), true});
-        }
-      }
-      ++pos_;
-    } else if (c == '"') {
-      SkipString();
-      edits_.push_back({begin, pos_ - begin, "7", false});
-    } else if (c == '-' || (c >= '0' && c <= '9')) {
-      while (pos_ < s_.size() && std::strchr("-+.eE0123456789", s_[pos_])) {
-        ++pos_;
-      }
-      edits_.push_back({begin, pos_ - begin, "4611686018427387904", false});
-      edits_.push_back({begin, pos_ - begin, "-1", false});
-    } else {
-      while (pos_ < s_.size() && std::isalpha(s_[pos_])) ++pos_;
-    }
-    return begin;
-  }
-
-  void SkipString() {
-    for (++pos_; s_[pos_] != '"'; ++pos_) {
-      if (s_[pos_] == '\\') ++pos_;
-    }
-    ++pos_;
-  }
-
-  /// Removes the item [b, e) with one of its separating commas.
-  void Remove(std::size_t b, std::size_t e) {
-    if (s_[e] == ',') {
-      ++e;
-    } else if (s_[b - 1] == ',') {
-      --b;
-    }
-    edits_.push_back({b, e - b, "", true});
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::vector<Edit> edits_;
-};
 
 /// Restores the process-global matrix encoding on scope exit so a
 /// failing test cannot poison its neighbors.
@@ -590,10 +504,9 @@ TEST_F(PartialMergeTest, FrameMutationsNeverCrashTheMerger) {
       frames.push_back(std::move(*parsed));
     }
     for (std::size_t victim = 0; victim < texts.size(); ++victim) {
-      std::vector<Edit> edits;
-      std::vector<Edit> values;
-      const FrameMutations mutations(texts[victim]);
-      for (const Edit& e : mutations.edits()) {
+      std::vector<JsonEdit> edits;
+      std::vector<JsonEdit> values;
+      for (const JsonEdit& e : JsonMutations(texts[victim])) {
         (e.structural ? edits : values).push_back(e);
       }
       for (std::size_t k = 0; k < kValueEditsPerFrame && !values.empty();
@@ -602,7 +515,7 @@ TEST_F(PartialMergeTest, FrameMutationsNeverCrashTheMerger) {
         edits.push_back(values[pick]);
         values.erase(values.begin() + static_cast<std::ptrdiff_t>(pick));
       }
-      for (const Edit& e : edits) {
+      for (const JsonEdit& e : edits) {
         std::string text = texts[victim];
         text.replace(e.at, e.len, e.with);
         auto mutated = JsonValue::Parse(text);

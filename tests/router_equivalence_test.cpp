@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "serve/render.hpp"
 #include "serve/server.hpp"
 #include "test_util.hpp"
+#include "util/strings.hpp"
 
 namespace gdelt::router {
 namespace {
@@ -395,6 +397,39 @@ TEST_F(RouterTest, AnswersPingAndMetricsLocally) {
   ASSERT_NE(m.Find("metrics"), nullptr) << *metrics;
   EXPECT_EQ(m.Find("metrics")->Find("num_shards")->AsInt(), 2);
   EXPECT_EQ(m.Find("metrics")->Find("shards")->elements().size(), 2u);
+}
+
+TEST_F(RouterTest, EveryJsonCounterHasItsPrometheusFamily) {
+  StartBackends(1);
+  StartRouter(2);
+  // Touch a few counters so the values differ from zero.
+  router_->HandleLine(R"({"query":"stats"})");
+  router_->HandleLine(R"({"query":"bogus"})");
+  router_->HandleLine("not json");
+  const auto json = Parsed(router_->HandleLine(R"({"query":"metrics"})"));
+  const auto prom =
+      Parsed(router_->HandleLine(R"({"query":"metrics_prom"})"));
+  ASSERT_NE(json.Find("metrics"), nullptr);
+  ASSERT_NE(prom.Find("text"), nullptr);
+  const std::string text = prom.Find("text")->AsString();
+  // Everything in `metrics` but the retry hint and the shard table is a
+  // counter, exported as gdelt_router_<key>, `_total` appended once.
+  const std::set<std::string> not_counters = {"retry_after_ms",
+                                              "num_shards", "shards"};
+  std::size_t counters = 0;
+  for (const auto& [key, value] : json.Find("metrics")->members()) {
+    if (not_counters.count(key) != 0) continue;
+    EXPECT_TRUE(value.is_number()) << key;
+    ++counters;
+    std::string family = "gdelt_router_" + key;
+    if (!family.ends_with("_total")) family += "_total";
+    EXPECT_NE(text.find(StrFormat("# TYPE %s counter\n%s ", family.c_str(),
+                                  family.c_str())),
+              std::string::npos)
+        << key << " has no counter family " << family << " in\n" << text;
+  }
+  EXPECT_GE(counters, 12u);
+  EXPECT_NE(text.find("gdelt_router_retry_after_ms "), std::string::npos);
 }
 
 TEST_F(RouterTest, RejectsIngestAndUnknownKinds) {

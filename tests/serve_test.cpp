@@ -3,9 +3,11 @@
 // loopback sockets, and graceful drain.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/line_server.hpp"
 #include "serve/metrics.hpp"
 #include "serve/partial.hpp"
 #include "serve/prom.hpp"
@@ -26,11 +29,14 @@
 #include "stream/delta_store.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace gdelt::serve {
 namespace {
 
+using ::gdelt::testing::JsonEdit;
+using ::gdelt::testing::JsonMutations;
 using ::gdelt::testing::Median;
 using ::gdelt::testing::RawLineSocket;
 using ::gdelt::testing::TempDir;
@@ -466,6 +472,93 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsAreStructuredErrors) {
   EXPECT_TRUE(Parsed(*ok).Find("ok")->AsBool());
 }
 
+/// Request lines covering every verb and field the parser takes: each
+/// registry kind whole (top, window, confidence, trace) and as a
+/// partition (partial/shard/of), plus cancel, ingest and metrics.
+/// `debug_sleep_ms` is left out, so no mutation can stall the run.
+std::vector<std::string> RequestCorpus(const std::string& missing_archive) {
+  std::vector<std::string> lines;
+  for (const QueryKindSpec& spec : QueryKinds()) {
+    const std::string kind(spec.name);
+    lines.push_back(R"({"id":"w-)" + kind + R"(","query":")" + kind +
+                    R"(","top":3,"from":"20150218000000",)"
+                    R"("to":"20150301000000","min_confidence":20,)"
+                    R"("trace":true})");
+    lines.push_back(R"({"id":"p-)" + kind + R"(","query":")" + kind +
+                    R"(","top":3,"partial":true,"shard":1,"of":2})");
+  }
+  lines.push_back(R"({"id":"c","query":"cancel"})");
+  lines.push_back(R"({"id":"i","query":"ingest","export":")" +
+                  missing_archive + R"(.export.CSV.zip","mentions":")" +
+                  missing_archive + R"(.mentions.CSV.zip"})");
+  lines.push_back(R"({"id":"m","query":"metrics"})");
+  return lines;
+}
+
+/// Deterministic request fuzzing: every single JSON edit of every corpus
+/// line, plus seeded pairs of edits and seeded truncations, goes through
+/// ParseRequest and Server::HandleLine. Each reply must be one line
+/// holding one JSON object: `"ok":true`, or `"ok":false` with a
+/// structured error code. The sanitizer builds run this too.
+TEST_F(ServeTest, RequestMutationsAlwaysGetOneStructuredReply) {
+  delta_ = std::make_unique<stream::DeltaStore>(nullptr);
+  StartServer(ServerOptions{}, delta_.get());
+  const std::set<std::string> error_codes = {
+      "bad_request", "unknown_query", "overloaded", "timeout", "cancelled"};
+  std::size_t ok = 0;
+  std::size_t errors = 0;
+  const auto send = [&](const std::string& line) {
+    (void)ParseRequest(line);
+    const std::string reply = server_->HandleLine(line);
+    ASSERT_FALSE(reply.empty()) << line;
+    ASSERT_EQ(reply.find('\n'), reply.size() - 1) << line << "\n" << reply;
+    const auto v = JsonValue::Parse(reply);
+    ASSERT_TRUE(v.ok() && v->is_object()) << line << "\n" << reply;
+    ASSERT_NE(v->Find("ok"), nullptr) << line << "\n" << reply;
+    if (v->Find("ok")->AsBool(false)) {
+      ++ok;
+      return;
+    }
+    ++errors;
+    EXPECT_EQ(error_codes.count(ErrorCodeOf(*v)), 1u) << line << "\n" << reply;
+  };
+
+  const auto corpus = RequestCorpus(dir_->path() + "/missing");
+  // The unmutated whole-kind lines are all answerable.
+  for (std::size_t i = 0; i + 3 < corpus.size(); i += 2) {
+    EXPECT_TRUE(Parsed(server_->HandleLine(corpus[i])).Find("ok")->AsBool())
+        << corpus[i];
+  }
+
+  constexpr int kPairsPerLine = 16;
+  constexpr int kTruncationsPerLine = 4;
+  Xoshiro256 rng(18);
+  for (const std::string& line : corpus) {
+    const std::vector<JsonEdit> edits = JsonMutations(line);
+    ASSERT_FALSE(edits.empty()) << line;
+    for (const JsonEdit& e : edits) {
+      std::string text = line;
+      text.replace(e.at, e.len, e.with);
+      send(text);
+    }
+    for (int k = 0; k < kPairsPerLine; ++k) {
+      const JsonEdit* a = &edits[rng() % edits.size()];
+      const JsonEdit* b = &edits[rng() % edits.size()];
+      if (a->at < b->at) std::swap(a, b);
+      if (a == b || b->at + b->len > a->at) continue;  // overlapping
+      std::string text = line;
+      text.replace(a->at, a->len, a->with);  // later offset first
+      text.replace(b->at, b->len, b->with);
+      send(text);
+    }
+    for (int k = 0; k < kTruncationsPerLine; ++k) {
+      send(line.substr(0, rng() % line.size()));
+    }
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(errors, 0u);
+}
+
 TEST_F(ServeTest, RequestPastDeadlineReturnsTimeout) {
   StartServer(ServerOptions{});
   auto client = Connect();
@@ -731,6 +824,62 @@ TEST_F(ServeTest, LineClientPipelinedSendsDoNotStall) {
                            .count());
   }
   EXPECT_LT(Median(burst_ms), 20.0);
+}
+
+/// Lines of /proc/self/maps; 0 where it cannot be read. A thread stack
+/// that is still mapped adds two: the stack and its guard page.
+std::size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// A connection's thread is joined once its peer hangs up, not at Stop.
+/// An unjoined thread keeps its stack mapped, so a shard that a router
+/// probes every 2 s used to gain one stack per probe until it could no
+/// longer start threads. Counting mappings rather than VmSize keeps the
+/// check meaningful under ASan and TSan, whose shadow memory swamps
+/// VmSize.
+TEST(LineServerTest, ClosedConnectionThreadsAreJoined) {
+  std::atomic<std::uint64_t> opened{0};
+  std::atomic<std::uint64_t> bad_requests{0};
+  LineServer server;
+  const Status started = server.Start(
+      "127.0.0.1", 0, 1 << 16,
+      [](const std::string& line, int) { return line + "\n"; }, opened,
+      bad_requests);
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  const auto connect_and_close = [&server](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      auto client = LineClient::Connect("127.0.0.1", server.port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      const auto reply = client->RoundTrip("probe");
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(*reply, "probe");
+    }
+  };
+  // Warm-up: brings the stack cache and the allocators to steady state.
+  connect_and_close(16);
+  const std::size_t before = MappingCount();
+  if (before == 0) GTEST_SKIP() << "/proc/self/maps is not readable";
+
+  constexpr int kConnections = 256;
+  connect_and_close(kConnections);
+  // Leaked stacks would add 2 * kConnections mappings; allow a quarter
+  // of one per connection for allocator noise, and give the server up to
+  // 2 s to notice the last hang-ups.
+  constexpr std::size_t kSlack = kConnections / 4;
+  std::size_t after = MappingCount();
+  for (int i = 0; i < 200 && after >= before + kSlack; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = MappingCount();
+  }
+  EXPECT_LT(after, before + kSlack)
+      << "mappings grew from " << before << " to " << after << " over "
+      << kConnections << " closed connections";
+  server.Stop();
+  EXPECT_EQ(opened.load(), 16u + kConnections);
 }
 
 // ---------------------------------------------------------- prometheus --

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -156,6 +157,88 @@ double Median(std::vector<double> values) {
   const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
   std::nth_element(values.begin(), mid, values.end());
   return *mid;
+}
+
+namespace {
+
+/// Recursive-descent walk behind JsonMutations.
+class JsonMutator {
+ public:
+  explicit JsonMutator(const std::string& text) : s_(text) { Value(); }
+  std::vector<JsonEdit> Take() { return std::move(edits_); }
+
+ private:
+  /// Parses the value at pos_ and returns where it starts.
+  std::size_t Value() {
+    const std::size_t begin = pos_;
+    const char c = s_[pos_];
+    if (c == '{' || c == '[') {
+      ++pos_;
+      std::vector<std::pair<std::size_t, std::size_t>> items;
+      while (s_[pos_] != (c == '{' ? '}' : ']')) {
+        if (s_[pos_] == ',') ++pos_;
+        const std::size_t item = pos_;
+        if (c == '{') {
+          SkipString();
+          ++pos_;  // ':'
+          Value();
+          Remove(item, pos_);  // delete the member
+        } else {
+          Value();
+        }
+        items.emplace_back(item, pos_);
+      }
+      if (c == '[') {
+        if (items.empty()) {
+          edits_.push_back({pos_, 0, "0", true});
+        } else {
+          Remove(items.back().first, items.back().second);
+          const auto [b, e] = items.front();
+          edits_.push_back({pos_, 0, "," + s_.substr(b, e - b), true});
+        }
+      }
+      ++pos_;
+    } else if (c == '"') {
+      SkipString();
+      edits_.push_back({begin, pos_ - begin, "7", false});
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      while (pos_ < s_.size() && std::strchr("-+.eE0123456789", s_[pos_])) {
+        ++pos_;
+      }
+      edits_.push_back({begin, pos_ - begin, "4611686018427387904", false});
+      edits_.push_back({begin, pos_ - begin, "-1", false});
+    } else {
+      while (pos_ < s_.size() && std::isalpha(s_[pos_])) ++pos_;
+    }
+    return begin;
+  }
+
+  void SkipString() {
+    for (++pos_; s_[pos_] != '"'; ++pos_) {
+      if (s_[pos_] == '\\') ++pos_;
+    }
+    ++pos_;
+  }
+
+  /// Removes the item [b, e) with one of its separating commas.
+  void Remove(std::size_t b, std::size_t e) {
+    if (s_[e] == ',') {
+      ++e;
+    } else if (s_[b - 1] == ',') {
+      --b;
+    }
+    edits_.push_back({b, e - b, "", true});
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+  std::vector<JsonEdit> edits_;
+};
+
+}  // namespace
+
+std::vector<JsonEdit> JsonMutations(const std::string& text) {
+  return JsonMutator(text).Take();
 }
 
 }  // namespace gdelt::testing

@@ -132,4 +132,20 @@ class RawLineSocket {
 /// Median of the values (the upper one for an even count).
 double Median(std::vector<double> values);
 
+/// One text edit of a JSON document: replace [at, at + len) with `with`.
+struct JsonEdit {
+  std::size_t at;
+  std::size_t len;
+  std::string with;
+  bool structural;  ///< drops, appends or deletes rather than retypes
+};
+
+/// Walks a well-formed JSON text and lists its mutations: drop the last
+/// element of an array or append a copy of its first, set a number to
+/// 2^62 or -1, turn a string into a number, delete an object member.
+/// Every edit leaves valid JSON, so the code under test sees well-formed
+/// hostile documents rather than parse errors. Shared by the
+/// partial-frame and request fuzz tests.
+std::vector<JsonEdit> JsonMutations(const std::string& text);
+
 }  // namespace gdelt::testing

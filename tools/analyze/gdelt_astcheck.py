@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""AST-level semantic analyzer for the GDELT mining engine.
+"""Static analyzer for the project rules of the GDELT mining engine.
 
-Where tools/lint/gdelt_lint.py enforces *syntactic* conventions with
-regexes and line windows, this analyzer builds a semantic model of every
+The compiler cannot enforce these rules (or only Clang can, leaving
+GCC-only boxes unprotected). The analyzer builds a model of every
 translation unit — functions with real body extents, lock scopes, loop
-bodies, return expressions, guard dominance — and enforces five
-project-specific rules that line-window heuristics cannot express:
+bodies, return expressions, guard dominance, with comments and string
+literals blanked at stable offsets — and enforces:
 
   lock-order           Builds the inter-mutex acquisition graph from
                        `sync::MutexLock` scopes (including one level of
@@ -17,7 +17,7 @@ project-specific rules that line-window heuristics cannot express:
                        must not derive the view from a local, a
                        temporary, or a reallocatable container member
                        (`std::vector<std::string>` elements, `.data()` of
-                       a member `std::string`). This is the exact PR 5
+                       a member `std::string`). This is the exact
                        `DeltaStore::source_domain` use-after-free class:
                        an SSO-length string dies with its owner even when
                        the heap block would have survived. Members of
@@ -32,25 +32,35 @@ project-specific rules that line-window heuristics cannot express:
   cancel-poll          Row-range loops (full event/mention extent, delta
                        chunk walks) in src/analysis, src/engine and
                        src/stream must consult `util::Cancelled` somewhere
-                       in the real, brace-matched loop body. Replaces the
-                       6-line regex window of gdelt_lint's
-                       `cancel-blind-loop` (kept there behind --no-ast as
-                       a GCC-only fallback); the legacy
-                       `// gdelt-lint: allow(cancel-blind-loop)` tag is
-                       honored as a suppression for this rule.
+                       in the real, brace-matched loop body.
   bounded-alloc        In src/io, src/columnar and the serve files that
                        size things from network bytes (serve/partial.cpp,
                        serve/protocol.cpp, serve/json.cpp),
-                       `resize`/`reserve`/`assign` whose size argument
-                       carries an untrusted identifier must be *dominated*
-                       by a guard naming that identifier: the allocation
-                       sits inside an `if` on it, or follows an early-exit
-                       guard on it in an enclosing scope, or the
-                       identifier was initialized from a clamping
-                       expression (`std::min`, `.size()`, `remaining()`,
-                       `CheckedMul`). Supersedes the token-window
-                       heuristic of gdelt_lint's `unchecked-copy` for
-                       allocation sites.
+                       `resize`/`reserve`/`assign` whose size argument, or
+                       `memcpy` whose length argument, carries an
+                       untrusted identifier must be *dominated* by a guard
+                       naming that identifier: the call sits inside an
+                       `if` on it, or follows an early-exit guard on it in
+                       an enclosing scope, or the identifier was
+                       initialized from a clamping expression
+                       (`std::min`, `.size()`, `remaining()`,
+                       `CheckedMul`, `sizeof`).
+  raw-mutex            Raw std::mutex / std::lock_guard / std::unique_lock /
+                       std::scoped_lock / std::condition_variable are only
+                       allowed inside src/util/sync.hpp. Everything else
+                       uses sync::Mutex so Clang Thread-Safety Analysis
+                       sees every lock site.
+  tsa-escape           GDELT_NO_THREAD_SAFETY_ANALYSIS outside sync.hpp
+                       must carry an explanatory comment within the three
+                       lines above it; a silent escape hatch defeats the
+                       analysis.
+  trace-name           TRACE_SPAN string literals follow the `area.verb`
+                       convention (lowercase dotted path), keeping the
+                       trace aggregation table and the Prometheus stage
+                       metrics consistent.
+  raw-random           rand() and std::random_device are banned outside
+                       src/gen: kernels and tests use the seeded
+                       Xoshiro256 helpers so every run is replayable.
 
 Suppressions: `// gdelt-astcheck: allow(rule) — reason` on the finding
 line or up to four lines above it. The justification text is mandatory;
@@ -90,12 +100,11 @@ import subprocess
 import sys
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-ANALYZER_VERSION = 3  # bump to invalidate cached facts after rule changes
+ANALYZER_VERSION = 4  # bump to invalidate cached facts after rule changes
 
 EXTENSIONS = (".hpp", ".h", ".cpp", ".cc")
 
 ALLOW_TAG_RE = re.compile(r"gdelt-astcheck:\s*allow\(([\w-]+)\)\s*(.*)")
-LEGACY_CANCEL_TAG = "gdelt-lint: allow(cancel-blind-loop)"
 # Lines above a finding (inclusive of the finding line) searched for a tag.
 ALLOW_WINDOW = 4
 # A justification must say something: at least this many non-space chars
@@ -108,6 +117,10 @@ RULES = (
     "snapshot-discipline",
     "cancel-poll",
     "bounded-alloc",
+    "raw-mutex",
+    "tsa-escape",
+    "trace-name",
+    "raw-random",
     "bare-allow",
 )
 
@@ -144,6 +157,7 @@ ROW_LOOP_RE = re.compile(
     r"\b(?:num_events\s*\(\s*\)|num_mentions\s*\(\s*\)|events_end\b|"
     r"chunks_\b|chunks\s*\(\s*\))")
 ALLOC_RE = re.compile(r"[\w\)\]]\s*(?:\.|->)\s*(resize|reserve|assign)\s*\(")
+MEMCPY_RE = re.compile(r"(?<![\w.>])(?:std::)?(memcpy)\s*\(")
 GUARD_RE = re.compile(r"(?<![\w.])(if|assert|GDELT_CHECK)\s*\(")
 EARLY_EXIT_RE = re.compile(
     r"\breturn\b|\bthrow\b|\bcontinue\b|\bbreak\b|\babort\s*\(|"
@@ -161,7 +175,22 @@ DELTA_ACCESSORS = frozenset({
     "CombinedArticlesAboutCountry",
 })
 
-CALL_RE = re.compile(r"([\w\]\)]*)\s*(\.|->|::)?\s*\b(\w+)\s*\(")
+# The separator and its trailing blanks form one optional group: with two
+# independent `\s*` around an optional separator, a long blank run (a
+# blanked comment) backtracks cubically.
+CALL_RE = re.compile(r"([\w\]\)]*)\s*(?:(\.|->|::)\s*)?\b(\w+)\s*\(")
+
+RAW_MUTEX_RE = re.compile(
+    r"\bstd::(?:mutex|recursive_mutex|shared_mutex|timed_mutex|lock_guard|"
+    r"unique_lock|scoped_lock|shared_lock|condition_variable(?:_any)?)\b")
+TSA_ESCAPE_RE = re.compile(r"\bGDELT_NO_THREAD_SAFETY_ANALYSIS\b")
+# Lines above an escape searched for its explanatory comment.
+TSA_COMMENT_WINDOW = 3
+# Matches up to the literal's opening quote; the name is read from the
+# raw text, since the blanked code keeps only the quotes.
+TRACE_SPAN_RE = re.compile(r"\bTRACE_SPAN\s*\(\s*\"")
+TRACE_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
+RAW_RANDOM_RE = re.compile(r"(?<![\w:])rand\s*\(\s*\)|\bstd::random_device\b")
 
 
 def _split_args(args: str) -> List[str]:
@@ -366,6 +395,8 @@ class FileFacts:
         self.classes: Dict[str, Dict[str, str]] = {}
         self.functions: List[dict] = []
         self.suppressions: List[dict] = []
+        # Line-rule hits, path-independent (scopes apply at rule time).
+        self.marks: List[dict] = []
         self.frontend = "builtin"
 
     def to_json(self) -> dict:
@@ -373,6 +404,7 @@ class FileFacts:
             "classes": self.classes,
             "functions": self.functions,
             "suppressions": self.suppressions,
+            "marks": self.marks,
             "frontend": self.frontend,
         }
 
@@ -382,6 +414,7 @@ class FileFacts:
         f.classes = data["classes"]
         f.functions = data["functions"]
         f.suppressions = data["suppressions"]
+        f.marks = data["marks"]
         f.frontend = data.get("frontend", "builtin")
         return f
 
@@ -394,12 +427,36 @@ def _collect_suppressions(src: Source) -> List[dict]:
             reason = m.group(2).strip().lstrip("—-–: ").strip()
             out.append({"line": line, "rule": m.group(1),
                         "reason": reason})
-        if LEGACY_CANCEL_TAG in text:
-            tail = text.split(LEGACY_CANCEL_TAG, 1)[1]
-            out.append({"line": line, "rule": "cancel-poll",
-                        "reason": tail.strip().lstrip("—-–: ").strip(),
-                        "legacy": True})
     return out
+
+
+def _collect_marks(src: Source) -> List[dict]:
+    """Hits of the line rules over the blanked code, so a primitive named
+    in a comment or a string is never one. raw-mutex and raw-random
+    report the first hit of a line; tsa-escape only an escape with no
+    comment in the lines above it; trace-name only a malformed name."""
+    marks = []
+    for rule, regex in (("raw-mutex", RAW_MUTEX_RE),
+                        ("raw-random", RAW_RANDOM_RE)):
+        seen: Set[int] = set()
+        for m in regex.finditer(src.code):
+            line = src.line_of(m.start())
+            if line not in seen:
+                seen.add(line)
+                marks.append({"rule": rule, "line": line,
+                              "text": re.sub(r"\s+", "", m.group(0))})
+    for line in sorted({src.line_of(m.start())
+                        for m in TSA_ESCAPE_RE.finditer(src.code)}):
+        if not any(k in src.comments
+                   for k in range(line - TSA_COMMENT_WINDOW, line)):
+            marks.append({"rule": "tsa-escape", "line": line, "text": ""})
+    for m in TRACE_SPAN_RE.finditer(src.code):
+        end = src.code.find('"', m.end())
+        name = src.raw[m.end():end if end >= 0 else m.end()]
+        if not TRACE_NAME_RE.match(name):
+            marks.append({"rule": "trace-name",
+                          "line": src.line_of(m.start()), "text": name})
+    return marks
 
 
 def _class_context(src: Source, offset: int) -> str:
@@ -657,7 +714,8 @@ def _collect_statement_facts(src: Source, fn: dict) -> None:
     fn["loops"] = loops
 
     allocs = []
-    for m in ALLOC_RE.finditer(code):
+    for m in sorted([*ALLOC_RE.finditer(code), *MEMCPY_RE.finditer(code)],
+                    key=lambda m: m.start()):
         open_idx = b + m.end() - 1
         close = _match_paren(src.code, open_idx)
         if close < 0:
@@ -665,9 +723,12 @@ def _collect_statement_facts(src: Source, fn: dict) -> None:
         args = src.code[open_idx + 1:close]
         arg_list = _split_args(args)
         size_arg = arg_list[0] if arg_list else ""
+        if m.group(1) == "memcpy":
+            # memcpy(dst, src, n): the byte count is the third argument.
+            size_arg = arg_list[2] if len(arg_list) >= 3 else ""
         # string::assign(ptr, len) / vector::assign(first, last): the
         # first argument is a pointer, the count (if any) comes second.
-        if len(arg_list) >= 2 and (
+        elif len(arg_list) >= 2 and (
                 "_cast<" in size_arg or ".data()" in size_arg or
                 size_arg.lstrip().startswith("&")):
             size_arg = arg_list[1]
@@ -888,6 +949,7 @@ def extract_facts(path: str, frontend: str, clang: Optional[str],
     for fn in facts.functions:
         _collect_statement_facts(src, fn)
     facts.suppressions = _collect_suppressions(src)
+    facts.marks = _collect_marks(src)
 
     if mode == "clang":
         args = compile_db.get(os.path.abspath(path))
@@ -917,29 +979,21 @@ def extract_facts(path: str, frontend: str, clang: Optional[str],
 class SuppressionIndex:
     def __init__(self, facts_by_file: Dict[str, FileFacts]):
         self.by_file = facts_by_file
-        self.used: Set[Tuple[str, int]] = set()
 
     def suppressed(self, rel: str, line: int, rule: str) -> bool:
         facts = self.by_file.get(rel)
         if not facts:
             return False
         for s in facts.suppressions:
-            if s["rule"] != rule and not (
-                    rule == "cancel-poll" and s.get("legacy")):
-                continue
-            if s["rule"] == rule or (rule == "cancel-poll"
-                                     and s.get("legacy")):
-                if s["line"] <= line <= s["line"] + ALLOW_WINDOW:
-                    self.used.add((rel, s["line"]))
-                    return True
+            if s["rule"] == rule and \
+                    s["line"] <= line <= s["line"] + ALLOW_WINDOW:
+                return True
         return False
 
     def bare_allow_findings(self) -> List[Finding]:
         out = []
         for rel, facts in self.by_file.items():
             for s in facts.suppressions:
-                if s.get("legacy"):
-                    continue  # the legacy tag's contract lives in gdelt_lint
                 if s["rule"] not in RULES:
                     out.append(Finding(
                         rel, s["line"], "bare-allow",
@@ -1469,15 +1523,67 @@ def check_bounded_alloc(facts_by_file: Dict[str, FileFacts],
                     continue
                 if supp.suppressed(rel, alloc["line"], "bounded-alloc"):
                     continue
+                call = (f"memcpy(..., {size})" if alloc["method"] == "memcpy"
+                        else f".{alloc['method']}({size})")
                 findings.append(Finding(
                     rel, alloc["line"], "bounded-alloc",
-                    f"{fn['qual']}: .{alloc['method']}({size}) — size "
+                    f"{fn['qual']}: {call} — size "
                     f"depends on `{', '.join(unbounded)}` with no "
                     "dominating guard naming it; bound it against a "
                     "parsed limit (early-exit `if` or std::min clamp) "
-                    "before allocating, or annotate "
+                    "before the call, or annotate "
                     "`// gdelt-astcheck: allow(bounded-alloc)` with a "
                     "reason"))
+    return findings
+
+
+# --------------------------------------------------------------------------
+# Line rules: raw-mutex, tsa-escape, trace-name, raw-random.
+# --------------------------------------------------------------------------
+
+
+def is_sync_header(rel: str) -> bool:
+    return rel.replace(os.sep, "/").endswith("util/sync.hpp")
+
+
+def in_gen_scope(rel: str) -> bool:
+    p = rel.replace(os.sep, "/")
+    return "/gen/" in p or p.startswith("gen/")
+
+
+LINE_RULE_MESSAGES = {
+    "raw-mutex": "raw {text} outside util/sync.hpp; use sync::Mutex / "
+                 "sync::MutexLock / sync::CondVar so thread-safety analysis "
+                 "sees the lock",
+    "tsa-escape": "GDELT_NO_THREAD_SAFETY_ANALYSIS needs a comment in the "
+                  f"{TSA_COMMENT_WINDOW} lines above explaining why the "
+                  "analysis must be suppressed",
+    "trace-name": 'TRACE_SPAN name "{text}" does not match the area.verb '
+                  'convention (lowercase dotted path, e.g. '
+                  '"convert.parse_events")',
+    "raw-random": "{text} is not replayable; use the seeded Xoshiro256 from "
+                  "util/rng.hpp (raw entropy is allowed only under src/gen)",
+}
+
+
+def check_line_rules(facts_by_file: Dict[str, FileFacts],
+                     supp: SuppressionIndex,
+                     selected: Set[str]) -> List[Finding]:
+    findings = []
+    for rel, facts in facts_by_file.items():
+        for mark in facts.marks:
+            rule = mark["rule"]
+            if rule not in selected:
+                continue
+            if rule in ("raw-mutex", "tsa-escape") and is_sync_header(rel):
+                continue
+            if rule == "raw-random" and in_gen_scope(rel):
+                continue
+            if supp.suppressed(rel, mark["line"], rule):
+                continue
+            findings.append(Finding(
+                rel, mark["line"], rule,
+                LINE_RULE_MESSAGES[rule].format(text=mark["text"])))
     return findings
 
 
@@ -1512,7 +1618,7 @@ def collect_files(root: str, paths: List[str]) -> List[str]:
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="gdelt_astcheck.py",
-        description="AST-level semantic analyzer (see module docstring)")
+        description="project-rule static analyzer (see module docstring)")
     default_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--root", default=default_root)
@@ -1593,6 +1699,7 @@ def main(argv: List[str]) -> int:
         findings += check_cancel_poll(facts_by_file, supp)
     if "bounded-alloc" in selected:
         findings += check_bounded_alloc(facts_by_file, supp)
+    findings += check_line_rules(facts_by_file, supp, selected)
     if "bare-allow" in selected:
         findings += supp.bare_allow_findings()
 

@@ -29,8 +29,12 @@ EXPECTED_BAD = {
     "lock-order": 2,
     "view-escape": 3,
     "snapshot-discipline": 2,
-    "cancel-poll": 2,
-    "bounded-alloc": 5,
+    "cancel-poll": 5,
+    "bounded-alloc": 8,
+    "raw-mutex": 3,
+    "tsa-escape": 1,
+    "trace-name": 2,
+    "raw-random": 2,
     "bare-allow": 2,
 }
 
@@ -53,6 +57,14 @@ def findings_by_rule(output):
     return counts
 
 
+def finding_lines(path, rule):
+    """Sorted line numbers of `rule`'s findings in one fixture, and the
+    analyzer output."""
+    _code, out, _err = run_check(path)
+    return sorted(int(l.split(":")[1]) for l in out.splitlines()
+                  if f"[{rule}]" in l), out
+
+
 class GdeltAstcheckTest(unittest.TestCase):
     def test_bad_fixtures_fire_every_rule_exactly(self):
         code, out, _err = run_check("bad")
@@ -65,10 +77,18 @@ class GdeltAstcheckTest(unittest.TestCase):
         self.assertEqual(findings_by_rule(out), {}, out)
 
     def test_view_escape_lines_are_precise(self):
-        _code, out, _err = run_check("bad/serve/view_escape.cpp")
-        lines = sorted(int(l.split(":")[1]) for l in out.splitlines()
-                       if "[view-escape]" in l)
+        lines, out = finding_lines("bad/serve/view_escape.cpp", "view-escape")
         self.assertEqual(lines, [24, 30, 36], out)
+
+    def test_raw_mutex_lines_are_precise(self):
+        lines, out = finding_lines("bad/serve/raw_mutex.cpp", "raw-mutex")
+        self.assertEqual(lines, [8, 9, 12], out)
+
+    def test_unguarded_memcpy_is_a_bounded_alloc(self):
+        lines, out = finding_lines("bad/io/unchecked_copy.cpp",
+                                   "bounded-alloc")
+        self.assertEqual(lines, [18, 19, 27], out)
+        self.assertIn("memcpy(..., len)", out)
 
     def test_lock_cycle_reports_full_witness_path(self):
         _code, out, _err = run_check("bad/serve/lock_cycle.cpp")
@@ -101,7 +121,10 @@ class GdeltAstcheckTest(unittest.TestCase):
     def test_rule_filter(self):
         code, out, _err = run_check("--rule", "bounded-alloc", "bad")
         self.assertEqual(code, 1, out)
-        self.assertEqual(findings_by_rule(out), {"bounded-alloc": 5}, out)
+        self.assertEqual(findings_by_rule(out), {"bounded-alloc": 8}, out)
+        code, out, _err = run_check("--rule", "trace-name", "bad")
+        self.assertEqual(code, 1, out)
+        self.assertEqual(findings_by_rule(out), {"trace-name": 2}, out)
 
     def test_json_output_shape(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +157,7 @@ class GdeltAstcheckTest(unittest.TestCase):
                 capture_output=True, text=True, check=False)
         self.assertEqual(cold.stdout, warm.stdout)
         self.assertEqual(cold.returncode, warm.returncode)
-        self.assertIn("cache_hits=7", warm.stderr, warm.stderr)
+        self.assertIn("cache_hits=14", warm.stderr, warm.stderr)
 
     def test_missing_path_is_a_usage_error(self):
         code, _out, _err = run_check("no/such/dir")
@@ -148,13 +171,54 @@ class GdeltAstcheckTest(unittest.TestCase):
         self.assertEqual(
             proc.stdout.split(),
             ["lock-order", "view-escape", "snapshot-discipline",
-             "cancel-poll", "bounded-alloc", "bare-allow"])
+             "cancel-poll", "bounded-alloc", "raw-mutex", "tsa-escape",
+             "trace-name", "raw-random", "bare-allow"])
 
     def test_real_tree_is_clean(self):
         # The repo's own sources must satisfy the rules the repo ships,
         # and every allow tag must carry a justification (bare-allow).
         code, out, _err = run_check("src", root=REPO_ROOT)
         self.assertEqual(code, 0, out)
+
+    def test_planted_violations_in_real_tree_are_caught(self):
+        # One violation per line rule, plus an unguarded memcpy, planted in
+        # a copy of src/: each is caught exactly once, where it was put.
+        plants = {
+            "serve/planted_mutex.cpp": (
+                "#include <mutex>\nstd::mutex g_planted_mu;\n",
+                "raw-mutex", 2),
+            "engine/planted_random.cpp": (
+                "#include <cstdlib>\nint PlantedRoll() { return rand(); }\n",
+                "raw-random", 2),
+            "engine/planted_span.cpp": (
+                "void PlantedSpan() {\n  TRACE_SPAN(\"Bad\");\n}\n",
+                "trace-name", 2),
+            "serve/planted_escape.cpp": (
+                "#include \"util/sync.hpp\"\n\n\n\n"
+                "int PlantedRead() GDELT_NO_THREAD_SAFETY_ANALYSIS "
+                "{ return 0; }\n",
+                "tsa-escape", 5),
+            "io/planted_copy.cpp": (
+                "#include <cstring>\n"
+                "void PlantedCopy(char* out, const char* in, unsigned n) {\n"
+                "  std::memcpy(out, in, n);\n}\n",
+                "bounded-alloc", 3),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(os.path.join(REPO_ROOT, "src"),
+                            os.path.join(tmp, "src"))
+            for rel, (text, _rule, _line) in plants.items():
+                with open(os.path.join(tmp, "src", rel), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(text)
+            code, out, _err = run_check("src", root=tmp)
+        self.assertEqual(code, 1, out)
+        found = sorted(l.split(": [", 1)[0] + " " + l.split("[", 1)[1]
+                       .split("]", 1)[0] for l in out.splitlines()
+                       if l.startswith("src/"))
+        want = sorted(f"src/{rel}:{line} {rule}"
+                      for rel, (_text, rule, line) in plants.items())
+        self.assertEqual(found, want, out)
 
     def test_clang_frontend_matches_builtin(self):
         # The clang frontend refines the builtin facts with compiler-
