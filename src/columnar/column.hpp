@@ -1,10 +1,11 @@
-// Typed in-memory columns for the binary column store.
+// Typed columns for the binary column store.
 //
 // The paper's key design decision (Section IV) is converting GDELT's text
 // tables once into "machine-readable binary format" so queries scan flat
-// arrays instead of re-parsing CSV. A Column is a contiguous typed buffer;
-// string columns are offset+blob pairs. Buffers are plain vectors so a
-// parallel first-touch pass can place their pages across NUMA nodes.
+// arrays instead of re-parsing CSV. A Column is a contiguous typed array;
+// string columns are offset+blob pairs. A loaded column is a view into
+// the table file's read-only mapping, so every process serving the same
+// file shares one page-cache copy of it.
 #pragma once
 
 #include <cstdint>
@@ -68,22 +69,47 @@ template <> struct TypeTag<double> {
 };
 }  // namespace column_detail
 
-/// One column of a table. Fixed-width data lives in `bytes_`; strings in
-/// `offsets_` (size rows+1) plus `chars_`.
+/// One column of a table. Every read goes through three views: the
+/// fixed-width payload, and for kStr the rows+1 offsets and the chars.
+/// A loaded column's views point into its table's read-only file mapping
+/// (Table::ReadFromFile keeps it alive); a column built in memory (the
+/// converter, tests) owns vectors and re-points the views after each
+/// append. Moving a column keeps its views valid (vector moves keep their
+/// buffers); columns are not copyable.
 class Column {
  public:
-  /// Creates an empty column of the given type.
+  /// Creates an empty in-memory column of the given type.
   explicit Column(ColumnType type = ColumnType::kU64) : type_(type) {
-    if (type_ == ColumnType::kStr) offsets_.push_back(0);
+    if (type_ == ColumnType::kStr) owned_offsets_.push_back(0);
+    BindOwned();
   }
+
+  /// A read-only column over mapped segments the caller has validated:
+  /// `bytes` for a fixed-width type, else `offsets` (rows+1, monotone,
+  /// ending at chars.size()) and `chars`. The memory must outlive the
+  /// column.
+  static Column Mapped(ColumnType type, std::span<const std::uint8_t> bytes,
+                       std::span<const std::uint64_t> offsets,
+                       std::string_view chars) {
+    Column col(type);
+    col.owned_offsets_ = {};
+    col.bytes_ = bytes;
+    col.offsets_ = offsets;
+    col.chars_ = chars;
+    return col;
+  }
+
+  Column(Column&&) noexcept = default;
+  Column& operator=(Column&&) noexcept = default;
+  Column(const Column&) = delete;
+  Column& operator=(const Column&) = delete;
 
   ColumnType type() const noexcept { return type_; }
 
   /// Row count.
   std::size_t size() const noexcept {
     if (type_ == ColumnType::kStr) return offsets_.size() - 1;
-    const std::size_t es = ColumnTypeSize(type_);
-    return es ? bytes_.size() / es : 0;
+    return bytes_.size() / ColumnTypeSize(type_);
   }
 
   /// Appends a fixed-width value; T must match the column type exactly.
@@ -94,15 +120,17 @@ class Column {
       // Type confusion is a programming error, not a data error.
       std::abort();
     }
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + sizeof(T));
-    std::memcpy(bytes_.data() + at, &value, sizeof(T));
+    const std::size_t at = owned_bytes_.size();
+    owned_bytes_.resize(at + sizeof(T));
+    std::memcpy(owned_bytes_.data() + at, &value, sizeof(T));
+    BindOwned();
   }
 
   /// Appends to a string column.
   void AppendString(std::string_view s) {
-    chars_.append(s);
-    offsets_.push_back(chars_.size());
+    owned_chars_.insert(owned_chars_.end(), s.begin(), s.end());
+    owned_offsets_.push_back(owned_chars_.size());
+    BindOwned();
   }
 
   /// Typed read-only view of a fixed-width column.
@@ -114,21 +142,13 @@ class Column {
             bytes_.size() / sizeof(T)};
   }
 
-  /// Typed mutable view (used by in-place builders).
-  template <typename T>
-  std::span<T> MutableValues() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (column_detail::TypeTag<T>::value != type_) std::abort();
-    return {reinterpret_cast<T*>(bytes_.data()), bytes_.size() / sizeof(T)};
-  }
-
   /// String at row i (valid while the column lives).
   std::string_view StringAt(std::size_t i) const noexcept {
     const std::uint64_t b = offsets_[i];
     const std::uint64_t e = offsets_[i + 1];
-    // gdelt-astcheck: allow(view-escape) — columns are immutable once
-    // loaded (AppendString only runs during conversion, never on a
-    // column a reader holds), so chars_ never reallocates under a view.
+    // gdelt-astcheck: allow(view-escape) — the chars view points into the
+    // table's mapping (which the Table keeps alive) or into owned chars
+    // that only the converter appends to, never a column a reader holds.
     return {chars_.data() + b, static_cast<std::size_t>(e - b)};
   }
 
@@ -137,46 +157,51 @@ class Column {
     if (type_ == ColumnType::kStr) {
       // gdelt-astcheck: allow(bounded-alloc) — n is an in-memory
       // dictionary size from the caller, never a length parsed out of a file.
-      offsets_.reserve(n + 1);
-      chars_.reserve(n * avg_len);
+      owned_offsets_.reserve(n + 1);
+      owned_chars_.reserve(n * avg_len);
     } else {
       // gdelt-astcheck: allow(bounded-alloc) — n is a capacity hint from
       // the caller, not untrusted input.
-      bytes_.reserve(n * ColumnTypeSize(type_));
+      owned_bytes_.reserve(n * ColumnTypeSize(type_));
     }
+    BindOwned();
   }
 
-  /// Resizes a fixed-width column to n zero-initialized rows.
+  /// Resizes a fixed-width in-memory column to n zero-initialized rows.
   void ResizeFixed(std::size_t n) {
-    // gdelt-astcheck: allow(bounded-alloc) — n is a row count the loader
-    // already validated against the file's framing (BinaryReader bounds
-    // every section length before a column is sized from it).
-    bytes_.assign(n * ColumnTypeSize(type_), 0);
+    // gdelt-astcheck: allow(bounded-alloc) — n is an in-memory row count
+    // from the caller; the file loader maps columns and never sizes one.
+    owned_bytes_.assign(n * ColumnTypeSize(type_), 0);
+    BindOwned();
   }
 
-  /// Total heap bytes held (for the memory accounting the paper reports).
+  /// Bytes the column's data spans (mapped or owned), for the memory
+  /// accounting the paper reports.
   std::size_t MemoryBytes() const noexcept {
-    return bytes_.capacity() + offsets_.capacity() * sizeof(std::uint64_t) +
-           chars_.capacity();
+    return bytes_.size_bytes() + offsets_.size_bytes() + chars_.size();
   }
 
-  // --- serialization (raw buffers; framing is done by Table) ---
-  const std::vector<std::uint8_t>& raw_bytes() const noexcept { return bytes_; }
-  const std::vector<std::uint64_t>& raw_offsets() const noexcept {
-    return offsets_;
-  }
-  const std::string& raw_chars() const noexcept { return chars_; }
-  std::vector<std::uint8_t>& mutable_raw_bytes() noexcept { return bytes_; }
-  std::vector<std::uint64_t>& mutable_raw_offsets() noexcept {
-    return offsets_;
-  }
-  std::string& mutable_raw_chars() noexcept { return chars_; }
+  // --- raw segments (serialization and the zero-copy checks) ---
+  std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
+  std::span<const std::uint64_t> offsets() const noexcept { return offsets_; }
+  std::string_view chars() const noexcept { return chars_; }
 
  private:
+  /// Points the views at the owned vectors after a mutation.
+  void BindOwned() noexcept {
+    bytes_ = owned_bytes_;
+    offsets_ = owned_offsets_;
+    chars_ = {owned_chars_.data(), owned_chars_.size()};
+  }
+
   ColumnType type_;
-  std::vector<std::uint8_t> bytes_;     ///< fixed-width payload
-  std::vector<std::uint64_t> offsets_;  ///< kStr: rows+1 boundaries
-  std::string chars_;                   ///< kStr: concatenated bytes
+  std::span<const std::uint8_t> bytes_;     ///< fixed-width payload
+  std::span<const std::uint64_t> offsets_;  ///< kStr: rows+1 boundaries
+  std::string_view chars_;                  ///< kStr: concatenated bytes
+  // Backing store of a column built in memory; empty once mapped.
+  std::vector<std::uint8_t> owned_bytes_;
+  std::vector<std::uint64_t> owned_offsets_;
+  std::vector<char> owned_chars_;
 };
 
 }  // namespace gdelt

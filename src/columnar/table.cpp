@@ -2,6 +2,9 @@
 
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "io/crc32.hpp"
 #include "io/file.hpp"
@@ -13,7 +16,9 @@ namespace {
 
 constexpr char kMagicHead[8] = {'G', 'D', 'L', 'T', 'T', 'B', 'L', '1'};
 constexpr char kMagicTail[8] = {'G', 'D', 'L', 'T', 'E', 'N', 'D', '1'};
-constexpr std::uint32_t kFormatVersion = 2;  // v2 added the body-length footer
+// v2 added the body-length footer; v3 replaced the packed payloads with
+// 64-byte-aligned segments named by descriptors, so columns map in place.
+constexpr std::uint32_t kFormatVersion = 3;
 
 }  // namespace
 
@@ -24,11 +29,6 @@ Column& Table::AddColumn(const std::string& name, ColumnType type) {
 }
 
 const Column* Table::FindColumn(std::string_view name) const noexcept {
-  const auto it = columns_.find(std::string(name));
-  return it == columns_.end() ? nullptr : &it->second;
-}
-
-Column* Table::FindColumn(std::string_view name) noexcept {
   const auto it = columns_.find(std::string(name));
   return it == columns_.end() ? nullptr : &it->second;
 }
@@ -63,6 +63,34 @@ std::size_t Table::MemoryBytes() const noexcept {
 
 namespace {
 
+/// Segments start on this boundary, so a mapped column's data is aligned
+/// for any element type and for 64-byte vector loads.
+constexpr std::uint64_t kSegmentAlign = 64;
+
+constexpr std::uint64_t AlignUp(std::uint64_t n) noexcept {
+  return (n + kSegmentAlign - 1) / kSegmentAlign * kSegmentAlign;
+}
+
+/// Segment descriptors per column: the payload, or offsets + chars.
+constexpr std::size_t SegmentCount(ColumnType type) noexcept {
+  return type == ColumnType::kStr ? 2 : 1;
+}
+
+struct Segment {
+  const void* data;
+  std::uint64_t size;
+  std::uint64_t offset = 0;  ///< in the file, set by the writer's layout
+};
+
+/// A column's segments in file order.
+std::vector<Segment> SegmentsOf(const Column& col) {
+  if (col.type() == ColumnType::kStr) {
+    return {{col.offsets().data(), col.offsets().size_bytes()},
+            {col.chars().data(), col.chars().size()}};
+  }
+  return {{col.bytes().data(), col.bytes().size()}};
+}
+
 /// Accumulates a CRC while forwarding writes to the file.
 class ChecksummedWriter {
  public:
@@ -80,6 +108,12 @@ class ChecksummedWriter {
     GDELT_RETURN_IF_ERROR(WritePod(static_cast<std::uint32_t>(s.size())));
     return Write(s.data(), s.size());
   }
+  /// Writes zero bytes up to file offset `to`.
+  Status PadTo(std::uint64_t to) {
+    static constexpr char kZeros[kSegmentAlign] = {};
+    const std::uint64_t at = writer_.offset();
+    return Write(kZeros, static_cast<std::size_t>(to - at));
+  }
   std::uint32_t crc() const noexcept { return crc_; }
 
  private:
@@ -91,42 +125,46 @@ class ChecksummedWriter {
 
 Status Table::WriteToFile(const std::string& path) const {
   GDELT_RETURN_IF_ERROR(Validate());
+
+  // Lay the segments out first: the descriptors that precede them carry
+  // their absolute offsets.
+  std::uint64_t header = sizeof(kMagicHead) + sizeof(std::uint32_t) * 2 +
+                         sizeof(std::uint64_t);
+  for (const auto& [name, col] : columns_) {
+    header += sizeof(std::uint32_t) + name.size() + sizeof(std::uint8_t) +
+              SegmentCount(col.type()) * 2 * sizeof(std::uint64_t);
+  }
+  std::vector<Segment> segments;
+  std::uint64_t cursor = header;
+  for (const auto& [name, col] : columns_) {
+    for (Segment seg : SegmentsOf(col)) {
+      seg.offset = AlignUp(cursor);
+      cursor = seg.offset + seg.size;
+      segments.push_back(seg);
+    }
+  }
+
   BinaryWriter file;
   GDELT_RETURN_IF_ERROR(file.Open(path));
   ChecksummedWriter out(file);
-
   GDELT_RETURN_IF_ERROR(out.Write(kMagicHead, sizeof(kMagicHead)));
   GDELT_RETURN_IF_ERROR(out.WritePod(kFormatVersion));
   GDELT_RETURN_IF_ERROR(
       out.WritePod(static_cast<std::uint32_t>(columns_.size())));
   GDELT_RETURN_IF_ERROR(out.WritePod(static_cast<std::uint64_t>(num_rows())));
-
+  auto seg = segments.begin();
   for (const auto& [name, col] : columns_) {
     GDELT_RETURN_IF_ERROR(out.WriteString(name));
     GDELT_RETURN_IF_ERROR(out.WritePod(static_cast<std::uint8_t>(col.type())));
-    if (col.type() == ColumnType::kStr) {
-      GDELT_RETURN_IF_ERROR(out.WritePod(static_cast<std::uint64_t>(
-          col.raw_offsets().size() * sizeof(std::uint64_t))));
-      GDELT_RETURN_IF_ERROR(
-          out.WritePod(static_cast<std::uint64_t>(col.raw_chars().size())));
-    } else {
-      GDELT_RETURN_IF_ERROR(
-          out.WritePod(static_cast<std::uint64_t>(col.raw_bytes().size())));
-      GDELT_RETURN_IF_ERROR(out.WritePod(std::uint64_t{0}));
+    for (std::size_t k = 0; k < SegmentCount(col.type()); ++k, ++seg) {
+      GDELT_RETURN_IF_ERROR(out.WritePod(seg->offset));
+      GDELT_RETURN_IF_ERROR(out.WritePod(seg->size));
     }
   }
-
-  for (const auto& [name, col] : columns_) {
-    if (col.type() == ColumnType::kStr) {
-      GDELT_RETURN_IF_ERROR(
-          out.Write(col.raw_offsets().data(),
-                    col.raw_offsets().size() * sizeof(std::uint64_t)));
-      GDELT_RETURN_IF_ERROR(
-          out.Write(col.raw_chars().data(), col.raw_chars().size()));
-    } else {
-      GDELT_RETURN_IF_ERROR(
-          out.Write(col.raw_bytes().data(), col.raw_bytes().size()));
-    }
+  for (const Segment& placed : segments) {
+    GDELT_RETURN_IF_ERROR(out.PadTo(placed.offset));
+    GDELT_RETURN_IF_ERROR(
+        out.Write(placed.data, static_cast<std::size_t>(placed.size)));
   }
 
   GDELT_RETURN_IF_ERROR(file.WritePod(file.offset()));  // body length
@@ -141,9 +179,66 @@ Status Table::WriteToFileAtomic(const std::string& path) const {
   return AtomicReplaceFile(tmp, path);
 }
 
+std::string_view Table::mapped_bytes() const noexcept {
+  return mapping_ ? mapping_->view() : std::string_view{};
+}
+
+namespace {
+
+struct SegmentDesc {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+
+struct ColumnDesc {
+  std::string name;
+  ColumnType type = ColumnType::kU64;
+  SegmentDesc segments[2];
+};
+
+/// Checks one segment descriptor against the body and the segments before
+/// it, and points `out` at its bytes. `cursor` is where the previous
+/// segment (or the header) ended; segments must follow in order without
+/// overlapping.
+Status BindSegment(std::string_view body, const SegmentDesc& seg,
+                   std::uint64_t expected_length, std::uint64_t& cursor,
+                   const std::string& what, std::string_view& out) {
+  if (seg.offset % kSegmentAlign != 0) {
+    return status::DataLoss(what + " segment is not 64-byte aligned");
+  }
+  if (seg.offset < cursor) {
+    return status::DataLoss(what +
+                            " segment overlaps the header or a segment "
+                            "before it");
+  }
+  if (seg.offset > body.size() || seg.length > body.size() - seg.offset) {
+    return status::DataLoss(what + " segment runs past the body");
+  }
+  if (seg.length != expected_length) {
+    return status::DataLoss(StrFormat(
+        "%s segment holds %llu bytes, expected %llu", what.c_str(),
+        static_cast<unsigned long long>(seg.length),
+        static_cast<unsigned long long>(expected_length)));
+  }
+  cursor = seg.offset + seg.length;
+  out = body.substr(static_cast<std::size_t>(seg.offset),
+                    static_cast<std::size_t>(seg.length));
+  return Status::Ok();
+}
+
+template <typename T>
+std::span<const T> SpanOf(std::string_view bytes) noexcept {
+  // Aligned: the segment offset is a multiple of 64 and the mapping
+  // starts on a page.
+  return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
+}
+
+}  // namespace
+
 Result<Table> Table::ReadFromFile(const std::string& path) {
   GDELT_ASSIGN_OR_RETURN(MemoryMappedFile file, MemoryMappedFile::Open(path));
-  const std::string_view buffer = file.view();
+  auto mapping = std::make_shared<const MemoryMappedFile>(std::move(file));
+  const std::string_view buffer = mapping->view();
   constexpr std::size_t kFooter = sizeof(std::uint64_t) /* body length */ +
                                   sizeof(std::uint32_t) /* crc */ +
                                   sizeof(kMagicTail);
@@ -175,27 +270,30 @@ Result<Table> Table::ReadFromFile(const std::string& path) {
     return status::DataLoss("checksum mismatch in table file '" + path + "'");
   }
 
-  BinaryReader in(buffer.data(), body_size);
+  const std::string_view body = buffer.substr(0, body_size);
+  BinaryReader in(body.data(), body.size());
   GDELT_RETURN_IF_ERROR(in.Skip(sizeof(kMagicHead)));
   std::uint32_t version = 0;
   std::uint32_t num_columns = 0;
   std::uint64_t num_rows = 0;
   GDELT_RETURN_IF_ERROR(in.ReadPod(version));
   if (version != kFormatVersion) {
-    return status::DataLoss(
-        StrFormat("unsupported table format version %u", version));
+    return status::DataLoss(StrFormat(
+        "table file '%s' has format version %u, this build reads only v%u "
+        "(re-run gdelt_convert)",
+        path.c_str(), version, kFormatVersion));
   }
   GDELT_RETURN_IF_ERROR(in.ReadPod(num_columns));
   GDELT_RETURN_IF_ERROR(in.ReadPod(num_rows));
 
-  // Every allocation below is sized by these two counts, which come from
-  // the file — checksummed, but a foreign or corrupt-yet-CRC-consistent
-  // file is still untrusted input. Bound them against the bytes actually
-  // present BEFORE allocating, so a kilobyte of garbage cannot demand
-  // gigabytes of memory (or overflow the size arithmetic) while parsing.
+  // The descriptor vector below is sized by a count from the file —
+  // checksummed, but a foreign or corrupt-yet-CRC-consistent file is still
+  // untrusted input. Bound it against the bytes actually present BEFORE
+  // allocating, so a kilobyte of garbage cannot demand gigabytes. The
+  // row-count bound keeps (rows + 1) * 8 from overflowing.
   constexpr std::uint64_t kMinDescBytes =
       sizeof(std::uint32_t) /* name length */ +
-      sizeof(std::uint8_t) /* type */ + 2 * sizeof(std::uint64_t);
+      sizeof(std::uint8_t) /* type */ + sizeof(SegmentDesc);
   if (num_columns > in.remaining() / kMinDescBytes) {
     return status::DataLoss(StrFormat(
         "table file '%s' claims %u columns but only %zu bytes remain",
@@ -208,12 +306,6 @@ Result<Table> Table::ReadFromFile(const std::string& path) {
         static_cast<unsigned long long>(num_rows)));
   }
 
-  struct ColumnDesc {
-    std::string name;
-    ColumnType type;
-    std::uint64_t payload_bytes;
-    std::uint64_t chars_bytes;
-  };
   std::vector<ColumnDesc> descs(num_columns);
   for (auto& d : descs) {
     GDELT_RETURN_IF_ERROR(in.ReadString(d.name));
@@ -223,63 +315,48 @@ Result<Table> Table::ReadFromFile(const std::string& path) {
       return status::DataLoss("invalid column type in '" + path + "'");
     }
     d.type = static_cast<ColumnType>(type);
-    GDELT_RETURN_IF_ERROR(in.ReadPod(d.payload_bytes));
-    GDELT_RETURN_IF_ERROR(in.ReadPod(d.chars_bytes));
+    for (std::size_t k = 0; k < SegmentCount(d.type); ++k) {
+      GDELT_RETURN_IF_ERROR(in.ReadPod(d.segments[k].offset));
+      GDELT_RETURN_IF_ERROR(in.ReadPod(d.segments[k].length));
+    }
   }
 
   Table table;
+  std::uint64_t cursor = in.offset();  // segments follow the header
   for (const auto& d : descs) {
-    Column& col = table.AddColumn(d.name, d.type);
+    const std::string what = "column '" + d.name + "' in '" + path + "':";
+    Column col;
     if (d.type == ColumnType::kStr) {
-      const std::uint64_t expected =
-          (num_rows + 1) * sizeof(std::uint64_t);
-      if (d.payload_bytes != expected) {
-        return status::DataLoss("string column '" + d.name +
-                                "' has inconsistent offsets size");
-      }
-      if (expected > in.remaining()) {
-        return status::DataLoss("string column '" + d.name +
-                                "' offsets exceed the file");
-      }
-      auto& offsets = col.mutable_raw_offsets();
-      offsets.resize(num_rows + 1);
-      GDELT_RETURN_IF_ERROR(
-          in.ReadBytes(offsets.data(), static_cast<std::size_t>(expected)));
-      if (d.chars_bytes > in.remaining()) {
-        return status::DataLoss("string column '" + d.name +
-                                "' character data exceeds the file");
-      }
-      auto& chars = col.mutable_raw_chars();
-      chars.resize(static_cast<std::size_t>(d.chars_bytes));
-      GDELT_RETURN_IF_ERROR(in.ReadBytes(
-          chars.data(), static_cast<std::size_t>(d.chars_bytes)));
-      if (offsets.front() != 0 || offsets.back() != chars.size()) {
-        return status::DataLoss("string column '" + d.name +
-                                "' has corrupt offsets");
+      std::string_view offset_bytes;
+      GDELT_RETURN_IF_ERROR(BindSegment(
+          body, d.segments[0], (num_rows + 1) * sizeof(std::uint64_t),
+          cursor, what + " offsets", offset_bytes));
+      const auto offsets = SpanOf<std::uint64_t>(offset_bytes);
+      if (offsets.front() != 0) {
+        return status::DataLoss(what + " offsets do not start at 0");
       }
       for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
         if (offsets[i] > offsets[i + 1]) {
-          return status::DataLoss("string column '" + d.name +
-                                  "' offsets not monotone");
+          return status::DataLoss(what + " offsets not monotone");
         }
       }
+      std::string_view chars;
+      GDELT_RETURN_IF_ERROR(BindSegment(body, d.segments[1], offsets.back(),
+                                        cursor, what + " chars", chars));
+      col = Column::Mapped(d.type, {}, offsets, chars);
     } else {
-      const std::uint64_t expected = num_rows * ColumnTypeSize(d.type);
-      if (d.payload_bytes != expected) {
-        return status::DataLoss("column '" + d.name +
-                                "' has inconsistent payload size");
-      }
-      if (expected > in.remaining()) {
-        return status::DataLoss("column '" + d.name +
-                                "' payload exceeds the file");
-      }
-      auto& bytes = col.mutable_raw_bytes();
-      bytes.resize(static_cast<std::size_t>(expected));
-      GDELT_RETURN_IF_ERROR(
-          in.ReadBytes(bytes.data(), static_cast<std::size_t>(expected)));
+      std::string_view bytes;
+      GDELT_RETURN_IF_ERROR(BindSegment(body, d.segments[0],
+                                        num_rows * ColumnTypeSize(d.type),
+                                        cursor, what + " payload", bytes));
+      col = Column::Mapped(d.type, SpanOf<std::uint8_t>(bytes), {}, {});
+    }
+    if (!table.columns_.emplace(d.name, std::move(col)).second) {
+      return status::DataLoss(what + " duplicate column name");
     }
   }
   GDELT_RETURN_IF_ERROR(table.Validate());
+  table.mapping_ = std::move(mapping);
   return table;
 }
 

@@ -4,7 +4,6 @@
 
 #include "convert/binary_format.hpp"
 #include "parallel/morsel.hpp"
-#include "parallel/numa.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
 
@@ -219,17 +218,8 @@ Result<Database> Database::Load(const std::string& dir) {
                                           db.zone_max_interval_.end());
   }
 
-  // Fault the big read-side buffers in on the pool that scans them
-  // (read-only page warming).
-  WarmPagesParallel(db.mention_interval_.data(),
-                    db.mention_interval_.size() * sizeof(std::int64_t));
-  WarmPagesParallel(db.mention_event_interval_.data(),
-                    db.mention_event_interval_.size() * sizeof(std::int64_t));
-  WarmPagesParallel(db.mention_source_id_.data(),
-                    db.mention_source_id_.size() * sizeof(std::uint32_t));
-
   GDELT_LOG(kInfo, StrFormat("database loaded: %zu events, %zu mentions, "
-                             "%u sources, %.1f MiB resident",
+                             "%u sources, %.1f MiB of tables and indexes",
                              db.num_events_, db.num_mentions_,
                              db.sources_.size(),
                              static_cast<double>(db.MemoryBytes()) /

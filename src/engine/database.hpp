@@ -1,8 +1,9 @@
 // The in-memory GDELT database.
 //
-// Loads the converter's binary tables, materializes the inverted indexes
+// Maps the converter's binary tables, materializes the inverted indexes
 // (event -> mentions, source -> mentions) and derived columns (source ->
-// country via TLD), and hands out typed spans for the query kernels. After
+// country via TLD), and hands out typed spans for the query kernels. The
+// column spans view the read-only file mappings the tables keep alive. After
 // Load() everything is read-only — the paper's core architectural bet —
 // so queries run lock-free across all threads.
 #pragma once
@@ -142,7 +143,9 @@ class Database {
   std::int64_t first_interval() const noexcept { return first_interval_; }
   std::int64_t last_interval() const noexcept { return last_interval_; }
 
-  /// Total heap footprint (tables + indexes), for the load report.
+  /// Footprint of the tables and indexes, for the load report: the mapped
+  /// column bytes (shared with every process that maps the same files)
+  /// plus the indexes and derived columns built at load.
   std::size_t MemoryBytes() const noexcept;
 
  private:

@@ -1,9 +1,11 @@
-// CRC-32 (IEEE 802.3 / zlib polynomial), table-driven.
+// CRC-32 (IEEE 802.3 / zlib polynomial), table-driven, eight bytes per
+// step (slicing-by-8).
 //
 // Used for ZIP container entries and as the integrity checksum in the
 // binary column-store footer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 

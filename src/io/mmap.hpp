@@ -1,8 +1,9 @@
 // Read-only memory-mapped files.
 //
-// The binary column store is loaded via mmap so that multi-GB tables appear
-// in memory without a copy, and page-in happens lazily during the first
-// parallel scan (combined with first-touch placement, see parallel/numa.hpp).
+// The binary column store is served straight from a read-only mapping of
+// each table file: columns are views into it, so multi-GB tables appear
+// in memory without a copy, and every process mapping the same file
+// shares one page-cache copy of its pages.
 #pragma once
 
 #include <cstddef>

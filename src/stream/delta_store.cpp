@@ -7,6 +7,7 @@
 #include "convert/binary_format.hpp"
 #include "csv/tsv.hpp"
 #include "gtime/timestamp.hpp"
+#include "io/file.hpp"
 #include "schema/gdelt_schema.hpp"
 #include "util/strings.hpp"
 
@@ -171,6 +172,16 @@ Status DeltaStore::IngestArchivePair(const std::string& export_zip_path,
   // ingest at all — they read the published snapshot). set_fetch_policy
   // during an in-flight fetch swaps the pointer for later calls; the
   // snapshot keeps this one alive.
+  //
+  // A path that does not exist is an operator error, not a transient
+  // mirror failure: answer NotFound at once, as the converter does for
+  // archives missing from the master list, instead of letting the fetcher
+  // retry and sleep while the caller (the server's ingest lock) waits.
+  for (const std::string* path : {&export_zip_path, &mentions_zip_path}) {
+    if (!path->empty() && !FileExists(*path)) {
+      return status::NotFound("archive '" + *path + "' does not exist");
+    }
+  }
   std::shared_ptr<convert::ChunkFetcher> fetcher;
   {
     sync::MutexLock lock(mu_);

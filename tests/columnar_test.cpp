@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdint>
 #include <limits>
 
 #include "columnar/csr.hpp"
 #include "columnar/dictionary.hpp"
 #include "columnar/table.hpp"
-#include "io/crc32.hpp"
 #include "io/file.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -163,89 +162,123 @@ TEST(TableIoTest, GarbageFileRejected) {
   EXPECT_FALSE(Table::ReadFromFile(path).ok());
 }
 
-// Overwrites `len` bytes at `offset` of a written table file and then
-// refreshes the CRC footer, so the forgery passes the checksum gate and
-// reaches the parser. This is how a corrupt-yet-CRC-consistent (or
-// malicious) file looks to ReadFromFile; the parser must reject it from
-// its own bounds checks, not by luck of the checksum.
-std::string ForgeTableFile(std::string bytes, std::size_t offset,
-                           const void* field, std::size_t len) {
-  EXPECT_LE(offset + len, bytes.size());
-  std::memcpy(bytes.data() + offset, field, len);
-  const std::size_t footer =
-      sizeof(std::uint64_t) + sizeof(std::uint32_t) + 8 /* tail magic */;
-  const std::size_t body = bytes.size() - footer;
-  const std::uint32_t crc = Crc32Update(0, bytes.data(), body);
-  std::memcpy(bytes.data() + body + sizeof(std::uint64_t), &crc,
-              sizeof(crc));
-  return bytes;
+// The loader binds columns in place: every column's data lies inside the
+// table's own mapping, on a 64-byte boundary, and stays readable after
+// the table moves.
+TEST(TableIoTest, LoadedColumnsViewTheMappingZeroCopy) {
+  TempDir dir("tablezc");
+  const std::string path = dir.path() + "/t.tbl";
+  ASSERT_TRUE(MakeSampleTable(1001).WriteToFile(path).ok());
+  auto loaded = Table::ReadFromFile(path);
+  ASSERT_TRUE(loaded.ok());
+  const std::string_view map = loaded->mapped_bytes();
+  ASSERT_FALSE(map.empty());
+  const auto base = reinterpret_cast<std::uintptr_t>(map.data());
+  const auto expect_mapped = [&](const void* p, std::size_t n,
+                                 const std::string& what) {
+    const auto at = reinterpret_cast<std::uintptr_t>(p);
+    EXPECT_EQ(at % 64, 0u) << what;
+    EXPECT_GE(at, base) << what;
+    EXPECT_LE(at - base + n, map.size()) << what;
+  };
+  for (const auto& [name, col] : loaded->columns()) {
+    if (col.type() == ColumnType::kStr) {
+      expect_mapped(col.offsets().data(), col.offsets().size_bytes(),
+                    name + " offsets");
+      expect_mapped(col.chars().data(), col.chars().size(), name + " chars");
+    } else {
+      expect_mapped(col.bytes().data(), col.bytes().size(), name);
+    }
+  }
+  EXPECT_EQ(loaded->MemoryBytes(),
+            MakeSampleTable(1001).MemoryBytes());  // mapped bytes count
+
+  const Table moved = std::move(*loaded);
+  EXPECT_EQ(moved.mapped_bytes().data(), map.data());
+  EXPECT_EQ(moved.GetColumn("id").Values<std::uint64_t>()[1000], 7000u);
+  EXPECT_EQ(moved.GetColumn("name").StringAt(1000), "name1000");
 }
 
-// Body layout: magic[8], version u32 @8, num_columns u32 @12,
-// num_rows u64 @16, then per-column descriptors.
-constexpr std::size_t kNumColumnsOffset = 12;
-constexpr std::size_t kNumRowsOffset = 16;
+// A table built in memory owns its columns and maps nothing.
+TEST(TableIoTest, BuiltTablesMapNothing) {
+  EXPECT_TRUE(MakeSampleTable(3).mapped_bytes().empty());
+}
 
-// A file claiming 4 billion columns is 300+ GiB of descriptor
+// The forgeries below overwrite one header field and reseal the footer
+// (testing::ForgeTableField), so they pass the checksum gate and reach the
+// parser. This is how a corrupt-yet-CRC-consistent (or malicious) file
+// looks to ReadFromFile; the parser must reject it from its own bounds
+// checks, not by luck of the checksum.
+struct Forgery {
+  std::string valid;
+  testing::TableFileLayout layout;
+
+  explicit Forgery(const std::string& path) {
+    EXPECT_TRUE(MakeSampleTable(100).WriteToFile(path).ok());
+    auto bytes = ReadWholeFile(path);
+    EXPECT_TRUE(bytes.ok());
+    valid = *bytes;
+    layout = testing::ParseTableFileLayout(valid);
+  }
+
+  Status LoadWith(testing::TableFileLayout::Field field, std::uint64_t value,
+                  const std::string& path) const {
+    EXPECT_TRUE(
+        WriteWholeFile(path, testing::ForgeTableField(valid, layout, field,
+                                                      value))
+            .ok());
+    return Table::ReadFromFile(path).status();
+  }
+};
+
+// Header fields: version, num_columns, num_rows, then per-column fields.
+constexpr std::size_t kNumColumnsField = 1;
+constexpr std::size_t kNumRowsField = 2;
+
+// A file claiming 4 billion columns is 100+ GiB of descriptor
 // allocations if the parser trusts the count. Must fail cleanly (no
 // allocation, no crash) because only a few hundred bytes follow.
 TEST(TableIoTest, HugeColumnCountRejectedBeforeAllocating) {
   TempDir dir("tablehc");
   const std::string path = dir.path() + "/t.tbl";
-  ASSERT_TRUE(MakeSampleTable(100).WriteToFile(path).ok());
-  auto bytes = ReadWholeFile(path);
-  ASSERT_TRUE(bytes.ok());
-  const std::uint32_t huge = 0xFFFFFFFFu;
-  const std::string forged =
-      ForgeTableFile(*bytes, kNumColumnsOffset, &huge, sizeof(huge));
-  ASSERT_TRUE(WriteWholeFile(path, forged).ok());
-  EXPECT_EQ(Table::ReadFromFile(path).status().code(),
+  const Forgery forgery(path);
+  EXPECT_EQ(forgery
+                .LoadWith(forgery.layout.header_fields[kNumColumnsField],
+                          0xFFFFFFFFu, path)
+                .code(),
             StatusCode::kDataLoss);
 }
 
 // Row counts near 2^64 make (num_rows + 1) * 8 wrap around, so the
-// "expected payload" arithmetic would pass while resize() asks for the
-// unwrapped amount. Both the overflow-adjacent and the merely-huge case
-// must be DataLoss, not a multi-exabyte allocation.
+// expected segment lengths would be computed from a wrapped product. Both
+// the overflow-adjacent and the merely-huge case must be DataLoss.
 TEST(TableIoTest, HugeRowCountRejected) {
   TempDir dir("tablehr");
+  const std::string path = dir.path() + "/t.tbl";
+  const Forgery forgery(path);
   for (const std::uint64_t rows :
        {std::numeric_limits<std::uint64_t>::max() - 1,
         std::uint64_t{1} << 60}) {
-    const std::string path = dir.path() + "/t.tbl";
-    ASSERT_TRUE(MakeSampleTable(100).WriteToFile(path).ok());
-    auto bytes = ReadWholeFile(path);
-    ASSERT_TRUE(bytes.ok());
-    const std::string forged =
-        ForgeTableFile(*bytes, kNumRowsOffset, &rows, sizeof(rows));
-    ASSERT_TRUE(WriteWholeFile(path, forged).ok());
-    EXPECT_EQ(Table::ReadFromFile(path).status().code(),
+    EXPECT_EQ(forgery
+                  .LoadWith(forgery.layout.header_fields[kNumRowsField],
+                            rows, path)
+                  .code(),
               StatusCode::kDataLoss)
         << "rows=" << rows;
   }
 }
 
-// A string column whose descriptor claims more character bytes than the
-// file holds must be rejected before the chars vector is sized.
+// A string column whose chars descriptor claims more bytes than the file
+// holds must be rejected before a view is bound.
 TEST(TableIoTest, OversizedCharsFieldRejected) {
   TempDir dir("tablesc");
   const std::string path = dir.path() + "/t.tbl";
-  ASSERT_TRUE(MakeSampleTable(100).WriteToFile(path).ok());
-  auto bytes = ReadWholeFile(path);
-  ASSERT_TRUE(bytes.ok());
-  // Locate the "name" column descriptor (u32 length 4 + the characters)
-  // in the header region; chars_bytes sits after the name, the u8 type
-  // and the u64 payload size.
-  const std::string needle{"\x04\x00\x00\x00name", 8};
-  const std::size_t pos = bytes->find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t chars_bytes_offset =
-      pos + needle.size() + sizeof(std::uint8_t) + sizeof(std::uint64_t);
-  const std::uint64_t huge = 1ull << 62;
-  const std::string forged =
-      ForgeTableFile(*bytes, chars_bytes_offset, &huge, sizeof(huge));
-  ASSERT_TRUE(WriteWholeFile(path, forged).ok());
-  EXPECT_EQ(Table::ReadFromFile(path).status().code(),
+  const Forgery forgery(path);
+  // The chars segment follows the offsets segment of the one string
+  // column; its length field is the second field of its descriptor.
+  const std::size_t chars = forgery.layout.string_offset_segments[0] + 1;
+  const auto chars_length = forgery.layout.descriptor_fields[2 * chars + 1];
+  EXPECT_EQ(forgery.LoadWith(chars_length, 1ull << 62, path).code(),
             StatusCode::kDataLoss);
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "io/crc32.hpp"
 #include "io/file.hpp"
 #include "io/mmap.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "test_util.hpp"
 
@@ -25,6 +28,54 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   crc = Crc32Update(crc, data.data(), 10);
   crc = Crc32Update(crc, data.data() + 10, data.size() - 10);
   EXPECT_EQ(crc, Crc32(data));
+}
+
+TEST(Crc32Test, MoreKnownVectors) {
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32("abc"), 0x352441C2u);
+  EXPECT_EQ(Crc32("message digest"), 0x20159D7Fu);
+  EXPECT_EQ(Crc32(std::string(32, '\0')), 0x190A55ADu);
+  EXPECT_EQ(Crc32(std::string(32, '\xff')), 0xFF6CAB0Bu);
+}
+
+/// Bit-at-a-time CRC-32, straight from the polynomial: the reference the
+/// table-driven implementation must match.
+std::uint32_t BitwiseCrc32(std::uint32_t crc, const unsigned char* p,
+                           std::size_t n) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0xEDB88320u & -(crc & 1));
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Xoshiro256 rng(32);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32Update(0, p, len), BitwiseCrc32(0, p, len))
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, SplitUpdatesMatchOneShot) {
+  Xoshiro256 rng(33);
+  std::vector<unsigned char> buf(1024);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t len = UniformBelow(rng, buf.size() + 1);
+    const std::size_t cut = UniformBelow(rng, len + 1);
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng());
+    const std::uint32_t split = Crc32Update(
+        Crc32Update(seed, buf.data(), cut), buf.data() + cut, len - cut);
+    ASSERT_EQ(split, BitwiseCrc32(seed, buf.data(), len))
+        << "len " << len << " cut " << cut;
+  }
 }
 
 TEST(FileTest, WriteReadWholeFile) {

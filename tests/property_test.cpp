@@ -67,7 +67,7 @@ bool ColumnsEqual(const Column& a, const Column& b) {
     }
     return true;
   }
-  return a.raw_bytes() == b.raw_bytes();
+  return std::ranges::equal(a.bytes(), b.bytes());
 }
 
 TEST_P(TableRoundTripTest, WriteReadPreservesEverything) {

@@ -95,12 +95,27 @@ grep -q '"ok":true' "$WORK/degraded.out"
 grep -q '"partial_failure":\[1\]' "$WORK/degraded.out"
 
 # Restart the shard on its original port; the health probe revives it
-# and the same query comes back complete and byte-identical again.
-"$BIN_DIR/gdelt_serve" --db "$WORK/db" --port "$P2" --workers 2 \
-    > "$WORK/s2b.out" 2> "$WORK/s2b.log" &
-S2_PID=$!
-wait_ready "$WORK/s2b.out" "$S2_PID" > /dev/null \
-    || { cat "$WORK/s2b.log" >&2; exit 1; }
+# and the same query comes back complete and byte-identical again. P2 was
+# an ephemeral port, so another process's outgoing socket may hold it for
+# a moment: retry only a restart that exits before READY with an
+# address-in-use bind error, at most 20 times, 0.25 s apart.
+tries=0
+while :; do
+  "$BIN_DIR/gdelt_serve" --db "$WORK/db" --port "$P2" --workers 2 \
+      > "$WORK/s2b.out" 2> "$WORK/s2b.log" &
+  S2_PID=$!
+  wait_ready "$WORK/s2b.out" "$S2_PID" > /dev/null && break
+  if kill -0 "$S2_PID" 2>/dev/null \
+     || ! grep -q "Address already in use" "$WORK/s2b.log"; then
+    cat "$WORK/s2b.log" >&2
+    exit 1
+  fi
+  wait "$S2_PID" 2>/dev/null || true
+  S2_PID=""
+  tries=$((tries + 1))
+  [ "$tries" -lt 20 ] || { cat "$WORK/s2b.log" >&2; exit 1; }
+  sleep 0.25
+done
 recovered=0
 for _ in $(seq 1 50); do
   printf '{"id":"rec","query":"coreport","top":5}\n' \

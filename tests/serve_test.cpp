@@ -472,6 +472,26 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsAreStructuredErrors) {
   EXPECT_TRUE(Parsed(*ok).Find("ok")->AsBool());
 }
 
+// An ingest naming a missing archive gets one structured error at once,
+// without a fetch attempt (the fetcher's retries would otherwise sleep
+// under the server's ingest lock).
+TEST_F(ServeTest, IngestOfMissingArchiveIsAStructuredErrorWithoutFetching) {
+  delta_ = std::make_unique<stream::DeltaStore>(nullptr);
+  StartServer(ServerOptions{}, delta_.get());
+  const std::string missing = dir_->path() + "/missing";
+  const JsonValue v = Parsed(server_->HandleLine(
+      R"({"id":"i","query":"ingest","export":")" + missing +
+      R"(.export.CSV.zip","mentions":")" + missing +
+      R"(.mentions.CSV.zip"})"));
+  ASSERT_NE(v.Find("ok"), nullptr);
+  EXPECT_FALSE(v.Find("ok")->AsBool());
+  EXPECT_EQ(ErrorCodeOf(v), "bad_request");
+  EXPECT_NE(v.Find("error")->Find("message")->AsString().find(
+                "does not exist"),
+            std::string::npos);
+  EXPECT_EQ(delta_->fetch_stats().attempts, 0u);
+}
+
 /// Request lines covering every verb and field the parser takes: each
 /// registry kind whole (top, window, confidence, trace) and as a
 /// partition (partial/shard/of), plus cancel, ingest and metrics.

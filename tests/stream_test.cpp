@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <unordered_map>
 
@@ -313,6 +314,42 @@ TEST(DeltaStoreErrorsTest, MalformedRowsAreCounted) {
 TEST(DeltaStoreErrorsTest, MissingArchiveFails) {
   DeltaStore delta(nullptr);
   EXPECT_FALSE(delta.IngestArchivePair("/no/such.zip", "").ok());
+}
+
+// A path that does not exist fails at once with NotFound: no fetch
+// attempt, so no backoff sleep (the server holds its ingest lock for the
+// whole call). The backoff below would make a single retry take seconds.
+TEST(DeltaStoreErrorsTest, MissingArchiveFailsFastWithoutFetching) {
+  TempDir dir("missingpair");
+  const std::string export_zip = dir.path() + "/chunk.export.CSV.zip";
+  ZipWriter zip;
+  ASSERT_TRUE(zip.Open(export_zip).ok());
+  ASSERT_TRUE(zip.AddEntry("chunk.export.CSV", "").ok());
+  ASSERT_TRUE(zip.Finish().ok());
+
+  DeltaStore delta(nullptr);
+  convert::FetchPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff_initial_ms = 5000;
+  delta.set_fetch_policy(policy);
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status missing_export =
+      delta.IngestArchivePair(dir.path() + "/gone.export.CSV.zip", "");
+  // The export side exists; the missing mentions side must still stop the
+  // pair before either archive is fetched.
+  const Status missing_mentions = delta.IngestArchivePair(
+      export_zip, dir.path() + "/gone.mentions.CSV.zip");
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_EQ(missing_export.code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing_mentions.code(), StatusCode::kNotFound);
+  EXPECT_NE(missing_mentions.message().find("gone.mentions"),
+            std::string::npos);
+  EXPECT_EQ(delta.fetch_stats().attempts, 0u);
+  EXPECT_EQ(delta.fetch_stats().failures, 0u);
+  EXPECT_EQ(delta.Generation(), 0u);
+  EXPECT_LT(ms, 2500.0) << "a missing archive was retried with backoff";
 }
 
 TEST(DeltaStoreErrorsTest, TruncatedMentionsArchiveLeavesStoreUntouched) {

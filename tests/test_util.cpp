@@ -10,7 +10,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <utility>
+
+#include "io/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace gdelt::testing {
 
@@ -239,6 +243,145 @@ class JsonMutator {
 
 std::vector<JsonEdit> JsonMutations(const std::string& text) {
   return JsonMutator(text).Take();
+}
+
+namespace {
+
+/// Integrity footer: u64 body length, u32 CRC, 8-byte trailer magic.
+constexpr std::size_t kTableFooter = 8 + 4 + 8;
+
+std::uint64_t LoadLe(const std::string& s, std::size_t at, std::size_t width) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, s.data() + at, width);
+  return v;
+}
+
+void StoreLe(std::string& s, std::size_t at, std::size_t width,
+             std::uint64_t v) {
+  std::memcpy(s.data() + at, &v, width);
+}
+
+}  // namespace
+
+TableFileLayout ParseTableFileLayout(const std::string& file) {
+  TableFileLayout layout;
+  layout.body_size = file.size() - kTableFooter;
+  std::size_t at = 8;  // magic
+  const auto field = [&](std::size_t width) {
+    layout.header_fields.push_back({at, width});
+    at += width;
+    return LoadLe(file, at - width, width);
+  };
+  field(4);  // version
+  const std::uint64_t columns = field(4);
+  field(8);  // rows
+  for (std::uint64_t c = 0; c < columns; ++c) {
+    at += field(4);  // name length, then the name
+    const bool is_string = field(1) == 6;
+    if (is_string) {
+      layout.string_offset_segments.push_back(layout.segments.size());
+    }
+    for (int k = 0; k < (is_string ? 2 : 1); ++k) {
+      layout.descriptor_fields.push_back({at, 8});
+      layout.descriptor_fields.push_back({at + 8, 8});
+      const std::uint64_t offset = LoadLe(file, at, 8);
+      const std::uint64_t length = LoadLe(file, at + 8, 8);
+      layout.segments.emplace_back(offset, offset + length);
+      at += 16;
+    }
+  }
+  layout.header_end = at;
+  return layout;
+}
+
+std::string SealTableBody(const std::string& file, std::size_t body_size) {
+  std::string out = file.substr(0, body_size);
+  const std::uint64_t length = body_size;
+  const std::uint32_t crc = Crc32Update(0, out.data(), out.size());
+  out.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  out.append(file, file.size() - 8, 8);  // trailer magic
+  return out;
+}
+
+std::string ForgeTableField(const std::string& file,
+                            const TableFileLayout& layout,
+                            TableFileLayout::Field field,
+                            std::uint64_t value) {
+  std::string out = file;
+  StoreLe(out, field.at, field.width, value);
+  return SealTableBody(out, layout.body_size);
+}
+
+std::vector<std::string> TableFileMutations(const std::string& file,
+                                            std::uint64_t seed,
+                                            std::size_t count) {
+  const TableFileLayout layout = ParseTableFileLayout(file);
+  const std::uint64_t body = layout.body_size;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Xoshiro256 rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(UniformBelow(rng, n));
+  };
+  std::vector<std::string> mutants;
+  mutants.reserve(count);
+  while (mutants.size() < count) {
+    std::string m = file;
+    std::size_t body_size = layout.body_size;
+    switch (pick(6)) {
+      case 0:
+      case 1: {  // a header field or a descriptor set to an edge value
+        const auto& fields = pick(3) == 0 ? layout.header_fields
+                                          : layout.descriptor_fields;
+        const TableFileLayout::Field f = fields[pick(fields.size())];
+        const std::uint64_t old = LoadLe(m, f.at, f.width);
+        const std::uint64_t edges[] = {
+            0,           1,          63,         64,
+            old + 1,     old - 1,    old + 64,   old - 64,
+            old + 8,     body,       body - old, body + 64,
+            1ull << 31,  1ull << 32, 1ull << 63, kMax,
+            kMax - 63,   kMax - old, rng()};
+        StoreLe(m, f.at, f.width, edges[pick(std::size(edges))]);
+        break;
+      }
+      case 2:  // random header bytes
+        for (std::size_t n = 1 + pick(3); n > 0; --n) {
+          m[pick(layout.header_end)] ^=
+              static_cast<char>(1 + pick(255));
+        }
+        break;
+      case 3: {  // one string offset overwritten
+        if (layout.string_offset_segments.empty()) continue;
+        const auto [b, e] =
+            layout.segments[layout.string_offset_segments[pick(
+                layout.string_offset_segments.size())]];
+        const std::size_t at = b + 8 * pick((e - b) / 8);
+        const std::uint64_t old = LoadLe(m, at, 8);
+        const std::uint64_t edges[] = {0, old + 1, old - 1, kMax, body,
+                                       rng()};
+        StoreLe(m, at, 8, edges[pick(std::size(edges))]);
+        break;
+      }
+      case 4: {  // a byte inside a segment or its padding
+        if (body == layout.header_end) continue;
+        const std::size_t at =
+            layout.header_end + pick(body - layout.header_end);
+        m[at] ^= static_cast<char>(1 + pick(255));
+        break;
+      }
+      default:  // the body cut short or grown
+        if (pick(2) == 0) {
+          body_size = pick(body);
+        } else {
+          const std::size_t at = pick(body + 1);
+          m.insert(at, std::string(1 + pick(64), '\x5a'));
+          body_size += m.size() - file.size();
+        }
+        break;
+    }
+    mutants.push_back(SealTableBody(m, body_size));
+  }
+  return mutants;
 }
 
 }  // namespace gdelt::testing

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "columnar/dictionary.hpp"
@@ -147,5 +148,49 @@ struct JsonEdit {
 /// hostile documents rather than parse errors. Shared by the
 /// partial-frame and request fuzz tests.
 std::vector<JsonEdit> JsonMutations(const std::string& text);
+
+/// Where the fields of a format-v3 table file sit (see columnar/table.hpp),
+/// for tests that forge or mutate table files.
+struct TableFileLayout {
+  /// One header field: byte offset and width (1, 4 or 8).
+  struct Field {
+    std::size_t at;
+    std::size_t width;
+  };
+  /// Version, counts, name lengths and column types.
+  std::vector<Field> header_fields;
+  /// Segment descriptors in file order: the offset field, then the length
+  /// field of each.
+  std::vector<Field> descriptor_fields;
+  /// Segment byte ranges [begin, end) in file order.
+  std::vector<std::pair<std::size_t, std::size_t>> segments;
+  /// Per string column: the index (into `segments`) of its offsets segment.
+  std::vector<std::size_t> string_offset_segments;
+  std::size_t header_end = 0;
+  std::size_t body_size = 0;
+};
+
+/// Parses the layout of a valid v3 table file.
+TableFileLayout ParseTableFileLayout(const std::string& file);
+
+/// Replaces the integrity footer of `file` for its first `body_size`
+/// bytes: the body length and CRC are rewritten, so an edited body passes
+/// the checksum and reaches the parser.
+std::string SealTableBody(const std::string& file, std::size_t body_size);
+
+/// Writes `value` (little-endian, `field.width` bytes) into `file` and
+/// reseals it.
+std::string ForgeTableField(const std::string& file,
+                            const TableFileLayout& layout,
+                            TableFileLayout::Field field, std::uint64_t value);
+
+/// `count` fixed-seed mutants of a valid v3 table file: header fields and
+/// segment descriptors set to edge values (0, 63, 64, the body size, near
+/// 2^64, ...), random header bytes, string offsets and segment bytes
+/// overwritten, the body cut or grown. Every mutant is resealed, so all of
+/// them pass the checksum and reach the descriptor checks.
+std::vector<std::string> TableFileMutations(const std::string& file,
+                                            std::uint64_t seed,
+                                            std::size_t count);
 
 }  // namespace gdelt::testing
