@@ -18,6 +18,7 @@
 #include "engine/queries.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
+#include "gtime/timestamp.hpp"
 #include "util/strings.hpp"
 
 using namespace gdelt;
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
     std::uint64_t all = 0;
     std::uint64_t fast = 0;
     for (const std::uint64_t row : rows) {
-      const std::int64_t delay = when[row] - event_when[row];
+      const IntervalId delay = IntervalId{when[row]} - event_when[row];
       if (delay < 0 || delay > horizon) continue;
       ++all;
       if (in_fast_pool[src[row]]) ++fast;

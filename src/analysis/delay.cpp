@@ -28,13 +28,13 @@ namespace {
 
 /// Stats for one source; `delays` is reusable scratch.
 void OneSourceDelayStats(const engine::Database& db,
-                         std::span<const std::int64_t> when,
-                         std::span<const std::int64_t> event_when,
+                         std::span<const std::int32_t> when,
+                         std::span<const std::int32_t> event_when,
                          std::uint32_t s, std::vector<std::int64_t>& delays,
                          DelayStats& st) {
   delays.clear();
   for (const std::uint64_t row : db.mentions_by_source().RowsOf(s)) {
-    const std::int64_t d = when[row] - event_when[row];
+    const IntervalId d = IntervalId{when[row]} - event_when[row];
     if (d >= 0) delays.push_back(d);
   }
   st.article_count = delays.size();
@@ -128,7 +128,7 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
   std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
   for (std::size_t i = 0; i < quarters.size(); ++i) {
     const auto q = static_cast<std::size_t>(quarters[i]);
-    delays[cursor[q]++] = when[i] - event_when[i];
+    delays[cursor[q]++] = IntervalId{when[i]} - event_when[i];
   }
 
   // Every owned quarter is its own morsel: quarter sizes are skewed, and
@@ -168,7 +168,7 @@ engine::QuarterSeries SlowArticlesPerQuarter(const engine::Database& db,
   series.values = parallel::PoolHistogram(
       {0, quarters.size()}, static_cast<std::size_t>(w.count),
       [&](std::size_t i) -> std::size_t {
-        const std::int64_t d = when[i] - event_when[i];
+        const IntervalId d = IntervalId{when[i]} - event_when[i];
         if (d <= threshold) return SIZE_MAX;
         return static_cast<std::size_t>(quarters[i]);
       });

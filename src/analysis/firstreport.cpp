@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gtime/timestamp.hpp"
 #include "parallel/morsel.hpp"
 
 namespace gdelt::analysis {
@@ -44,7 +45,8 @@ void FirstReportEventsRange(const engine::Database& db, IndexRange r,
       if (when[row] < when[first_row]) first_row = row;
     }
     ++local.first_reports[src[first_row]];
-    const std::int64_t delay = when[first_row] - event_when[first_row];
+    const IntervalId delay =
+        IntervalId{when[first_row]} - event_when[first_row];
     if (delay >= 0) {
       std::size_t bin = 0;
       if (delay >= 1) {

@@ -45,7 +45,7 @@ void FollowEventsRange(const engine::Database& db,
     for (const std::uint64_t row : rows) {
       const std::int32_t j = slot[src[row]];
       if (j < 0) continue;
-      const std::int64_t t = when[row];
+      const IntervalId t = when[row];
       // Count this article once per member that published strictly
       // earlier (including j itself on an earlier article).
       for (const std::uint32_t i : scratch.seen) {

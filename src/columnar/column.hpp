@@ -28,6 +28,7 @@ enum class ColumnType : std::uint8_t {
   kI64 = 4,
   kF64 = 5,
   kStr = 6,
+  kI32 = 7,
 };
 
 /// Size in bytes of one element of a fixed-width type (0 for kStr).
@@ -40,11 +41,10 @@ constexpr std::size_t ColumnTypeSize(ColumnType t) noexcept {
     case ColumnType::kI64: return 8;
     case ColumnType::kF64: return 8;
     case ColumnType::kStr: return 0;
+    case ColumnType::kI32: return 4;
   }
   return 0;
 }
-
-std::string_view ColumnTypeName(ColumnType t) noexcept;
 
 namespace column_detail {
 template <typename T>
@@ -60,6 +60,9 @@ template <> struct TypeTag<std::uint32_t> {
 };
 template <> struct TypeTag<std::uint64_t> {
   static constexpr ColumnType value = ColumnType::kU64;
+};
+template <> struct TypeTag<std::int32_t> {
+  static constexpr ColumnType value = ColumnType::kI32;
 };
 template <> struct TypeTag<std::int64_t> {
   static constexpr ColumnType value = ColumnType::kI64;

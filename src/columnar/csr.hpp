@@ -18,16 +18,18 @@ namespace gdelt {
 
 /// Rows grouped by a dense u32 key: offsets[k]..offsets[k+1] index into
 /// `rows`, which lists the row ids with key k in ascending row order.
+/// Row ids and offsets are u32: a table indexed this way has fewer than
+/// 2^32 rows (engine::Database::Load refuses a larger mentions table).
 struct CsrIndex {
-  std::vector<std::uint64_t> offsets;  ///< size num_keys + 1
-  std::vector<std::uint64_t> rows;     ///< size = number of input rows
+  std::vector<std::uint32_t> offsets;  ///< size num_keys + 1
+  std::vector<std::uint32_t> rows;     ///< size = number of input rows
 
   std::size_t num_keys() const noexcept {
     return offsets.empty() ? 0 : offsets.size() - 1;
   }
 
   /// Row ids having key k.
-  std::span<const std::uint64_t> RowsOf(std::uint32_t k) const noexcept {
+  std::span<const std::uint32_t> RowsOf(std::uint32_t k) const noexcept {
     // gdelt-astcheck: allow(view-escape) — a CsrIndex is built once by
     // BuildCsrIndex and never mutated afterwards; rows cannot
     // reallocate under a span a query kernel holds.
@@ -39,6 +41,10 @@ struct CsrIndex {
   std::uint64_t CountOf(std::uint32_t k) const noexcept {
     return offsets[k + 1] - offsets[k];
   }
+
+  std::size_t MemoryBytes() const noexcept {
+    return (offsets.capacity() + rows.capacity()) * sizeof(std::uint32_t);
+  }
 };
 
 /// CSR-shaped mapping from a dense u32 key to a *sorted, deduplicated*
@@ -48,7 +54,7 @@ struct CsrIndex {
 /// co-reporting-family query used to redo per invocation is paid once and
 /// shared (see engine::Database::event_distinct_sources()).
 struct CsrSetIndex {
-  std::vector<std::uint64_t> offsets;  ///< size num_keys + 1
+  std::vector<std::uint32_t> offsets;  ///< size num_keys + 1
   std::vector<std::uint32_t> values;   ///< sorted unique within each key
 
   std::size_t num_keys() const noexcept {
@@ -70,13 +76,12 @@ struct CsrSetIndex {
   }
 
   std::size_t MemoryBytes() const noexcept {
-    return offsets.capacity() * sizeof(std::uint64_t) +
-           values.capacity() * sizeof(std::uint32_t);
+    return (offsets.capacity() + values.capacity()) * sizeof(std::uint32_t);
   }
 };
 
-/// Builds a CsrIndex from a key column. `keys[i]` < num_keys for all i
-/// (callers guarantee this; checked in debug builds). Two-pass counting
+/// Builds a CsrIndex from a key column. `keys[i]` < num_keys for all i and
+/// keys.size() < 2^32 (callers guarantee both). Two-pass counting
 /// sort; the counting pass runs on the morsel pool, the scatter pass is
 /// sequential to keep row order within each key ascending (stability
 /// matters for follow-reporting, which relies on time-sorted mention
@@ -91,20 +96,20 @@ inline CsrIndex BuildCsrIndex(std::span<const std::uint32_t> keys,
   // caller's in-memory dictionary, never from a file; ReadFromFile bounds
   // it before any index is built.
   csr.offsets.resize(num_keys + 1);
-  std::uint64_t acc = 0;
+  std::uint32_t acc = 0;
   for (std::size_t k = 0; k < num_keys; ++k) {
     csr.offsets[k] = acc;
-    acc += counts[k];
+    acc += static_cast<std::uint32_t>(counts[k]);
   }
   csr.offsets[num_keys] = acc;
 
   // gdelt-astcheck: allow(bounded-alloc) — acc == keys.size() by
   // construction (sum of the histogram over the in-memory key column).
   csr.rows.resize(acc);
-  std::vector<std::uint64_t> cursor(csr.offsets.begin(),
+  std::vector<std::uint32_t> cursor(csr.offsets.begin(),
                                     csr.offsets.end() - 1);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    csr.rows[cursor[keys[i]]++] = i;
+    csr.rows[cursor[keys[i]]++] = static_cast<std::uint32_t>(i);
   }
   return csr;
 }

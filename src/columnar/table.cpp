@@ -311,7 +311,7 @@ Result<Table> Table::ReadFromFile(const std::string& path) {
     GDELT_RETURN_IF_ERROR(in.ReadString(d.name));
     std::uint8_t type = 0;
     GDELT_RETURN_IF_ERROR(in.ReadPod(type));
-    if (type > static_cast<std::uint8_t>(ColumnType::kStr)) {
+    if (type > static_cast<std::uint8_t>(ColumnType::kI32)) {
       return status::DataLoss("invalid column type in '" + path + "'");
     }
     d.type = static_cast<ColumnType>(type);

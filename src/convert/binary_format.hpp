@@ -11,28 +11,27 @@ inline constexpr std::string_view kMentionsTableFile = "mentions.tbl";
 inline constexpr std::string_view kSourcesDictFile = "sources.dict";
 inline constexpr std::string_view kReportFile = "convert_report.txt";
 
+// Only the fields a query reads are stored. Intervals are 15-minute ticks
+// since 1970 (IntervalId); every parseable GDELT timestamp fits in i32.
+
 // Events table columns (row order = dense event index).
 namespace events_col {
-inline constexpr std::string_view kGlobalId = "global_id";
-inline constexpr std::string_view kEventInterval = "event_interval";
-inline constexpr std::string_view kAddedInterval = "added_interval";
+inline constexpr std::string_view kGlobalId = "global_id";            // u64
+inline constexpr std::string_view kAddedInterval = "added_interval";  // i32
 inline constexpr std::string_view kCountry = "country";          // u16, 0xFFFF = untagged
-inline constexpr std::string_view kNumArticlesWire = "num_articles_wire";
-inline constexpr std::string_view kGoldstein = "goldstein";
-inline constexpr std::string_view kAvgTone = "avg_tone";
-inline constexpr std::string_view kQuadClass = "quad_class";
-inline constexpr std::string_view kSourceUrl = "source_url";
+inline constexpr std::string_view kGoldstein = "goldstein";           // f64
+inline constexpr std::string_view kAvgTone = "avg_tone";              // f64
+inline constexpr std::string_view kQuadClass = "quad_class";          // u8
+inline constexpr std::string_view kSourceUrl = "source_url";          // str
 }  // namespace events_col
 
 // Mentions table columns (row order = capture order).
 namespace mentions_col {
 inline constexpr std::string_view kEventRow = "event_row";       // u32 dense; 0xFFFFFFFF = orphan
-inline constexpr std::string_view kGlobalEventId = "global_event_id";
-inline constexpr std::string_view kEventInterval = "event_interval";
-inline constexpr std::string_view kMentionInterval = "mention_interval";
+inline constexpr std::string_view kEventInterval = "event_interval";      // i32
+inline constexpr std::string_view kMentionInterval = "mention_interval";  // i32
 inline constexpr std::string_view kSourceId = "source_id";       // u32 dictionary id
-inline constexpr std::string_view kConfidence = "confidence";
-inline constexpr std::string_view kUrl = "url";
+inline constexpr std::string_view kConfidence = "confidence";    // u8
 }  // namespace mentions_col
 
 /// Sentinel for a mention whose event row is unknown (event lost with a

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -28,32 +29,38 @@ namespace {
 constexpr std::string_view kJournalFile = "convert.journal";
 constexpr std::string_view kSpillDir = ".convert_spill";
 
-/// Parses a 14-digit GDELT timestamp field into an interval id.
-/// Returns false (and leaves `out` unchanged) on malformed input.
-bool FieldToInterval(std::string_view field, IntervalId& out) {
+/// Layout of the spill tables, recorded in the journal header so a resume
+/// never merges spills of another layout. Version 1 (i64 intervals, URL
+/// columns) wrote a 0/1 URL flag in this field.
+constexpr std::string_view kSpillSchema = "2";
+
+/// Parses a 14-digit GDELT timestamp field into the i32 interval the
+/// tables store. Returns false (and leaves `out` unchanged) on malformed
+/// input or an interval outside the i32 range.
+bool FieldToInterval(std::string_view field, std::int32_t& out) {
   const auto parsed = ParseGdeltTimestamp(field);
   if (!parsed.ok()) return false;
-  out = IntervalOfCivil(parsed.value());
+  const IntervalId interval = IntervalOfCivil(parsed.value());
+  if (interval < std::numeric_limits<std::int32_t>::min() ||
+      interval > std::numeric_limits<std::int32_t>::max()) {
+    return false;
+  }
+  out = static_cast<std::int32_t>(interval);
   return true;
 }
 
-/// Parses the Events "Day" field (YYYYMMDD) into the interval of midnight.
-bool DayToInterval(std::string_view field, IntervalId& out) {
+/// True if the Events "Day" field (YYYYMMDD) is a valid date. The day is
+/// not stored, but a row with a bad one is malformed (Table II).
+bool ValidDay(std::string_view field) {
   const auto day = ParseUint64(field);
   if (!day || *day < 19000101 || *day > 99991231) return false;
-  const auto packed = *day * 1000000ull;  // midnight
-  const auto parsed = ParseGdeltTimestamp(packed);
-  if (!parsed.ok()) return false;
-  out = IntervalOfCivil(parsed.value());
-  return true;
+  return ParseGdeltTimestamp(*day * 1000000ull).ok();  // midnight
 }
 
 struct EventColumns {
   Column* global_id;
-  Column* event_interval;
   Column* added_interval;
   Column* country;
-  Column* num_articles_wire;
   Column* goldstein;
   Column* avg_tone;
   Column* quad_class;
@@ -64,14 +71,10 @@ EventColumns AddEventColumns(Table& table) {
   EventColumns ec{};
   ec.global_id = &table.AddColumn(std::string(events_col::kGlobalId),
                                   ColumnType::kU64);
-  ec.event_interval = &table.AddColumn(
-      std::string(events_col::kEventInterval), ColumnType::kI64);
   ec.added_interval = &table.AddColumn(
-      std::string(events_col::kAddedInterval), ColumnType::kI64);
+      std::string(events_col::kAddedInterval), ColumnType::kI32);
   ec.country =
       &table.AddColumn(std::string(events_col::kCountry), ColumnType::kU16);
-  ec.num_articles_wire = &table.AddColumn(
-      std::string(events_col::kNumArticlesWire), ColumnType::kU32);
   ec.goldstein = &table.AddColumn(std::string(events_col::kGoldstein),
                                   ColumnType::kF64);
   ec.avg_tone =
@@ -85,31 +88,24 @@ EventColumns AddEventColumns(Table& table) {
 
 struct MentionColumns {
   Column* event_row;
-  Column* global_event_id;
   Column* event_interval;
   Column* mention_interval;
   Column* source_id;
   Column* confidence;
-  Column* url;  // may be null when keep_urls = false
 };
 
-MentionColumns AddMentionColumns(Table& table, bool keep_urls) {
+MentionColumns AddMentionColumns(Table& table) {
   MentionColumns mc{};
   mc.event_row = &table.AddColumn(std::string(mentions_col::kEventRow),
                                   ColumnType::kU32);
-  mc.global_event_id = &table.AddColumn(
-      std::string(mentions_col::kGlobalEventId), ColumnType::kU64);
   mc.event_interval = &table.AddColumn(
-      std::string(mentions_col::kEventInterval), ColumnType::kI64);
+      std::string(mentions_col::kEventInterval), ColumnType::kI32);
   mc.mention_interval = &table.AddColumn(
-      std::string(mentions_col::kMentionInterval), ColumnType::kI64);
+      std::string(mentions_col::kMentionInterval), ColumnType::kI32);
   mc.source_id = &table.AddColumn(std::string(mentions_col::kSourceId),
                                   ColumnType::kU32);
   mc.confidence = &table.AddColumn(std::string(mentions_col::kConfidence),
                                    ColumnType::kU8);
-  mc.url = keep_urls ? &table.AddColumn(std::string(mentions_col::kUrl),
-                                        ColumnType::kStr)
-                     : nullptr;
   return mc;
 }
 
@@ -121,7 +117,6 @@ constexpr std::string_view kEventInterval = "event_interval";
 constexpr std::string_view kMentionInterval = "mention_interval";
 constexpr std::string_view kSourceName = "source_name";
 constexpr std::string_view kConfidence = "confidence";
-constexpr std::string_view kUrl = "url";
 }  // namespace spill_col
 
 struct MentionSpillColumns {
@@ -130,23 +125,19 @@ struct MentionSpillColumns {
   Column* mention_interval;
   Column* source_name;
   Column* confidence;
-  Column* url;  // may be null when keep_urls = false
 };
 
-MentionSpillColumns AddMentionSpillColumns(Table& table, bool keep_urls) {
+MentionSpillColumns AddMentionSpillColumns(Table& table) {
   MentionSpillColumns sc{};
   sc.gid = &table.AddColumn(std::string(spill_col::kGid), ColumnType::kU64);
   sc.event_interval = &table.AddColumn(
-      std::string(spill_col::kEventInterval), ColumnType::kI64);
+      std::string(spill_col::kEventInterval), ColumnType::kI32);
   sc.mention_interval = &table.AddColumn(
-      std::string(spill_col::kMentionInterval), ColumnType::kI64);
+      std::string(spill_col::kMentionInterval), ColumnType::kI32);
   sc.source_name = &table.AddColumn(std::string(spill_col::kSourceName),
                                     ColumnType::kStr);
   sc.confidence = &table.AddColumn(std::string(spill_col::kConfidence),
                                    ColumnType::kU8);
-  sc.url = keep_urls ? &table.AddColumn(std::string(spill_col::kUrl),
-                                        ColumnType::kStr)
-                     : nullptr;
   return sc;
 }
 
@@ -164,7 +155,7 @@ struct ArchiveRecord {
 // Append-only text file in the output directory. Each line is
 // "<crc32-8hex> <body>\n" where the CRC covers the body, so a line torn
 // by kill -9 is detected and replay stops there. Bodies:
-//   begin <master-list crc32> <keep_urls 0|1>
+//   begin <master-list crc32> <spill schema>
 //   archive <e|m> <rows> <malformed> <missing_url> <file name>
 //   corrupt <file name>
 
@@ -220,7 +211,7 @@ std::optional<std::uint32_t> ParseHex32(std::string_view s) {
 /// Replays a journal left by an interrupted run. Tolerant by design:
 /// any torn or mismatched content just means "start that work over".
 JournalState ReplayJournal(const std::string& path,
-                           std::uint32_t master_crc, bool keep_urls) {
+                           std::uint32_t master_crc) {
   JournalState state;
   if (!FileExists(path)) return state;
   auto text = ReadWholeFile(path);
@@ -238,11 +229,11 @@ JournalState ReplayJournal(const std::string& path,
     const auto fields = SplitView(body, ' ');
     if (first) {
       first = false;
-      // Header must match this run's input and options exactly; anything
-      // else is a journal from a different conversion.
+      // Header must match this run's input and spill layout exactly;
+      // anything else is a journal from a different conversion.
       if (fields.size() != 3 || fields[0] != "begin" ||
           ParseUint64(fields[1]).value_or(~0ull) != master_crc ||
-          fields[2] != (keep_urls ? "1" : "0")) {
+          fields[2] != kSpillSchema) {
         return state;
       }
       state.header_ok = true;
@@ -284,9 +275,8 @@ ArchiveRecord ParseEventsCsv(std::string_view csv, Table& spill) {
   while (rows.Next(fields)) {
     const auto& f = *fields;
     const auto gid = ParseUint64(f[Index(EventField::kGlobalEventId)]);
-    IntervalId day_interval = 0;
-    IntervalId added_interval = 0;
-    if (!gid || !DayToInterval(f[Index(EventField::kDay)], day_interval) ||
+    std::int32_t added_interval = 0;
+    if (!gid || !ValidDay(f[Index(EventField::kDay)]) ||
         !FieldToInterval(f[Index(EventField::kDateAdded)], added_interval)) {
       ++rec.malformed;
       continue;
@@ -300,11 +290,8 @@ ArchiveRecord ParseEventsCsv(std::string_view csv, Table& spill) {
       if (const auto c = CountryByFips(fips)) country = *c;
     }
     ec.global_id->Append<std::uint64_t>(*gid);
-    ec.event_interval->Append<std::int64_t>(day_interval);
-    ec.added_interval->Append<std::int64_t>(added_interval);
+    ec.added_interval->Append<std::int32_t>(added_interval);
     ec.country->Append<std::uint16_t>(country);
-    ec.num_articles_wire->Append<std::uint32_t>(static_cast<std::uint32_t>(
-        ParseUint64(f[Index(EventField::kNumArticles)]).value_or(0)));
     ec.goldstein->Append<double>(
         ParseDouble(f[Index(EventField::kGoldsteinScale)]).value_or(0.0));
     ec.avg_tone->Append<double>(
@@ -320,18 +307,17 @@ ArchiveRecord ParseEventsCsv(std::string_view csv, Table& spill) {
 
 /// Parses one mentions archive's CSV into a spill table. Event-row and
 /// source-id resolution (which need global state) happen at merge time.
-ArchiveRecord ParseMentionsCsv(std::string_view csv, bool keep_urls,
-                               Table& spill) {
+ArchiveRecord ParseMentionsCsv(std::string_view csv, Table& spill) {
   ArchiveRecord rec;
   rec.kind = 'm';
-  MentionSpillColumns sc = AddMentionSpillColumns(spill, keep_urls);
+  MentionSpillColumns sc = AddMentionSpillColumns(spill);
   RowReader rows(csv, kMentionFieldCount);
   const std::vector<std::string_view>* fields = nullptr;
   while (rows.Next(fields)) {
     const auto& f = *fields;
     const auto gid = ParseUint64(f[Index(MentionField::kGlobalEventId)]);
-    IntervalId event_interval = 0;
-    IntervalId mention_interval = 0;
+    std::int32_t event_interval = 0;
+    std::int32_t mention_interval = 0;
     if (!gid ||
         !FieldToInterval(f[Index(MentionField::kEventTimeDate)],
                          event_interval) ||
@@ -347,12 +333,11 @@ ArchiveRecord ParseMentionsCsv(std::string_view csv, bool keep_urls,
       continue;
     }
     sc.gid->Append<std::uint64_t>(*gid);
-    sc.event_interval->Append<std::int64_t>(event_interval);
-    sc.mention_interval->Append<std::int64_t>(mention_interval);
+    sc.event_interval->Append<std::int32_t>(event_interval);
+    sc.mention_interval->Append<std::int32_t>(mention_interval);
     sc.source_name->AppendString(source_name);
     sc.confidence->Append<std::uint8_t>(static_cast<std::uint8_t>(
         ParseUint64(f[Index(MentionField::kConfidence)]).value_or(0)));
-    if (sc.url) sc.url->AppendString(f[Index(MentionField::kMentionIdentifier)]);
     ++rec.rows;
   }
   rec.malformed += rows.errors().size();
@@ -364,8 +349,8 @@ std::string SpillPath(const std::string& spill_dir,
   return spill_dir + "/" + file_name + ".spill";
 }
 
-/// Fetches a required spill column or fails with DataLoss (a foreign or
-/// damaged spill must abort the merge, not crash it).
+/// Fetches a required spill column or fails with DataLoss (a foreign,
+/// damaged or older-layout spill must abort the merge, not crash it).
 Result<const Column*> SpillColumn(const Table& spill, std::string_view name,
                                   ColumnType type,
                                   const std::string& spill_path) {
@@ -375,6 +360,17 @@ Result<const Column*> SpillColumn(const Table& spill, std::string_view name,
                             "' lacks column '" + std::string(name) + "'");
   }
   return col;
+}
+
+/// The values of a required fixed-width spill column of element type T.
+template <typename T>
+Result<std::span<const T>> SpillValues(const Table& spill,
+                                       std::string_view name,
+                                       const std::string& spill_path) {
+  GDELT_ASSIGN_OR_RETURN(
+      const Column* col,
+      SpillColumn(spill, name, column_detail::TypeTag<T>::value, spill_path));
+  return col->Values<T>();
 }
 
 }  // namespace
@@ -439,7 +435,7 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
 
   JournalState resumed;
   if (options.resume) {
-    resumed = ReplayJournal(journal_path, master_crc, options.keep_urls);
+    resumed = ReplayJournal(journal_path, master_crc);
     if (!resumed.header_ok && FileExists(journal_path)) {
       report.notes.push_back(
           "resume requested but journal does not match this input; "
@@ -458,7 +454,7 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
   if (!resumed.header_ok) {
     GDELT_RETURN_IF_ERROR(journal.Append(StrFormat(
         "begin %llu %s", static_cast<unsigned long long>(master_crc),
-        options.keep_urls ? "1" : "0")));
+        std::string(kSpillSchema).c_str())));
   }
 
   // Check archive availability once; classify into processing lists.
@@ -520,9 +516,8 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
       return journal.Append("corrupt " + entry.file_name);
     }
     Table spill;
-    const ArchiveRecord rec =
-        kind == 'e' ? ParseEventsCsv(*csv, spill)
-                    : ParseMentionsCsv(*csv, options.keep_urls, spill);
+    const ArchiveRecord rec = kind == 'e' ? ParseEventsCsv(*csv, spill)
+                                          : ParseMentionsCsv(*csv, spill);
     // Spill first, then journal: an archive is "done" only once its spill
     // is durably on disk, so a crash between the two merely redoes it.
     GDELT_RETURN_IF_ERROR(spill.WriteToFileAtomic(
@@ -564,9 +559,26 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
     if (!FileExists(path)) continue;  // archive went corrupt this run
     GDELT_ASSIGN_OR_RETURN(Table spill, Table::ReadFromFile(path));
     GDELT_ASSIGN_OR_RETURN(
-        const Column* gid_col,
-        SpillColumn(spill, events_col::kGlobalId, ColumnType::kU64, path));
-    const auto gids = gid_col->Values<std::uint64_t>();
+        const auto gids,
+        SpillValues<std::uint64_t>(spill, events_col::kGlobalId, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto added,
+        SpillValues<std::int32_t>(spill, events_col::kAddedInterval, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto countries,
+        SpillValues<std::uint16_t>(spill, events_col::kCountry, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto goldstein,
+        SpillValues<double>(spill, events_col::kGoldstein, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto tones,
+        SpillValues<double>(spill, events_col::kAvgTone, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto quads,
+        SpillValues<std::uint8_t>(spill, events_col::kQuadClass, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const Column* urls,
+        SpillColumn(spill, events_col::kSourceUrl, ColumnType::kStr, path));
     for (std::size_t i = 0; i < gids.size(); ++i) {
       const auto row = static_cast<std::uint32_t>(events.num_rows());
       if (!event_row_of.emplace(gids[i], row).second) {
@@ -574,25 +586,12 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
         continue;
       }
       ec.global_id->Append<std::uint64_t>(gids[i]);
-      ec.event_interval->Append<std::int64_t>(
-          spill.GetColumn(events_col::kEventInterval)
-              .Values<std::int64_t>()[i]);
-      ec.added_interval->Append<std::int64_t>(
-          spill.GetColumn(events_col::kAddedInterval)
-              .Values<std::int64_t>()[i]);
-      ec.country->Append<std::uint16_t>(
-          spill.GetColumn(events_col::kCountry).Values<std::uint16_t>()[i]);
-      ec.num_articles_wire->Append<std::uint32_t>(
-          spill.GetColumn(events_col::kNumArticlesWire)
-              .Values<std::uint32_t>()[i]);
-      ec.goldstein->Append<double>(
-          spill.GetColumn(events_col::kGoldstein).Values<double>()[i]);
-      ec.avg_tone->Append<double>(
-          spill.GetColumn(events_col::kAvgTone).Values<double>()[i]);
-      ec.quad_class->Append<std::uint8_t>(
-          spill.GetColumn(events_col::kQuadClass).Values<std::uint8_t>()[i]);
-      ec.source_url->AppendString(
-          spill.GetColumn(events_col::kSourceUrl).StringAt(i));
+      ec.added_interval->Append<std::int32_t>(added[i]);
+      ec.country->Append<std::uint16_t>(countries[i]);
+      ec.goldstein->Append<double>(goldstein[i]);
+      ec.avg_tone->Append<double>(tones[i]);
+      ec.quad_class->Append<std::uint8_t>(quads[i]);
+      ec.source_url->AppendString(urls->StringAt(i));
     }
   }
   report.event_rows = events.num_rows();
@@ -600,7 +599,7 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
 
   trace::Span merge_mentions_span("convert.merge_mentions");
   Table mentions;
-  MentionColumns mc = AddMentionColumns(mentions, options.keep_urls);
+  MentionColumns mc = AddMentionColumns(mentions);
   StringDictionary sources;
   // Events whose recorded time postdates one of their article captures
   // (Table II row 4). Flag per dense event row, counted once per event.
@@ -611,21 +610,20 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
     if (!FileExists(path)) continue;
     GDELT_ASSIGN_OR_RETURN(Table spill, Table::ReadFromFile(path));
     GDELT_ASSIGN_OR_RETURN(
-        const Column* gid_col,
-        SpillColumn(spill, spill_col::kGid, ColumnType::kU64, path));
-    const auto gids = gid_col->Values<std::uint64_t>();
-    const auto event_ivs =
-        spill.GetColumn(spill_col::kEventInterval).Values<std::int64_t>();
-    const auto mention_ivs =
-        spill.GetColumn(spill_col::kMentionInterval).Values<std::int64_t>();
-    const auto confidences =
-        spill.GetColumn(spill_col::kConfidence).Values<std::uint8_t>();
-    const Column& names = spill.GetColumn(spill_col::kSourceName);
-    const Column* urls =
-        options.keep_urls ? spill.FindColumn(spill_col::kUrl) : nullptr;
-    if (options.keep_urls && !urls) {
-      return status::DataLoss("spill file '" + path + "' lacks URLs");
-    }
+        const auto gids,
+        SpillValues<std::uint64_t>(spill, spill_col::kGid, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto event_ivs,
+        SpillValues<std::int32_t>(spill, spill_col::kEventInterval, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto mention_ivs,
+        SpillValues<std::int32_t>(spill, spill_col::kMentionInterval, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const auto confidences,
+        SpillValues<std::uint8_t>(spill, spill_col::kConfidence, path));
+    GDELT_ASSIGN_OR_RETURN(
+        const Column* names,
+        SpillColumn(spill, spill_col::kSourceName, ColumnType::kStr, path));
     for (std::size_t i = 0; i < gids.size(); ++i) {
       std::uint32_t event_row = kOrphanEventRow;
       const auto it = event_row_of.find(gids[i]);
@@ -639,12 +637,11 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
         ++report.orphan_mentions;
       }
       mc.event_row->Append<std::uint32_t>(event_row);
-      mc.global_event_id->Append<std::uint64_t>(gids[i]);
-      mc.event_interval->Append<std::int64_t>(event_ivs[i]);
-      mc.mention_interval->Append<std::int64_t>(mention_ivs[i]);
-      mc.source_id->Append<std::uint32_t>(sources.GetOrAdd(names.StringAt(i)));
+      mc.event_interval->Append<std::int32_t>(event_ivs[i]);
+      mc.mention_interval->Append<std::int32_t>(mention_ivs[i]);
+      mc.source_id->Append<std::uint32_t>(
+          sources.GetOrAdd(names->StringAt(i)));
       mc.confidence->Append<std::uint8_t>(confidences[i]);
-      if (mc.url) mc.url->AppendString(urls->StringAt(i));
     }
   }
   report.mention_rows = mentions.num_rows();

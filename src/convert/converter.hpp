@@ -19,9 +19,6 @@ namespace gdelt::convert {
 struct ConvertOptions {
   std::string input_dir;   ///< directory with masterfilelist.txt + archives
   std::string output_dir;  ///< destination for the binary database
-  /// Keep article URLs in the binary mentions table. Costs most of the
-  /// storage; the paper's queries don't need them, but the data is there.
-  bool keep_urls = true;
   /// Verify each archive's CRC against the master list before parsing.
   bool verify_archive_checksums = true;
   /// Skip archives journaled by an interrupted earlier run against the

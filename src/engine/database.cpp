@@ -1,6 +1,7 @@
 #include "engine/database.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "convert/binary_format.hpp"
 #include "parallel/morsel.hpp"
@@ -12,18 +13,29 @@ namespace {
 
 using convert::kOrphanEventRow;
 
+/// Column `name` of `table`, checked to have type `type`. A miss means the
+/// database was written by a converter with another column set.
+Result<const Column*> CheckColumn(const Table& table, std::string_view name,
+                                  ColumnType type) {
+  const Column* col = table.FindColumn(name);
+  if (!col) {
+    return status::DataLoss("missing column '" + std::string(name) +
+                            "' (re-run gdelt_convert)");
+  }
+  if (col->type() != type) {
+    return status::DataLoss("column '" + std::string(name) +
+                            "' has unexpected type (re-run gdelt_convert)");
+  }
+  return col;
+}
+
 /// Fetches a typed span from a table column, validating name and type.
 template <typename T>
 Status BindSpan(const Table& table, std::string_view name,
                 std::span<const T>& out) {
-  const Column* col = table.FindColumn(name);
-  if (!col) {
-    return status::DataLoss("missing column '" + std::string(name) + "'");
-  }
-  if (col->type() != column_detail::TypeTag<T>::value) {
-    return status::DataLoss("column '" + std::string(name) +
-                            "' has unexpected type");
-  }
+  GDELT_ASSIGN_OR_RETURN(
+      const Column* col,
+      CheckColumn(table, name, column_detail::TypeTag<T>::value));
   out = col->Values<T>();
   return Status::Ok();
 }
@@ -59,7 +71,7 @@ CsrSetIndex BuildEventDistinctSources(const CsrIndex& by_event,
           std::sort(scratch.begin(), scratch.end());
           scratch.erase(std::unique(scratch.begin(), scratch.end()),
                         scratch.end());
-          index.offsets[e + 1] = scratch.size();
+          index.offsets[e + 1] = static_cast<std::uint32_t>(scratch.size());
           local.insert(local.end(), scratch.begin(), scratch.end());
         }
       },
@@ -105,6 +117,12 @@ Result<Database> Database::Load(const std::string& dir) {
 
   db.num_events_ = db.events_.num_rows();
   db.num_mentions_ = db.mentions_.num_rows();
+  // The indexes hold mention rows as u32 (CsrIndex).
+  if (db.num_mentions_ > std::numeric_limits<std::uint32_t>::max()) {
+    return status::DataLoss(StrFormat(
+        "database '%s' has %zu mention rows; at most 2^32 - 1 are supported",
+        dir.c_str(), db.num_mentions_));
+  }
 
   namespace ec = convert::events_col;
   namespace mc = convert::mentions_col;
@@ -128,9 +146,8 @@ Result<Database> Database::Load(const std::string& dir) {
       BindSpan(db.events_, ec::kGoldstein, db.event_goldstein_));
   GDELT_RETURN_IF_ERROR(
       BindSpan(db.events_, ec::kQuadClass, db.event_quad_class_));
-  if (!db.events_.HasColumn(ec::kSourceUrl)) {
-    return status::DataLoss("missing column 'source_url'");
-  }
+  GDELT_RETURN_IF_ERROR(
+      CheckColumn(db.events_, ec::kSourceUrl, ColumnType::kStr).status());
 
   // Referential integrity: every non-orphan event_row must be in range and
   // every source id must be in the dictionary.
@@ -236,11 +253,8 @@ std::size_t Database::MemoryBytes() const noexcept {
             country_article_count_.capacity()) *
            sizeof(std::uint64_t);
   total += (zone_min_interval_.capacity() + zone_max_interval_.capacity()) *
-           sizeof(std::int64_t);
-  total += mentions_by_event_.offsets.capacity() * sizeof(std::uint64_t) +
-           mentions_by_event_.rows.capacity() * sizeof(std::uint64_t);
-  total += mentions_by_source_.offsets.capacity() * sizeof(std::uint64_t) +
-           mentions_by_source_.rows.capacity() * sizeof(std::uint64_t);
+           sizeof(std::int32_t);
+  total += mentions_by_event_.MemoryBytes() + mentions_by_source_.MemoryBytes();
   if (lazy_) total += lazy_->distinct_sources.MemoryBytes();
   return total;
 }

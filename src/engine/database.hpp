@@ -29,7 +29,9 @@ class Database {
   /// Mention rows per block of the capture-interval zone map.
   static constexpr std::size_t kZoneRows = 4096;
 
-  /// Loads a directory written by convert::ConvertDataset.
+  /// Loads a directory written by convert::ConvertDataset. A table that
+  /// lacks a column or holds it in another type (a database from an older
+  /// converter) is DataLoss, as is a mentions table of 2^32 rows or more.
   static Result<Database> Load(const std::string& dir);
 
   // --- sizes ---
@@ -38,13 +40,14 @@ class Database {
   std::uint32_t num_sources() const noexcept { return sources_.size(); }
 
   // --- mentions columns ---
+  // Intervals are stored as i32; widen to IntervalId before arithmetic.
   std::span<const std::uint32_t> mention_event_row() const noexcept {
     return mention_event_row_;
   }
-  std::span<const std::int64_t> mention_event_interval() const noexcept {
+  std::span<const std::int32_t> mention_event_interval() const noexcept {
     return mention_event_interval_;
   }
-  std::span<const std::int64_t> mention_interval() const noexcept {
+  std::span<const std::int32_t> mention_interval() const noexcept {
     return mention_interval_;
   }
   std::span<const std::uint32_t> mention_source_id() const noexcept {
@@ -58,7 +61,7 @@ class Database {
   std::span<const std::uint64_t> event_global_id() const noexcept {
     return event_global_id_;
   }
-  std::span<const std::int64_t> event_added_interval() const noexcept {
+  std::span<const std::int32_t> event_added_interval() const noexcept {
     return event_added_interval_;
   }
   std::span<const std::uint16_t> event_country() const noexcept {
@@ -107,10 +110,10 @@ class Database {
   /// mention rows (the last block may be shorter). Exact for any row
   /// order; tight because the converter writes capture order, so a time
   /// window overlaps only the blocks of its own stretch of the table.
-  std::span<const std::int64_t> zone_min_interval() const noexcept {
+  std::span<const std::int32_t> zone_min_interval() const noexcept {
     return zone_min_interval_;
   }
-  std::span<const std::int64_t> zone_max_interval() const noexcept {
+  std::span<const std::int32_t> zone_max_interval() const noexcept {
     return zone_max_interval_;
   }
 
@@ -158,12 +161,12 @@ class Database {
 
   // cached spans into the tables
   std::span<const std::uint32_t> mention_event_row_;
-  std::span<const std::int64_t> mention_event_interval_;
-  std::span<const std::int64_t> mention_interval_;
+  std::span<const std::int32_t> mention_event_interval_;
+  std::span<const std::int32_t> mention_interval_;
   std::span<const std::uint32_t> mention_source_id_;
   std::span<const std::uint8_t> mention_confidence_;
   std::span<const std::uint64_t> event_global_id_;
-  std::span<const std::int64_t> event_added_interval_;
+  std::span<const std::int32_t> event_added_interval_;
   std::span<const std::uint16_t> event_country_;
   std::span<const double> event_tone_;
   std::span<const double> event_goldstein_;
@@ -174,8 +177,8 @@ class Database {
   std::vector<std::uint64_t> source_article_count_;
   std::vector<std::uint64_t> country_event_count_;
   std::vector<std::uint64_t> country_article_count_;
-  std::vector<std::int64_t> zone_min_interval_;
-  std::vector<std::int64_t> zone_max_interval_;
+  std::vector<std::int32_t> zone_min_interval_;
+  std::vector<std::int32_t> zone_max_interval_;
   CsrIndex mentions_by_event_;
   CsrIndex mentions_by_source_;
   std::int64_t first_interval_ = 0;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -47,22 +48,21 @@ std::atomic<bool> g_simd_enabled{DefaultSimd()};
 // ---------------------------------------------------------------------------
 
 #if defined(__x86_64__)
-/// begin <= at[i] < end over 64 consecutive int64 intervals.
+/// lo <= at[i] <= hi over 64 consecutive int32 intervals: 8 lanes, 8 loads.
 __attribute__((target("avx2"))) std::uint64_t IntervalWordAvx2(
-    const std::int64_t* at, std::int64_t begin, std::int64_t end) {
-  const __m256i lo = _mm256_set1_epi64x(begin);
-  const __m256i hi = _mm256_set1_epi64x(end);
+    const std::int32_t* at, std::int32_t lo, std::int32_t hi) {
+  const __m256i lo_v = _mm256_set1_epi32(lo);
+  const __m256i hi_v = _mm256_set1_epi32(hi);
   std::uint64_t bits = 0;
-  for (int k = 0; k < 16; ++k) {
+  for (int k = 0; k < 8; ++k) {
     const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at + 4 * k));
-    // pass = !(a < begin) && (a < end); andnot avoids begin-1 overflow.
-    const __m256i below = _mm256_cmpgt_epi64(lo, a);
-    const __m256i above_ok = _mm256_cmpgt_epi64(hi, a);
-    const __m256i pass = _mm256_andnot_si256(below, above_ok);
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at + 8 * k));
+    // fail = (a < lo) || (a > hi); the inclusive bound avoids hi+1.
+    const __m256i fail = _mm256_or_si256(_mm256_cmpgt_epi32(lo_v, a),
+                                         _mm256_cmpgt_epi32(a, hi_v));
     const auto m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(pass)));
-    bits |= static_cast<std::uint64_t>(m) << (4 * k);
+        _mm256_movemask_ps(_mm256_castsi256_ps(fail)));
+    bits |= static_cast<std::uint64_t>(~m & 0xFFu) << (8 * k);
   }
   return bits;
 }
@@ -84,11 +84,12 @@ __attribute__((target("avx2"))) std::uint64_t ConfidenceWordAvx2(
 }
 #endif  // __x86_64__
 
-std::uint64_t IntervalWordScalar(const std::int64_t* at, std::size_t rows,
+std::uint64_t IntervalWordScalar(const std::int32_t* at, std::size_t rows,
                                  std::int64_t begin, std::int64_t end) {
   std::uint64_t bits = 0;
   for (std::size_t i = 0; i < rows; ++i) {
-    if (at[i] >= begin && at[i] < end) bits |= std::uint64_t{1} << i;
+    const IntervalId t = at[i];
+    if (t >= begin && t < end) bits |= std::uint64_t{1} << i;
   }
   return bits;
 }
@@ -100,15 +101,6 @@ std::uint64_t ConfidenceWordScalar(const std::uint8_t* conf, std::size_t rows,
     if (conf[i] >= min_conf) bits |= std::uint64_t{1} << i;
   }
   return bits;
-}
-
-std::uint64_t IntervalWord(bool simd, const std::int64_t* at, std::size_t rows,
-                           std::int64_t begin, std::int64_t end) {
-#if defined(__x86_64__)
-  if (simd && rows == 64) return IntervalWordAvx2(at, begin, end);
-#endif
-  (void)simd;
-  return IntervalWordScalar(at, rows, begin, end);
 }
 
 std::uint64_t ConfidenceWord(bool simd, const std::uint8_t* conf,
@@ -154,6 +146,24 @@ enum class ZoneMatch : std::uint8_t {
 };
 
 }  // namespace
+
+std::uint64_t IntervalWord(bool simd, const std::int32_t* at, std::size_t rows,
+                           std::int64_t begin, std::int64_t end) {
+#if defined(__x86_64__)
+  if (simd && rows == 64) {
+    // Saturate the i64 window to the inclusive i32 range [lo, hi]; a
+    // window outside the i32 range selects nothing.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+    if (begin >= end || begin > kMax || end <= kMin) return 0;
+    const auto lo = static_cast<std::int32_t>(std::max(begin, kMin));
+    const auto hi = static_cast<std::int32_t>(std::min(end - 1, kMax));
+    return IntervalWordAvx2(at, lo, hi);
+  }
+#endif
+  (void)simd;
+  return IntervalWordScalar(at, rows, begin, end);
+}
 
 void SetSimdEnabled(bool enabled) noexcept {
   g_simd_enabled.store(enabled && HardwareHasSimd(),

@@ -91,6 +91,14 @@ std::vector<std::uint64_t> SelectMentions(const Database& db,
 void SetSimdEnabled(bool enabled) noexcept;
 bool SimdEnabled() noexcept;
 
+/// The interval-window pass over one bitmap word: bit i set iff
+/// begin <= at[i] < end, for rows <= 64 stored i32 intervals. With `simd`
+/// (pass SimdEnabled()) a full word takes the AVX2 path, which saturates
+/// the i64 window to the i32 range and so gives the scalar path's bits at
+/// any bound.
+std::uint64_t IntervalWord(bool simd, const std::int32_t* at, std::size_t rows,
+                           std::int64_t begin, std::int64_t end);
+
 /// Articles per quarter over a row subset.
 QuarterSeries ArticlesPerQuarter(const Database& db,
                                  std::span<const std::uint64_t> rows);

@@ -1,7 +1,7 @@
 // gdelt_convert: the preprocessing tool. Converts raw GDELT chunk archives
 // into the indexed binary database the query engine loads.
 //
-// Usage: gdelt_convert --in <raw dir> --out <binary dir> [--no-urls]
+// Usage: gdelt_convert --in <raw dir> --out <binary dir> [--no-verify]
 //                      [--resume] [--quarantine-dir <dir>] [--retries <n>]
 #include <cstdio>
 
@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
       "validating along the way (cf. paper Table II).");
   args.AddString("in", "gdelt_raw", "input directory with masterfilelist.txt");
   args.AddString("out", "gdelt_db", "output directory for binary tables");
-  args.AddBool("no-urls", false, "drop article URLs from the binary tables");
   args.AddBool("no-verify", false, "skip archive checksum verification");
   args.AddBool("resume", false,
                "skip archives journaled by an interrupted earlier run");
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   convert::ConvertOptions options;
   options.input_dir = args.GetString("in");
   options.output_dir = args.GetString("out");
-  options.keep_urls = !args.GetBool("no-urls");
   options.verify_archive_checksums = !args.GetBool("no-verify");
   options.resume = args.GetBool("resume");
   options.fetch.quarantine_dir = args.GetString("quarantine-dir");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "columnar/table.hpp"
 #include "convert/master_list.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
@@ -280,6 +281,87 @@ TEST_F(ConvertResumeTest, ResumeAgainstDifferentInputStartsFresh) {
   const auto report = ConvertDataset(options);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->resumed_archives, 0u);
+}
+
+TEST_F(ConvertResumeTest, ResumeOverOldSchemaJournalStartsFresh) {
+  ConvertOptions options = Options("oldjournal");
+  RunInterrupted(options);
+
+  // Rewrite the journal header the way the older converter wrote it: a
+  // 0/1 URL flag where the spill schema now goes. Its archive records and
+  // their spills stay behind; none may be trusted.
+  const std::string journal = options.output_dir + "/convert.journal";
+  const auto text = ReadWholeFile(journal);
+  const auto master = ReadWholeFile(options.input_dir + "/masterfilelist.txt");
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(master.ok());
+  const std::string body = StrFormat("begin %u 1", Crc32(*master));
+  const std::string old =
+      StrFormat("%08x ", Crc32(body)) + body + text->substr(text->find('\n'));
+  ASSERT_TRUE(WriteWholeFile(journal, old).ok());
+
+  options.resume = true;
+  const auto report = ConvertDataset(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->resumed_archives, 0u);
+  bool noted = false;
+  for (const std::string& note : report->notes) {
+    noted |= note.find("does not match") != std::string::npos;
+  }
+  EXPECT_TRUE(noted);
+  ExpectTablesMatchReference(options.output_dir);
+}
+
+/// A checksum-valid spill of a settled archive whose columns are missing
+/// or of another type: resuming must fail with DataLoss, not abort.
+TEST_F(ConvertResumeTest, BadSpillColumnsAreDataLoss) {
+  // One row of every column of both spill kinds (their names differ),
+  // with the intervals either dropped or in the older i64 type.
+  const auto spill_table = [](bool mistyped) {
+    Table t;
+    t.AddColumn("global_id", ColumnType::kU64).Append<std::uint64_t>(1);
+    t.AddColumn("gid", ColumnType::kU64).Append<std::uint64_t>(1);
+    if (mistyped) {
+      for (const char* name :
+           {"added_interval", "event_interval", "mention_interval"}) {
+        t.AddColumn(name, ColumnType::kI64).Append<std::int64_t>(0);
+      }
+    }
+    t.AddColumn("country", ColumnType::kU16).Append<std::uint16_t>(0);
+    t.AddColumn("goldstein", ColumnType::kF64).Append<double>(0.0);
+    t.AddColumn("avg_tone", ColumnType::kF64).Append<double>(0.0);
+    t.AddColumn("quad_class", ColumnType::kU8).Append<std::uint8_t>(1);
+    t.AddColumn("source_url", ColumnType::kStr).AppendString("http://a/");
+    t.AddColumn("source_name", ColumnType::kStr).AppendString("a.com");
+    t.AddColumn("confidence", ColumnType::kU8).Append<std::uint8_t>(1);
+    return t;
+  };
+  for (const bool mistyped : {false, true}) {
+    ConvertOptions options = Options(mistyped ? "mistyped" : "missing");
+    RunInterrupted(options);
+    // Replace the spill of the first archive the journal settled.
+    const auto journal = ReadWholeFile(options.output_dir + "/convert.journal");
+    ASSERT_TRUE(journal.ok());
+    std::string settled;
+    for (const std::string_view line : SplitView(*journal, '\n')) {
+      const auto fields = SplitView(line, ' ');
+      if (fields.size() == 7 && fields[1] == "archive") {
+        settled = std::string(fields[6]);
+        break;
+      }
+    }
+    ASSERT_FALSE(settled.empty());
+    const std::string spill =
+        options.output_dir + "/.convert_spill/" + settled + ".spill";
+    ASSERT_TRUE(FileExists(spill));
+    ASSERT_TRUE(spill_table(mistyped).WriteToFile(spill).ok());
+
+    options.resume = true;
+    const auto report = ConvertDataset(options);
+    EXPECT_EQ(report.status().code(), StatusCode::kDataLoss)
+        << report.status().ToString();
+    EXPECT_NE(report.status().message().find(settled), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -288,5 +288,63 @@ TEST(DatabaseSmallTest, HandBuiltCountsAndSpans) {
   EXPECT_EQ(db->source_country()[y], country::kUK);
 }
 
+// A database from a converter with another column set must be refused
+// with a pointer to the fix, not crash a kernel or misread a column.
+TEST(DatabaseSchemaTest, OldOrIncompleteSchemaIsDataLoss) {
+  TempDir dir("oldschema");
+  TestDbBuilder builder;
+  const auto e = builder.AddEvent(1000);
+  builder.AddMention(e, 1001, "a.com");
+  ASSERT_TRUE(builder.Build(dir.path()).ok());
+  const std::string mentions_path = dir.path() + "/mentions.tbl";
+  const std::string events_path = dir.path() + "/events.tbl";
+
+  // The older converter's mentions table: i64 intervals, plus the event
+  // id and URL columns that nothing reads.
+  Table old_mentions;
+  old_mentions.AddColumn("event_row", ColumnType::kU32)
+      .Append<std::uint32_t>(0);
+  old_mentions.AddColumn("global_event_id", ColumnType::kU64)
+      .Append<std::uint64_t>(e);
+  old_mentions.AddColumn("event_interval", ColumnType::kI64)
+      .Append<std::int64_t>(1000);
+  old_mentions.AddColumn("mention_interval", ColumnType::kI64)
+      .Append<std::int64_t>(1001);
+  old_mentions.AddColumn("source_id", ColumnType::kU32)
+      .Append<std::uint32_t>(0);
+  old_mentions.AddColumn("confidence", ColumnType::kU8).Append<std::uint8_t>(1);
+  old_mentions.AddColumn("url", ColumnType::kStr).AppendString("http://a.com/");
+  ASSERT_TRUE(old_mentions.WriteToFile(mentions_path).ok());
+  auto db = Database::Load(dir.path());
+  EXPECT_EQ(db.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(db.status().message().find("re-run gdelt_convert"),
+            std::string::npos)
+      << db.status().ToString();
+
+  // Current mentions back, and an events table missing its URL column.
+  ASSERT_TRUE(builder.Build(dir.path()).ok());
+  namespace ec = convert::events_col;
+  Table no_url;
+  no_url.AddColumn(std::string(ec::kGlobalId), ColumnType::kU64)
+      .Append<std::uint64_t>(e);
+  no_url.AddColumn(std::string(ec::kAddedInterval), ColumnType::kI32)
+      .Append<std::int32_t>(1001);
+  no_url.AddColumn(std::string(ec::kCountry), ColumnType::kU16)
+      .Append<std::uint16_t>(kNoCountry);
+  no_url.AddColumn(std::string(ec::kGoldstein), ColumnType::kF64)
+      .Append<double>(0.0);
+  no_url.AddColumn(std::string(ec::kAvgTone), ColumnType::kF64)
+      .Append<double>(0.0);
+  no_url.AddColumn(std::string(ec::kQuadClass), ColumnType::kU8)
+      .Append<std::uint8_t>(1);
+  ASSERT_TRUE(no_url.WriteToFile(events_path).ok());
+  db = Database::Load(dir.path());
+  EXPECT_EQ(db.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(db.status().message().find("source_url"), std::string::npos)
+      << db.status().ToString();
+  EXPECT_NE(db.status().message().find("re-run gdelt_convert"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace gdelt::engine

@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "convert/converter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
+#include "gtime/timestamp.hpp"
+#include "io/crc32.hpp"
+#include "io/file.hpp"
+#include "io/zipstore.hpp"
 #include "parallel/morsel.hpp"
+#include "schema/gdelt_schema.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace gdelt::engine {
 namespace {
@@ -418,6 +426,9 @@ class ZoneMapTest : public ::testing::Test {
         {kOutlier, kOutlier + 1},          // the outlier alone
         {kBase + 700, kBase + 701},        // one interval
         {kBase, kBase + 1},                // the first interval
+        {INT32_MIN, INT32_MAX},            // the i32 range, minus its top
+        {kOutlier, std::int64_t{INT32_MAX} + 1},  // past the i32 range
+        {INT64_MIN + 1, INT64_MAX},        // every row, not the no-op filter
     };
     const auto zmin = db_->zone_min_interval();
     const auto zmax = db_->zone_max_interval();
@@ -463,8 +474,8 @@ TEST_F(ZoneMapTest, ZoneMapAndBoundsEqualNaiveLoops) {
     std::int64_t hi = INT64_MIN;
     for (std::size_t r = z * kBlock; r < std::min(kRows, (z + 1) * kBlock);
          ++r) {
-      lo = std::min(lo, at[r]);
-      hi = std::max(hi, at[r]);
+      lo = std::min<std::int64_t>(lo, at[r]);
+      hi = std::max<std::int64_t>(hi, at[r]);
     }
     EXPECT_EQ(db_->zone_min_interval()[z], lo) << "block " << z;
     EXPECT_EQ(db_->zone_max_interval()[z], hi) << "block " << z;
@@ -569,6 +580,128 @@ TEST_F(FilterTest, LoadTimeTotalsEqualNaiveLoops) {
 
 TEST_F(ZoneMapTest, LoadTimeTotalsEqualNaiveLoops) {
   ExpectTotalsMatchNaive(*db_);
+}
+
+// The interval pass reads i32 columns against an i64 window; the AVX2
+// path saturates the window to the i32 range. Both paths must give the
+// naive predicate's bits at every bound, tails included.
+TEST(IntervalWordTest, SimdAndScalarAgreeAtEveryBound) {
+  constexpr std::int64_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  std::vector<std::int32_t> at = {INT32_MIN, INT32_MIN + 1, -2, -1, 0, 1, 2,
+                                  INT32_MAX - 1, INT32_MAX};
+  Xoshiro256 rng(21);
+  while (at.size() < 64) at.push_back(static_cast<std::int32_t>(rng()));
+  std::vector<std::int64_t> bounds = {
+      INT64_MIN, INT64_MIN + 1, kMin32 - 1, kMin32,        kMin32 + 1,
+      -1,        0,             1,          kMax32 - 1,    kMax32,
+      kMax32 + 1, kMax32 + 2,   INT64_MAX - 1, INT64_MAX};
+  for (const std::int32_t v : at) {
+    bounds.push_back(v);      // with v + 1: the one-row window [v, v + 1)
+    bounds.push_back(std::int64_t{v} + 1);
+  }
+  const bool saved = SimdEnabled();
+  for (const bool simd : {true, false}) {
+    SetSimdEnabled(simd);
+    // Every ordered pair, so begin >= end gives the empty windows.
+    for (const std::int64_t begin : bounds) {
+      for (const std::int64_t end : bounds) {
+        for (const std::size_t rows : {std::size_t{64}, std::size_t{63},
+                                       std::size_t{1}}) {
+          std::uint64_t expected = 0;
+          for (std::size_t i = 0; i < rows; ++i) {
+            if (at[i] >= begin && at[i] < end) {
+              expected |= std::uint64_t{1} << i;
+            }
+          }
+          ASSERT_EQ(IntervalWord(SimdEnabled(), at.data(), rows, begin, end),
+                    expected)
+              << "simd=" << SimdEnabled() << " rows=" << rows << " window ["
+              << begin << ", " << end << ")";
+        }
+      }
+    }
+  }
+  SetSimdEnabled(saved);
+}
+
+/// Zips one CSV into `dir` and lists it in the master file.
+void AddArchive(const std::string& dir, const std::string& name,
+                const std::string& csv, std::string& master) {
+  ZipWriter zip;
+  ASSERT_TRUE(zip.Open(dir + "/" + name + ".zip").ok());
+  ASSERT_TRUE(zip.AddEntry(name, csv).ok());
+  ASSERT_TRUE(zip.Finish().ok());
+  const auto bytes = ReadWholeFile(dir + "/" + name + ".zip");
+  ASSERT_TRUE(bytes.ok());
+  master += StrFormat("%zu %08x %s.zip\n", bytes->size(), Crc32(*bytes),
+                      name.c_str());
+}
+
+std::string TabRow(const std::vector<std::string>& fields) {
+  std::string row;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    row += fields[i] + (i + 1 < fields.size() ? "\t" : "\n");
+  }
+  return row;
+}
+
+// The first and last timestamps GDELT's 14-digit format allows the
+// converter (years 1900 and 9999) survive the i32 interval columns and
+// select through the window filter with SIMD on and off.
+TEST(IntervalWordTest, ExtremeTimestampsRoundTripThroughConversion) {
+  TempDir dir("extremes");
+  const std::string raw = dir.path() + "/raw";
+  ASSERT_TRUE(MakeDirectories(raw).ok());
+  constexpr const char* kFirst = "19000101000000";
+  constexpr const char* kLast = "99991231234500";
+  std::vector<std::string> ev(kEventFieldCount);
+  ev[Index(EventField::kGlobalEventId)] = "1";
+  ev[Index(EventField::kDay)] = "19000101";
+  ev[Index(EventField::kDateAdded)] = kLast;
+  std::string master;
+  AddArchive(raw, "20150218000000.export.CSV", TabRow(ev), master);
+  std::string mentions;
+  for (const char* when : {kFirst, kLast}) {
+    std::vector<std::string> m(kMentionFieldCount);
+    m[Index(MentionField::kGlobalEventId)] = "1";
+    m[Index(MentionField::kEventTimeDate)] = kFirst;
+    m[Index(MentionField::kMentionTimeDate)] = when;
+    m[Index(MentionField::kMentionSourceName)] = "a.com";
+    mentions += TabRow(m);
+  }
+  AddArchive(raw, "20150218000000.mentions.CSV", mentions, master);
+  ASSERT_TRUE(WriteWholeFile(raw + "/masterfilelist.txt", master).ok());
+  convert::ConvertOptions options;
+  options.input_dir = raw;
+  options.output_dir = dir.path() + "/db";
+  const auto report = convert::ConvertDataset(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->malformed_rows, 0u);
+
+  auto db = Database::Load(options.output_dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const IntervalId first = IntervalOfCivil(*ParseGdeltTimestamp(kFirst));
+  const IntervalId last = IntervalOfCivil(*ParseGdeltTimestamp(kLast));
+  ASSERT_EQ(db->num_mentions(), 2u);
+  EXPECT_EQ(db->mention_interval()[0], first);
+  EXPECT_EQ(db->mention_interval()[1], last);
+  EXPECT_EQ(db->mention_event_interval()[1], first);
+  EXPECT_EQ(db->event_added_interval()[0], last);
+  EXPECT_EQ(db->first_interval(), first);
+  EXPECT_EQ(db->last_interval(), last);
+
+  const bool saved = SimdEnabled();
+  for (const bool simd : {true, false}) {
+    SetSimdEnabled(simd);
+    MentionFilter f;
+    f.begin_interval = last;
+    EXPECT_EQ(SelectMentions(*db, f), (std::vector<std::uint64_t>{1}));
+    f.begin_interval = INT64_MIN + 1;
+    f.end_interval = first + 1;
+    EXPECT_EQ(SelectMentions(*db, f), (std::vector<std::uint64_t>{0}));
+  }
+  SetSimdEnabled(saved);
 }
 
 }  // namespace

@@ -297,7 +297,7 @@ TEST_F(MorselInvarianceTest, FollowReporting) {
     std::vector<std::int64_t> first(n, INT64_MAX);
     for (const std::uint64_t i : rows) {
       const std::int32_t k = slot[db_->mention_source_id()[i]];
-      if (k >= 0) first[k] = std::min(first[k], when[i]);
+      if (k >= 0) first[k] = std::min<std::int64_t>(first[k], when[i]);
     }
     for (const std::uint64_t i : rows) {
       const std::int32_t j = slot[db_->mention_source_id()[i]];
@@ -428,8 +428,8 @@ TEST_F(MorselInvarianceTest, PerSourceDelayStats) {
   const auto ids = engine::AllSources(*db_);
   std::vector<std::vector<std::int64_t>> delays(db_->num_sources());
   for (std::uint64_t i = 0; i < db_->num_mentions(); ++i) {
-    const std::int64_t d =
-        db_->mention_interval()[i] - db_->mention_event_interval()[i];
+    const std::int64_t d = std::int64_t{db_->mention_interval()[i]} -
+                           db_->mention_event_interval()[i];
     if (d >= 0) delays[db_->mention_source_id()[i]].push_back(d);
   }
   std::vector<DelayStats> naive(ids.size());

@@ -43,6 +43,9 @@ void FillColumn(Column& col, std::size_t rows, Xoshiro256& rng) {
       case ColumnType::kI64:
         col.Append<std::int64_t>(static_cast<std::int64_t>(rng()));
         break;
+      case ColumnType::kI32:
+        col.Append<std::int32_t>(static_cast<std::int32_t>(rng()));
+        break;
       case ColumnType::kF64:
         col.Append<double>(UniformDouble(rng) * 1e6 - 5e5);
         break;
@@ -93,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ColumnType::kU8, ColumnType::kU16,
                                          ColumnType::kU32, ColumnType::kU64,
                                          ColumnType::kI64, ColumnType::kF64,
-                                         ColumnType::kStr),
+                                         ColumnType::kStr, ColumnType::kI32),
                        ::testing::Values(std::size_t{0}, std::size_t{1},
                                          std::size_t{257},
                                          std::size_t{10000})));

@@ -176,6 +176,9 @@ void ExpectViewsInsideMapping(const Table& table, std::size_t mutant) {
       case ColumnType::kI64:
         inside = ValuesInside<std::int64_t>(col, map);
         break;
+      case ColumnType::kI32:
+        inside = ValuesInside<std::int32_t>(col, map);
+        break;
       case ColumnType::kF64:
         inside = ValuesInside<double>(col, map);
         break;

@@ -10,7 +10,19 @@ WORK="$(mktemp -d)"
 S1_PID=""
 S2_PID=""
 ROUTER_PID=""
+STEP="start"
+# On failure, say which step was reached and show the logs before they go:
+# under set -e a failed check would otherwise exit without a word.
 cleanup() {
+  status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "router smoke FAILED (exit $status) at step: $STEP" >&2
+    for f in routed.out router.log s1.log s2.log s2b.log; do
+      [ -f "$WORK/$f" ] || continue
+      echo "--- $f" >&2
+      cat "$WORK/$f" >&2
+    done
+  fi
   [ -n "$S1_PID" ] && kill -9 "$S1_PID" 2>/dev/null || true
   [ -n "$S2_PID" ] && kill -9 "$S2_PID" 2>/dev/null || true
   [ -n "$ROUTER_PID" ] && kill -9 "$ROUTER_PID" 2>/dev/null || true
@@ -31,11 +43,13 @@ wait_ready() {
   echo "$port"
 }
 
+STEP="generate and convert"
 "$BIN_DIR/gdelt_generate" --preset tiny --seed 7 --out "$WORK/raw" \
     > "$WORK/gen.log" 2>&1
 "$BIN_DIR/gdelt_convert" --in "$WORK/raw" --out "$WORK/db" \
     > "$WORK/conv.log" 2>&1
 
+STEP="start shards"
 # Both shard backends serve the full converted database; the router
 # assigns each one a partition of every decomposable query.
 "$BIN_DIR/gdelt_serve" --db "$WORK/db" --port 0 --workers 2 \
@@ -49,6 +63,7 @@ P1="$(wait_ready "$WORK/s1.out" "$S1_PID")" \
 P2="$(wait_ready "$WORK/s2.out" "$S2_PID")" \
     || { cat "$WORK/s2.log" >&2; exit 1; }
 
+STEP="start router"
 "$BIN_DIR/gdelt_router" --shards "127.0.0.1:$P1;127.0.0.1:$P2" --port 0 \
     --connect-timeout-ms 500 --scatter-passes 1 --down-after 1 \
     --health-interval-ms 200 \
@@ -57,6 +72,7 @@ ROUTER_PID=$!
 RPORT="$(wait_ready "$WORK/router.out" "$ROUTER_PID")" \
     || { cat "$WORK/router.log" >&2; exit 1; }
 
+STEP="routed batch of every kind"
 # Every query kind through the router: all ok, none degraded.
 for q in stats top-sources top-events quarterly coreport follow \
          country-coreport cross-report delay tone first-reports; do
@@ -66,6 +82,7 @@ test "$(wc -l < "$WORK/routed.out")" -eq 11
 ! grep -q '"ok":false' "$WORK/routed.out"
 ! grep -q 'partial_failure' "$WORK/routed.out"
 
+STEP="router vs shard byte-identity"
 # Byte-identity: a scattered kind's text equals the same query answered
 # by one backend directly (wall_ms differs; compare the text member).
 extract_text() {
@@ -78,12 +95,14 @@ printf '{"query":"coreport","top":5}\n' \
 test "$(extract_text "$WORK/via_router.out")" = \
      "$(extract_text "$WORK/via_shard.out")"
 
+STEP="ping and metrics"
 # The router's own surface: ping and per-endpoint health.
 printf '{"query":"ping"}\n{"query":"metrics"}\n' \
     | "$BIN_DIR/gdelt_client" --port "$RPORT" > "$WORK/meta.out"
 grep -q '"pong":true' "$WORK/meta.out"
 grep -q '"num_shards":2' "$WORK/meta.out"
 
+STEP="degraded answer after shard kill"
 # Shard death: kill -9 shard 2 and expect a degraded (ok:true +
 # partial_failure naming shard 1) answer for a scattered kind.
 kill -9 "$S2_PID"
@@ -94,6 +113,7 @@ printf '{"id":"deg","query":"coreport","top":5}\n' \
 grep -q '"ok":true' "$WORK/degraded.out"
 grep -q '"partial_failure":\[1\]' "$WORK/degraded.out"
 
+STEP="shard restart and recovery"
 # Restart the shard on its original port; the health probe revives it
 # and the same query comes back complete and byte-identical again. P2 was
 # an ephemeral port, so another process's outgoing socket may hold it for
@@ -131,6 +151,7 @@ test "$recovered" -eq 1 || { cat "$WORK/recovered.out" >&2; exit 1; }
 test "$(extract_text "$WORK/recovered.out")" = \
      "$(extract_text "$WORK/via_shard.out")"
 
+STEP="router drain on SIGTERM"
 # Graceful SIGTERM: the router drains and exits zero.
 kill -TERM "$ROUTER_PID"
 i=0

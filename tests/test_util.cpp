@@ -27,13 +27,9 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
 
   Table events;
   auto& e_gid = events.AddColumn(std::string(ec::kGlobalId), ColumnType::kU64);
-  auto& e_int =
-      events.AddColumn(std::string(ec::kEventInterval), ColumnType::kI64);
   auto& e_add =
-      events.AddColumn(std::string(ec::kAddedInterval), ColumnType::kI64);
+      events.AddColumn(std::string(ec::kAddedInterval), ColumnType::kI32);
   auto& e_cty = events.AddColumn(std::string(ec::kCountry), ColumnType::kU16);
-  auto& e_naw =
-      events.AddColumn(std::string(ec::kNumArticlesWire), ColumnType::kU32);
   auto& e_gold =
       events.AddColumn(std::string(ec::kGoldstein), ColumnType::kF64);
   auto& e_tone = events.AddColumn(std::string(ec::kAvgTone), ColumnType::kF64);
@@ -45,10 +41,8 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
     row_of.emplace(ev.global_id, static_cast<std::uint32_t>(e_gid.size()));
     event_time.emplace(ev.global_id, ev.event_interval);
     e_gid.Append<std::uint64_t>(ev.global_id);
-    e_int.Append<std::int64_t>(ev.event_interval);
-    e_add.Append<std::int64_t>(ev.added_interval);
+    e_add.Append<std::int32_t>(static_cast<std::int32_t>(ev.added_interval));
     e_cty.Append<std::uint16_t>(ev.country);
-    e_naw.Append<std::uint32_t>(0);
     e_gold.Append<double>(0.0);
     e_tone.Append<double>(0.0);
     e_quad.Append<std::uint8_t>(1);
@@ -59,17 +53,14 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
   Table mentions;
   auto& m_row =
       mentions.AddColumn(std::string(mc::kEventRow), ColumnType::kU32);
-  auto& m_gid =
-      mentions.AddColumn(std::string(mc::kGlobalEventId), ColumnType::kU64);
   auto& m_eint =
-      mentions.AddColumn(std::string(mc::kEventInterval), ColumnType::kI64);
+      mentions.AddColumn(std::string(mc::kEventInterval), ColumnType::kI32);
   auto& m_mint = mentions.AddColumn(std::string(mc::kMentionInterval),
-                                    ColumnType::kI64);
+                                    ColumnType::kI32);
   auto& m_src =
       mentions.AddColumn(std::string(mc::kSourceId), ColumnType::kU32);
   auto& m_conf =
       mentions.AddColumn(std::string(mc::kConfidence), ColumnType::kU8);
-  auto& m_url = mentions.AddColumn(std::string(mc::kUrl), ColumnType::kStr);
 
   // Mentions sorted by capture interval (the converter's natural order)
   // unless KeepMentionOrder() asked for insertion order.
@@ -87,14 +78,12 @@ Status TestDbBuilder::WriteTo(const std::string& dir) {
     m_row.Append<std::uint32_t>(row_it == row_of.end()
                                     ? convert::kOrphanEventRow
                                     : row_it->second);
-    m_gid.Append<std::uint64_t>(m->event_global_id);
     const auto time_it = event_time.find(m->event_global_id);
-    m_eint.Append<std::int64_t>(
-        time_it == event_time.end() ? 0 : time_it->second);
-    m_mint.Append<std::int64_t>(m->mention_interval);
+    m_eint.Append<std::int32_t>(static_cast<std::int32_t>(
+        time_it == event_time.end() ? 0 : time_it->second));
+    m_mint.Append<std::int32_t>(static_cast<std::int32_t>(m->mention_interval));
     m_src.Append<std::uint32_t>(sources.GetOrAdd(m->source));
     m_conf.Append<std::uint8_t>(m->confidence);
-    m_url.AppendString("http://" + m->source + "/a");
   }
 
   GDELT_RETURN_IF_ERROR(events.WriteToFile(
