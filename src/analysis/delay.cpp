@@ -26,26 +26,32 @@ std::int64_t MedianInPlace(std::int64_t* begin, std::int64_t* end) {
 
 namespace {
 
-/// Stats for one source; `delays` is reusable scratch.
+/// Stats for one source; `delays` is reusable scratch. One scan takes
+/// the count, extremes and exact integer sum; the median needs only a
+/// selection, not a sort.
 void OneSourceDelayStats(const engine::Database& db,
                          std::span<const std::int32_t> when,
                          std::span<const std::int32_t> event_when,
                          std::uint32_t s, std::vector<std::int64_t>& delays,
                          DelayStats& st) {
   delays.clear();
+  std::uint64_t sum = 0;
+  std::int64_t lo = INT64_MAX;
+  std::int64_t hi = 0;
   for (const std::uint64_t row : db.mentions_by_source().RowsOf(s)) {
     const IntervalId d = IntervalId{when[row]} - event_when[row];
-    if (d >= 0) delays.push_back(d);
+    if (d < 0) continue;
+    delays.push_back(d);
+    sum += static_cast<std::uint64_t>(d);
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
   }
   st.article_count = delays.size();
   if (delays.empty()) return;
-  std::sort(delays.begin(), delays.end());
-  st.min = delays.front();
-  st.max = delays.back();
+  st.min = lo;
+  st.max = hi;
   st.median = MedianInPlace(delays.data(), delays.data() + delays.size());
-  double sum = 0.0;
-  for (const std::int64_t d : delays) sum += static_cast<double>(d);
-  st.average = sum / static_cast<double>(delays.size());
+  st.average = static_cast<double>(sum) / static_cast<double>(delays.size());
 }
 
 }  // namespace
@@ -103,9 +109,10 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
                                    const util::CancelToken* cancel) {
   TRACE_SPAN("delay.quarterly");
   const auto w = engine::QuartersOf(db);
-  const auto quarters = engine::MentionQuarters(db);
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
+  const auto zone_min = db.zone_min_interval();
+  const auto zone_max = db.zone_max_interval();
   const auto nq = static_cast<std::size_t>(w.count);
 
   QuarterlyDelay result;
@@ -114,42 +121,44 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
   result.median.assign(nq, 0);
   if (nq <= shard) return result;
 
-  // Group delays by quarter (serial scatter after a parallel count): the
-  // scatter fixes each quarter's delay order, hence its float sum. Then
-  // reduce each owned quarter independently in parallel.
-  std::vector<std::uint64_t> counts = parallel::PoolHistogram(
-      {0, quarters.size()}, nq,
-      [&](std::size_t i) { return static_cast<std::size_t>(quarters[i]); },
-      nullptr, cancel);
-  if (util::Cancelled(cancel)) return result;  // the counts are partial
-  std::vector<std::uint64_t> offsets(nq + 1, 0);
-  for (std::size_t q = 0; q < nq; ++q) offsets[q + 1] = offsets[q] + counts[q];
-  std::vector<std::int64_t> delays(quarters.size());
-  std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < quarters.size(); ++i) {
-    const auto q = static_cast<std::size_t>(quarters[i]);
-    delays[cursor[q]++] = IntervalId{when[i]} - event_when[i];
-  }
-
-  // Every owned quarter is its own morsel: quarter sizes are skewed, and
-  // the pool's stealing does the balancing.
+  // Every owned quarter is its own morsel (quarter sizes are skewed, and
+  // the pool's stealing does the balancing). It gathers its non-negative
+  // delays from the zone blocks whose interval range overlaps it, so a
+  // partition reads only the blocks of its own quarters. The sum is an
+  // exact integer and the median depends on the values alone, so neither
+  // depends on the order the rows are gathered in.
+  std::vector<std::vector<std::int64_t>> scratch(parallel::PoolSlots());
   const std::size_t owned = (nq - shard + of - 1) / of;
   parallel::PoolParallelFor(
       owned,
-      [&](IndexRange r, std::size_t) {
+      [&](IndexRange r, std::size_t slot) {
+        auto& delays = scratch[slot];
         for (std::size_t k = r.begin; k < r.end; ++k) {
           const std::size_t q = shard + k * of;
-          auto* begin = delays.data() + offsets[q];
-          auto* end = delays.data() + offsets[q + 1];
-          // Exclude negative (defective) delays.
-          end = std::partition(begin, end,
-                               [](std::int64_t d) { return d >= 0; });
-          const auto n = static_cast<std::size_t>(end - begin);
-          if (n == 0) continue;
-          double sum = 0.0;
-          for (auto* p = begin; p != end; ++p) sum += static_cast<double>(*p);
-          result.average[q] = sum / static_cast<double>(n);
-          result.median[q] = MedianInPlace(begin, end);
+          delays.clear();
+          std::uint64_t sum = 0;
+          for (std::size_t z = 0; z < zone_min.size(); ++z) {
+            if (zone_max[z] < w.bounds[q] || zone_min[z] >= w.bounds[q + 1]) {
+              continue;
+            }
+            const std::size_t row0 = z * engine::Database::kZoneRows;
+            engine::ForEachQuarterRun(
+                db, w, {row0, row0 + engine::Database::kZoneRows},
+                [&](IndexRange run, std::size_t run_q) {
+                  if (run_q != q) return;
+                  for (std::size_t i = run.begin; i < run.end; ++i) {
+                    const IntervalId d = IntervalId{when[i]} - event_when[i];
+                    if (d < 0) continue;  // the Table II defect
+                    delays.push_back(d);
+                    sum += static_cast<std::uint64_t>(d);
+                  }
+                });
+          }
+          if (delays.empty()) continue;
+          result.average[q] =
+              static_cast<double>(sum) / static_cast<double>(delays.size());
+          result.median[q] =
+              MedianInPlace(delays.data(), delays.data() + delays.size());
         }
       },
       /*morsel_rows=*/1, cancel);
@@ -160,17 +169,17 @@ engine::QuarterSeries SlowArticlesPerQuarter(const engine::Database& db,
                                              std::int64_t threshold) {
   TRACE_SPAN("delay.slow_articles");
   const auto w = engine::QuartersOf(db);
-  const auto quarters = engine::MentionQuarters(db);
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
   engine::QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = parallel::PoolHistogram(
-      {0, quarters.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t i) -> std::size_t {
-        const IntervalId d = IntervalId{when[i]} - event_when[i];
-        if (d <= threshold) return SIZE_MAX;
-        return static_cast<std::size_t>(quarters[i]);
+  series.values = engine::QuarterRunHistogram(
+      db, w, kWholeRange, [&](IndexRange run) {
+        std::uint64_t slow = 0;
+        for (std::size_t i = run.begin; i < run.end; ++i) {
+          slow += IntervalId{when[i]} - event_when[i] > threshold;
+        }
+        return slow;
       });
   return series;
 }

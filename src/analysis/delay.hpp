@@ -28,9 +28,10 @@ struct DelayStats {
 /// Delay statistics of the given sources: result[k] belongs to
 /// sources[k]; a source with no valid articles has article_count == 0.
 /// Parallel over the listed sources on the morsel pool; each source is
-/// computed whole within one morsel (sort + sequential sum over its
-/// sorted delays), so any split of the list reproduces the same floats
-/// bitwise at any morsel size and thread count.
+/// computed whole within one morsel (one scan for the count, extremes and
+/// exact integer sum, then a selection for the median), so any split of
+/// the list reproduces the same floats bitwise at any morsel size and
+/// thread count.
 std::vector<DelayStats> PerSourceDelayStats(
     const engine::Database& db, std::span<const std::uint32_t> sources,
     const util::CancelToken* cancel = nullptr);
@@ -49,11 +50,13 @@ struct QuarterlyDelay {
 };
 
 /// Computes the quarters partition `shard` of `of` owns (relative
-/// quarter q with q % of == shard); other entries stay zeroed. Every
-/// owned quarter reduces its delays in the one order the grouping pass
-/// fixes, so the union of the partitions is bitwise identical to the
-/// whole run (shard 0 of 1). Runs on the morsel pool, which polls
-/// `cancel`; a cancelled result is partial and must be discarded.
+/// quarter q with q % of == shard); other entries stay zeroed. Each owned
+/// quarter gathers its delays from the zone blocks that overlap it, sums
+/// them as an exact integer and divides once, so the union of the
+/// partitions is bitwise identical to the whole run (shard 0 of 1) and
+/// to a double sum in any order while the sum stays below 2^53. Runs on
+/// the morsel pool, which polls `cancel`; a cancelled result is partial
+/// and must be discarded.
 QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
                                    std::uint32_t shard = 0,
                                    std::uint32_t of = 1,

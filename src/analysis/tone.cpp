@@ -82,12 +82,7 @@ QuarterlyTone QuarterlyAverageTone(const engine::Database& db) {
   result.first_quarter = w.first;
   result.values = MeanByBin(
       db, static_cast<std::size_t>(w.count),
-      [&](std::size_t e) -> std::size_t {
-        const std::int32_t q =
-            QuarterOfUnixSeconds(IntervalStartUnixSeconds(added[e])) -
-            w.first;
-        return q < 0 ? SIZE_MAX : static_cast<std::size_t>(q);
-      },
+      [&](std::size_t e) { return w.Of(added[e]).value_or(SIZE_MAX); },
       [&](std::size_t e) { return tone[e]; });
   return result;
 }

@@ -146,8 +146,11 @@ Result<Database> Database::Load(const std::string& dir) {
       BindSpan(db.events_, ec::kGoldstein, db.event_goldstein_));
   GDELT_RETURN_IF_ERROR(
       BindSpan(db.events_, ec::kQuadClass, db.event_quad_class_));
-  GDELT_RETURN_IF_ERROR(
-      CheckColumn(db.events_, ec::kSourceUrl, ColumnType::kStr).status());
+  GDELT_ASSIGN_OR_RETURN(
+      const Column* source_url,
+      CheckColumn(db.events_, ec::kSourceUrl, ColumnType::kStr));
+  db.event_source_url_offsets_ = source_url->offsets();
+  db.event_source_url_chars_ = source_url->chars();
 
   // Referential integrity: every non-orphan event_row must be in range and
   // every source id must be in the dictionary.

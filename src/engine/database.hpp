@@ -13,6 +13,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/csr.hpp"
@@ -79,7 +80,9 @@ class Database {
   }
   /// First-article URL of event row r.
   std::string_view event_source_url(std::size_t r) const noexcept {
-    return events_.GetColumn("source_url").StringAt(r);
+    const std::uint64_t b = event_source_url_offsets_[r];
+    const std::uint64_t e = event_source_url_offsets_[r + 1];
+    return event_source_url_chars_.substr(b, e - b);
   }
 
   // --- derived ---
@@ -171,6 +174,8 @@ class Database {
   std::span<const double> event_tone_;
   std::span<const double> event_goldstein_;
   std::span<const std::uint8_t> event_quad_class_;
+  std::span<const std::uint64_t> event_source_url_offsets_;
+  std::string_view event_source_url_chars_;
 
   std::vector<std::uint16_t> source_country_;
   std::vector<std::uint32_t> event_article_count_;

@@ -175,8 +175,24 @@ bool SimdEnabled() noexcept {
 }
 
 std::uint64_t SelectionBitmap::CountSet() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t w = begin_word; w < end_word; ++w) {
+  return CountSet(RowSpan());
+}
+
+std::uint64_t SelectionBitmap::CountSet(IndexRange rows) const noexcept {
+  rows = ClampRange(rows, num_rows);
+  if (rows.empty()) return 0;
+  const std::size_t first = rows.begin / 64;
+  const std::size_t last = (rows.end - 1) / 64;
+  const std::uint64_t head = ~std::uint64_t{0} << (rows.begin & 63);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - (rows.end - 1) % 64);
+  if (first == last) {
+    return static_cast<std::uint64_t>(
+        std::popcount(words[first] & head & tail));
+  }
+  std::uint64_t total =
+      static_cast<std::uint64_t>(std::popcount(words[first] & head)) +
+      static_cast<std::uint64_t>(std::popcount(words[last] & tail));
+  for (std::size_t w = first + 1; w < last; ++w) {
     total += static_cast<std::uint64_t>(std::popcount(words[w]));
   }
   return total;
@@ -396,29 +412,17 @@ QuarterSeries ArticlesPerQuarter(const Database& db,
   series.first_quarter = w.first;
   series.values = parallel::PoolHistogram(
       {0, rows.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t k) -> std::size_t {
-        const std::int32_t q =
-            QuarterOfUnixSeconds(IntervalStartUnixSeconds(when[rows[k]])) -
-            w.first;
-        return q < 0 ? SIZE_MAX : static_cast<std::size_t>(q);
-      });
+      [&](std::size_t k) { return w.Of(when[rows[k]]).value_or(SIZE_MAX); });
   return series;
 }
 
 QuarterSeries ArticlesPerQuarter(const Database& db,
                                  const SelectionBitmap& sel) {
   const QuarterWindow w = QuartersOf(db);
-  const auto when = db.mention_interval();
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = MentionHistogram(
-      db, kWholeRange, &sel, static_cast<std::size_t>(w.count),
-      [&](std::uint64_t i) -> std::size_t {
-        const std::int32_t q =
-            QuarterOfUnixSeconds(IntervalStartUnixSeconds(when[i])) - w.first;
-        return q < 0 ? SIZE_MAX : static_cast<std::size_t>(q);
-      },
-      nullptr);
+  series.values = QuarterRunHistogram(
+      db, w, sel.RowSpan(), [&](IndexRange run) { return sel.CountSet(run); });
   return series;
 }
 

@@ -66,6 +66,8 @@ struct SelectionBitmap {
   }
   /// Number of selected rows (popcount over the words).
   std::uint64_t CountSet() const noexcept;
+  /// Number of selected rows in `rows`.
+  std::uint64_t CountSet(IndexRange rows) const noexcept;
   /// Materializes the selected row ids, ascending.
   std::vector<std::uint64_t> ToRows() const;
 };

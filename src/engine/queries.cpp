@@ -33,40 +33,35 @@ std::vector<TopEvent> TopReportedEvents(const Database& db, std::size_t k,
   return std::move(top).Take();
 }
 
-QuarterWindow QuartersOf(const Database& db) {
+QuarterWindow QuartersOf(IntervalId first_interval,
+                         IntervalId last_interval) {
   QuarterWindow w;
-  w.first = QuarterOfUnixSeconds(IntervalStartUnixSeconds(db.first_interval()));
-  const QuarterId last =
-      QuarterOfUnixSeconds(IntervalStartUnixSeconds(db.last_interval()));
-  w.count = db.num_mentions() == 0 ? 0 : last - w.first + 1;
+  w.first = QuarterOfUnixSeconds(IntervalStartUnixSeconds(first_interval));
+  w.count = QuarterOfUnixSeconds(IntervalStartUnixSeconds(last_interval)) -
+            w.first + 1;
+  w.bounds.resize(static_cast<std::size_t>(w.count) + 1);
+  for (std::int32_t q = 0; q <= w.count; ++q) {
+    w.bounds[static_cast<std::size_t>(q)] = QuarterStartInterval(w.first + q);
+  }
   return w;
 }
 
-std::vector<std::int32_t> MentionQuarters(const Database& db) {
-  const auto intervals = db.mention_interval();
-  const QuarterWindow w = QuartersOf(db);
-  std::vector<std::int32_t> quarters(intervals.size());
-  parallel::PoolParallelFor(intervals.size(), [&](IndexRange r, std::size_t) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      quarters[i] =
-          QuarterOfUnixSeconds(IntervalStartUnixSeconds(intervals[i])) -
-          w.first;
-    }
-  });
-  return quarters;
+QuarterWindow QuartersOf(const Database& db) {
+  if (db.num_mentions() > 0) {
+    return QuartersOf(db.first_interval(), db.last_interval());
+  }
+  QuarterWindow none;
+  none.first = QuarterOfUnixSeconds(0);
+  return none;
 }
 
 QuarterSeries ArticlesPerQuarter(const Database& db) {
   TRACE_SPAN("engine.articles_per_quarter");
   const QuarterWindow w = QuartersOf(db);
-  const auto quarters = MentionQuarters(db);
   QuarterSeries series;
   series.first_quarter = w.first;
-  series.values = parallel::PoolHistogram(
-      {0, quarters.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t i) -> std::size_t {
-        return static_cast<std::size_t>(quarters[i]);
-      });
+  series.values = QuarterRunHistogram(
+      db, w, kWholeRange, [](IndexRange run) { return run.size(); });
   return series;
 }
 
@@ -78,31 +73,25 @@ QuarterSeries EventsPerQuarter(const Database& db) {
   series.first_quarter = w.first;
   series.values = parallel::PoolHistogram(
       {0, added.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t i) -> std::size_t {
-        const std::int32_t q =
-            QuarterOfUnixSeconds(IntervalStartUnixSeconds(added[i])) - w.first;
-        return q < 0 ? SIZE_MAX : static_cast<std::size_t>(q);
-      });
+      [&](std::size_t i) { return w.Of(added[i]).value_or(SIZE_MAX); });
   return series;
 }
 
 QuarterSeries ActiveSourcesPerQuarter(const Database& db) {
   TRACE_SPAN("engine.active_sources_per_quarter");
   const QuarterWindow w = QuartersOf(db);
-  const auto quarters = MentionQuarters(db);
   const auto src = db.mention_source_id();
   const std::size_t nq = static_cast<std::size_t>(w.count);
   const std::size_t ns = db.num_sources();
 
   // (source, quarter) presence bitmap, built with per-slot OR then merged.
   std::vector<std::vector<std::uint8_t>> locals(parallel::PoolSlots());
-  parallel::PoolParallelFor(
-      quarters.size(), [&](IndexRange r, std::size_t slot) {
+  PoolQuarterRuns(
+      db, w, kWholeRange, [&](IndexRange run, std::size_t q, std::size_t slot) {
         auto& local = locals[slot];
         if (local.empty()) local.assign(nq * ns, 0);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          local[static_cast<std::size_t>(quarters[i]) * ns + src[i]] = 1;
-        }
+        std::uint8_t* present = local.data() + q * ns;
+        for (std::size_t i = run.begin; i < run.end; ++i) present[src[i]] = 1;
       });
   QuarterSeries series;
   series.first_quarter = w.first;
@@ -126,7 +115,6 @@ std::vector<QuarterSeries> SourceArticlesPerQuarter(
     const Database& db, std::span<const std::uint32_t> source_ids) {
   const QuarterWindow w = QuartersOf(db);
   const auto nq = static_cast<std::size_t>(w.count);
-  const auto quarters = MentionQuarters(db);
   const auto src = db.mention_source_id();
 
   // Map requested ids to output slots.
@@ -134,14 +122,20 @@ std::vector<QuarterSeries> SourceArticlesPerQuarter(
   for (std::size_t s = 0; s < source_ids.size(); ++s) {
     slot_of[source_ids[s]] = static_cast<std::int32_t>(s);
   }
+  // Bins: nq per requested source, in request order.
   const std::size_t bins = source_ids.size() * nq;
-  auto flat = parallel::PoolHistogram(
-      {0, quarters.size()}, bins, [&](std::size_t i) -> std::size_t {
-        const std::int32_t slot = slot_of[src[i]];
-        if (slot < 0) return SIZE_MAX;
-        return static_cast<std::size_t>(slot) * nq +
-               static_cast<std::size_t>(quarters[i]);
+  std::vector<std::vector<std::uint64_t>> partials(parallel::PoolSlots());
+  PoolQuarterRuns(
+      db, w, kWholeRange, [&](IndexRange run, std::size_t q, std::size_t slot) {
+        auto& local = partials[slot];
+        if (local.size() != bins) local.assign(bins, 0);
+        for (std::size_t i = run.begin; i < run.end; ++i) {
+          const std::int32_t k = slot_of[src[i]];
+          if (k >= 0) ++local[static_cast<std::size_t>(k) * nq + q];
+        }
       });
+  std::vector<std::uint64_t> flat(bins, 0);
+  parallel::MergeSlotPartials(std::span<std::uint64_t>(flat), partials);
 
   std::vector<QuarterSeries> out(source_ids.size());
   for (std::size_t s = 0; s < source_ids.size(); ++s) {

@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "engine/database.hpp"
 #include "gtime/timestamp.hpp"
+#include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
 
 namespace gdelt::engine {
@@ -106,16 +108,114 @@ struct QuarterSeries {
   std::vector<std::uint64_t> values;
 };
 
-/// Relative quarter index of every mention (parallel precomputation used
-/// by the trend queries). Values index from the database's first quarter.
-std::vector<std::int32_t> MentionQuarters(const Database& db);
-
-/// Quarter window covered by the database's mentions.
+/// The calendar quarters a database's mentions span, with the first
+/// capture interval of each: mapping an interval to its quarter is a
+/// search over count + 1 boundaries, not a civil-date conversion.
 struct QuarterWindow {
   QuarterId first = 0;
   std::int32_t count = 0;
+  /// bounds[q] = QuarterStartInterval(first + q) for q in [0, count];
+  /// empty when count == 0.
+  std::vector<IntervalId> bounds;
+
+  /// Index of the quarter holding `iv`, relative to `first` (that is,
+  /// QuarterOfUnixSeconds(IntervalStartUnixSeconds(iv)) - first), or none
+  /// when `iv` lies outside the window. Monotone in `iv`.
+  std::optional<std::size_t> Of(IntervalId iv) const noexcept {
+    if (bounds.empty() || iv < bounds.front() || iv >= bounds.back()) {
+      return std::nullopt;
+    }
+    // The last bound <= iv, by a branch-free halving search.
+    std::size_t at = 0;
+    for (std::size_t n = bounds.size(); n > 1;) {
+      const std::size_t half = n / 2;
+      at = bounds[at + half] <= iv ? at + half : at;
+      n -= half;
+    }
+    return at;
+  }
 };
+
+/// The quarters from the one holding `first_interval` to the one holding
+/// `last_interval` (first_interval <= last_interval).
+QuarterWindow QuartersOf(IntervalId first_interval, IntervalId last_interval);
+
+/// The quarters the database's mention intervals span; count 0 for a
+/// database without mentions.
 QuarterWindow QuartersOf(const Database& db);
+
+/// Splits the mention rows of `rows` into runs of consecutive rows whose
+/// intervals lie in one quarter of `w`, and calls run(IndexRange, q) for
+/// each run in row order, q relative to w.first; rows outside `w` are
+/// skipped. A zone block whose smallest and largest interval fall in one
+/// quarter is one run, and its rows are not read; the rows of any other
+/// block are looked up one by one. Exact for any row order, since the
+/// lookup is monotone; fast for the capture order the converter writes,
+/// where only the blocks at a quarter's edge straddle two quarters.
+template <typename Run>
+void ForEachQuarterRun(const Database& db, const QuarterWindow& w,
+                       IndexRange rows, Run&& run) {
+  rows = ClampRange(rows, db.num_mentions());
+  const auto when = db.mention_interval();
+  const auto zone_min = db.zone_min_interval();
+  const auto zone_max = db.zone_max_interval();
+  for (std::size_t begin = rows.begin; begin < rows.end;) {
+    const std::size_t zone = begin / Database::kZoneRows;
+    const std::size_t end =
+        std::min(rows.end, (zone + 1) * Database::kZoneRows);
+    const auto q = w.Of(zone_min[zone]);
+    if (q && q == w.Of(zone_max[zone])) {
+      run(IndexRange{begin, end}, *q);
+    } else {
+      std::size_t start = begin;
+      std::optional<std::size_t> at = w.Of(when[begin]);
+      for (std::size_t i = begin + 1; i < end; ++i) {
+        const auto qi = w.Of(when[i]);
+        if (qi == at) continue;
+        if (at) run(IndexRange{start, i}, *at);
+        start = i;
+        at = qi;
+      }
+      if (at) run(IndexRange{start, end}, *at);
+    }
+    begin = end;
+  }
+}
+
+/// ForEachQuarterRun over `rows` split into pool morsels: calls
+/// body(run, q, slot), `slot` as in parallel::PoolParallelFor.
+template <typename Body>
+void PoolQuarterRuns(const Database& db, const QuarterWindow& w,
+                     IndexRange rows, Body&& body) {
+  rows = ClampRange(rows, db.num_mentions());
+  parallel::PoolParallelFor(rows.size(), [&](IndexRange r, std::size_t slot) {
+    ForEachQuarterRun(db, w, {rows.begin + r.begin, rows.begin + r.end},
+                      [&](IndexRange run, std::size_t q) {
+                        body(run, q, slot);
+                      });
+  });
+}
+
+/// Per-quarter totals of count(run) over the quarter runs of `rows`.
+/// Per-slot partials merge in slot order, so the totals are the same at
+/// any pool and morsel size.
+template <typename Count>
+std::vector<std::uint64_t> QuarterRunHistogram(const Database& db,
+                                               const QuarterWindow& w,
+                                               IndexRange rows,
+                                               Count&& count) {
+  const auto nq = static_cast<std::size_t>(w.count);
+  std::vector<std::vector<std::uint64_t>> partials(parallel::PoolSlots());
+  PoolQuarterRuns(db, w, rows,
+                  [&](IndexRange run, std::size_t q, std::size_t slot) {
+                    auto& local = partials[slot];
+                    if (local.size() != nq) local.assign(nq, 0);
+                    local[q] += count(run);
+                  });
+  std::vector<std::uint64_t> totals(nq, 0);
+  parallel::MergeSlotPartials(std::span<std::uint64_t>(totals), partials);
+  return totals;
+}
 
 /// Articles observed per quarter (Fig 5).
 QuarterSeries ArticlesPerQuarter(const Database& db);

@@ -145,11 +145,18 @@ std::string QuarterLabel(QuarterId q) {
 }
 
 CivilDateTime QuarterStartCivil(QuarterId q) noexcept {
+  // Floor division, so a quarter of a negative year keeps its month.
+  const std::int32_t year = (q >= 0 ? q : q - 3) / 4;
   CivilDateTime t;
-  t.year = q / 4;
-  t.month = static_cast<std::uint8_t>((q % 4) * 3 + 1);
+  t.year = year;
+  t.month = static_cast<std::uint8_t>((q - year * 4) * 3 + 1);
   t.day = 1;
   return t;
+}
+
+IntervalId QuarterStartInterval(QuarterId q) noexcept {
+  // A quarter starts at midnight, which is an interval boundary.
+  return IntervalOfCivil(QuarterStartCivil(q));
 }
 
 }  // namespace gdelt

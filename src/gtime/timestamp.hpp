@@ -99,8 +99,13 @@ QuarterId QuarterOfUnixSeconds(std::int64_t seconds) noexcept;
 /// Quarter label, e.g. "2015Q1".
 std::string QuarterLabel(QuarterId q);
 
-/// First civil instant of the quarter.
+/// First civil instant of the quarter (any year, negative ones included).
 CivilDateTime QuarterStartCivil(QuarterId q) noexcept;
+
+/// First capture interval of the quarter: QuarterOfUnixSeconds(
+/// IntervalStartUnixSeconds(iv)) == q exactly for the intervals in
+/// [QuarterStartInterval(q), QuarterStartInterval(q + 1)).
+IntervalId QuarterStartInterval(QuarterId q) noexcept;
 
 /// Makes a QuarterId from (year, quarter 1..4).
 constexpr QuarterId MakeQuarter(std::int32_t year, int quarter) noexcept {

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "convert/converter.hpp"
 #include "engine/filter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
+#include "gtime/timestamp.hpp"
 #include "test_util.hpp"
 
 namespace gdelt::engine {
@@ -344,6 +347,92 @@ TEST(DatabaseSchemaTest, OldOrIncompleteSchemaIsDataLoss) {
       << db.status().ToString();
   EXPECT_NE(db.status().message().find("re-run gdelt_convert"),
             std::string::npos);
+}
+
+/// Quarter of `iv` by civil-date conversion, relative to `w.first`.
+std::int64_t CivilQuarter(const QuarterWindow& w, IntervalId iv) {
+  return std::int64_t{QuarterOfUnixSeconds(IntervalStartUnixSeconds(iv))} -
+         w.first;
+}
+
+/// Of(iv) is the civil-date quarter inside the window and none outside.
+void ExpectLookupIsCivil(const QuarterWindow& w, IntervalId iv) {
+  const std::int64_t want = CivilQuarter(w, iv);
+  const std::optional<std::size_t> got = w.Of(iv);
+  if (want < 0 || want >= w.count) {
+    EXPECT_FALSE(got.has_value()) << "interval " << iv;
+    return;
+  }
+  ASSERT_TRUE(got.has_value()) << "interval " << iv;
+  EXPECT_EQ(static_cast<std::int64_t>(*got), want) << "interval " << iv;
+}
+
+/// Checks every quarter boundary of `w` and its neighbours on both sides.
+void ExpectEveryBoundaryIsCivil(const QuarterWindow& w) {
+  ASSERT_EQ(w.bounds.size(), static_cast<std::size_t>(w.count) + 1);
+  for (std::size_t q = 0; q < w.bounds.size(); ++q) {
+    const IntervalId b = w.bounds[q];
+    // The bound is the first interval of its quarter.
+    ASSERT_EQ(CivilQuarter(w, b), static_cast<std::int64_t>(q));
+    ASSERT_EQ(CivilQuarter(w, b - 1), static_cast<std::int64_t>(q) - 1);
+    for (const IntervalId iv : {b - 1, b, b + 1}) ExpectLookupIsCivil(w, iv);
+  }
+}
+
+TEST(QuarterWindowTest, LookupIsCivilAtEveryBoundaryFrom1900To9999) {
+  const IntervalId lo = IntervalOfCivil({1900, 1, 1, 0, 0, 0});
+  const IntervalId hi = IntervalOfCivil({9999, 12, 31, 23, 45, 0});
+  const QuarterWindow w = QuartersOf(lo, hi);
+  EXPECT_EQ(w.first, MakeQuarter(1900, 1));
+  EXPECT_EQ(w.count, MakeQuarter(9999, 4) - MakeQuarter(1900, 1) + 1);
+  EXPECT_EQ(w.bounds.front(), lo);
+  EXPECT_EQ(w.bounds.back(), hi + 1);
+  ExpectEveryBoundaryIsCivil(w);
+  EXPECT_FALSE(w.Of(lo - 1).has_value());
+  EXPECT_FALSE(w.Of(hi + 1).has_value());
+  EXPECT_EQ(w.Of(hi), static_cast<std::size_t>(w.count) - 1);
+}
+
+TEST(QuarterWindowTest, LookupIsCivilOverTheWholeI32Range) {
+  constexpr IntervalId kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr IntervalId kMax = std::numeric_limits<std::int32_t>::max();
+  // About 490,000 quarters, from roughly year -59,000 to 63,000: every
+  // negative quarter start of the stored interval range is a boundary here.
+  const QuarterWindow w = QuartersOf(kMin, kMax);
+  EXPECT_LE(w.bounds.front(), kMin);
+  EXPECT_GT(w.bounds.back(), kMax);
+  ExpectEveryBoundaryIsCivil(w);
+  for (const IntervalId iv :
+       {kMin, kMin + 1, IntervalId{-97}, IntervalId{-96}, IntervalId{-1},
+        IntervalId{0}, IntervalId{1}, kMax - 1, kMax}) {
+    ExpectLookupIsCivil(w, iv);
+  }
+  // Intervals between the boundaries, negative ones included.
+  for (IntervalId iv = kMin; iv < kMax - 429'497; iv += 429'497) {
+    ExpectLookupIsCivil(w, iv);
+  }
+  // One-quarter windows at both ends.
+  for (const IntervalId iv : {kMin, kMax}) {
+    const QuarterWindow one = QuartersOf(iv, iv);
+    EXPECT_EQ(one.count, 1);
+    EXPECT_EQ(one.Of(iv), std::size_t{0});
+    ExpectEveryBoundaryIsCivil(one);
+  }
+}
+
+TEST(QuarterWindowTest, EmptyDatabaseHasAnEmptyWindow) {
+  TempDir dir("quarter_window_empty");
+  TestDbBuilder builder;
+  builder.AddEvent(1'600'000);  // one event, zero mentions
+  auto db = builder.Build(dir.path());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const QuarterWindow w = QuartersOf(*db);
+  EXPECT_EQ(w.count, 0);
+  EXPECT_TRUE(w.bounds.empty());
+  for (const IntervalId iv : {IntervalId{0}, IntervalId{1'600'001}}) {
+    EXPECT_FALSE(w.Of(iv).has_value());
+  }
+  EXPECT_TRUE(EventsPerQuarter(*db).values.empty());
 }
 
 }  // namespace

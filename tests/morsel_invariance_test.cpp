@@ -591,5 +591,202 @@ TEST(QuarterlyInvarianceTest, QuarterlyDelayStats) {
   EXPECT_EQ(joined.median, naive.median);
 }
 
+/// Runs `check` on private pools of 1, 2 and 4 workers at each morsel
+/// size.
+template <typename Check>
+void AtEachPoolAndMorselSize(Check&& check) {
+  for (const int workers : {1, 2, 4}) {
+    parallel::MorselPool pool(workers);
+    const parallel::ScopedPool use_pool(pool);
+    for (const std::size_t rows : kMorselSizes) {
+      SCOPED_TRACE(::testing::Message()
+                   << workers << " workers, " << rows << "-row morsels");
+      parallel::SetMorselRows(rows);
+      check();
+    }
+  }
+  parallel::SetMorselRows(0);
+}
+
+TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
+  // The quarter kernels walk zone blocks as runs of one quarter. Here the
+  // rows are not in capture order: a single-quarter block in scattered
+  // order whose extremes sit on its quarter's edges, a block scattered
+  // over eight quarters, a block alternating across one quarter boundary,
+  // and a short single-quarter block in descending order. Every kernel
+  // must equal a per-row civil-date oracle at every pool and morsel size.
+  constexpr std::size_t kZone = engine::Database::kZoneRows;
+  constexpr std::size_t kRows = 3 * kZone + 1500;
+  const IntervalId q2016_2 = IntervalOfCivil({2016, 4, 1, 0, 0, 0});
+  const IntervalId q2016_3 = IntervalOfCivil({2016, 7, 1, 0, 0, 0});
+  const IntervalId y2015 = IntervalOfCivil({2015, 1, 1, 0, 0, 0});
+  const IntervalId y2017 = IntervalOfCivil({2017, 1, 1, 0, 0, 0});
+  const IntervalId q2017_3 = IntervalOfCivil({2017, 7, 1, 0, 0, 0});
+  constexpr IntervalId kEightQuarters = 2 * 365 * 96;
+  const char* kSources[] = {"s0.com", "s1.com", "s2.com", "s3.com",
+                            "s4.com", "s5.com", "s6.com"};
+  TempDir dir("quarter_runs");
+  testing::TestDbBuilder builder;
+  builder.KeepMentionOrder();
+  std::vector<IntervalId> at(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const auto k = static_cast<IntervalId>(i);
+    if (i < kZone) {
+      at[i] = i == 1 ? q2016_3 - 1 : q2016_2 + (k * 7919) % (q2016_3 - q2016_2);
+    } else if (i < 2 * kZone) {
+      at[i] = y2015 + (k * 104'729) % kEightQuarters;
+    } else if (i < 3 * kZone) {
+      at[i] = i % 2 == 0 ? y2017 - 1 - k % 50 : y2017 + k % 50;
+    } else {
+      at[i] = q2017_3 + static_cast<IntervalId>(kRows - i) * 5;
+    }
+    // Delays from -30 to 269 intervals: about a tenth are negative.
+    const auto event = builder.AddEvent(at[i] - ((k * 37) % 300 - 30));
+    builder.AddMention(event, at[i], kSources[(i * 13) % std::size(kSources)],
+                       static_cast<std::uint8_t>((i * 31) % 100 + 1));
+  }
+  // Events added outside the mentions' quarters count nowhere.
+  builder.AddEvent(y2015 - 200 * 96);
+  builder.AddEvent(q2017_3 + 200 * 96);
+  auto built = builder.Build(dir.path());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const engine::Database& db = *built;
+  ASSERT_EQ(db.num_mentions(), kRows);
+
+  // The oracle: one civil-date conversion per row.
+  const auto civil = [](IntervalId iv) {
+    return QuarterOfUnixSeconds(IntervalStartUnixSeconds(iv));
+  };
+  const auto when = db.mention_interval();
+  const auto event_when = db.mention_event_interval();
+  const auto src = db.mention_source_id();
+  const auto [lo, hi] = std::minmax_element(when.begin(), when.end());
+  const QuarterId first = civil(*lo);
+  const auto nq = static_cast<std::size_t>(civil(*hi) - first + 1);
+  const auto quarter_of = [&](IntervalId iv) {
+    return static_cast<std::size_t>(civil(iv) - first);
+  };
+  // The table has what the test is about.
+  ASSERT_FALSE(std::is_sorted(when.begin(), when.end()));
+  std::size_t one_quarter_blocks = 0;
+  std::size_t straddling_blocks = 0;
+  for (std::size_t z = 0; z < db.zone_min_interval().size(); ++z) {
+    const bool one = civil(db.zone_min_interval()[z]) ==
+                     civil(db.zone_max_interval()[z]);
+    ++(one ? one_quarter_blocks : straddling_blocks);
+  }
+  ASSERT_EQ(one_quarter_blocks, 2u);
+  ASSERT_EQ(straddling_blocks, 2u);
+
+  engine::MentionFilter filter;
+  filter.begin_interval = y2015 + 91 * 96;
+  filter.end_interval = y2017 + 20;
+  filter.min_confidence = 40;
+  const engine::SelectionBitmap sel = engine::SelectMentionsBitmap(db, filter);
+  const std::vector<std::uint64_t> selected = sel.ToRows();
+  ASSERT_GT(selected.size(), 0u);
+  ASSERT_LT(selected.size(), kRows);
+
+  std::vector<std::uint32_t> some_sources;
+  for (const char* domain : {"s3.com", "s0.com", "s5.com"}) {
+    some_sources.push_back(*db.sources().Find(domain));
+  }
+  std::vector<std::int32_t> slot_of(db.num_sources(), -1);
+  for (std::size_t k = 0; k < some_sources.size(); ++k) {
+    slot_of[some_sources[k]] = static_cast<std::int32_t>(k);
+  }
+
+  std::vector<std::uint64_t> articles(nq, 0);
+  std::vector<std::uint64_t> articles_selected(nq, 0);
+  std::vector<std::uint64_t> slow(nq, 0);
+  std::vector<std::set<std::uint32_t>> active(nq);
+  std::vector<std::vector<std::uint64_t>> per_source(
+      some_sources.size(), std::vector<std::uint64_t>(nq, 0));
+  std::vector<std::vector<std::int64_t>> delays(nq);
+  std::size_t negative = 0;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::size_t q = quarter_of(when[i]);
+    ++articles[q];
+    if (sel.Test(i)) ++articles_selected[q];
+    active[q].insert(src[i]);
+    if (slot_of[src[i]] >= 0) {
+      ++per_source[static_cast<std::size_t>(slot_of[src[i]])][q];
+    }
+    const std::int64_t d = std::int64_t{when[i]} - event_when[i];
+    if (d > 96) ++slow[q];
+    if (d < 0) {
+      ++negative;
+      continue;
+    }
+    delays[q].push_back(d);
+  }
+  ASSERT_GT(negative, 0u);
+  std::vector<std::uint64_t> events(nq, 0);
+  for (const std::int32_t added : db.event_added_interval()) {
+    const std::int64_t q = std::int64_t{civil(added)} - first;
+    if (q >= 0 && q < static_cast<std::int64_t>(nq)) {
+      ++events[static_cast<std::size_t>(q)];
+    }
+  }
+  std::vector<std::uint64_t> active_count(nq);
+  for (std::size_t q = 0; q < nq; ++q) active_count[q] = active[q].size();
+  QuarterlyDelay naive;
+  naive.first_quarter = first;
+  naive.average.assign(nq, 0.0);
+  naive.median.assign(nq, 0);
+  for (std::size_t q = 0; q < nq; ++q) {
+    auto& v = delays[q];
+    if (v.empty()) continue;
+    std::sort(v.begin(), v.end());
+    double sum = 0.0;
+    for (const std::int64_t d : v) sum += static_cast<double>(d);
+    naive.average[q] = sum / static_cast<double>(v.size());
+    naive.median[q] = NaiveMedian(v);
+  }
+  ASSERT_TRUE(std::count(articles.begin(), articles.end(), 0u) > 0);
+
+  const auto expect_series = [&](const engine::QuarterSeries& got,
+                                 const std::vector<std::uint64_t>& want) {
+    EXPECT_EQ(got.first_quarter, first);
+    EXPECT_EQ(got.values, want);
+  };
+  AtEachPoolAndMorselSize([&] {
+    expect_series(engine::ArticlesPerQuarter(db), articles);
+    expect_series(engine::ArticlesPerQuarter(db, sel), articles_selected);
+    expect_series(engine::ArticlesPerQuarter(db, selected), articles_selected);
+    expect_series(engine::EventsPerQuarter(db), events);
+    expect_series(engine::ActiveSourcesPerQuarter(db), active_count);
+    expect_series(SlowArticlesPerQuarter(db), slow);
+    const auto by_source = engine::SourceArticlesPerQuarter(db, some_sources);
+    ASSERT_EQ(by_source.size(), some_sources.size());
+    for (std::size_t k = 0; k < by_source.size(); ++k) {
+      expect_series(by_source[k], per_source[k]);
+    }
+    const QuarterlyTone tone = QuarterlyAverageTone(db);
+    EXPECT_EQ(tone.first_quarter, first);
+    ASSERT_EQ(tone.values.size(), nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      EXPECT_EQ(tone.values[q].count, events[q]) << "quarter " << q;
+      EXPECT_EQ(tone.values[q].sum, 0.0) << "quarter " << q;
+    }
+    for (std::uint32_t of = 1; of <= 3; ++of) {
+      QuarterlyDelay joined;
+      joined.average.assign(nq, 0.0);
+      joined.median.assign(nq, 0);
+      for (std::uint32_t shard = 0; shard < of; ++shard) {
+        const auto got = QuarterlyDelayStats(db, shard, of);
+        EXPECT_EQ(got.first_quarter, first);
+        ASSERT_EQ(got.average.size(), nq);
+        for (std::size_t q = shard; q < nq; q += of) {
+          joined.average[q] = got.average[q];
+          joined.median[q] = got.median[q];
+        }
+      }
+      EXPECT_EQ(joined.average, naive.average) << "of " << of;
+      EXPECT_EQ(joined.median, naive.median) << "of " << of;
+    }
+  });
+}
+
 }  // namespace
 }  // namespace gdelt::analysis
