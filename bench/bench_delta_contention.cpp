@@ -98,6 +98,7 @@ std::string JoinRow(const std::vector<std::string>& fields) {
 std::string EventRow(std::uint64_t gid, bool usa) {
   std::vector<std::string> f(kEventFieldCount);
   f[Index(EventField::kGlobalEventId)] = std::to_string(gid);
+  f[Index(EventField::kDay)] = "20240101";
   f[Index(EventField::kDateAdded)] = "20240101000000";
   f[Index(EventField::kActionGeoCountryCode)] = usa ? "US" : "FR";
   return JoinRow(f);
@@ -106,6 +107,7 @@ std::string EventRow(std::uint64_t gid, bool usa) {
 std::string MentionRow(std::uint64_t gid, const std::string& domain) {
   std::vector<std::string> f(kMentionFieldCount);
   f[Index(MentionField::kGlobalEventId)] = std::to_string(gid);
+  f[Index(MentionField::kEventTimeDate)] = "20240101000000";
   f[Index(MentionField::kMentionTimeDate)] = "20240101001500";
   f[Index(MentionField::kMentionSourceName)] = domain;
   return JoinRow(f);
@@ -127,6 +129,15 @@ std::vector<std::string> BuildTicks(std::size_t count,
   return ticks;
 }
 
+/// A failed ingest would be timed as if it had done the work: abort.
+void MustIngest(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "bench_delta_contention: ingest failed: %s\n",
+                 status.ToString().c_str());
+    std::abort();
+  }
+}
+
 /// Fresh store with the same deterministic seed data and chunky
 /// pre-grown tick history for every scenario, so both modes render over
 /// an identical dataset shape.
@@ -136,15 +147,21 @@ void Seed(stream::DeltaStore& delta,
   for (std::size_t e = 0; e < kSeedEvents; ++e) {
     events += EventRow(1'000'000 + e, (e % 2) == 0);
   }
-  delta.IngestEventsCsv(events);
+  MustIngest(delta.IngestEventsCsv(events));
   std::string mentions;
   for (std::size_t m = 0; m < kSeedMentions; ++m) {
     mentions += MentionRow(1'000'000 + m % kSeedEvents,
                            "s" + std::to_string(m % kSeedSources) + ".com");
   }
-  delta.IngestMentionsCsv(mentions);
+  MustIngest(delta.IngestMentionsCsv(mentions));
   for (const std::string& tick : pregrow_ticks) {
-    delta.IngestMentionsCsv(tick);
+    MustIngest(delta.IngestMentionsCsv(tick));
+  }
+  // Every seeded row must land, or the bench would time empty ingests.
+  if (delta.malformed_rows() != 0) {
+    std::fprintf(stderr, "bench_delta_contention: %llu malformed seed rows\n",
+                 static_cast<unsigned long long>(delta.malformed_rows()));
+    std::abort();
   }
 }
 
@@ -184,9 +201,9 @@ ScenarioResult RunScenario(bool use_mutex, int readers,
          tick < kMaxTicks && !stop.load(std::memory_order_acquire); ++tick) {
       if (use_mutex) {
         sync::MutexLock lock(contention_mu);
-        delta.IngestMentionsCsv(tick_payloads[tick]);
+        MustIngest(delta.IngestMentionsCsv(tick_payloads[tick]));
       } else {
-        delta.IngestMentionsCsv(tick_payloads[tick]);
+        MustIngest(delta.IngestMentionsCsv(tick_payloads[tick]));
       }
       ticks.store(tick + 1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::microseconds(kTickPaceUs));

@@ -178,6 +178,14 @@ class Column {
     BindOwned();
   }
 
+  /// Releases the growth slack of a column built in memory (not mapped).
+  void ShrinkToFit() {
+    owned_bytes_.shrink_to_fit();
+    owned_offsets_.shrink_to_fit();
+    owned_chars_.shrink_to_fit();
+    BindOwned();
+  }
+
   /// Bytes the column's data spans (mapped or owned), for the memory
   /// accounting the paper reports.
   std::size_t MemoryBytes() const noexcept {

@@ -22,8 +22,8 @@ constexpr std::uint32_t kFormatVersion = 3;
 
 }  // namespace
 
-Column& Table::AddColumn(const std::string& name, ColumnType type) {
-  auto [it, inserted] = columns_.emplace(name, Column(type));
+Column& Table::AddColumn(std::string_view name, ColumnType type) {
+  auto [it, inserted] = columns_.emplace(std::string(name), Column(type));
   if (!inserted) std::abort();  // duplicate column name is a programming bug
   return it->second;
 }
@@ -37,6 +37,20 @@ const Column& Table::GetColumn(std::string_view name) const {
   const Column* col = FindColumn(name);
   if (!col) std::abort();
   return *col;
+}
+
+Result<const Column*> Table::CheckedColumn(std::string_view name,
+                                           ColumnType type) const {
+  const Column* col = FindColumn(name);
+  if (!col) {
+    return status::DataLoss("missing column '" + std::string(name) +
+                            "' (re-run gdelt_convert)");
+  }
+  if (col->type() != type) {
+    return status::DataLoss("column '" + std::string(name) +
+                            "' has unexpected type (re-run gdelt_convert)");
+  }
+  return col;
 }
 
 std::size_t Table::num_rows() const noexcept {

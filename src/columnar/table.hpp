@@ -31,6 +31,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -46,7 +47,7 @@ class Table {
  public:
   /// Adds a column; all columns must end up the same length.
   /// Returns the new column for appending.
-  Column& AddColumn(const std::string& name, ColumnType type);
+  Column& AddColumn(std::string_view name, ColumnType type);
 
   /// Column by name; nullptr if absent.
   const Column* FindColumn(std::string_view name) const noexcept;
@@ -54,6 +55,20 @@ class Table {
   /// Column by name; aborts if absent (engine-internal access to columns
   /// whose presence was validated at load).
   const Column& GetColumn(std::string_view name) const;
+
+  /// Column by name, checked to have `type`: DataLoss if it is absent or
+  /// of another type (a file written with another column set).
+  Result<const Column*> CheckedColumn(std::string_view name,
+                                      ColumnType type) const;
+
+  /// Binds `out` to the values of a fixed-width column, checked as above.
+  template <typename T>
+  Status Bind(std::string_view name, std::span<const T>& out) const {
+    const Result<const Column*> col =
+        CheckedColumn(name, column_detail::TypeTag<T>::value);
+    if (col.ok()) out = (*col)->Values<T>();
+    return col.status();
+  }
 
   bool HasColumn(std::string_view name) const noexcept {
     return FindColumn(name) != nullptr;
@@ -63,6 +78,12 @@ class Table {
 
   /// Rows, taken from the first column (0 for an empty table).
   std::size_t num_rows() const noexcept;
+
+  /// Releases the growth slack of a table built in memory (not mapped).
+  void ShrinkToFit() {
+    if (mapping_) return;
+    for (auto& [name, col] : columns_) col.ShrinkToFit();
+  }
 
   /// Checks all columns have equal length.
   Status Validate() const;

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <limits>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,12 +12,9 @@
 #include "columnar/table.hpp"
 #include "convert/binary_format.hpp"
 #include "convert/master_list.hpp"
-#include "csv/tsv.hpp"
-#include "gtime/timestamp.hpp"
+#include "convert/wire_rows.hpp"
 #include "io/crc32.hpp"
 #include "io/file.hpp"
-#include "schema/countries.hpp"
-#include "schema/gdelt_schema.hpp"
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
 #include "util/strings.hpp"
@@ -33,81 +29,6 @@ constexpr std::string_view kSpillDir = ".convert_spill";
 /// never merges spills of another layout. Version 1 (i64 intervals, URL
 /// columns) wrote a 0/1 URL flag in this field.
 constexpr std::string_view kSpillSchema = "2";
-
-/// Parses a 14-digit GDELT timestamp field into the i32 interval the
-/// tables store. Returns false (and leaves `out` unchanged) on malformed
-/// input or an interval outside the i32 range.
-bool FieldToInterval(std::string_view field, std::int32_t& out) {
-  const auto parsed = ParseGdeltTimestamp(field);
-  if (!parsed.ok()) return false;
-  const IntervalId interval = IntervalOfCivil(parsed.value());
-  if (interval < std::numeric_limits<std::int32_t>::min() ||
-      interval > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  out = static_cast<std::int32_t>(interval);
-  return true;
-}
-
-/// True if the Events "Day" field (YYYYMMDD) is a valid date. The day is
-/// not stored, but a row with a bad one is malformed (Table II).
-bool ValidDay(std::string_view field) {
-  const auto day = ParseUint64(field);
-  if (!day || *day < 19000101 || *day > 99991231) return false;
-  return ParseGdeltTimestamp(*day * 1000000ull).ok();  // midnight
-}
-
-struct EventColumns {
-  Column* global_id;
-  Column* added_interval;
-  Column* country;
-  Column* goldstein;
-  Column* avg_tone;
-  Column* quad_class;
-  Column* source_url;
-};
-
-EventColumns AddEventColumns(Table& table) {
-  EventColumns ec{};
-  ec.global_id = &table.AddColumn(std::string(events_col::kGlobalId),
-                                  ColumnType::kU64);
-  ec.added_interval = &table.AddColumn(
-      std::string(events_col::kAddedInterval), ColumnType::kI32);
-  ec.country =
-      &table.AddColumn(std::string(events_col::kCountry), ColumnType::kU16);
-  ec.goldstein = &table.AddColumn(std::string(events_col::kGoldstein),
-                                  ColumnType::kF64);
-  ec.avg_tone =
-      &table.AddColumn(std::string(events_col::kAvgTone), ColumnType::kF64);
-  ec.quad_class = &table.AddColumn(std::string(events_col::kQuadClass),
-                                   ColumnType::kU8);
-  ec.source_url = &table.AddColumn(std::string(events_col::kSourceUrl),
-                                   ColumnType::kStr);
-  return ec;
-}
-
-struct MentionColumns {
-  Column* event_row;
-  Column* event_interval;
-  Column* mention_interval;
-  Column* source_id;
-  Column* confidence;
-};
-
-MentionColumns AddMentionColumns(Table& table) {
-  MentionColumns mc{};
-  mc.event_row = &table.AddColumn(std::string(mentions_col::kEventRow),
-                                  ColumnType::kU32);
-  mc.event_interval = &table.AddColumn(
-      std::string(mentions_col::kEventInterval), ColumnType::kI32);
-  mc.mention_interval = &table.AddColumn(
-      std::string(mentions_col::kMentionInterval), ColumnType::kI32);
-  mc.source_id = &table.AddColumn(std::string(mentions_col::kSourceId),
-                                  ColumnType::kU32);
-  mc.confidence = &table.AddColumn(std::string(mentions_col::kConfidence),
-                                   ColumnType::kU8);
-  return mc;
-}
 
 // Mention spill columns: parsed fields with the source still a string (the
 // dictionary is built deterministically at merge time, in master order).
@@ -125,21 +46,50 @@ struct MentionSpillColumns {
   Column* mention_interval;
   Column* source_name;
   Column* confidence;
+
+  void Append(const MentionRow& row) const {
+    gid->Append<std::uint64_t>(row.gid);
+    event_interval->Append<std::int32_t>(row.event_interval);
+    mention_interval->Append<std::int32_t>(row.mention_interval);
+    source_name->AppendString(row.source_name);
+    confidence->Append<std::uint8_t>(row.confidence);
+  }
 };
 
-MentionSpillColumns AddMentionSpillColumns(Table& table) {
-  MentionSpillColumns sc{};
-  sc.gid = &table.AddColumn(std::string(spill_col::kGid), ColumnType::kU64);
-  sc.event_interval = &table.AddColumn(
-      std::string(spill_col::kEventInterval), ColumnType::kI32);
-  sc.mention_interval = &table.AddColumn(
-      std::string(spill_col::kMentionInterval), ColumnType::kI32);
-  sc.source_name = &table.AddColumn(std::string(spill_col::kSourceName),
-                                    ColumnType::kStr);
-  sc.confidence = &table.AddColumn(std::string(spill_col::kConfidence),
-                                   ColumnType::kU8);
-  return sc;
+MentionSpillColumns AddMentionSpillColumns(Table& t) {
+  return {&t.AddColumn(spill_col::kGid, ColumnType::kU64),
+          &t.AddColumn(spill_col::kEventInterval, ColumnType::kI32),
+          &t.AddColumn(spill_col::kMentionInterval, ColumnType::kI32),
+          &t.AddColumn(spill_col::kSourceName, ColumnType::kStr),
+          &t.AddColumn(spill_col::kConfidence, ColumnType::kU8)};
 }
+
+/// Typed views of one mentions spill.
+struct MentionSpillSpans {
+  std::span<const std::uint64_t> gid;
+  std::span<const std::int32_t> event_interval;
+  std::span<const std::int32_t> mention_interval;
+  const Column* source_name = nullptr;
+  std::span<const std::uint8_t> confidence;
+
+  MentionRow Row(std::size_t i) const {
+    return {gid[i], event_interval[i], mention_interval[i],
+            source_name->StringAt(i), confidence[i]};
+  }
+
+  static Result<MentionSpillSpans> Bind(const Table& t) {
+    MentionSpillSpans s;
+    GDELT_RETURN_IF_ERROR(t.Bind(spill_col::kGid, s.gid));
+    GDELT_RETURN_IF_ERROR(t.Bind(spill_col::kEventInterval, s.event_interval));
+    GDELT_RETURN_IF_ERROR(
+        t.Bind(spill_col::kMentionInterval, s.mention_interval));
+    GDELT_ASSIGN_OR_RETURN(
+        s.source_name,
+        t.CheckedColumn(spill_col::kSourceName, ColumnType::kStr));
+    GDELT_RETURN_IF_ERROR(t.Bind(spill_col::kConfidence, s.confidence));
+    return s;
+  }
+};
 
 /// Per-archive parse outcome; persisted in the journal so a resumed run
 /// restores the same report counters without re-parsing.
@@ -269,39 +219,13 @@ JournalState ReplayJournal(const std::string& path,
 ArchiveRecord ParseEventsCsv(std::string_view csv, Table& spill) {
   ArchiveRecord rec;
   rec.kind = 'e';
-  EventColumns ec = AddEventColumns(spill);
-  RowReader rows(csv, kEventFieldCount);
-  const std::vector<std::string_view>* fields = nullptr;
-  while (rows.Next(fields)) {
-    const auto& f = *fields;
-    const auto gid = ParseUint64(f[Index(EventField::kGlobalEventId)]);
-    std::int32_t added_interval = 0;
-    if (!gid || !ValidDay(f[Index(EventField::kDay)]) ||
-        !FieldToInterval(f[Index(EventField::kDateAdded)], added_interval)) {
-      ++rec.malformed;
-      continue;
-    }
-    const std::string_view url = f[Index(EventField::kSourceUrl)];
-    if (url.empty()) ++rec.missing_url;
-
-    CountryId country = kNoCountry;
-    const std::string_view fips = f[Index(EventField::kActionGeoCountryCode)];
-    if (!fips.empty()) {
-      if (const auto c = CountryByFips(fips)) country = *c;
-    }
-    ec.global_id->Append<std::uint64_t>(*gid);
-    ec.added_interval->Append<std::int32_t>(added_interval);
-    ec.country->Append<std::uint16_t>(country);
-    ec.goldstein->Append<double>(
-        ParseDouble(f[Index(EventField::kGoldsteinScale)]).value_or(0.0));
-    ec.avg_tone->Append<double>(
-        ParseDouble(f[Index(EventField::kAvgTone)]).value_or(0.0));
-    ec.quad_class->Append<std::uint8_t>(static_cast<std::uint8_t>(
-        ParseUint64(f[Index(EventField::kQuadClass)]).value_or(0)));
-    ec.source_url->AppendString(url);
-    ++rec.rows;
+  const EventColumns ec = AddEventColumns(spill);
+  RowDecoder<EventRow> rows(csv);
+  for (EventRow row; rows.Next(row); ++rec.rows) {
+    if (row.source_url.empty()) ++rec.missing_url;
+    ec.Append(row);
   }
-  rec.malformed += rows.errors().size();
+  rec.malformed = rows.malformed();
   return rec;
 }
 
@@ -310,37 +234,10 @@ ArchiveRecord ParseEventsCsv(std::string_view csv, Table& spill) {
 ArchiveRecord ParseMentionsCsv(std::string_view csv, Table& spill) {
   ArchiveRecord rec;
   rec.kind = 'm';
-  MentionSpillColumns sc = AddMentionSpillColumns(spill);
-  RowReader rows(csv, kMentionFieldCount);
-  const std::vector<std::string_view>* fields = nullptr;
-  while (rows.Next(fields)) {
-    const auto& f = *fields;
-    const auto gid = ParseUint64(f[Index(MentionField::kGlobalEventId)]);
-    std::int32_t event_interval = 0;
-    std::int32_t mention_interval = 0;
-    if (!gid ||
-        !FieldToInterval(f[Index(MentionField::kEventTimeDate)],
-                         event_interval) ||
-        !FieldToInterval(f[Index(MentionField::kMentionTimeDate)],
-                         mention_interval)) {
-      ++rec.malformed;
-      continue;
-    }
-    const std::string_view source_name =
-        f[Index(MentionField::kMentionSourceName)];
-    if (source_name.empty()) {
-      ++rec.malformed;
-      continue;
-    }
-    sc.gid->Append<std::uint64_t>(*gid);
-    sc.event_interval->Append<std::int32_t>(event_interval);
-    sc.mention_interval->Append<std::int32_t>(mention_interval);
-    sc.source_name->AppendString(source_name);
-    sc.confidence->Append<std::uint8_t>(static_cast<std::uint8_t>(
-        ParseUint64(f[Index(MentionField::kConfidence)]).value_or(0)));
-    ++rec.rows;
-  }
-  rec.malformed += rows.errors().size();
+  const MentionSpillColumns sc = AddMentionSpillColumns(spill);
+  RowDecoder<MentionRow> rows(csv);
+  for (MentionRow row; rows.Next(row); ++rec.rows) sc.Append(row);
+  rec.malformed = rows.malformed();
   return rec;
 }
 
@@ -349,28 +246,15 @@ std::string SpillPath(const std::string& spill_dir,
   return spill_dir + "/" + file_name + ".spill";
 }
 
-/// Fetches a required spill column or fails with DataLoss (a foreign,
-/// damaged or older-layout spill must abort the merge, not crash it).
-Result<const Column*> SpillColumn(const Table& spill, std::string_view name,
-                                  ColumnType type,
-                                  const std::string& spill_path) {
-  const Column* col = spill.FindColumn(name);
-  if (!col || col->type() != type) {
-    return status::DataLoss("spill file '" + spill_path +
-                            "' lacks column '" + std::string(name) + "'");
-  }
-  return col;
-}
-
-/// The values of a required fixed-width spill column of element type T.
-template <typename T>
-Result<std::span<const T>> SpillValues(const Table& spill,
-                                       std::string_view name,
-                                       const std::string& spill_path) {
-  GDELT_ASSIGN_OR_RETURN(
-      const Column* col,
-      SpillColumn(spill, name, column_detail::TypeTag<T>::value, spill_path));
-  return col->Values<T>();
+/// Binds one archive's spill table with Spans::Bind. A
+/// foreign, damaged or older-layout spill must abort the merge, not crash
+/// it: DataLoss, naming the spill.
+template <typename Spans>
+Result<Spans> BindSpill(const Table& spill, const std::string& path) {
+  auto spans = Spans::Bind(spill);
+  if (spans.ok()) return spans;
+  return status::DataLoss("spill file '" + path +
+                          "': " + spans.status().message());
 }
 
 }  // namespace
@@ -551,47 +435,22 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
 
   trace::Span merge_events_span("convert.merge_events");
   Table events;
-  EventColumns ec = AddEventColumns(events);
+  const EventColumns ec = AddEventColumns(events);
   std::unordered_map<std::uint64_t, std::uint32_t> event_row_of;
   for (const MasterEntry* entry : export_archives) {
     if (resumed.corrupt.count(entry->file_name) != 0) continue;
     const std::string path = SpillPath(spill_dir, entry->file_name);
     if (!FileExists(path)) continue;  // archive went corrupt this run
     GDELT_ASSIGN_OR_RETURN(Table spill, Table::ReadFromFile(path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto gids,
-        SpillValues<std::uint64_t>(spill, events_col::kGlobalId, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto added,
-        SpillValues<std::int32_t>(spill, events_col::kAddedInterval, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto countries,
-        SpillValues<std::uint16_t>(spill, events_col::kCountry, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto goldstein,
-        SpillValues<double>(spill, events_col::kGoldstein, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto tones,
-        SpillValues<double>(spill, events_col::kAvgTone, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto quads,
-        SpillValues<std::uint8_t>(spill, events_col::kQuadClass, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const Column* urls,
-        SpillColumn(spill, events_col::kSourceUrl, ColumnType::kStr, path));
-    for (std::size_t i = 0; i < gids.size(); ++i) {
+    GDELT_ASSIGN_OR_RETURN(const auto rows,
+                           BindSpill<EventSpans>(spill, path));
+    for (std::size_t i = 0; i < rows.global_id.size(); ++i) {
       const auto row = static_cast<std::uint32_t>(events.num_rows());
-      if (!event_row_of.emplace(gids[i], row).second) {
+      if (!event_row_of.emplace(rows.global_id[i], row).second) {
         ++report.malformed_rows;  // duplicate event id
         continue;
       }
-      ec.global_id->Append<std::uint64_t>(gids[i]);
-      ec.added_interval->Append<std::int32_t>(added[i]);
-      ec.country->Append<std::uint16_t>(countries[i]);
-      ec.goldstein->Append<double>(goldstein[i]);
-      ec.avg_tone->Append<double>(tones[i]);
-      ec.quad_class->Append<std::uint8_t>(quads[i]);
-      ec.source_url->AppendString(urls->StringAt(i));
+      ec.Append(rows.Row(i));
     }
   }
   report.event_rows = events.num_rows();
@@ -599,7 +458,7 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
 
   trace::Span merge_mentions_span("convert.merge_mentions");
   Table mentions;
-  MentionColumns mc = AddMentionColumns(mentions);
+  const MentionColumns mc = AddMentionColumns(mentions);
   StringDictionary sources;
   // Events whose recorded time postdates one of their article captures
   // (Table II row 4). Flag per dense event row, counted once per event.
@@ -609,39 +468,23 @@ Result<ConvertReport> ConvertDataset(const ConvertOptions& options) {
     const std::string path = SpillPath(spill_dir, entry->file_name);
     if (!FileExists(path)) continue;
     GDELT_ASSIGN_OR_RETURN(Table spill, Table::ReadFromFile(path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto gids,
-        SpillValues<std::uint64_t>(spill, spill_col::kGid, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto event_ivs,
-        SpillValues<std::int32_t>(spill, spill_col::kEventInterval, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto mention_ivs,
-        SpillValues<std::int32_t>(spill, spill_col::kMentionInterval, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const auto confidences,
-        SpillValues<std::uint8_t>(spill, spill_col::kConfidence, path));
-    GDELT_ASSIGN_OR_RETURN(
-        const Column* names,
-        SpillColumn(spill, spill_col::kSourceName, ColumnType::kStr, path));
-    for (std::size_t i = 0; i < gids.size(); ++i) {
+    GDELT_ASSIGN_OR_RETURN(const auto rows,
+                           BindSpill<MentionSpillSpans>(spill, path));
+    for (std::size_t i = 0; i < rows.gid.size(); ++i) {
+      const MentionRow row = rows.Row(i);
       std::uint32_t event_row = kOrphanEventRow;
-      const auto it = event_row_of.find(gids[i]);
+      const auto it = event_row_of.find(row.gid);
       if (it != event_row_of.end()) {
         event_row = it->second;
-        if (mention_ivs[i] < event_ivs[i] && !future_dated[event_row]) {
+        if (row.mention_interval < row.event_interval &&
+            !future_dated[event_row]) {
           future_dated[event_row] = true;
           ++report.future_event_dates;
         }
       } else {
         ++report.orphan_mentions;
       }
-      mc.event_row->Append<std::uint32_t>(event_row);
-      mc.event_interval->Append<std::int32_t>(event_ivs[i]);
-      mc.mention_interval->Append<std::int32_t>(mention_ivs[i]);
-      mc.source_id->Append<std::uint32_t>(
-          sources.GetOrAdd(names->StringAt(i)));
-      mc.confidence->Append<std::uint8_t>(confidences[i]);
+      mc.Append(row, event_row, sources.GetOrAdd(row.source_name));
     }
   }
   report.mention_rows = mentions.num_rows();

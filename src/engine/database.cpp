@@ -13,33 +13,6 @@ namespace {
 
 using convert::kOrphanEventRow;
 
-/// Column `name` of `table`, checked to have type `type`. A miss means the
-/// database was written by a converter with another column set.
-Result<const Column*> CheckColumn(const Table& table, std::string_view name,
-                                  ColumnType type) {
-  const Column* col = table.FindColumn(name);
-  if (!col) {
-    return status::DataLoss("missing column '" + std::string(name) +
-                            "' (re-run gdelt_convert)");
-  }
-  if (col->type() != type) {
-    return status::DataLoss("column '" + std::string(name) +
-                            "' has unexpected type (re-run gdelt_convert)");
-  }
-  return col;
-}
-
-/// Fetches a typed span from a table column, validating name and type.
-template <typename T>
-Status BindSpan(const Table& table, std::string_view name,
-                std::span<const T>& out) {
-  GDELT_ASSIGN_OR_RETURN(
-      const Column* col,
-      CheckColumn(table, name, column_detail::TypeTag<T>::value));
-  out = col->Values<T>();
-  return Status::Ok();
-}
-
 /// Builds the event -> distinct-source index: one pool pass where each
 /// morsel sorts/dedups its contiguous event range into a private buffer,
 /// then a prefix sum over per-event counts and a parallel copy into the
@@ -98,7 +71,7 @@ CsrSetIndex BuildEventDistinctSources(const CsrIndex& by_event,
 const CsrSetIndex& Database::event_distinct_sources() const {
   std::call_once(lazy_->distinct_sources_once, [this] {
     lazy_->distinct_sources = BuildEventDistinctSources(
-        mentions_by_event_, mention_source_id_, num_events_);
+        mentions_by_event_, mentions_view_.source_id, num_events_);
   });
   return lazy_->distinct_sources;
 }
@@ -124,42 +97,19 @@ Result<Database> Database::Load(const std::string& dir) {
         dir.c_str(), db.num_mentions_));
   }
 
-  namespace ec = convert::events_col;
-  namespace mc = convert::mentions_col;
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.mentions_, mc::kEventRow, db.mention_event_row_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.mentions_, mc::kEventInterval, db.mention_event_interval_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.mentions_, mc::kMentionInterval, db.mention_interval_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.mentions_, mc::kSourceId, db.mention_source_id_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.mentions_, mc::kConfidence, db.mention_confidence_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.events_, ec::kGlobalId, db.event_global_id_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.events_, ec::kAddedInterval, db.event_added_interval_));
-  GDELT_RETURN_IF_ERROR(BindSpan(db.events_, ec::kCountry, db.event_country_));
-  GDELT_RETURN_IF_ERROR(BindSpan(db.events_, ec::kAvgTone, db.event_tone_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.events_, ec::kGoldstein, db.event_goldstein_));
-  GDELT_RETURN_IF_ERROR(
-      BindSpan(db.events_, ec::kQuadClass, db.event_quad_class_));
-  GDELT_ASSIGN_OR_RETURN(
-      const Column* source_url,
-      CheckColumn(db.events_, ec::kSourceUrl, ColumnType::kStr));
-  db.event_source_url_offsets_ = source_url->offsets();
-  db.event_source_url_chars_ = source_url->chars();
+  GDELT_ASSIGN_OR_RETURN(db.mentions_view_,
+                         convert::MentionSpans::Bind(db.mentions_));
+  GDELT_ASSIGN_OR_RETURN(db.events_view_,
+                         convert::EventSpans::Bind(db.events_));
 
   // Referential integrity: every non-orphan event_row must be in range and
   // every source id must be in the dictionary.
-  for (const std::uint32_t row : db.mention_event_row_) {
+  for (const std::uint32_t row : db.mentions_view_.event_row) {
     if (row != kOrphanEventRow && row >= db.num_events_) {
       return status::DataLoss("mention references event row out of range");
     }
   }
-  for (const std::uint32_t sid : db.mention_source_id_) {
+  for (const std::uint32_t sid : db.mentions_view_.source_id) {
     if (sid >= db.sources_.size()) {
       return status::DataLoss("mention references unknown source id");
     }
@@ -180,7 +130,7 @@ Result<Database> Database::Load(const std::string& dir) {
   std::vector<std::uint32_t> event_keys(db.num_mentions_);
   parallel::PoolParallelFor(db.num_mentions_, [&](IndexRange r, std::size_t) {
     for (std::size_t i = r.begin; i < r.end; ++i) {
-      const std::uint32_t row = db.mention_event_row_[i];
+      const std::uint32_t row = db.mentions_view_.event_row[i];
       event_keys[i] =
           row == kOrphanEventRow ? static_cast<std::uint32_t>(db.num_events_)
                                  : row;
@@ -188,7 +138,7 @@ Result<Database> Database::Load(const std::string& dir) {
   });
   db.mentions_by_event_ = BuildCsrIndex(event_keys, db.num_events_ + 1);
   db.mentions_by_source_ =
-      BuildCsrIndex(db.mention_source_id_, db.sources_.size());
+      BuildCsrIndex(db.mentions_view_.source_id, db.sources_.size());
 
   // Derived: true article counts per event, and the whole-table totals
   // behind the source and country rankings, paid once here instead of by
@@ -212,7 +162,7 @@ Result<Database> Database::Load(const std::string& dir) {
   }
   db.country_event_count_ = parallel::PoolHistogram(
       {0, db.num_events_}, nc, [&](std::size_t i) -> std::size_t {
-        const std::uint16_t c = db.event_country_[i];
+        const std::uint16_t c = db.events_view_.country[i];
         return c == kNoCountry ? SIZE_MAX : c;
       });
 
@@ -223,7 +173,7 @@ Result<Database> Database::Load(const std::string& dir) {
   db.zone_max_interval_.resize(zones);
   parallel::PoolParallelFor(zones, [&](IndexRange r, std::size_t) {
     for (std::size_t z = r.begin; z < r.end; ++z) {
-      const auto block = db.mention_interval_.subspan(
+      const auto block = db.mentions_view_.mention_interval.subspan(
           z * kZoneRows,
           std::min(kZoneRows, db.num_mentions_ - z * kZoneRows));
       const auto [lo, hi] = std::minmax_element(block.begin(), block.end());

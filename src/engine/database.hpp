@@ -19,6 +19,7 @@
 #include "columnar/csr.hpp"
 #include "columnar/dictionary.hpp"
 #include "columnar/table.hpp"
+#include "convert/wire_rows.hpp"
 #include "schema/countries.hpp"
 #include "util/status.hpp"
 
@@ -43,46 +44,46 @@ class Database {
   // --- mentions columns ---
   // Intervals are stored as i32; widen to IntervalId before arithmetic.
   std::span<const std::uint32_t> mention_event_row() const noexcept {
-    return mention_event_row_;
+    return mentions_view_.event_row;
   }
   std::span<const std::int32_t> mention_event_interval() const noexcept {
-    return mention_event_interval_;
+    return mentions_view_.event_interval;
   }
   std::span<const std::int32_t> mention_interval() const noexcept {
-    return mention_interval_;
+    return mentions_view_.mention_interval;
   }
   std::span<const std::uint32_t> mention_source_id() const noexcept {
-    return mention_source_id_;
+    return mentions_view_.source_id;
   }
   std::span<const std::uint8_t> mention_confidence() const noexcept {
-    return mention_confidence_;
+    return mentions_view_.confidence;
   }
 
   // --- events columns ---
   std::span<const std::uint64_t> event_global_id() const noexcept {
-    return event_global_id_;
+    return events_view_.global_id;
   }
   std::span<const std::int32_t> event_added_interval() const noexcept {
-    return event_added_interval_;
+    return events_view_.added_interval;
   }
   std::span<const std::uint16_t> event_country() const noexcept {
-    return event_country_;
+    return events_view_.country;
   }
   /// Average document tone of each event.
-  std::span<const double> events_tone() const noexcept { return event_tone_; }
+  std::span<const double> events_tone() const noexcept {
+    return events_view_.avg_tone;
+  }
   /// Goldstein conflict-cooperation score of each event.
   std::span<const double> event_goldstein() const noexcept {
-    return event_goldstein_;
+    return events_view_.goldstein;
   }
   /// CAMEO quad class (1..4) of each event.
   std::span<const std::uint8_t> event_quad_class() const noexcept {
-    return event_quad_class_;
+    return events_view_.quad_class;
   }
   /// First-article URL of event row r.
   std::string_view event_source_url(std::size_t r) const noexcept {
-    const std::uint64_t b = event_source_url_offsets_[r];
-    const std::uint64_t e = event_source_url_offsets_[r + 1];
-    return event_source_url_chars_.substr(b, e - b);
+    return events_view_.source_url(r);
   }
 
   // --- derived ---
@@ -162,20 +163,9 @@ class Database {
   std::size_t num_events_ = 0;
   std::size_t num_mentions_ = 0;
 
-  // cached spans into the tables
-  std::span<const std::uint32_t> mention_event_row_;
-  std::span<const std::int32_t> mention_event_interval_;
-  std::span<const std::int32_t> mention_interval_;
-  std::span<const std::uint32_t> mention_source_id_;
-  std::span<const std::uint8_t> mention_confidence_;
-  std::span<const std::uint64_t> event_global_id_;
-  std::span<const std::int32_t> event_added_interval_;
-  std::span<const std::uint16_t> event_country_;
-  std::span<const double> event_tone_;
-  std::span<const double> event_goldstein_;
-  std::span<const std::uint8_t> event_quad_class_;
-  std::span<const std::uint64_t> event_source_url_offsets_;
-  std::string_view event_source_url_chars_;
+  // spans into the tables, bound once at load
+  convert::EventSpans events_view_;
+  convert::MentionSpans mentions_view_;
 
   std::vector<std::uint16_t> source_country_;
   std::vector<std::uint32_t> event_article_count_;

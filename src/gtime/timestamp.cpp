@@ -63,22 +63,10 @@ std::uint64_t ToGdeltTimestamp(const CivilDateTime& t) noexcept {
          static_cast<std::uint64_t>(t.minute) * 100ull + t.second;
 }
 
-Result<CivilDateTime> ParseGdeltTimestamp(std::uint64_t packed) noexcept {
-  CivilDateTime t;
-  t.second = static_cast<std::uint8_t>(packed % 100);
-  packed /= 100;
-  t.minute = static_cast<std::uint8_t>(packed % 100);
-  packed /= 100;
-  t.hour = static_cast<std::uint8_t>(packed % 100);
-  packed /= 100;
-  t.day = static_cast<std::uint8_t>(packed % 100);
-  packed /= 100;
-  t.month = static_cast<std::uint8_t>(packed % 100);
-  packed /= 100;
-  if (packed > 9999) {
-    return status::ParseError("timestamp year out of range");
-  }
-  t.year = static_cast<std::int32_t>(packed);
+namespace {
+
+/// The checks both encodings of a GDELT timestamp pass.
+Result<CivilDateTime> Validated(const CivilDateTime& t) noexcept {
   if (t.year < 1900) {
     return status::ParseError("timestamp year " + std::to_string(t.year) +
                               " before 1900");
@@ -95,17 +83,55 @@ Result<CivilDateTime> ParseGdeltTimestamp(std::uint64_t packed) noexcept {
   return t;
 }
 
+}  // namespace
+
+Result<CivilDateTime> ParseGdeltTimestamp(std::uint64_t packed) noexcept {
+  CivilDateTime t;
+  t.second = static_cast<std::uint8_t>(packed % 100);
+  packed /= 100;
+  t.minute = static_cast<std::uint8_t>(packed % 100);
+  packed /= 100;
+  t.hour = static_cast<std::uint8_t>(packed % 100);
+  packed /= 100;
+  t.day = static_cast<std::uint8_t>(packed % 100);
+  packed /= 100;
+  t.month = static_cast<std::uint8_t>(packed % 100);
+  packed /= 100;
+  if (packed > 9999) {
+    return status::ParseError("timestamp year out of range");
+  }
+  t.year = static_cast<std::int32_t>(packed);
+  return Validated(t);
+}
+
 Result<CivilDateTime> ParseGdeltTimestamp(std::string_view text) noexcept {
   if (text.size() != 14) {
     return status::ParseError("timestamp must be 14 digits, got '" +
                               std::string(text) + "'");
   }
-  const auto packed = ParseUint64(text);
-  if (!packed) {
-    return status::ParseError("timestamp is not numeric: '" +
-                              std::string(text) + "'");
+  // Digit pairs go straight into the fields: every decoded wire row
+  // parses up to two of these, and packing into a u64 (from_chars) only
+  // to divide it apart again costs about a third of the parse.
+  unsigned digit[14];
+  for (std::size_t i = 0; i < 14; ++i) {
+    digit[i] = static_cast<unsigned>(static_cast<unsigned char>(text[i])) -
+               static_cast<unsigned>('0');
+    if (digit[i] > 9) {
+      return status::ParseError("timestamp is not numeric: '" +
+                                std::string(text) + "'");
+    }
   }
-  return ParseGdeltTimestamp(*packed);
+  const auto pair = [&digit](std::size_t i) {
+    return static_cast<std::uint8_t>(digit[i] * 10 + digit[i + 1]);
+  };
+  CivilDateTime t;
+  t.year = pair(0) * 100 + pair(2);
+  t.month = pair(4);
+  t.day = pair(6);
+  t.hour = pair(8);
+  t.minute = pair(10);
+  t.second = pair(12);
+  return Validated(t);
 }
 
 std::string FormatGdeltTimestamp(const CivilDateTime& t) {

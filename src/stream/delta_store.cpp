@@ -4,24 +4,23 @@
 #include <filesystem>
 #include <numeric>
 
-#include "convert/binary_format.hpp"
-#include "csv/tsv.hpp"
-#include "gtime/timestamp.hpp"
 #include "io/file.hpp"
-#include "schema/gdelt_schema.hpp"
-#include "util/strings.hpp"
 
 namespace gdelt::stream {
-namespace {
 
-bool FieldToInterval(std::string_view field, std::int64_t& out) {
-  const auto parsed = ParseGdeltTimestamp(field);
-  if (!parsed.ok()) return false;
-  out = IntervalOfCivil(parsed.value());
-  return true;
+// ---------------------------------------------------------- DeltaChunk --
+
+void DeltaChunk::Seal() {
+  events.ShrinkToFit();
+  mentions.ShrinkToFit();
+  new_sources.shrink_to_fit();
+  // Both tables hold the full column sets (PublishCsv adds them).
+  auto e = convert::EventSpans::Bind(events);
+  auto m = convert::MentionSpans::Bind(mentions);
+  if (!e.ok() || !m.ok()) std::abort();
+  event_spans = *e;
+  mention_spans = *m;
 }
-
-}  // namespace
 
 // ------------------------------------------------------- DeltaSnapshot --
 
@@ -44,7 +43,7 @@ std::uint16_t DeltaSnapshot::EventCountryOf(std::uint32_t row) const {
   const auto it =
       std::upper_bound(event_offset_.begin(), event_offset_.end(), row);
   const auto c = static_cast<std::size_t>(it - event_offset_.begin()) - 1;
-  return chunks_[c]->event_country[row - event_offset_[c]];
+  return chunks_[c]->event_spans.country[row - event_offset_[c]];
 }
 
 std::vector<std::uint64_t> DeltaSnapshot::CombinedArticlesPerSource(
@@ -58,7 +57,7 @@ std::vector<std::uint64_t> DeltaSnapshot::CombinedArticlesPerSource(
   }
   for (const std::shared_ptr<const DeltaChunk>& chunk : chunks_) {
     if (util::Cancelled(cancel)) return counts;  // partial; caller re-checks
-    for (const std::uint32_t s : chunk->mention_source) ++counts[s];
+    for (const std::uint32_t s : chunk->mention_spans.source_id) ++counts[s];
   }
   return counts;
 }
@@ -96,7 +95,7 @@ std::uint64_t DeltaSnapshot::CombinedArticlesAboutCountry(
   }
   for (const std::shared_ptr<const DeltaChunk>& chunk : chunks_) {
     if (util::Cancelled(cancel)) return total;  // partial; caller re-checks
-    for (const std::uint32_t ref : chunk->mention_event) {
+    for (const std::uint32_t ref : chunk->mention_spans.event_row) {
       if (ref == DeltaChunk::kUnknownEvent) continue;
       if (ref & DeltaChunk::kBaseFlag) {
         if (base_->event_country()[ref & ~DeltaChunk::kBaseFlag] == country) {
@@ -160,23 +159,16 @@ convert::FetchStats DeltaStore::fetch_stats() const {
 
 Status DeltaStore::IngestArchivePair(const std::string& export_zip_path,
                                      const std::string& mentions_zip_path) {
-  // Acquire and verify BOTH archives before building any snapshot: the
-  // zip entry CRC check inside the fetcher rejects torn payloads, and the
-  // row parsers below never fail (malformed rows are counted). So a
-  // failure on either side leaves the published snapshot — and
-  // Generation() — exactly as it was.
-  //
-  // The fetch itself (retries, backoff sleeps) runs without the writer
-  // lock so set_fetch_policy and stats reads stay responsive while a
-  // flaky archive is retried for seconds (combined queries never block on
-  // ingest at all — they read the published snapshot). set_fetch_policy
-  // during an in-flight fetch swaps the pointer for later calls; the
-  // snapshot keeps this one alive.
-  //
+  // Fetch and verify BOTH archives before building any snapshot: the
+  // fetcher's zip CRC check rejects torn payloads and decoding never fails,
+  // so a failure on either side leaves the published snapshot — and
+  // Generation() — exactly as it was. The fetch (retries, backoff sleeps)
+  // runs without the writer lock so policy swaps and stats reads stay
+  // responsive; the local pointer keeps this fetcher alive across a swap.
   // A path that does not exist is an operator error, not a transient
-  // mirror failure: answer NotFound at once, as the converter does for
-  // archives missing from the master list, instead of letting the fetcher
-  // retry and sleep while the caller (the server's ingest lock) waits.
+  // mirror failure: NotFound at once, as the converter treats archives
+  // missing from the master list, instead of retrying while the caller
+  // (the server's ingest lock) waits.
   for (const std::string* path : {&export_zip_path, &mentions_zip_path}) {
     if (!path->empty() && !FileExists(*path)) {
       return status::NotFound("archive '" + *path + "' does not exist");
@@ -200,119 +192,81 @@ Status DeltaStore::IngestArchivePair(const std::string& export_zip_path,
   if (!mentions_zip_path.empty()) {
     GDELT_ASSIGN_OR_RETURN(mentions_csv, fetch(mentions_zip_path));
   }
-  {
-    sync::MutexLock lock(mu_);
-    DeltaChunk chunk;
-    if (!export_zip_path.empty()) ApplyEventsCsvLocked(events_csv, chunk);
-    if (!mentions_zip_path.empty()) {
-      ApplyMentionsCsvLocked(mentions_csv, chunk);
-    }
-    // One publication for the pair: a reader sees both sides land
-    // together with a single generation bump, or neither.
-    PublishLocked(std::move(chunk));
-  }
+  PublishCsv(events_csv, mentions_csv);
   return Status::Ok();
 }
 
 Status DeltaStore::IngestEventsCsv(std::string_view csv) {
-  sync::MutexLock lock(mu_);
-  DeltaChunk chunk;
-  ApplyEventsCsvLocked(csv, chunk);
-  PublishLocked(std::move(chunk));
+  PublishCsv(csv, {});
   return Status::Ok();
 }
 
 Status DeltaStore::IngestMentionsCsv(std::string_view csv) {
-  sync::MutexLock lock(mu_);
-  DeltaChunk chunk;
-  ApplyMentionsCsvLocked(csv, chunk);
-  PublishLocked(std::move(chunk));
+  PublishCsv({}, csv);
   return Status::Ok();
+}
+
+void DeltaStore::PublishCsv(std::string_view events_csv,
+                            std::string_view mentions_csv) {
+  sync::MutexLock lock(mu_);
+  auto chunk = std::make_shared<DeltaChunk>();
+  ApplyEventsCsvLocked(events_csv, *chunk);
+  ApplyMentionsCsvLocked(mentions_csv, *chunk);
+  chunk->Seal();
+  // One publication for the pair: a reader sees both sides land together
+  // with a single generation bump, or neither. Copying the snapshot
+  // copies chunk pointers and the tick-count-sized offset tables, never
+  // rows, so a tick costs O(new rows).
+  const auto cur = snapshot_.load(std::memory_order_acquire);
+  auto next = std::make_shared<DeltaSnapshot>(*cur);
+  next->generation_ = cur->generation_ + 1;
+  next->malformed_rows_ = malformed_rows_;
+  next->delta_mentions_ += chunk->mention_spans.source_id.size();
+  next->event_offset_.push_back(next->event_offset_.back() +
+                                chunk->event_spans.country.size());
+  next->source_offset_.push_back(
+      next->source_offset_.back() +
+      static_cast<std::uint32_t>(chunk->new_sources.size()));
+  next->chunks_.push_back(std::move(chunk));
+  snapshot_.store(std::move(next), std::memory_order_release);
 }
 
 void DeltaStore::ApplyEventsCsvLocked(std::string_view csv,
                                       DeltaChunk& chunk) {
-  // Global delta rows are allocated sequentially; every applied event has
-  // a unique gid entry, so the map size is the next row number.
-  RowReader rows(csv, kEventFieldCount);
-  const std::vector<std::string_view>* fields = nullptr;
-  while (rows.Next(fields)) {
-    const auto& f = *fields;
-    const auto gid = ParseUint64(f[Index(EventField::kGlobalEventId)]);
-    std::int64_t added = 0;
-    if (!gid ||
-        !FieldToInterval(f[Index(EventField::kDateAdded)], added)) {
-      ++malformed_rows_;
-      continue;
-    }
-    if (base_event_row_of_.count(*gid) || event_row_of_.count(*gid)) {
+  const convert::EventColumns ec = convert::AddEventColumns(chunk.events);
+  convert::RowDecoder<convert::EventRow> rows(csv);
+  for (convert::EventRow row; rows.Next(row);) {
+    // Global delta rows are allocated sequentially; every kept event has
+    // a unique gid entry, so the map size is the next row number. The
+    // first occurrence of a gid wins, in the base or in ingest order.
+    const auto next = static_cast<std::uint32_t>(event_row_of_.size());
+    if (base_event_row_of_.contains(row.gid) ||
+        !event_row_of_.emplace(row.gid, next).second) {
       ++malformed_rows_;  // duplicate event
       continue;
     }
-    CountryId country = kNoCountry;
-    const std::string_view fips =
-        f[Index(EventField::kActionGeoCountryCode)];
-    if (!fips.empty()) {
-      if (const auto c = CountryByFips(fips)) country = *c;
-    }
-    const auto row = static_cast<std::uint32_t>(event_row_of_.size());
-    chunk.event_interval.push_back(added);
-    chunk.event_country.push_back(country);
-    event_row_of_.emplace(*gid, row);
+    ec.Append(row);
   }
-  malformed_rows_ += rows.errors().size();
+  malformed_rows_ += rows.malformed();
 }
 
 void DeltaStore::ApplyMentionsCsvLocked(std::string_view csv,
                                         DeltaChunk& chunk) {
-  RowReader rows(csv, kMentionFieldCount);
-  const std::vector<std::string_view>* fields = nullptr;
-  while (rows.Next(fields)) {
-    const auto& f = *fields;
-    const auto gid = ParseUint64(f[Index(MentionField::kGlobalEventId)]);
-    std::int64_t when = 0;
-    const std::string_view source =
-        f[Index(MentionField::kMentionSourceName)];
-    if (!gid || source.empty() ||
-        !FieldToInterval(f[Index(MentionField::kMentionTimeDate)], when)) {
-      ++malformed_rows_;
-      continue;
-    }
-    std::uint32_t event_ref = kUnknownEvent;
-    if (const auto it = event_row_of_.find(*gid); it != event_row_of_.end()) {
+  const convert::MentionColumns mc =
+      convert::AddMentionColumns(chunk.mentions);
+  convert::RowDecoder<convert::MentionRow> rows(csv);
+  for (convert::MentionRow row; rows.Next(row);) {
+    std::uint32_t event_ref = DeltaChunk::kUnknownEvent;
+    if (const auto it = event_row_of_.find(row.gid);
+        it != event_row_of_.end()) {
       event_ref = it->second;
-    } else if (const auto bit = base_event_row_of_.find(*gid);
+    } else if (const auto bit = base_event_row_of_.find(row.gid);
                bit != base_event_row_of_.end()) {
-      event_ref = bit->second | kBaseFlag;
+      event_ref = bit->second | DeltaChunk::kBaseFlag;
     }
-    chunk.mention_source.push_back(SourceIdForLocked(source, chunk));
-    chunk.mention_interval.push_back(when);
-    chunk.mention_event.push_back(event_ref);
-    chunk.mention_event_gid.push_back(*gid);
+    mc.Append(row, event_ref, SourceIdForLocked(row.source_name, chunk));
   }
-  malformed_rows_ += rows.errors().size();
-}
-
-void DeltaStore::PublishLocked(DeltaChunk&& chunk) {
-  const auto cur = snapshot_.load(std::memory_order_acquire);
-  // Copying the snapshot copies chunk *pointers* and the (tick-count
-  // sized) offset tables — never rows. The new chunk is the only freshly
-  // allocated row storage, so a tick costs O(new rows).
-  auto next = std::make_shared<DeltaSnapshot>(*cur);
-  next->generation_ = cur->generation_ + 1;
-  next->malformed_rows_ = malformed_rows_;
-  next->delta_events_ += chunk.event_interval.size();
-  next->delta_mentions_ += chunk.mention_source.size();
-  next->num_new_sources_ += static_cast<std::uint32_t>(
-      chunk.new_sources.size());
-  next->event_offset_.push_back(
-      next->event_offset_.back() + chunk.event_interval.size());
-  next->source_offset_.push_back(
-      next->source_offset_.back() +
-      static_cast<std::uint32_t>(chunk.new_sources.size()));
-  next->chunks_.push_back(
-      std::make_shared<const DeltaChunk>(std::move(chunk)));
-  snapshot_.store(std::move(next), std::memory_order_release);
+  malformed_rows_ += rows.malformed();
 }
 
 }  // namespace gdelt::stream

@@ -3,24 +3,24 @@
 // GDELT uploads an Events + Mentions file pair every 15 minutes; the paper
 // notes that "following current events only poses a moderate challenge for
 // modern computers" while historical analysis needs the converted store.
-// DeltaStore is that following path: it parses freshly arrived chunk
-// archives into an in-memory delta (sharing the base's source dictionary,
-// extending it for never-seen sources) and answers combined base+delta
-// queries without reconverting anything. Periodically the delta would be
-// folded into the base by re-running the converter.
+// DeltaStore is that following path. It decodes each arrived pair with
+// the converter's row decoder (convert/wire_rows.hpp) into a DeltaChunk:
+// an events and a mentions table with the base tables' columns and types,
+// so a delta row is the row the converter would write. Mentions resolve
+// their event through the base or earlier chunks, and their source
+// through the base dictionary, extended for never-seen sources. Query
+// replies still read the base alone: the `Combined*` accessors below are
+// the only readers of the delta so far.
 //
 // Concurrency model: RCU-style snapshot publication. All delta state a
-// reader can observe lives in an immutable `DeltaSnapshot` — delta
-// columns, the new-source dictionary, and the ingest generation baked
-// into the same object — published by a single release-store
-// `shared_ptr` swap. `Acquire()` returns the current snapshot; every
-// accessor on it is a read of frozen data, so a request that acquires
-// once and then calls any number of `Combined*` accessors gets counts
-// that are mutually consistent with exactly one generation, no matter
-// how many 15-minute ticks land meanwhile. Readers take no lock and
-// copy no rows. Ingest builds the next snapshot off to the side —
-// chunk/tail-sharing makes a tick O(new rows), not O(accumulated
-// delta) — and the store's internal mutex serializes only writers (and
+// reader can observe lives in an immutable `DeltaSnapshot` — the chunks,
+// the new-source dictionary, and the ingest generation baked into the
+// same object — published by a single release-store `shared_ptr` swap.
+// A request that acquires once and then calls any number of `Combined*`
+// accessors gets counts consistent with exactly one generation, however
+// many ticks land meanwhile. Readers take no lock and copy no rows.
+// Ingest builds the next snapshot off to the side (chunk sharing makes a
+// tick O(new rows)), and the store's mutex serializes only writers (and
 // the fetch-policy swap).
 //
 // The convenience accessors directly on DeltaStore (`delta_events()`,
@@ -38,7 +38,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "convert/binary_format.hpp"
 #include "convert/fetcher.hpp"
+#include "convert/wire_rows.hpp"
 #include "engine/database.hpp"
 #include "engine/queries.hpp"
 #include "util/cancel.hpp"
@@ -47,30 +49,29 @@
 
 namespace gdelt::stream {
 
-/// One ingest call's worth of parsed delta rows. Immutable once the
-/// snapshot holding it is published; successive snapshots share all
-/// previous chunks by pointer, so publishing tick N+1 never copies the
-/// rows of ticks 1..N.
+/// One ingest call's decoded rows. Immutable once published; successive
+/// snapshots share all previous chunks by pointer, so publishing tick N+1
+/// never copies the rows of ticks 1..N.
 struct DeltaChunk {
-  // events appended by this tick (delta row = chunk-local index + the
-  // chunk's event offset in the snapshot)
-  std::vector<std::int64_t> event_interval;
-  std::vector<std::uint16_t> event_country;
-
-  // mentions appended by this tick
-  /// combined source ids
-  std::vector<std::uint32_t> mention_source;
-  std::vector<std::int64_t> mention_interval;
-  /// global delta event row | kBaseFlag|base row | kUnknownEvent
-  std::vector<std::uint32_t> mention_event;
-  std::vector<std::uint64_t> mention_event_gid;
-
-  /// domains first seen by this tick (combined id = the chunk's source
-  /// offset in the snapshot + index)
+  /// The tick's events (delta row = chunk-local row + the chunk's event
+  /// offset in the snapshot).
+  Table events;
+  /// The tick's mentions: `event_row` is a global delta event row,
+  /// kBaseFlag | base row, or kUnknownEvent; `source_id` a combined id.
+  Table mentions;
+  /// Domains first seen by this tick (combined id = the chunk's source
+  /// offset in the snapshot + index).
   std::vector<std::string> new_sources;
+  /// Both tables' columns, bound once by Seal as Database::Load binds the
+  /// base's.
+  convert::EventSpans event_spans;
+  convert::MentionSpans mention_spans;
+
+  /// Drops the tables' growth slack, then binds the spans.
+  void Seal();
 
   static constexpr std::uint32_t kBaseFlag = 0x80000000u;
-  static constexpr std::uint32_t kUnknownEvent = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kUnknownEvent = convert::kOrphanEventRow;
 };
 
 /// A frozen view of the delta at one ingest generation. Everything here
@@ -84,18 +85,26 @@ class DeltaSnapshot {
   /// observed torn against each other.
   std::uint64_t generation() const noexcept { return generation_; }
 
-  std::uint64_t delta_events() const noexcept { return delta_events_; }
+  std::uint64_t delta_events() const noexcept {
+    return event_offset_.back();
+  }
   std::uint64_t delta_mentions() const noexcept { return delta_mentions_; }
   std::uint64_t malformed_rows() const noexcept { return malformed_rows_; }
 
   /// Total sources across base + newly discovered ones.
   std::uint32_t num_sources() const noexcept {
-    return base_sources_ + num_new_sources_;
+    return base_sources_ + source_offset_.back();
   }
 
   /// Domain for a combined source id (base ids first, then new ones).
   /// The view stays valid for as long as this snapshot is held.
   std::string_view source_domain(std::uint32_t id) const;
+
+  /// Every published tick's chunk, oldest first.
+  const std::vector<std::shared_ptr<const DeltaChunk>>& chunks()
+      const noexcept {
+    return chunks_;
+  }
 
   // --- combined queries (base + delta) ---
   // Every accessor below reads only this frozen snapshot (plus the
@@ -129,9 +138,7 @@ class DeltaSnapshot {
 
   const engine::Database* base_ = nullptr;  ///< may be null
   std::uint32_t base_sources_ = 0;
-  std::uint32_t num_new_sources_ = 0;
   std::uint64_t generation_ = 0;
-  std::uint64_t delta_events_ = 0;
   std::uint64_t delta_mentions_ = 0;
   std::uint64_t malformed_rows_ = 0;
 
@@ -233,23 +240,23 @@ class DeltaStore {
   std::uint32_t SourceIdForLocked(std::string_view domain, DeltaChunk& chunk)
       GDELT_REQUIRES(mu_);
 
-  /// Row-apply halves of the CSV ingests; never fail. They fill `chunk`
-  /// and update the writer-side lookup maps; PublishLocked turns the
-  /// chunk into the next snapshot.
+  /// Decodes one tick's CSVs (either may be empty) into one chunk and
+  /// publishes generation+1 with it, sharing every earlier chunk by
+  /// pointer. Never fails: malformed rows are only counted.
+  void PublishCsv(std::string_view events_csv,
+                  std::string_view mentions_csv);
+
+  /// Row-apply halves of PublishCsv: append to `chunk` and update the
+  /// writer-side lookup maps.
   void ApplyEventsCsvLocked(std::string_view csv, DeltaChunk& chunk)
       GDELT_REQUIRES(mu_);
   void ApplyMentionsCsvLocked(std::string_view csv, DeltaChunk& chunk)
       GDELT_REQUIRES(mu_);
 
-  /// Builds generation+1 from the current snapshot plus `chunk` (sharing
-  /// every existing chunk by pointer) and publishes it with one
-  /// release-store swap.
-  void PublishLocked(DeltaChunk&& chunk) GDELT_REQUIRES(mu_);
-
   const engine::Database* base_;    ///< may be null
   std::uint32_t base_sources_ = 0;  ///< set once in the constructor
 
-  /// The published snapshot; readers acquire-load it, PublishLocked
+  /// The published snapshot; readers acquire-load it, PublishCsv
   /// release-stores the successor. Never null after construction.
   std::atomic<std::shared_ptr<const DeltaSnapshot>> snapshot_;
 
@@ -273,9 +280,6 @@ class DeltaStore {
   std::unordered_map<std::string, std::uint32_t> new_source_ids_
       GDELT_GUARDED_BY(mu_);
   std::uint64_t malformed_rows_ GDELT_GUARDED_BY(mu_) = 0;
-
-  static constexpr std::uint32_t kBaseFlag = DeltaChunk::kBaseFlag;
-  static constexpr std::uint32_t kUnknownEvent = DeltaChunk::kUnknownEvent;
 };
 
 }  // namespace gdelt::stream

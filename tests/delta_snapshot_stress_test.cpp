@@ -40,6 +40,7 @@ std::string JoinRow(const std::vector<std::string>& fields) {
 std::string EventRow(std::uint64_t gid) {
   std::vector<std::string> f(kEventFieldCount);
   f[Index(EventField::kGlobalEventId)] = std::to_string(gid);
+  f[Index(EventField::kDay)] = "20240101";
   f[Index(EventField::kDateAdded)] = "20240101000000";
   f[Index(EventField::kActionGeoCountryCode)] = "US";
   return JoinRow(f);
@@ -49,6 +50,7 @@ std::string EventRow(std::uint64_t gid) {
 std::string MentionRow(std::uint64_t gid, const std::string& domain) {
   std::vector<std::string> f(kMentionFieldCount);
   f[Index(MentionField::kGlobalEventId)] = std::to_string(gid);
+  f[Index(MentionField::kEventTimeDate)] = "20240101000000";
   f[Index(MentionField::kMentionTimeDate)] = "20240101001500";
   f[Index(MentionField::kMentionSourceName)] = domain;
   return JoinRow(f);

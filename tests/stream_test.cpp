@@ -7,6 +7,8 @@
 #include <chrono>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "convert/converter.hpp"
 #include "convert/master_list.hpp"
@@ -15,6 +17,7 @@
 #include "io/crc32.hpp"
 #include "io/file.hpp"
 #include "io/zipstore.hpp"
+#include "schema/gdelt_schema.hpp"
 #include "test_util.hpp"
 #include "util/strings.hpp"
 
@@ -255,7 +258,7 @@ TEST(DeltaStoreConcurrencyTest, SourceDomainStaysValidDuringIngest) {
   DeltaStore delta(nullptr);
   const auto mention_row = [](std::uint64_t gid, const std::string& domain) {
     std::string row = std::to_string(gid);
-    row += "\t\t20240101000000\t1\t";
+    row += "\t20240101000000\t20240101000000\t1\t";
     row += domain;
     row.append(11, '\t');
     row += '\n';
@@ -309,6 +312,59 @@ TEST(DeltaStoreErrorsTest, MalformedRowsAreCounted) {
                   .IngestEventsCsv("not-a-valid-event-row\n")
                   .ok());
   EXPECT_EQ(delta.malformed_rows(), 2u);
+}
+
+/// One wire row of `count` fields, empty except for `set`.
+std::string WireRow(std::size_t count,
+                    const std::vector<std::pair<std::size_t, std::string>>&
+                        set) {
+  std::vector<std::string> f(count);
+  for (const auto& [i, v] : set) f[i] = v;
+  std::string row;
+  for (std::size_t i = 0; i < count; ++i) {
+    row += f[i];
+    row += i + 1 < count ? '\t' : '\n';
+  }
+  return row;
+}
+
+// Table II, as the converter applies it: an event whose Day is not a
+// date is malformed and adds no row.
+TEST(DeltaStoreErrorsTest, EventWithBadDayIsMalformed) {
+  const auto event = [](const std::string& gid, const std::string& day) {
+    return WireRow(kEventFieldCount,
+                   {{Index(EventField::kGlobalEventId), gid},
+                    {Index(EventField::kDay), day},
+                    {Index(EventField::kDateAdded), "20240101000000"}});
+  };
+  DeltaStore delta(nullptr);
+  ASSERT_TRUE(delta.IngestEventsCsv(event("7", "20240230")).ok());
+  EXPECT_EQ(delta.malformed_rows(), 1u);
+  EXPECT_EQ(delta.delta_events(), 0u);
+  ASSERT_TRUE(delta.IngestEventsCsv(event("8", "20240229")).ok());
+  EXPECT_EQ(delta.malformed_rows(), 1u);
+  EXPECT_EQ(delta.delta_events(), 1u);
+}
+
+// Table II, as the converter applies it: a mention whose EventTimeDate
+// does not parse is malformed and adds no row and no source.
+TEST(DeltaStoreErrorsTest, MentionWithBadEventTimeDateIsMalformed) {
+  const auto mention = [](const std::string& event_time) {
+    return WireRow(kMentionFieldCount,
+                   {{Index(MentionField::kGlobalEventId), "7"},
+                    {Index(MentionField::kEventTimeDate), event_time},
+                    {Index(MentionField::kMentionTimeDate), "20240101001500"},
+                    {Index(MentionField::kMentionSourceName), "a.com"}});
+  };
+  DeltaStore delta(nullptr);
+  ASSERT_TRUE(delta.IngestMentionsCsv(mention("2024010100000")).ok());
+  EXPECT_EQ(delta.malformed_rows(), 1u);
+  EXPECT_EQ(delta.delta_mentions(), 0u);
+  EXPECT_EQ(delta.num_sources(), 0u);
+  ASSERT_TRUE(delta.IngestMentionsCsv(mention("20240101000000")).ok());
+  EXPECT_EQ(delta.malformed_rows(), 1u);
+  EXPECT_EQ(delta.delta_mentions(), 1u);
+  EXPECT_EQ(delta.num_sources(), 1u);
 }
 
 TEST(DeltaStoreErrorsTest, MissingArchiveFails) {
