@@ -1,7 +1,5 @@
 #include "common/fixture.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -106,28 +104,6 @@ void BenchJsonWriter::Record(const std::string& kernel, int threads,
   written_ = false;
 }
 
-void BenchJsonWriter::RecordLatencies(const std::string& kernel, int threads,
-                                      double wall_seconds,
-                                      std::vector<double> latencies_ms) {
-  Entry entry{kernel, threads, wall_seconds};
-  if (!latencies_ms.empty()) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    // Nearest-rank percentile: value at ceil(p * n) - 1.
-    const auto rank = [&](double p) {
-      const auto n = static_cast<double>(latencies_ms.size());
-      auto at = static_cast<std::size_t>(std::ceil(p * n));
-      at = at > 0 ? at - 1 : 0;
-      return latencies_ms[std::min(at, latencies_ms.size() - 1)];
-    };
-    entry.has_percentiles = true;
-    entry.p50_ms = rank(0.50);
-    entry.p95_ms = rank(0.95);
-    entry.p99_ms = rank(0.99);
-  }
-  entries_.push_back(entry);
-  written_ = false;
-}
-
 std::string BenchJsonWriter::Flush() {
   const char* dir_env = std::getenv("GDELT_BENCH_JSON_DIR");
   const std::string path =
@@ -144,15 +120,9 @@ std::string BenchJsonWriter::Flush() {
                static_cast<unsigned long long>(Config().seed));
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     std::fprintf(f, "    {\"kernel\": \"%s\", \"threads\": %d, "
-                 "\"wall_s\": %.6f",
+                 "\"wall_s\": %.6f}%s\n",
                  entries_[i].kernel.c_str(), entries_[i].threads,
-                 entries_[i].wall_seconds);
-    if (entries_[i].has_percentiles) {
-      std::fprintf(f,
-                   ", \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f",
-                   entries_[i].p50_ms, entries_[i].p95_ms, entries_[i].p99_ms);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
+                 entries_[i].wall_seconds, i + 1 < entries_.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -49,12 +49,6 @@ class BenchJsonWriter {
   /// Adds one timing record.
   void Record(const std::string& kernel, int threads, double wall_seconds);
 
-  /// Adds one timing record with per-request latency percentiles
-  /// computed from `latencies_ms` (sorted internally; empty = no
-  /// percentile fields). The JSON entry gains p50_ms/p95_ms/p99_ms.
-  void RecordLatencies(const std::string& kernel, int threads,
-                       double wall_seconds, std::vector<double> latencies_ms);
-
   /// Writes BENCH_<name>.json now; returns the path written.
   std::string Flush();
 
@@ -63,10 +57,6 @@ class BenchJsonWriter {
     std::string kernel;
     int threads;
     double wall_seconds;
-    bool has_percentiles = false;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
   };
   std::string name_;
   std::vector<Entry> entries_;

@@ -60,9 +60,9 @@ class ResultCache {
   /// Inserts the entry, evicting from the shard's LRU tail as needed.
   /// Refused (returns false) when the slot already holds a newer epoch
   /// or the shard has observed a newer epoch — see the header comment.
-  /// `late` tags text that finished rendering only after its request's
-  /// deadline had expired — still complete and correct (the cancel token
-  /// was never observed), just too slow for the client that paid for it.
+  /// `late` tags text whose request's deadline expired after the render
+  /// passed its final token check — still complete and correct, just
+  /// too slow for the client that paid for it.
   bool Put(const std::string& key, std::uint64_t epoch, std::string text,
            bool late = false);
 

@@ -255,18 +255,15 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
 
   // One token per admitted request: armed with the deadline at dequeue,
   // cancellable by the client hanging up or a `cancel` verb meanwhile.
-  std::shared_ptr<util::CancelToken> token;
-  if (opt_.cancellation) {
-    token = std::make_shared<util::CancelToken>();
-    if (!request.id.empty()) {
-      sync::MutexLock lock(cancel_mu_);
-      inflight_[request.id] = token;
-    }
+  const auto token = std::make_shared<util::CancelToken>();
+  if (!request.id.empty()) {
+    sync::MutexLock lock(cancel_mu_);
+    inflight_[request.id] = token;
   }
   // Deregister on every exit path (matching by token so a reused id
   // belonging to a newer in-flight request is left alone).
   const auto deregister = [this, &request, &token] {
-    if (token == nullptr || request.id.empty()) return;
+    if (request.id.empty()) return;
     sync::MutexLock lock(cancel_mu_);
     const auto it = inflight_.find(request.id);
     if (it != inflight_.end() && it->second == token) inflight_.erase(it);
@@ -297,7 +294,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
       return;
     }
     // A queued cancel (disconnect or verb) also sheds before the scan.
-    if (util::Cancelled(token.get())) {
+    if (token->Poll()) {
       const bool disconnect =
           token->reason() == util::CancelReason::kDisconnect;
       (disconnect ? metrics_.cancelled_disconnect : metrics_.cancelled_router)
@@ -311,7 +308,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
     // Arm the deadline now that execution begins: from here on the token
     // trips inside the kernels at morsel granularity, so a 100ms budget
     // aborts a multi-second scan within ~one morsel of the deadline.
-    if (token) token->ArmDeadline(deadline);
+    token->ArmDeadline(deadline);
     // A traced request gets a thread-local collector: every span the
     // kernels finish on this thread lands in the response, even with
     // global tracing off.
@@ -333,7 +330,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
       if (request.debug_sleep_ms > 0) {
         CancellableSleep(request.debug_sleep_ms, token.get());
       }
-      if (!util::Cancelled(token.get())) {
+      if (!token->Poll()) {
         if (delta_ != nullptr) {
           snap = delta_->Acquire();
           render_epoch = snap->generation();
@@ -346,7 +343,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
     const double execute_ms = MsSince(exec_start);
     exec_latency_.Record(execute_ms / 1e3);
     if (!rendered.ok()) {
-      if (rendered.status().code() == StatusCode::kCancelled && token) {
+      if (rendered.status().code() == StatusCode::kCancelled) {
         // Nothing cancelled is ever cached: the kernels bailed mid-scan
         // and the discarded partial text must not poison the cache.
         switch (token->reason()) {
@@ -378,12 +375,12 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
       return;
     }
     if (!rendered->note.empty()) GDELT_LOG(kDebug, rendered->note);
-    // The render ran to completion (the token never tripped), but the
-    // deadline may still have passed in the final stretch — e.g. inside
-    // the last debug-sleep slice or between the kernel finishing and
-    // here. The text is complete and correct, so cache it tagged late:
-    // the scan is already paid for, and a retry of the same canonical
-    // key turns this timeout into a salvaged hit.
+    // The render passed RenderQuery's final token check, but the
+    // deadline may still have passed since — e.g. while the debug log
+    // line above waited on a blocked stderr. The text is complete and
+    // correct, so cache it tagged late: the scan is already paid for,
+    // and a retry of the same canonical key turns this timeout into a
+    // salvaged hit.
     const bool late = Clock::now() >= deadline;
     const auto put_start = Clock::now();
     cache_.Put(key, render_epoch, rendered->text, late);
@@ -439,7 +436,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
   // With a live socket attached, watch it while waiting: a client that
   // hangs up mid-queue or mid-scan has its work cancelled instead of
   // burning a scan nobody will read.
-  if (token && client_fd >= 0) {
+  if (client_fd >= 0) {
     while (future.wait_for(std::chrono::milliseconds(20)) !=
            std::future_status::ready) {
       if (PeerGone(client_fd)) {

@@ -4,10 +4,12 @@
 // loop speaking the newline-delimited JSON protocol (docs/PROTOCOL.md),
 // thread-per-connection framing, an admission-controlled worker pool that
 // runs the shared query renderer, an epoch-keyed LRU result cache, and
-// the metrics surface. The database is loaded once by the caller and
-// shared read-only across all workers — the whole point of serving: pay
-// the mmap + index cost once, answer every query after that at memory
-// speed.
+// the metrics surface. Every admitted request owns a CancelToken that
+// the kernels poll, so a deadline, a client hangup or a `cancel` verb
+// stops its scan within about one morsel. The database is loaded once
+// by the caller and shared read-only across all workers — the whole
+// point of serving: pay the mmap + index cost once, answer every query
+// after that at memory speed.
 #pragma once
 
 #include <atomic>
@@ -41,11 +43,6 @@ struct ServerOptions {
   /// Ceiling for client-supplied `timeout_ms` (and the default). The
   /// effective, clamped deadline is echoed back as `"deadline_ms"`.
   std::int64_t max_timeout_ms = 300'000;
-  /// Cooperative cancellation: per-request CancelToken threaded into the
-  /// kernels, deadline enforced mid-scan, disconnects and `cancel` verbs
-  /// abort in-flight work. Off = the pre-cancellation behavior (deadline
-  /// checked only between requests) — the bench_serve_throughput A/B.
-  bool cancellation = true;
   int metrics_log_interval_s = 0;        ///< 0 disables the periodic log line
   std::size_t max_line_bytes = 1 << 20;  ///< request line length cap
   std::int64_t slow_query_ms = 0;  ///< log queries slower than this; 0 = off

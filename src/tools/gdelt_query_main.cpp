@@ -3,12 +3,10 @@
 //
 // The query dispatch and text rendering live in serve::RenderQuery, which
 // is shared with the gdelt_serve daemon so both produce byte-identical
-// output. Only `scaling` stays here: it times one query on private pools
-// of 1, 2, 4, ... workers, which a shared server has no use for.
+// output. Fig 12's scaling loop lives in bench/bench_fig12_scaling.
 //
 // Usage: gdelt_query --db <dir> --query <name> [--top N] [--threads N]
-//   queries: every kind of serve::QueryKinds(), and scaling (--help
-//            lists them)
+//   queries: every kind of serve::QueryKinds() (--help lists them)
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -26,24 +24,6 @@
 
 using namespace gdelt;
 
-namespace {
-
-int RunScaling(const engine::Database& db) {
-  const std::size_t max_workers = parallel::CurrentPool().num_workers();
-  std::printf("Aggregated-query scaling (cf. Fig 12):\n");
-  for (std::size_t t = 1; t <= max_workers; t *= 2) {
-    parallel::MorselPool pool(static_cast<int>(t));
-    const parallel::ScopedPool use_pool(pool);
-    WallTimer timer;
-    const auto report = engine::CountryCrossReporting(db);
-    (void)report;
-    std::printf("  %2zu worker(s): %.3fs\n", t, timer.ElapsedSeconds());
-  }
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   ArgParser args(
       "Runs the paper's analyses against a converted binary GDELT "
@@ -53,13 +33,14 @@ int main(int argc, char** argv) {
   std::string kinds;
   std::string filtered;
   for (const serve::QueryKindSpec& spec : serve::QueryKinds()) {
-    kinds.append(spec.name).append(" | ");
+    if (!kinds.empty()) kinds += " | ";
+    kinds += spec.name;
     if (spec.filtered) {
       if (!filtered.empty()) filtered += '/';
       filtered += spec.name;
     }
   }
-  args.AddString("query", "stats", kinds + "scaling");
+  args.AddString("query", "stats", kinds);
   args.AddInt("top", 10, "number of rows for top-k queries");
   args.AddInt("threads", 0,
               "morsel-pool workers (0 = OMP_NUM_THREADS, else cores)");
@@ -132,19 +113,15 @@ int main(int argc, char** argv) {
 
   WallTimer query_timer;
   int rc = 0;
-  if (request.kind == "scaling") {
-    rc = RunScaling(*db);
+  const auto rendered = serve::RenderQuery(*db, request);
+  if (!rendered.ok()) {
+    std::fprintf(stderr, "%s\n", rendered.status().message().c_str());
+    rc = 2;
   } else {
-    const auto rendered = serve::RenderQuery(*db, request);
-    if (!rendered.ok()) {
-      std::fprintf(stderr, "%s\n", rendered.status().message().c_str());
-      rc = 2;
-    } else {
-      if (!rendered->note.empty()) {
-        std::fprintf(stderr, "%s\n", rendered->note.c_str());
-      }
-      std::fputs(rendered->text.c_str(), stdout);
+    if (!rendered->note.empty()) {
+      std::fprintf(stderr, "%s\n", rendered->note.c_str());
     }
+    std::fputs(rendered->text.c_str(), stdout);
   }
   std::fprintf(stderr, "[query took %.3fs]\n", query_timer.ElapsedSeconds());
   if (!trace_out.empty()) {

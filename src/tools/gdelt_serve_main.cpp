@@ -48,9 +48,6 @@ int main(int argc, char** argv) {
   args.AddInt("max-timeout-ms", 300000,
               "ceiling for client-supplied timeout_ms; requests asking for "
               "more are clamped and the effective deadline is echoed back");
-  args.AddBool("no-cancellation", false,
-               "disable cooperative cancellation (deadlines checked only "
-               "between requests, not mid-scan) — for A/B benchmarking");
   args.AddInt("metrics-interval", 60,
               "seconds between metrics log lines (0 disables)");
   args.AddInt("slow-ms", 0,
@@ -100,7 +97,6 @@ int main(int argc, char** argv) {
   options.cache_entries = static_cast<std::size_t>(args.GetInt("cache"));
   options.default_timeout_ms = args.GetInt("timeout-ms");
   options.max_timeout_ms = args.GetInt("max-timeout-ms");
-  options.cancellation = !args.GetBool("no-cancellation");
   options.metrics_log_interval_s =
       static_cast<int>(args.GetInt("metrics-interval"));
   options.slow_query_ms = args.GetInt("slow-ms");

@@ -28,7 +28,6 @@ grep -q "General dataset statistics" "$WORK/q_stats.log"
 grep -q "Follow-reporting" "$WORK/q_follow.log"
 grep -q "quad class" "$WORK/q_tone.log"
 grep -q "Sources breaking the most stories" "$WORK/q_first-reports.log"
-grep -q "worker(s)" "$WORK/q_scaling.log"
 
 # Filter-aware queries with a time window and confidence restriction.
 "$BIN_DIR/gdelt_query" --db "$WORK/db" --query top-sources \

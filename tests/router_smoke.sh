@@ -30,11 +30,13 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# wait_ready <out-file> <pid>: echoes the READY port.
+# wait_ready <out-file> <pid>: echoes the READY port. A missing file
+# means the backgrounded shell has not opened it yet: not ready.
 wait_ready() {
   port=""
   for _ in $(seq 1 100); do
-    port="$(sed -n 's/^READY port=\([0-9]*\)$/\1/p' "$1")"
+    port=""
+    [ -f "$1" ] && port="$(sed -n 's/^READY port=\([0-9]*\)$/\1/p' "$1")"
     [ -n "$port" ] && break
     kill -0 "$2" 2>/dev/null || return 1
     sleep 0.1
@@ -73,12 +75,15 @@ RPORT="$(wait_ready "$WORK/router.out" "$ROUTER_PID")" \
     || { cat "$WORK/router.log" >&2; exit 1; }
 
 STEP="routed batch of every kind"
-# Every query kind through the router: all ok, none degraded.
-for q in stats top-sources top-events quarterly coreport follow \
-         country-coreport cross-report delay tone first-reports; do
+# Every query kind (the registry, as gdelt_query --help lists it) through
+# the router: all ok, none degraded.
+KINDS=$("$BIN_DIR/gdelt_query" --help | sed -n '/^  --query /{n;s/|/ /g;p;}')
+NKINDS=$(echo $KINDS | wc -w)
+test "$NKINDS" -gt 0
+for q in $KINDS; do
   printf '{"id":"%s","query":"%s","top":5}\n' "$q" "$q"
 done | "$BIN_DIR/gdelt_client" --port "$RPORT" > "$WORK/routed.out"
-test "$(wc -l < "$WORK/routed.out")" -eq 11
+test "$(wc -l < "$WORK/routed.out")" -eq "$NKINDS"
 ! grep -q '"ok":false' "$WORK/routed.out"
 ! grep -q 'partial_failure' "$WORK/routed.out"
 
