@@ -1,7 +1,7 @@
 #include "analysis/firstreport.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "gtime/timestamp.hpp"
 #include "parallel/morsel.hpp"
@@ -14,15 +14,12 @@ struct FirstReportLocal {
   std::vector<std::uint64_t> first_reports;
   std::vector<std::uint64_t> hist;
   std::uint64_t within_hour = 0;
-  std::vector<std::uint64_t> repeat_events;
   std::vector<std::uint64_t> repeat_articles;
-  std::vector<std::uint32_t> multiplicity;  // scratch
 
   void EnsureSized(std::size_t ns, std::size_t bins) {
     if (first_reports.size() == ns && hist.size() == bins) return;
     first_reports.assign(ns, 0);
     hist.assign(bins, 0);
-    repeat_events.assign(ns, 0);
     repeat_articles.assign(ns, 0);
   }
 };
@@ -33,50 +30,41 @@ void FirstReportEventsRange(const engine::Database& db, IndexRange r,
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
+  const auto& by_event = db.mentions_by_event();
   const auto& index = db.event_distinct_sources();
+  const std::size_t last_bin = local.hist.size() - 1;
   for (std::size_t e = r.begin; e < r.end; ++e) {
-    const auto rows =
-        db.mentions_by_event().RowsOf(static_cast<std::uint32_t>(e));
+    const auto rows = by_event.RowsOf(static_cast<std::uint32_t>(e));
     if (rows.empty()) continue;
     // Rows are in capture order; find the earliest interval (ties ->
     // first row).
-    std::uint64_t first_row = rows.front();
-    for (const std::uint64_t row : rows) {
-      if (when[row] < when[first_row]) first_row = row;
+    std::uint32_t first_row = rows.front();
+    std::int32_t first_when = when[first_row];
+    for (const std::uint32_t row : rows) {
+      const std::int32_t w = when[row];
+      if (w < first_when) {
+        first_when = w;
+        first_row = row;
+      }
     }
     ++local.first_reports[src[first_row]];
-    const IntervalId delay =
-        IntervalId{when[first_row]} - event_when[first_row];
+    const IntervalId delay = IntervalId{first_when} - event_when[first_row];
     if (delay >= 0) {
-      std::size_t bin = 0;
-      if (delay >= 1) {
-        bin = 1 +
-              static_cast<std::size_t>(std::log2(static_cast<double>(delay)));
-      }
-      bin = std::min(bin, local.hist.size() - 1);
-      ++local.hist[bin];
+      // bit_width(d) is bin k = [2^(k-1), 2^k), and 0 for d = 0.
+      const auto bin = static_cast<std::size_t>(
+          std::bit_width(static_cast<std::uint64_t>(delay)));
+      ++local.hist[std::min(bin, last_bin)];
       if (delay <= 4) ++local.within_hour;
     }
-    // Repeat coverage: multiplicity per source within this event. The
-    // memoized index holds the event's distinct sources sorted, so
-    // instead of re-sorting the mention rows we bucket each row against
-    // that list; events with as many distinct sources as rows (the
-    // common case) have no repeats and are skipped outright.
+    // Repeat coverage: a source's articles beyond its first on the
+    // event. Counting every row and then taking one back per distinct
+    // source (the memoized index) leaves multiplicity - 1 per source.
+    // Events with as many distinct sources as rows (the common case)
+    // have no repeats and are skipped outright.
     const auto distinct = index.ValuesOf(static_cast<std::uint32_t>(e));
     if (distinct.size() < rows.size()) {
-      local.multiplicity.assign(distinct.size(), 0);
-      for (const std::uint64_t row : rows) {
-        const auto at =
-            std::lower_bound(distinct.begin(), distinct.end(), src[row]) -
-            distinct.begin();
-        ++local.multiplicity[static_cast<std::size_t>(at)];
-      }
-      for (std::size_t d = 0; d < distinct.size(); ++d) {
-        if (local.multiplicity[d] >= 2) {
-          ++local.repeat_events[distinct[d]];
-          local.repeat_articles[distinct[d]] += local.multiplicity[d] - 1;
-        }
-      }
+      for (const std::uint32_t row : rows) ++local.repeat_articles[src[row]];
+      for (const std::uint32_t s : distinct) --local.repeat_articles[s];
     }
   }
 }
@@ -91,7 +79,6 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
   FirstReportStats stats;
   stats.first_reports.assign(ns, 0);
   stats.first_delay_histogram.assign(bins, 0);
-  stats.repeat_events.assign(ns, 0);
   stats.repeat_articles.assign(ns, 0);
 
   events = ClampRange(events, db.num_events());
@@ -114,7 +101,6 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
     }
     for (std::size_t s = 0; s < ns; ++s) {
       stats.first_reports[s] += local.first_reports[s];
-      stats.repeat_events[s] += local.repeat_events[s];
       stats.repeat_articles[s] += local.repeat_articles[s];
     }
     for (std::size_t b = 0; b < bins; ++b) {

@@ -28,15 +28,16 @@ struct FirstReportStats {
   /// capture order, as GDELT itself would).
   std::vector<std::uint64_t> first_reports;      ///< per source id
   /// Histogram over events of the first article's delay, power-of-two
-  /// bins as in DelayMetricHistogram (bin 0 = delay 0, bin k = [2^(k-1),2^k)).
+  /// bins as in DelayMetricHistogram (bin 0 = delay 0, bin k = [2^(k-1),2^k)),
+  /// i.e. bin std::bit_width(delay), clamped to the last bin.
   std::vector<std::uint64_t> first_delay_histogram;
   /// Events whose first article arrived within 1 hour (4 intervals) —
   /// wildfire-relevant immediacy.
   std::uint64_t events_broken_within_hour = 0;
 
-  /// Per source: number of (event, source) pairs with >= 2 articles.
-  std::vector<std::uint64_t> repeat_events;      ///< per source id
-  /// Per source: articles beyond the first per covered event.
+  /// Per source: articles beyond the first per covered event (the sum
+  /// of multiplicity - 1 over the events it covers; the number of events
+  /// it covered twice or more is not kept, no reply prints it).
   std::vector<std::uint64_t> repeat_articles;    ///< per source id
 
   /// Repeat-coverage rate of a source: repeat articles / total articles.

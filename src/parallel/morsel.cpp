@@ -19,6 +19,17 @@ std::size_t ReadMorselRowsEnv() {
 /// Submission priority of the calling thread (ScopedPriority).
 thread_local Priority tls_priority = Priority::kBatch;
 
+/// The interactive-query count a batch loop of this thread yields to
+/// (ScopedYieldToInteractive), if any.
+thread_local const std::atomic<std::uint32_t>* tls_interactive = nullptr;
+
+/// True when a loop this thread starts now should run on it alone: the
+/// thread submits batch work and interactive queries are in progress.
+bool YieldsPool() noexcept {
+  return tls_priority == Priority::kBatch && tls_interactive != nullptr &&
+         tls_interactive->load(std::memory_order_relaxed) != 0;
+}
+
 /// Pool this thread is currently executing a morsel for (worker thread,
 /// or a caller draining its own job), and the scratch slot it holds.
 /// A ParallelFor re-entered from inside a body of the *same* pool runs
@@ -72,6 +83,16 @@ ScopedPriority::ScopedPriority(Priority p) noexcept : previous_(tls_priority) {
 ScopedPriority::~ScopedPriority() { tls_priority = previous_; }
 
 Priority ScopedPriority::Current() noexcept { return tls_priority; }
+
+ScopedYieldToInteractive::ScopedYieldToInteractive(
+    const std::atomic<std::uint32_t>& interactive_in_progress) noexcept
+    : previous_(tls_interactive) {
+  tls_interactive = &interactive_in_progress;
+}
+
+ScopedYieldToInteractive::~ScopedYieldToInteractive() {
+  tls_interactive = previous_;
+}
 
 // ---------------------------------------------------------------------------
 // Pool internals
@@ -177,7 +198,9 @@ bool MorselPool::ParallelFor(
 
   // Single-morsel jobs skip distribution entirely: the caller runs the
   // one range itself (a point query must not wait behind deque traffic).
-  if (num_morsels == 1 || W == 0) {
+  // So does a batch loop while interactive queries are in progress: it
+  // leaves the workers to them.
+  if (num_morsels == 1 || W == 0 || YieldsPool()) {
     const std::size_t slot = AcquireCallerSlot();
     RunInline(n, body, rows, slot, cancel);
     ReleaseCallerSlot(slot);

@@ -14,7 +14,9 @@
 // while a big batch query is in flight gets its morsels drained first:
 // workers always pop/steal kInteractive morsels before kBatch ones.
 // Submitters tag work via ScopedPriority (thread-local, so the serve
-// scheduler can wrap an entire query handler).
+// scheduler can wrap an entire query handler). Under
+// ScopedYieldToInteractive a batch loop leaves the workers alone
+// altogether while a count of interactive queries is non-zero.
 //
 // Determinism: ParallelFor(job) partitions [0, n) into contiguous
 // morsels and the per-slot reduction helpers merge partials in slot
@@ -87,6 +89,28 @@ class ScopedPriority {
   Priority previous_;
 };
 
+/// RAII tag: while it lives, a loop this thread starts at kBatch
+/// priority runs on this thread alone whenever `interactive_in_progress`
+/// is non-zero, and spreads over the pool as usual when it is zero.
+/// Priority lanes order the morsels in the deques, but a batch loop
+/// spread over the pool still takes every worker's CPU time between its
+/// morsels; yielding leaves the workers to the interactive queries the
+/// count says are in progress (gdelt_serve counts them). The count is
+/// read once per loop, at its start. Interactive loops ignore the tag.
+/// Nests like ScopedPriority; `interactive_in_progress` must outlive it.
+class ScopedYieldToInteractive {
+ public:
+  explicit ScopedYieldToInteractive(
+      const std::atomic<std::uint32_t>& interactive_in_progress) noexcept;
+  ~ScopedYieldToInteractive();
+  ScopedYieldToInteractive(const ScopedYieldToInteractive&) = delete;
+  ScopedYieldToInteractive& operator=(const ScopedYieldToInteractive&) =
+      delete;
+
+ private:
+  const std::atomic<std::uint32_t>* previous_;
+};
+
 /// Counters exposed for tests and the stats endpoint. Snapshot values;
 /// monotonically increasing over the pool's lifetime.
 struct MorselPoolStats {
@@ -116,7 +140,8 @@ class MorselPool {
   /// hold distinct slots, so per-slot scratch needs no further locking.
   /// The calling thread participates (it drains its own job), so the
   /// pool makes progress even with zero workers; calls from inside a
-  /// worker run inline serially (no nested-pool deadlock). Returns
+  /// worker run inline serially (no nested-pool deadlock), and so does a
+  /// batch loop that yields (ScopedYieldToInteractive). Returns
   /// false only when the pool is shutting down and the job was instead
   /// run inline on the caller.
   ///

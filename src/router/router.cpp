@@ -199,9 +199,9 @@ std::string Router::HandleQuery(const serve::Request& r,
 }
 
 template <typename MakeLine>
-Result<std::string> Router::ShardRoundTrip(std::size_t shard,
-                                           MakeLine&& make_line,
-                                           Clock::time_point deadline) {
+Result<Router::ShardReply> Router::ShardRoundTrip(std::size_t shard,
+                                                  MakeLine&& make_line,
+                                                  Clock::time_point deadline) {
   const std::uint32_t passes = std::max<std::uint32_t>(1, opt_.scatter_passes);
   Status last_error = status::IoError("never attempted");
   for (std::uint32_t pass = 1; pass <= passes; ++pass) {
@@ -238,18 +238,18 @@ Result<std::string> Router::ShardRoundTrip(std::size_t shard,
       continue;
     }
     pool_.ReportSuccess(shard, replica);
-    bool overloaded = false;
-    if (auto parsed = serve::JsonValue::Parse(*response);
-        parsed.ok() && parsed->is_object()) {
-      overloaded = IsOverloadedResponse(*parsed);
-    }
     pool_.Release(std::move(*lease), /*reusable=*/true);
-    if (overloaded) {
+    ShardReply reply{*std::move(response), {}};
+    if (auto parsed = serve::JsonValue::Parse(reply.line);
+        parsed.ok() && parsed->is_object()) {
+      reply.parsed = *std::move(parsed);
+    }
+    if (IsOverloadedResponse(reply.parsed)) {
       last_error = status::IoError("replica " + std::to_string(replica) +
                                    " rejected: overloaded");
       continue;
     }
-    return *std::move(response);
+    return reply;
   }
   return last_error;
 }
@@ -257,8 +257,10 @@ Result<std::string> Router::ShardRoundTrip(std::size_t shard,
 Result<std::string> Router::RelayLine(std::size_t shard,
                                       const std::string& line,
                                       Clock::time_point deadline) {
-  return ShardRoundTrip(
+  auto reply = ShardRoundTrip(
       shard, [&line](std::int64_t) { return line; }, deadline);
+  if (!reply.ok()) return reply.status();
+  return std::move(reply->line);
 }
 
 Result<serve::JsonValue> Router::FetchShardFrame(const serve::Request& r,
@@ -272,7 +274,7 @@ Result<serve::JsonValue> Router::FetchShardFrame(const serve::Request& r,
   // are re-keyed.
   sub.id = scatter_id;
   const auto of = static_cast<std::uint32_t>(pool_.num_shards());
-  auto response = ShardRoundTrip(
+  auto reply = ShardRoundTrip(
       static_cast<std::size_t>(shard),
       [&sub, shard, of](std::int64_t remaining) {
         // The sub-request carries the remaining budget so the backend
@@ -281,15 +283,15 @@ Result<serve::JsonValue> Router::FetchShardFrame(const serve::Request& r,
         return serve::BuildShardRequestLine(sub, shard, of);
       },
       deadline);
-  if (!response.ok()) return response.status();
-  auto parsed = serve::JsonValue::Parse(*response);
-  if (!parsed.ok() || !parsed->is_object()) {
+  if (!reply.ok()) return reply.status();
+  serve::JsonValue& parsed = reply->parsed;
+  if (!parsed.is_object()) {
     return status::Internal("unparseable backend response");
   }
-  const serve::JsonValue* ok = parsed->Find("ok");
+  const serve::JsonValue* ok = parsed.Find("ok");
   if (ok == nullptr || !ok->AsBool(false)) {
     std::string message = "backend error";
-    if (const serve::JsonValue* error = parsed->Find("error")) {
+    if (const serve::JsonValue* error = parsed.Find("error")) {
       if (const serve::JsonValue* code = error->Find("code")) {
         message = code->AsString();
       }
@@ -299,11 +301,11 @@ Result<serve::JsonValue> Router::FetchShardFrame(const serve::Request& r,
     }
     return status::IoError(message);
   }
-  const serve::JsonValue* frame = parsed->Find("partial");
-  if (frame == nullptr || !frame->is_object()) {
+  serve::JsonValue frame = parsed.Take("partial");
+  if (!frame.is_object()) {
     return status::Internal("backend answered without a partial frame");
   }
-  return *frame;
+  return frame;
 }
 
 void Router::BroadcastCancel(const std::string& scatter_id) {

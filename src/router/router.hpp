@@ -142,14 +142,21 @@ class Router {
   /// receive window, never touches replica health accounting.
   void BroadcastCancel(const std::string& scatter_id);
 
+  /// A backend's response line and its parse (null when the line is not
+  /// JSON), parsed once for every reader.
+  struct ShardReply {
+    std::string line;
+    serve::JsonValue parsed;
+  };
+
   /// One deadline-bounded round-trip against a replica of `shard`,
   /// retried across replicas/passes. `make_line` rebuilds the request
   /// line from the remaining budget so the backend enforces the same
   /// deadline. Backend `overloaded` rejections are retried (another
   /// replica may have queue room); other backend errors are final.
   template <typename MakeLine>
-  Result<std::string> ShardRoundTrip(std::size_t shard, MakeLine&& make_line,
-                                     Clock::time_point deadline);
+  Result<ShardReply> ShardRoundTrip(std::size_t shard, MakeLine&& make_line,
+                                    Clock::time_point deadline);
 
   bool AdmitScatter(bool batch, Clock::time_point deadline);
   void ReleaseScatter();

@@ -218,6 +218,13 @@ const JsonValue* JsonValue::Find(std::string_view key) const noexcept {
   return nullptr;
 }
 
+JsonValue JsonValue::Take(std::string_view key) noexcept {
+  for (auto& [k, v] : members_) {
+    if (k == key) return std::exchange(v, JsonValue());
+  }
+  return JsonValue();
+}
+
 void AppendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {

@@ -46,6 +46,9 @@ class JsonValue {
 
   /// Object member by key; nullptr if absent or not an object.
   const JsonValue* Find(std::string_view key) const noexcept;
+  /// Moves object member `key` out, leaving null in its place; null if
+  /// absent or not an object.
+  JsonValue Take(std::string_view key) noexcept;
 
   const std::vector<std::pair<std::string, JsonValue>>& members()
       const noexcept {

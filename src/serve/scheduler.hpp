@@ -11,7 +11,12 @@
 // parallel::ScopedPriority, and the two-lane queue below dequeues
 // interactive requests ahead of batch ones — so a cheap query admitted
 // behind a saturating co-reporting scan passes it both at dequeue and
-// inside the pool.
+// inside the pool. Lane order alone leaves the CPU time to whoever
+// holds the workers, so batch loops also yield the pool: while the
+// server counts interactive queries in progress, a loop a batch task
+// starts runs on the task's own worker thread
+// (parallel::ScopedYieldToInteractive), and batch loops spread over the
+// pool only while none are.
 #pragma once
 
 #include <cstdint>

@@ -56,6 +56,24 @@ void CancellableSleep(std::int64_t ms, const util::CancelToken* cancel) {
   }
 }
 
+/// Counts one interactive query in progress for its lifetime; a batch
+/// query counts nothing.
+class InteractiveInProgress {
+ public:
+  InteractiveInProgress(std::atomic<std::uint32_t>& count, bool interactive)
+      : count_(interactive ? &count : nullptr) {
+    if (count_ != nullptr) count_->fetch_add(1, std::memory_order_relaxed);
+  }
+  ~InteractiveInProgress() {
+    if (count_ != nullptr) count_->fetch_sub(1, std::memory_order_relaxed);
+  }
+  InteractiveInProgress(const InteractiveInProgress&) = delete;
+  InteractiveInProgress& operator=(const InteractiveInProgress&) = delete;
+
+ private:
+  std::atomic<std::uint32_t>* count_;
+};
+
 }  // namespace
 
 Server::Server(const engine::Database& db, stream::DeltaStore* delta,
@@ -220,6 +238,13 @@ std::int64_t Server::RetryAfterMsNow() {
 
 std::string Server::HandleQuery(Request request, Clock::time_point received,
                                 double parse_ms, int client_fd) {
+  const parallel::Priority lane = IsBatchQueryKind(request.kind)
+                                      ? parallel::Priority::kBatch
+                                      : parallel::Priority::kInteractive;
+  // From here to the reply (cache hits included) an interactive query is
+  // in progress, and the loops of batch tasks run on their own thread.
+  const InteractiveInProgress in_progress(
+      interactive_in_progress_, lane == parallel::Priority::kInteractive);
   // Clamp the requested budget to the server's ceiling; the effective
   // value is what the deadline below enforces and what the response
   // envelope echoes as "deadline_ms".
@@ -309,6 +334,9 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
     // trips inside the kernels at morsel granularity, so a 100ms budget
     // aborts a multi-second scan within ~one morsel of the deadline.
     token->ArmDeadline(deadline);
+    // A batch task's loops yield the pool while interactive queries are
+    // in progress (interactive tasks' loops ignore this).
+    const parallel::ScopedYieldToInteractive yield(interactive_in_progress_);
     // A traced request gets a thread-local collector: every span the
     // kernels finish on this thread lands in the response, even with
     // global tracing off.
@@ -419,9 +447,7 @@ std::string Server::HandleQuery(Request request, Clock::time_point received,
     promise->set_value(OkResponse(request, rendered->text, /*cached=*/false,
                                   wall_ms, stages, spans));
   },
-                                          IsBatchQueryKind(request.kind)
-                                              ? parallel::Priority::kBatch
-                                              : parallel::Priority::kInteractive);
+                                          lane);
   if (!admitted) {
     deregister();
     metrics_.rejected_overloaded.fetch_add(1);

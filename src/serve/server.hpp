@@ -88,6 +88,10 @@ class Server {
   std::string HandleLine(const std::string& line, int client_fd = -1);
 
   const ServerMetrics& metrics() const noexcept { return metrics_; }
+  /// Interactive queries between HandleQuery entry and reply right now.
+  std::uint32_t interactive_in_progress() const noexcept {
+    return interactive_in_progress_.load(std::memory_order_relaxed);
+  }
   ServerMetrics::Gauges GaugesNow() const;
 
  private:
@@ -127,6 +131,12 @@ class Server {
   sync::Mutex cancel_mu_;
   std::unordered_map<std::string, std::shared_ptr<util::CancelToken>>
       inflight_ GDELT_GUARDED_BY(cancel_mu_);
+  /// Interactive queries in progress, from HandleQuery entry to reply,
+  /// cache hits included. While it is non-zero, a loop a batch task
+  /// starts runs on the task's own thread (parallel::
+  /// ScopedYieldToInteractive), so batch work takes one core, not the
+  /// pool, beside the interactive queries.
+  std::atomic<std::uint32_t> interactive_in_progress_{0};
   /// Execution-time histogram (misses only, not cache hits) feeding the
   /// p50 behind retry_after_ms.
   LatencyHistogram exec_latency_;

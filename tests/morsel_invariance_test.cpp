@@ -363,7 +363,6 @@ TEST_F(MorselInvarianceTest, FirstReports) {
   FirstReportStats naive;
   naive.first_reports.assign(db_->num_sources(), 0);
   naive.first_delay_histogram.assign(kBins, 0);
-  naive.repeat_events.assign(db_->num_sources(), 0);
   naive.repeat_articles.assign(db_->num_sources(), 0);
   for (const auto& rows : RowsByEvent()) {
     if (rows.empty()) continue;
@@ -388,7 +387,6 @@ TEST_F(MorselInvarianceTest, FirstReports) {
       std::size_t b = a;
       while (b < sources.size() && sources[b] == sources[a]) ++b;
       if (b - a >= 2) {
-        ++naive.repeat_events[sources[a]];
         naive.repeat_articles[sources[a]] += b - a - 1;
       }
       a = b;
@@ -399,7 +397,6 @@ TEST_F(MorselInvarianceTest, FirstReports) {
     EXPECT_EQ(got.first_reports, want.first_reports);
     EXPECT_EQ(got.first_delay_histogram, want.first_delay_histogram);
     EXPECT_EQ(got.events_broken_within_hour, want.events_broken_within_hour);
-    EXPECT_EQ(got.repeat_events, want.repeat_events);
     EXPECT_EQ(got.repeat_articles, want.repeat_articles);
   };
   for (const auto& got : AtEachMorselSize(
@@ -409,13 +406,11 @@ TEST_F(MorselInvarianceTest, FirstReports) {
   FirstReportStats sum;
   sum.first_reports.assign(db_->num_sources(), 0);
   sum.first_delay_histogram.assign(kBins, 0);
-  sum.repeat_events.assign(db_->num_sources(), 0);
   sum.repeat_articles.assign(db_->num_sources(), 0);
   for (const IndexRange part : Thirds(db_->num_events())) {
     const auto got = ComputeFirstReports(*db_, part, kBins);
     AddInto(sum.first_reports, got.first_reports);
     AddInto(sum.first_delay_histogram, got.first_delay_histogram);
-    AddInto(sum.repeat_events, got.repeat_events);
     AddInto(sum.repeat_articles, got.repeat_articles);
     sum.events_broken_within_hour += got.events_broken_within_hour;
   }

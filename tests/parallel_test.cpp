@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "parallel/morsel.hpp"
 #include "util/rng.hpp"
@@ -107,6 +109,83 @@ TEST(ScopedPoolTest, RoutesLoopsAndNestedLoopsToThePrivatePool) {
   EXPECT_EQ(pool.stats().jobs, 1u);
   EXPECT_EQ(pool.stats().inline_jobs, 8u);
   EXPECT_EQ(&parallel::CurrentPool(), &parallel::MorselPool::Shared());
+}
+
+/// One 16-morsel loop on `pool`: whether any morsel ran off the calling
+/// thread, and a float sum over per-morsel partials merged in morsel
+/// order. Morsels on the caller wait until a worker has run one, or
+/// until `patience` after the loop started, so a loop that can spread
+/// is seen to.
+struct LoopRun {
+  bool spread = false;
+  double sum = 0.0;
+};
+
+LoopRun RunLoop(parallel::MorselPool& pool,
+               std::chrono::milliseconds patience) {
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kMorsels = 16;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> off_caller{false};
+  const auto give_up = std::chrono::steady_clock::now() + patience;
+  std::vector<double> partials(kMorsels, 0.0);
+  pool.ParallelFor(
+      kRows * kMorsels,
+      [&](IndexRange r, std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          off_caller = true;
+        } else {
+          while (!off_caller && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+        }
+        double local = 0.0;
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          local += 1.0 / static_cast<double>(i + 1);
+        }
+        partials[r.begin / kRows] = local;
+      },
+      kRows);
+  LoopRun run;
+  run.spread = off_caller.load();
+  for (const double p : partials) run.sum += p;
+  return run;
+}
+
+TEST(YieldToInteractiveTest, BatchLoopsRunOnTheCallerWhileTheCountIsNonZero) {
+  parallel::MorselPool pool(2);
+  // The same sum, serially, in the same per-morsel order.
+  double want = 0.0;
+  for (std::size_t m = 0; m < 16; ++m) {
+    double local = 0.0;
+    for (std::size_t i = m * 64; i < (m + 1) * 64; ++i) {
+      local += 1.0 / static_cast<double>(i + 1);
+    }
+    want += local;
+  }
+  std::atomic<std::uint32_t> interactive{1};
+  const parallel::ScopedYieldToInteractive yield(interactive);
+  {
+    const parallel::ScopedPriority batch(parallel::Priority::kBatch);
+    const std::uint64_t jobs = pool.stats().jobs;
+    const LoopRun run = RunLoop(pool, std::chrono::milliseconds(200));
+    EXPECT_FALSE(run.spread) << "a batch loop took the workers";
+    EXPECT_EQ(run.sum, want);
+    EXPECT_EQ(pool.stats().jobs, jobs + 1);
+  }
+  {
+    const parallel::ScopedPriority lane(parallel::Priority::kInteractive);
+    const LoopRun run = RunLoop(pool, std::chrono::seconds(10));
+    EXPECT_TRUE(run.spread) << "an interactive loop stayed on its caller";
+    EXPECT_EQ(run.sum, want);
+  }
+  interactive = 0;
+  {
+    const parallel::ScopedPriority batch(parallel::Priority::kBatch);
+    const LoopRun run = RunLoop(pool, std::chrono::seconds(10));
+    EXPECT_TRUE(run.spread) << "an idle pool was not used";
+    EXPECT_EQ(run.sum, want);
+  }
 }
 
 TEST(PrefixSumTest, ExclusiveSemantics) {

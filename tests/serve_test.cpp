@@ -18,6 +18,7 @@
 #include "engine/database.hpp"
 #include "gen/generator.hpp"
 #include "gen/emit.hpp"
+#include "parallel/morsel.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
@@ -58,6 +59,21 @@ TEST(JsonTest, ParsesFlatObject) {
   EXPECT_EQ(v->Find("note")->kind(), JsonValue::Kind::kNull);
   EXPECT_EQ(v->Find("xs")->elements().size(), 2u);
   EXPECT_EQ(v->Find("missing"), nullptr);
+}
+
+TEST(JsonTest, TakeMovesAMemberOut) {
+  auto v = JsonValue::Parse(R"({"ok":true,"partial":{"v":1,"xs":[1,2]}})");
+  ASSERT_TRUE(v.ok());
+  const JsonValue frame = v->Take("partial");
+  ASSERT_TRUE(frame.is_object());
+  EXPECT_EQ(frame.Find("v")->AsInt(), 1);
+  EXPECT_EQ(frame.Find("xs")->elements().size(), 2u);
+  // The member stays, as null; other members are untouched.
+  EXPECT_EQ(v->Find("partial")->kind(), JsonValue::Kind::kNull);
+  EXPECT_TRUE(v->Find("ok")->AsBool());
+  EXPECT_EQ(v->Take("missing").kind(), JsonValue::Kind::kNull);
+  JsonValue scalar;
+  EXPECT_EQ(scalar.Take("partial").kind(), JsonValue::Kind::kNull);
 }
 
 TEST(JsonTest, ParsesEscapes) {
@@ -284,7 +300,11 @@ TEST(ResultCacheTest, LateTagRoundTrips) {
 /// loopback port.
 class ServeTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options, stream::DeltaStore* delta = nullptr) {
+  /// `filler_events` more random events (each with 0-5 mentions over 8
+  /// sources) follow the six fixed mentions, for tests that need loops
+  /// of several morsels.
+  void StartServer(ServerOptions options, stream::DeltaStore* delta = nullptr,
+                   int filler_events = 0) {
     dir_ = std::make_unique<TempDir>("serve");
     TestDbBuilder builder;
     const auto e1 = builder.AddEvent(100, CountryId{1});
@@ -296,6 +316,19 @@ class ServeTest : public ::testing::Test {
     builder.AddMention(e2, 202, "c.com", 70);
     builder.AddMention(e3, 301, "b.com", 30);
     builder.AddMention(e3, 302, "a.com", 95);
+    Xoshiro256 rng(11);
+    for (int i = 0; i < filler_events; ++i) {
+      const auto at = 400 + 3 * i;
+      const auto e = builder.AddEvent(at, CountryId{static_cast<std::uint16_t>(
+                                              1 + UniformBelow(rng, 3))});
+      for (auto m = UniformBelow(rng, 6); m > 0; --m) {
+        builder.AddMention(
+            e, at + static_cast<std::int64_t>(UniformBelow(rng, 12)),
+            std::string(1, static_cast<char>('a' + UniformBelow(rng, 8))) +
+                ".com",
+            static_cast<std::uint8_t>(UniformBelow(rng, 101)));
+      }
+    }
     auto db = builder.Build(dir_->path());
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::make_unique<engine::Database>(std::move(*db));
@@ -632,6 +665,62 @@ TEST_F(ServeTest, MidScanDeadlineAbortsWithinSliceBudget) {
   ASSERT_TRUE(metrics.ok());
   const auto m = Parsed(*metrics);
   EXPECT_GE(m.Find("metrics")->Find("cancelled_deadline")->AsInt(), 1);
+}
+
+TEST_F(ServeTest, BatchQueryBesideAnInteractiveOneRendersTheSameBytes) {
+  ServerOptions options;
+  options.scheduler.workers = 2;
+  options.cache_entries = 0;
+  StartServer(options, nullptr, /*filler_events=*/600);
+  // Several morsels per loop, so a batch loop that spreads and one that
+  // yields the pool really run differently.
+  parallel::SetMorselRows(64);
+  const auto batch_lines = [] {
+    std::vector<std::string> lines;
+    for (const QueryKindSpec& spec : QueryKinds()) {
+      if (spec.lane != Lane::kBatch) continue;
+      lines.push_back(std::string(R"({"query":")") +
+                      std::string(spec.name) + R"(","top":5})");
+    }
+    return lines;
+  }();
+  ASSERT_FALSE(batch_lines.empty());
+  std::vector<std::string> alone;
+  for (const std::string& line : batch_lines) {
+    ASSERT_EQ(server_->interactive_in_progress(), 0u);
+    const auto v = Parsed(server_->HandleLine(line));
+    ASSERT_TRUE(v.Find("ok")->AsBool()) << line;
+    alone.push_back(v.Find("text")->AsString());
+  }
+
+  // An interactive request held in progress on one scheduler worker.
+  std::thread holder([this] {
+    server_->HandleLine(
+        R"({"id":"hold","query":"top-sources","debug_sleep_ms":30000})");
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->interactive_in_progress() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->interactive_in_progress(), 1u);
+  for (std::size_t i = 0; i < batch_lines.size(); ++i) {
+    const auto v = Parsed(server_->HandleLine(batch_lines[i]));
+    ASSERT_TRUE(v.Find("ok")->AsBool()) << batch_lines[i];
+    EXPECT_EQ(v.Find("text")->AsString(), alone[i]) << batch_lines[i];
+  }
+  EXPECT_EQ(server_->interactive_in_progress(), 1u);
+  // The count rises at entry, a moment before the id is cancellable.
+  while (!Parsed(server_->HandleLine(R"({"id":"hold","query":"cancel"})"))
+              .Find("cancelled")
+              ->AsBool(false) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  holder.join();
+  EXPECT_EQ(server_->interactive_in_progress(), 0u);
+  parallel::SetMorselRows(0);
 }
 
 TEST_F(ServeTest, CancelVerbAbortsInFlightRequest) {
