@@ -38,11 +38,14 @@ void Print() {
   const auto hist = analysis::EventSizeDistribution(db);
   std::printf("\n=== Figure 2: events per article count (log2 bins) ===\n");
   std::printf("  %-22s %s\n", "articles per event", "events");
-  for (std::size_t lo = 1; lo < hist.size(); lo *= 2) {
-    const std::size_t hi = std::min(hist.size(), lo * 2);
+  const std::uint64_t largest = hist.empty() ? 0 : hist.rbegin()->first;
+  for (std::uint64_t lo = 1; lo <= largest; lo *= 2) {
     std::uint64_t events = 0;
-    for (std::size_t k = lo; k < hi; ++k) events += hist[k];
-    std::printf("  [%6zu, %6zu)%7s %s\n", lo, lo * 2, "",
+    for (auto it = hist.lower_bound(lo); it != hist.lower_bound(lo * 2); ++it) {
+      events += it->second;
+    }
+    std::printf("  [%6llu, %6llu)%7s %s\n", static_cast<unsigned long long>(lo),
+                static_cast<unsigned long long>(lo * 2), "",
                 WithThousands(events).c_str());
   }
   std::printf("MLE power-law alpha (xmin=2): %.2f\n",

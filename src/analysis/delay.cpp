@@ -111,49 +111,33 @@ QuarterlyDelay QuarterlyDelayStats(const engine::Database& db,
   const auto w = engine::QuartersOf(db);
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
-  const auto zone_min = db.zone_min_interval();
-  const auto zone_max = db.zone_max_interval();
   const auto nq = static_cast<std::size_t>(w.count);
 
   QuarterlyDelay result;
   result.first_quarter = w.first;
   result.average.assign(nq, 0.0);
   result.median.assign(nq, 0);
-  if (nq <= shard) return result;
 
-  // Every owned quarter is its own morsel (quarter sizes are skewed, and
-  // the pool's stealing does the balancing). It gathers its non-negative
-  // delays from the zone blocks whose interval range overlaps it, so a
-  // partition reads only the blocks of its own quarters. The sum is an
-  // exact integer and the median depends on the values alone, so neither
-  // depends on the order the rows are gathered in.
+  // Each owned quarter gathers its non-negative delays from its own runs.
+  // The sum is an exact integer and the median depends on the values
+  // alone, so neither depends on the order the rows are gathered in.
   std::vector<std::vector<std::int64_t>> scratch(parallel::PoolSlots());
-  const std::size_t owned = (nq - shard + of - 1) / of;
   parallel::PoolParallelFor(
-      owned,
+      nq,
       [&](IndexRange r, std::size_t slot) {
         auto& delays = scratch[slot];
-        for (std::size_t k = r.begin; k < r.end; ++k) {
-          const std::size_t q = shard + k * of;
+        for (std::size_t q = r.begin; q < r.end; ++q) {
+          if (q % of != shard) continue;
           delays.clear();
           std::uint64_t sum = 0;
-          for (std::size_t z = 0; z < zone_min.size(); ++z) {
-            if (zone_max[z] < w.bounds[q] || zone_min[z] >= w.bounds[q + 1]) {
-              continue;
+          engine::ForEachRunInQuarter(db, w, q, [&](IndexRange run) {
+            for (std::size_t i = run.begin; i < run.end; ++i) {
+              const IntervalId d = IntervalId{when[i]} - event_when[i];
+              if (d < 0) continue;  // the Table II defect
+              delays.push_back(d);
+              sum += static_cast<std::uint64_t>(d);
             }
-            const std::size_t row0 = z * engine::Database::kZoneRows;
-            engine::ForEachQuarterRun(
-                db, w, {row0, row0 + engine::Database::kZoneRows},
-                [&](IndexRange run, std::size_t run_q) {
-                  if (run_q != q) return;
-                  for (std::size_t i = run.begin; i < run.end; ++i) {
-                    const IntervalId d = IntervalId{when[i]} - event_when[i];
-                    if (d < 0) continue;  // the Table II defect
-                    delays.push_back(d);
-                    sum += static_cast<std::uint64_t>(d);
-                  }
-                });
-          }
+          });
           if (delays.empty()) continue;
           result.average[q] =
               static_cast<double>(sum) / static_cast<double>(delays.size());

@@ -2,29 +2,29 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
+#include <map>
 
 #include "engine/database.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::analysis {
 
-/// events_with[k] = number of events that have exactly k articles
-/// (index 0 unused; events always have >= 1 article).
-std::vector<std::uint64_t> EventSizeDistribution(const engine::Database& db);
+/// Events per event size (articles per event), in ascending size; sizes
+/// no event has are absent.
+using EventSizes = std::map<std::uint64_t, std::uint64_t>;
 
-/// Continuous-MLE power-law exponent over samples >= xmin:
-///   alpha = 1 + n / sum(ln(x_i / xmin)).
-/// Returns 0 when fewer than 2 samples qualify.
-double PowerLawAlphaMle(std::span<const std::uint64_t> samples,
-                        std::uint64_t xmin);
+/// The event sizes of `events`. Polls `cancel` per morsel.
+EventSizes EventSizeDistribution(const engine::Database& db,
+                                 IndexRange events = kWholeRange,
+                                 const util::CancelToken* cancel = nullptr);
+
+/// Continuous-MLE power-law exponent over the events of size >= xmin:
+///   alpha = 1 + n / sum(count * ln(x / xmin)), summed in ascending size.
+/// Returns 0 when fewer than 2 events qualify.
+double PowerLawAlpha(const EventSizes& sizes, std::uint64_t xmin);
 
 /// Fits alpha of the event-size distribution (xmin = 1 by default).
 double EventSizePowerLawAlpha(const engine::Database& db,
                               std::uint64_t xmin = 1);
-
-/// Weighted average articles per event (the paper's 3.36 in Table I);
-/// equals mentions / events.
-double AverageArticlesPerEvent(const engine::Database& db);
 
 }  // namespace gdelt::analysis

@@ -25,13 +25,13 @@ struct FirstReportLocal {
 };
 
 /// Accumulates first-report statistics for events [r.begin, r.end).
-void FirstReportEventsRange(const engine::Database& db, IndexRange r,
+void FirstReportEventsRange(const engine::Database& db,
+                            const CsrSetIndex& index, IndexRange r,
                             FirstReportLocal& local) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
   const auto event_when = db.mention_event_interval();
   const auto& by_event = db.mentions_by_event();
-  const auto& index = db.event_distinct_sources();
   const std::size_t last_bin = local.hist.size() - 1;
   for (std::size_t e = r.begin; e < r.end; ++e) {
     const auto rows = by_event.RowsOf(static_cast<std::uint32_t>(e));
@@ -82,6 +82,9 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
   stats.repeat_articles.assign(ns, 0);
 
   events = ClampRange(events, db.num_events());
+  if (events.empty()) return stats;
+  // Built here: a first call from a pool body would build it serially.
+  const auto& index = db.event_distinct_sources();
   std::vector<FirstReportLocal> locals(parallel::PoolSlots());
   parallel::PoolParallelFor(
       events.size(),
@@ -89,7 +92,7 @@ FirstReportStats ComputeFirstReports(const engine::Database& db,
         auto& local = locals[slot];
         local.EnsureSized(ns, bins);
         FirstReportEventsRange(
-            db, {events.begin + r.begin, events.begin + r.end}, local);
+            db, index, {events.begin + r.begin, events.begin + r.end}, local);
       },
       /*morsel_rows=*/0, cancel);
 

@@ -19,12 +19,12 @@ struct FollowScratch {
 
 /// Accumulates follow counts for events [r.begin, r.end) into `local`.
 void FollowEventsRange(const engine::Database& db,
+                       const CsrSetIndex& index,
                        const std::vector<std::int32_t>& slot, std::size_t n,
                        IndexRange r, FollowScratch& scratch,
                        std::vector<std::uint64_t>& local) {
   const auto src = db.mention_source_id();
   const auto when = db.mention_interval();
-  const auto& index = db.event_distinct_sources();
   scratch.first_pub.resize(n);
   for (std::size_t e = r.begin; e < r.end; ++e) {
     // Prefilter on the memoized distinct-source list: most events have
@@ -87,6 +87,8 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
   events = ClampRange(events, db.num_events());
   if (n == 0 || events.empty()) return result;
 
+  // Built here: a first call from a pool body would build it serially.
+  const auto& index = db.event_distinct_sources();
   // Per-slot count matrices merged in slot order: no atomics on the hot
   // path and deterministic output under any scheduling (integer sums
   // commute across morsels).
@@ -98,7 +100,7 @@ FollowReportMatrix ComputeFollowReporting(const engine::Database& db,
       [&](IndexRange r, std::size_t s) {
         auto& local = locals[s];
         if (local.size() != n * n) local.assign(n * n, 0);
-        FollowEventsRange(db, slot, n,
+        FollowEventsRange(db, index, slot, n,
                           {events.begin + r.begin, events.begin + r.end},
                           scratch[s], local);
       },

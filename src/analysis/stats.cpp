@@ -1,8 +1,5 @@
 #include "analysis/stats.hpp"
 
-#include <algorithm>
-
-#include "analysis/distributions.hpp"
 #include "util/strings.hpp"
 
 namespace gdelt::analysis {
@@ -27,27 +24,31 @@ std::string DatasetStatistics::ToText() const {
   return out;
 }
 
-DatasetStatistics ComputeDatasetStatistics(const engine::Database& db) {
-  DatasetStatistics stats;
-  stats.sources = db.num_sources();
-  stats.events = db.num_events();
-  stats.articles = db.num_mentions();
-  stats.capture_intervals =
-      db.num_mentions() == 0
-          ? 0
-          : static_cast<std::uint64_t>(db.last_interval() -
-                                       db.first_interval() + 1);
-  const auto counts = db.event_article_count();
-  std::uint64_t min_c = counts.empty() ? 0 : UINT64_MAX;
-  std::uint64_t max_c = 0;
-  for (const std::uint32_t c : counts) {
-    min_c = std::min<std::uint64_t>(min_c, c);
-    max_c = std::max<std::uint64_t>(max_c, c);
+std::uint64_t CaptureIntervals(const engine::Database& db) {
+  return db.num_mentions() == 0
+             ? 0
+             : static_cast<std::uint64_t>(db.last_interval() -
+                                          db.first_interval() + 1);
+}
+
+DatasetStatistics ComputeDatasetStatistics(DatasetStatistics counts,
+                                           const EventSizes& sizes) {
+  if (!sizes.empty()) {
+    counts.min_articles_per_event = sizes.begin()->first;
+    counts.max_articles_per_event = sizes.rbegin()->first;
   }
-  stats.min_articles_per_event = counts.empty() ? 0 : min_c;
-  stats.max_articles_per_event = max_c;
-  stats.weighted_avg_articles_per_event = AverageArticlesPerEvent(db);
-  return stats;
+  counts.weighted_avg_articles_per_event =
+      counts.events == 0 ? 0.0
+                         : static_cast<double>(counts.articles) /
+                               static_cast<double>(counts.events);
+  return counts;
+}
+
+DatasetStatistics ComputeDatasetStatistics(const engine::Database& db) {
+  return ComputeDatasetStatistics(
+      {db.num_sources(), db.num_events(), CaptureIntervals(db),
+       db.num_mentions()},
+      EventSizeDistribution(db));
 }
 
 }  // namespace gdelt::analysis

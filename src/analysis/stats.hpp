@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "analysis/distributions.hpp"
 #include "engine/database.hpp"
 
 namespace gdelt::analysis {
@@ -22,6 +23,15 @@ struct DatasetStatistics {
   std::string ToText() const;
 };
 
+/// The capture intervals a database's mentions span (0 without mentions).
+std::uint64_t CaptureIntervals(const engine::Database& db);
+
+/// Table I from its four table counts, set in `counts`, and the event
+/// sizes.
+DatasetStatistics ComputeDatasetStatistics(DatasetStatistics counts,
+                                           const EventSizes& sizes);
+
+/// Table I of a whole database.
 DatasetStatistics ComputeDatasetStatistics(const engine::Database& db);
 
 }  // namespace gdelt::analysis

@@ -1,90 +1,98 @@
 #include "analysis/tone.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "parallel/morsel.hpp"
 
 namespace gdelt::analysis {
-namespace {
 
-/// Events per accumulation block. A fixed constant, not the pool size or
-/// the morsel size, so the float sums are the same at any of those.
-constexpr std::size_t kToneBlockEvents = 1024;
+std::size_t NumToneBins() noexcept {
+  return CountryToneBin(static_cast<CountryId>(Countries().size()));
+}
 
-/// Generic parallel mean-by-bin over events: one partial per fixed-size
-/// block of events (each block is one pool morsel), merged in block
-/// order, so the double sums are bitwise reproducible.
-template <typename BinFn, typename ValueFn>
-std::vector<MeanAccumulator> MeanByBin(const engine::Database& db,
-                                       std::size_t bins, BinFn&& bin_of,
-                                       ValueFn&& value_of) {
+std::size_t NumToneBlocks(const engine::Database& db) noexcept {
+  return (db.num_events() + kToneBlockEvents - 1) / kToneBlockEvents;
+}
+
+std::vector<ToneEntry> ComputeToneBlocks(const engine::Database& db,
+                                         IndexRange blocks,
+                                         std::span<const CountryId> countries,
+                                         const util::CancelToken* cancel) {
   const std::size_t n = db.num_events();
-  std::vector<std::vector<MeanAccumulator>> blocks(
-      (n + kToneBlockEvents - 1) / kToneBlockEvents);
+  const std::size_t bins = NumToneBins();
+  const std::size_t num_countries = Countries().size();
+  blocks = ClampRange(blocks, NumToneBlocks(db));
+  const auto quad = db.event_quad_class();
+  const auto country = db.event_country();
+  const auto tone = db.events_tone();
+  const auto goldstein = db.event_goldstein();
+  std::vector<bool> kept(bins, false);
+  std::fill_n(kept.begin(), CountryToneBin(0), true);
+  for (const CountryId c : countries) kept[CountryToneBin(c)] = true;
+
+  std::vector<std::vector<ToneEntry>> per_block(blocks.size());
+  std::vector<std::vector<MeanAccumulator>> scratch(parallel::PoolSlots());
+  const auto add = [](MeanAccumulator& acc, double v) {
+    acc.sum += v;
+    ++acc.count;
+  };
   parallel::PoolParallelFor(
-      n,
-      [&](IndexRange r, std::size_t) {
-        auto& local = blocks[r.begin / kToneBlockEvents];
-        local.assign(bins, MeanAccumulator{});
-        for (std::size_t e = r.begin; e < r.end; ++e) {
-          const std::size_t b = bin_of(e);
-          if (b >= bins) continue;
-          local[b].sum += value_of(e);
-          ++local[b].count;
+      blocks.size(),
+      [&](IndexRange r, std::size_t slot) {
+        auto& acc = scratch[slot];
+        for (std::size_t k = r.begin; k < r.end; ++k) {
+          // Bin `bins` takes the events without a country. The values are
+          // read into locals first: the u8 quad column may alias anything.
+          acc.assign(bins + 1, MeanAccumulator{});
+          MeanAccumulator* a = acc.data();
+          const std::size_t first = (blocks.begin + k) * kToneBlockEvents;
+          const std::size_t last = std::min(n, first + kToneBlockEvents);
+          for (std::size_t e = first; e < last; ++e) {
+            const std::size_t q = quad[e];
+            const CountryId c = country[e];
+            const double t = tone[e];
+            if (q >= 1 && q <= 4) {
+              add(a[QuadToneBin(q)], t);
+              add(a[QuadGoldsteinBin(q)], goldstein[e]);
+            }
+            add(a[c < num_countries ? CountryToneBin(c) : bins], t);
+          }
+          for (std::size_t b = 0; b < bins; ++b) {
+            if (kept[b] && acc[b].count > 0) {
+              per_block[k].push_back({blocks.begin + k, b, acc[b]});
+            }
+          }
         }
       },
-      kToneBlockEvents);
-  std::vector<MeanAccumulator> merged(bins);
-  for (const auto& local : blocks) {
-    for (std::size_t b = 0; b < bins; ++b) {
-      merged[b].sum += local[b].sum;
-      merged[b].count += local[b].count;
-    }
+      /*morsel_rows=*/1, cancel);
+  std::vector<ToneEntry> out;
+  for (const auto& entries : per_block) {
+    out.insert(out.end(), entries.begin(), entries.end());
+  }
+  return out;
+}
+
+std::vector<MeanAccumulator> MergeToneBlocks(std::vector<ToneEntry> entries) {
+  const auto by_block = [](const ToneEntry& a, const ToneEntry& b) {
+    return a.block < b.block;
+  };
+  if (!std::is_sorted(entries.begin(), entries.end(), by_block)) {
+    std::stable_sort(entries.begin(), entries.end(), by_block);
+  }
+  std::vector<MeanAccumulator> merged(NumToneBins());
+  for (const ToneEntry& e : entries) {
+    merged[e.bin].sum += e.acc.sum;
+    merged[e.bin].count += e.acc.count;
   }
   return merged;
 }
 
-}  // namespace
-
-std::vector<MeanAccumulator> AverageToneByCountry(
-    const engine::Database& db) {
-  const auto country = db.event_country();
-  const auto tone = db.events_tone();
-  return MeanByBin(
-      db, Countries().size(),
-      [&](std::size_t e) -> std::size_t {
-        return country[e] == kNoCountry ? SIZE_MAX : country[e];
-      },
-      [&](std::size_t e) { return tone[e]; });
-}
-
-QuadClassTone ToneByQuadClass(const engine::Database& db) {
-  const auto quad = db.event_quad_class();
-  const auto tone = db.events_tone();
-  const auto goldstein = db.event_goldstein();
-  QuadClassTone result;
-  const auto tones = MeanByBin(
-      db, 5, [&](std::size_t e) -> std::size_t { return quad[e]; },
-      [&](std::size_t e) { return tone[e]; });
-  const auto scores = MeanByBin(
-      db, 5, [&](std::size_t e) -> std::size_t { return quad[e]; },
-      [&](std::size_t e) { return goldstein[e]; });
-  for (std::size_t q = 0; q < 5; ++q) {
-    result.tone[q] = tones[q];
-    result.goldstein[q] = scores[q];
-  }
-  return result;
-}
-
-QuarterlyTone QuarterlyAverageTone(const engine::Database& db) {
-  const auto w = engine::QuartersOf(db);
-  const auto added = db.event_added_interval();
-  const auto tone = db.events_tone();
-  QuarterlyTone result;
-  result.first_quarter = w.first;
-  result.values = MeanByBin(
-      db, static_cast<std::size_t>(w.count),
-      [&](std::size_t e) { return w.Of(added[e]).value_or(SIZE_MAX); },
-      [&](std::size_t e) { return tone[e]; });
-  return result;
+std::vector<MeanAccumulator> ToneByBin(const engine::Database& db) {
+  std::vector<CountryId> every(Countries().size());
+  std::iota(every.begin(), every.end(), CountryId{0});
+  return MergeToneBlocks(
+      ComputeToneBlocks(db, {0, NumToneBlocks(db)}, every));
 }
 
 }  // namespace gdelt::analysis

@@ -65,50 +65,58 @@ QuarterSeries ArticlesPerQuarter(const Database& db) {
   return series;
 }
 
-QuarterSeries EventsPerQuarter(const Database& db) {
+QuarterSeries EventsPerQuarter(const Database& db, IndexRange events,
+                               const util::CancelToken* cancel) {
   TRACE_SPAN("engine.events_per_quarter");
   const QuarterWindow w = QuartersOf(db);
   const auto added = db.event_added_interval();
   QuarterSeries series;
   series.first_quarter = w.first;
   series.values = parallel::PoolHistogram(
-      {0, added.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t i) { return w.Of(added[i]).value_or(SIZE_MAX); });
+      ClampRange(events, added.size()), static_cast<std::size_t>(w.count),
+      [&](std::size_t i) { return w.Of(added[i]).value_or(SIZE_MAX); },
+      /*selected=*/nullptr, cancel);
   return series;
 }
 
-QuarterSeries ActiveSourcesPerQuarter(const Database& db) {
-  TRACE_SPAN("engine.active_sources_per_quarter");
+QuarterActivity QuarterlyActivity(const Database& db, std::uint32_t shard,
+                                  std::uint32_t of,
+                                  const util::CancelToken* cancel) {
+  TRACE_SPAN("engine.quarterly_activity");
   const QuarterWindow w = QuartersOf(db);
   const auto src = db.mention_source_id();
-  const std::size_t nq = static_cast<std::size_t>(w.count);
-  const std::size_t ns = db.num_sources();
-
-  // (source, quarter) presence bitmap, built with per-slot OR then merged.
-  std::vector<std::vector<std::uint8_t>> locals(parallel::PoolSlots());
-  PoolQuarterRuns(
-      db, w, kWholeRange, [&](IndexRange run, std::size_t q, std::size_t slot) {
-        auto& local = locals[slot];
-        if (local.empty()) local.assign(nq * ns, 0);
-        std::uint8_t* present = local.data() + q * ns;
-        for (std::size_t i = run.begin; i < run.end; ++i) present[src[i]] = 1;
-      });
-  QuarterSeries series;
-  series.first_quarter = w.first;
-  series.values.assign(nq, 0);
-  for (std::size_t q = 0; q < nq; ++q) {
-    std::uint64_t active = 0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      for (const auto& local : locals) {
-        if (!local.empty() && local[q * ns + s]) {
-          ++active;
-          break;
+  const auto nq = static_cast<std::size_t>(w.count);
+  QuarterActivity out;
+  out.first_quarter = w.first;
+  out.active_sources.assign(nq, 0);
+  out.articles.assign(nq, 0);
+  // seen[s] == q + 1 once source s has an article in quarter q; quarters
+  // stamp their own value, so a slot's table is never cleared.
+  std::vector<std::vector<std::uint32_t>> seen(parallel::PoolSlots());
+  parallel::PoolParallelFor(
+      nq,
+      [&](IndexRange r, std::size_t slot) {
+        auto& stamp = seen[slot];
+        if (stamp.empty()) stamp.assign(db.num_sources(), 0);
+        for (std::size_t q = r.begin; q < r.end; ++q) {
+          if (q % of != shard) continue;
+          const auto mark = static_cast<std::uint32_t>(q + 1);
+          ForEachRunInQuarter(db, w, q, [&](IndexRange run) {
+            out.articles[q] += run.size();
+            for (std::size_t i = run.begin; i < run.end; ++i) {
+              out.active_sources[q] += stamp[src[i]] != mark;
+              stamp[src[i]] = mark;
+            }
+          });
         }
-      }
-    }
-    series.values[q] = active;
-  }
-  return series;
+      },
+      /*morsel_rows=*/1, cancel);
+  return out;
+}
+
+QuarterSeries ActiveSourcesPerQuarter(const Database& db) {
+  QuarterActivity activity = QuarterlyActivity(db);
+  return {activity.first_quarter, std::move(activity.active_sources)};
 }
 
 std::vector<QuarterSeries> SourceArticlesPerQuarter(

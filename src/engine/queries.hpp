@@ -3,10 +3,10 @@
 // These are the "most intensive aggregated queries" the paper parallelizes
 // with OpenMP (Sections IV, VI-G); here each is a single scan on the
 // morsel pool with per-slot partials merged deterministically at the
-// end. The kernels of the decomposable query kinds take the partition
-// they cover (an event or mention-row range, kWholeRange by default), so
-// a single node runs partition 0 of 1 of the same code a shard runs
-// (serve/partial.hpp).
+// end. The kernels of the query kinds take the partition they cover (an
+// event or mention-row range, kWholeRange by default, or the quarters a
+// partition owns), so a single node runs partition 0 of 1 of the same
+// code a shard runs (serve/partial.hpp).
 #pragma once
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "gtime/timestamp.hpp"
 #include "parallel/morsel.hpp"
 #include "parallel/parallel.hpp"
+#include "util/cancel.hpp"
 
 namespace gdelt::engine {
 
@@ -217,11 +218,44 @@ std::vector<std::uint64_t> QuarterRunHistogram(const Database& db,
   return totals;
 }
 
+/// The runs of quarter `q` of `w` (ForEachQuarterRun over the zone blocks
+/// that overlap it), in row order.
+template <typename Run>
+void ForEachRunInQuarter(const Database& db, const QuarterWindow& w,
+                         std::size_t q, Run&& run) {
+  const auto zone_min = db.zone_min_interval();
+  const auto zone_max = db.zone_max_interval();
+  for (std::size_t z = 0; z < zone_min.size(); ++z) {
+    if (zone_max[z] < w.bounds[q] || zone_min[z] >= w.bounds[q + 1]) {
+      continue;
+    }
+    const std::size_t row0 = z * Database::kZoneRows;
+    ForEachQuarterRun(db, w, {row0, row0 + Database::kZoneRows},
+                      [&](IndexRange r, std::size_t run_q) {
+                        if (run_q == q) run(r);
+                      });
+  }
+}
+
 /// Articles observed per quarter (Fig 5).
 QuarterSeries ArticlesPerQuarter(const Database& db);
 
-/// Events observed per quarter, by DATEADDED (Fig 4).
-QuarterSeries EventsPerQuarter(const Database& db);
+/// Events of `events` observed per quarter, by DATEADDED (Fig 4).
+QuarterSeries EventsPerQuarter(const Database& db,
+                               IndexRange events = kWholeRange,
+                               const util::CancelToken* cancel = nullptr);
+
+/// Active sources (Fig 3) and articles (Fig 5) of the quarters partition
+/// `shard` of `of` owns (q % of == shard), each counted whole from its
+/// runs; the other quarters stay 0.
+struct QuarterActivity {
+  QuarterId first_quarter = 0;
+  std::vector<std::uint64_t> active_sources;
+  std::vector<std::uint64_t> articles;
+};
+QuarterActivity QuarterlyActivity(const Database& db, std::uint32_t shard = 0,
+                                  std::uint32_t of = 1,
+                                  const util::CancelToken* cancel = nullptr);
 
 /// Sources with at least one article in each quarter (Fig 3).
 QuarterSeries ActiveSourcesPerQuarter(const Database& db);

@@ -174,9 +174,9 @@ std::string Router::HandleQuery(const serve::Request& r,
   const auto deadline = received + std::chrono::milliseconds(timeout_ms);
   const std::size_t num_shards = pool_.num_shards();
 
-  // Whole-query relay: single-shard topologies, kinds whose merge is
-  // evaluation-order-sensitive, and partial sub-requests addressed to
-  // the router itself. The canonical-key hash pins a (query, options)
+  // Whole-query relay: single-shard topologies, kinds the registry does
+  // not scatter, and partial sub-requests addressed to the router
+  // itself. The canonical-key hash pins a (query, options)
   // pair to one backend, keeping that backend's result cache hot.
   if (num_shards == 1 || r.partial || !serve::IsPartialQueryKind(r.kind)) {
     const std::size_t target =

@@ -2,14 +2,14 @@
 //
 // Speaks the same newline-delimited JSON protocol as gdelt_serve
 // (docs/PROTOCOL.md), so existing clients point at the router unchanged.
-// Decomposable query kinds are split into per-shard partial-aggregate
-// sub-requests (`"partial":true`, serve/partial.hpp), scattered to the
-// shard backends under one deadline, and merged into a response whose
-// `"text"` is byte-identical to what a single gdelt_serve holding the
-// whole database would render. Kinds whose floating-point reductions are
-// evaluation-order-sensitive (stats, quarterly, tone) are relayed whole
-// to one backend picked by the canonical-key hash, which also keeps
-// their per-backend result caches hot.
+// The query kinds the registry marks `scatter` are split into per-shard
+// partial-aggregate sub-requests (`"partial":true`, serve/partial.hpp),
+// scattered to the shard backends under one deadline, and merged into a
+// response whose `"text"` is byte-identical to what a single gdelt_serve
+// holding the whole database would render. The others (stats,
+// quarterly, tone) are relayed whole to one backend picked by the
+// canonical-key hash, which also keeps their per-backend result caches
+// hot.
 //
 // Robustness: per-shard replica failover with bounded retries, endpoints
 // marked down after consecutive failures (BackendPool), a health thread

@@ -3,7 +3,7 @@
 // A topology is an ordered list of logical shards; each shard is a list
 // of replica endpoints that serve identical data for that shard (the
 // same converted database directory behind each). The router scatters
-// partition i of a decomposable query to any live replica of shard i,
+// partition i of a scattered query to any live replica of shard i,
 // so replica order within a shard is a preference order, not a
 // partition assignment.
 #pragma once

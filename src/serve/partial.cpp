@@ -98,7 +98,7 @@ struct Column {
   friend bool operator==(const Column&, const Column&) = default;
 };
 
-/// A decomposable kind's partial: column k is the value of frame field k.
+/// A kind's partial: column k is the value of frame field k.
 using Partial = std::vector<Column>;
 
 Strings DomainsOf(const engine::Database& db,
@@ -150,6 +150,7 @@ enum class Bound : std::uint8_t {
   kQuarter,       ///< a QuarterId that kMaxQuarterSlots quarters cannot
                   ///< overflow
   kQuarterSlots,  ///< at most kMaxQuarterSlots
+  kToneBin,       ///< every element is below analysis::NumToneBins()
 };
 
 inline constexpr int kOwnLength = -1;  ///< the first frame fixes the length
@@ -482,6 +483,13 @@ Status CheckBound(const Field& f, const Request& r, const Column& c,
         return FrameError("quarterly span too large");
       }
       return Status::Ok();
+    case Bound::kToneBin:
+      for (const std::uint64_t bin : c.u) {
+        if (bin >= analysis::NumToneBins()) {
+          return FrameError("tone bin out of range");
+        }
+      }
+      return Status::Ok();
   }
   return Status::Ok();
 }
@@ -571,7 +579,7 @@ Status DecodeFrame(std::span<const Field> fields, const Request& r,
 }
 
 // ---------------------------------------------------------------------------
-// The decomposable kinds. Each declares its frame fields and two steps:
+// The query kinds. Each declares its frame fields and two steps:
 //   Compute  runs the kind's one kernel over a partition;
 //   Finish   renders a partial, computed whole or decoded and summed from
 //            frames, as the query's text.
@@ -579,6 +587,49 @@ Status DecodeFrame(std::span<const Field> fields, const Request& r,
 // EncodeFrame(Compute(partition k of n)); the router is Finish of the
 // DecodeFrame sum. So routed output equals single-node output by
 // construction.
+
+/// Table I's counts, carried, and the event-size histogram of an event
+/// range; Finish fits the power law on the merged histogram.
+struct Stats {
+  enum { kSources, kEvents, kIntervals, kArticles, kSizes, kCounts };
+  static constexpr Field kFields[] = {
+      {.name = "sources", .shape = Shape::kCarry, .scalar = true},
+      {.name = "events", .shape = Shape::kCarry, .scalar = true},
+      {.name = "intervals", .shape = Shape::kCarry, .scalar = true},
+      {.name = "articles", .shape = Shape::kCarry, .scalar = true},
+      {"sizes", Shape::kAppend},
+      {"counts", Shape::kAppend, Elem::kU64, kSizes},
+  };
+
+  static Partial Compute(const Part& p) {
+    Partial x(std::size(kFields));
+    x[kSources].u = {p.db.num_sources()};
+    x[kEvents].u = {p.db.num_events()};
+    x[kIntervals].u = {analysis::CaptureIntervals(p.db)};
+    x[kArticles].u = {p.db.num_mentions()};
+    for (const auto& [size, count] :
+         analysis::EventSizeDistribution(p.db, p.events(), p.cancel)) {
+      x[kSizes].u.push_back(size);
+      x[kCounts].u.push_back(count);
+    }
+    return x;
+  }
+  static std::string Finish(const Request&, Partial x) {
+    analysis::EventSizes sizes;
+    for (std::size_t k = 0; k < x[kSizes].u.size(); ++k) {
+      sizes[x[kSizes].u[k]] += x[kCounts].u[k];
+    }
+    std::string text =
+        analysis::ComputeDatasetStatistics(
+            {x[kSources].u[0], x[kEvents].u[0], x[kIntervals].u[0],
+             x[kArticles].u[0]},
+            sizes)
+            .ToText();
+    Appendf(text, "Event-size power-law alpha (MLE, xmin=2): %.2f\n",
+            analysis::PowerLawAlpha(sizes, 2));
+    return text;
+  }
+};
 
 /// Articles per source over a mention range (time shards) and the
 /// optional selection; the ranking happens at Finish.
@@ -648,6 +699,50 @@ struct TopEvents {
     }
     std::string text;
     AppendTopEventsText(text, articles, urls);
+    return text;
+  }
+};
+
+/// Figs 3-5: the active sources and articles of the quarters a partition
+/// owns (quarter % of), and the events per quarter of an event range.
+struct Quarterly {
+  enum { kQFirst, kQCount, kQSlots, kActive, kArticles, kEvents };
+  static constexpr Field kFields[] = {
+      {.name = "q_first", .shape = Shape::kCarry, .elem = Elem::kI64,
+       .bound = Bound::kQuarter, .scalar = true},
+      {.name = "q_count", .shape = Shape::kCarry,
+       .bound = Bound::kQuarterSlots, .scalar = true},
+      {"q_slots", Shape::kSlots, Elem::kU64, kQCount},
+      {"active", Shape::kSlots, Elem::kU64, kQSlots},
+      {"articles", Shape::kSlots, Elem::kU64, kQSlots},
+      {"events", Shape::kSum, Elem::kU64, kQCount},
+  };
+
+  static Partial Compute(const Part& p) {
+    auto activity = engine::QuarterlyActivity(p.db, p.shard, p.of, p.cancel);
+    Partial x(std::size(kFields));
+    x[kQFirst].u = {static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(activity.first_quarter))};
+    x[kQCount].u = {activity.articles.size()};
+    for (std::size_t q = 0; q < activity.articles.size(); ++q) {
+      if (p.Owns(q)) x[kQSlots].u.push_back(q);
+    }
+    x[kActive].u = std::move(activity.active_sources);
+    x[kArticles].u = std::move(activity.articles);
+    x[kEvents].u =
+        engine::EventsPerQuarter(p.db, p.events(), p.cancel).values;
+    return x;
+  }
+  static std::string Finish(const Request&, Partial x) {
+    const auto first =
+        static_cast<QuarterId>(static_cast<std::int64_t>(x[kQFirst].u[0]));
+    std::string text;
+    AppendQuarterSeries(text, "Active sources per quarter (Fig 3):",
+                        {first, std::move(x[kActive].u)});
+    AppendQuarterSeries(text, "Events per quarter (Fig 4):",
+                        {first, std::move(x[kEvents].u)});
+    AppendQuarterSeries(text, "Articles per quarter (Fig 5):",
+                        {first, std::move(x[kArticles].u)});
     return text;
   }
 };
@@ -937,56 +1032,62 @@ struct FirstReports {
   }
 };
 
-// ---------------------------------------------------------------------------
-// The whole-only kinds: order-dependent floating-point reductions, which
-// render whole and are relayed whole.
+/// Tone sums of the 1024-event blocks a partition owns: each block's
+/// non-empty bins of the quad classes and of the carried top reported
+/// countries. Finish adds them in block order, so a merge has the bits of
+/// the whole run at any partition count.
+struct Tone {
+  enum { kReported, kBlock, kBin, kSum, kCount };
+  static constexpr Field kFields[] = {
+      {"reported", Shape::kCarry, Elem::kU64, kOwnLength, Bound::kCountry},
+      {"block", Shape::kAppend},
+      {"bin", Shape::kAppend, Elem::kU64, kBlock, Bound::kToneBin},
+      {"sum", Shape::kAppend, Elem::kF64, kBlock},
+      {"count", Shape::kAppend, Elem::kU64, kBlock},
+  };
 
-Result<RenderedQuery> RenderStats(const engine::Database& db, const Request&,
-                                  const util::CancelToken*) {
-  RenderedQuery out;
-  out.text = analysis::ComputeDatasetStatistics(db).ToText();
-  Appendf(out.text, "Event-size power-law alpha (MLE, xmin=2): %.2f\n",
-          analysis::EventSizePowerLawAlpha(db, 2));
-  return out;
-}
-
-Result<RenderedQuery> RenderQuarterly(const engine::Database& db,
-                                      const Request&,
-                                      const util::CancelToken*) {
-  RenderedQuery out;
-  AppendQuarterSeries(out.text, "Active sources per quarter (Fig 3):",
-                      engine::ActiveSourcesPerQuarter(db));
-  AppendQuarterSeries(out.text, "Events per quarter (Fig 4):",
-                      engine::EventsPerQuarter(db));
-  AppendQuarterSeries(out.text, "Articles per quarter (Fig 5):",
-                      engine::ArticlesPerQuarter(db));
-  return out;
-}
-
-Result<RenderedQuery> RenderTone(const engine::Database& db, const Request& r,
-                                 const util::CancelToken*) {
-  RenderedQuery out;
-  const auto by_quad = analysis::ToneByQuadClass(db);
-  static constexpr const char* kQuadNames[] = {
-      "", "verbal cooperation", "material cooperation", "verbal conflict",
-      "material conflict"};
-  Appendf(out.text, "Average tone / Goldstein by CAMEO quad class:\n");
-  for (std::size_t q = 1; q <= 4; ++q) {
-    Appendf(out.text, "  %-22s tone %+6.2f  goldstein %+6.2f  (%s events)\n",
-            kQuadNames[q], by_quad.tone[q].Mean(),
-            by_quad.goldstein[q].Mean(),
-            WithThousands(by_quad.tone[q].count).c_str());
+  static Partial Compute(const Part& p) {
+    const auto reported = engine::CountriesByReportedEvents(p.db, p.r.top_k);
+    Partial x(std::size(kFields));
+    x[kReported].u.assign(reported.begin(), reported.end());
+    for (const analysis::ToneEntry& e : analysis::ComputeToneBlocks(
+             p.db, p.Of(analysis::NumToneBlocks(p.db)), reported, p.cancel)) {
+      x[kBlock].u.push_back(e.block);
+      x[kBin].u.push_back(e.bin);
+      x[kSum].u.push_back(Bits(e.acc.sum));
+      x[kCount].u.push_back(e.acc.count);
+    }
+    return x;
   }
-  const auto by_country = analysis::AverageToneByCountry(db);
-  const auto reported = engine::CountriesByReportedEvents(db, r.top_k);
-  Appendf(out.text, "\nAverage event tone by located country:\n");
-  for (const CountryId c : reported) {
-    Appendf(out.text, "  %-14s %+6.2f  (%s events)\n",
-            std::string(CountryName(c)).c_str(), by_country[c].Mean(),
-            WithThousands(by_country[c].count).c_str());
+  static std::string Finish(const Request&, Partial x) {
+    std::vector<analysis::ToneEntry> entries;
+    for (std::size_t k = 0; k < x[kBlock].u.size(); ++k) {
+      entries.push_back({x[kBlock].u[k], x[kBin].u[k],
+                         {Double(x[kSum].u[k]), x[kCount].u[k]}});
+    }
+    const auto bins = analysis::MergeToneBlocks(std::move(entries));
+    static constexpr const char* kQuadNames[] = {
+        "", "verbal cooperation", "material cooperation", "verbal conflict",
+        "material conflict"};
+    std::string text = "Average tone / Goldstein by CAMEO quad class:\n";
+    for (std::size_t q = 1; q <= 4; ++q) {
+      const analysis::MeanAccumulator& tone = bins[analysis::QuadToneBin(q)];
+      Appendf(text, "  %-22s tone %+6.2f  goldstein %+6.2f  (%s events)\n",
+              kQuadNames[q], tone.Mean(),
+              bins[analysis::QuadGoldsteinBin(q)].Mean(),
+              WithThousands(tone.count).c_str());
+    }
+    Appendf(text, "\nAverage event tone by located country:\n");
+    for (const CountryId c : CountryIds(x[kReported].u)) {
+      const analysis::MeanAccumulator& tone =
+          bins[analysis::CountryToneBin(c)];
+      Appendf(text, "  %-14s %+6.2f  (%s events)\n",
+              std::string(CountryName(c)).c_str(), tone.Mean(),
+              WithThousands(tone.count).c_str());
+    }
+    return text;
   }
-  return out;
-}
+};
 
 }  // namespace
 
@@ -1010,26 +1111,26 @@ constexpr KindFrame kFrame = FrameOf<K>();
 constexpr Lane kInteractive = Lane::kInteractive;
 constexpr Lane kBatch = Lane::kBatch;
 
-// The registry. Batch-lane kinds are the whole-table matrix kernels.
+// The registry. Batch-lane kinds are the whole-table matrix kernels. The
+// router relays stats, quarterly and tone whole and scatters the rest.
 constexpr QueryKindSpec kQueryKinds[] = {
-    {"stats", kInteractive, false, &RenderStats, nullptr},
-    {"top-sources", kInteractive, true, nullptr, &kFrame<TopSources>},
-    {"top-events", kInteractive, false, nullptr, &kFrame<TopEvents>},
-    {"quarterly", kInteractive, false, &RenderQuarterly, nullptr},
-    {"coreport", kBatch, true, nullptr, &kFrame<Coreport>},
-    {"follow", kBatch, false, nullptr, &kFrame<Follow>},
-    {"country-coreport", kBatch, false, nullptr, &kFrame<CountryCoreport>},
-    {"cross-report", kInteractive, true, nullptr, &kFrame<CrossReport>},
-    {"delay", kInteractive, false, nullptr, &kFrame<Delay>},
-    {"tone", kInteractive, false, &RenderTone, nullptr},
-    {"first-reports", kBatch, false, nullptr, &kFrame<FirstReports>},
+    {"stats", kInteractive, false, false, kFrame<Stats>},
+    {"top-sources", kInteractive, true, true, kFrame<TopSources>},
+    {"top-events", kInteractive, false, true, kFrame<TopEvents>},
+    {"quarterly", kInteractive, false, false, kFrame<Quarterly>},
+    {"coreport", kBatch, true, true, kFrame<Coreport>},
+    {"follow", kBatch, false, true, kFrame<Follow>},
+    {"country-coreport", kBatch, false, true, kFrame<CountryCoreport>},
+    {"cross-report", kInteractive, true, true, kFrame<CrossReport>},
+    {"delay", kInteractive, false, true, kFrame<Delay>},
+    {"tone", kInteractive, false, false, kFrame<Tone>},
+    {"first-reports", kBatch, false, true, kFrame<FirstReports>},
 };
 
-Result<const QueryKindSpec*> DecomposableKind(std::string_view kind) {
+Result<const QueryKindSpec*> KindOf(const std::string& kind) {
   const QueryKindSpec* spec = FindQueryKind(kind);
-  if (spec == nullptr || !spec->decomposes()) {
-    return status::InvalidArgument("query '" + std::string(kind) +
-                                   "' does not decompose into partials");
+  if (spec == nullptr) {
+    return status::InvalidArgument("unknown query '" + kind + "'");
   }
   return spec;
 }
@@ -1060,11 +1161,7 @@ void SetPartialMatrixEncoding(PartialMatrixEncoding enc) noexcept {
 Result<RenderedQuery> RenderWhole(const engine::Database& db,
                                   const Request& r,
                                   const util::CancelToken* cancel) {
-  const QueryKindSpec* spec = FindQueryKind(r.kind);
-  if (spec == nullptr) {
-    return status::InvalidArgument("unknown query '" + r.kind + "'");
-  }
-  if (!spec->decomposes()) return spec->render(db, r, cancel);
+  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, KindOf(r.kind));
   const auto sel = SelectionFor(*spec, db, r);
   RenderedQuery out;
   if (sel) {
@@ -1072,9 +1169,8 @@ Result<RenderedQuery> RenderWhole(const engine::Database& db,
                          static_cast<unsigned long long>(sel->CountSet()),
                          db.num_mentions());
   }
-  const KindFrame& frame = *spec->frame;
-  out.text = frame.finish(
-      r, frame.compute({db, r, sel ? &*sel : nullptr, cancel, 0, 1}));
+  out.text = spec->frame.finish(
+      r, spec->frame.compute({db, r, sel ? &*sel : nullptr, cancel, 0, 1}));
   return out;
 }
 
@@ -1082,9 +1178,9 @@ Result<RenderedQuery> RenderPartialFrame(const engine::Database& db,
                                          const Request& r,
                                          parallel::Backend /*backend*/,
                                          const util::CancelToken* cancel) {
-  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, DecomposableKind(r.kind));
+  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, KindOf(r.kind));
   const auto sel = SelectionFor(*spec, db, r);
-  const KindFrame& frame = *spec->frame;
+  const KindFrame& frame = spec->frame;
   RenderedQuery out;
   Appendf(out.text, "{\"v\":%d,\"kind\":", kPartialVersion);
   AppendJsonString(out.text, r.kind);
@@ -1102,8 +1198,8 @@ Result<std::string> MergePartialFrames(const Request& r,
   if (frames.empty()) {
     return status::InvalidArgument("no partial frames to merge");
   }
-  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, DecomposableKind(r.kind));
-  const KindFrame& kind_frame = *spec->frame;
+  GDELT_ASSIGN_OR_RETURN(const QueryKindSpec* spec, KindOf(r.kind));
+  const KindFrame& kind_frame = spec->frame;
   Partial acc(kind_frame.fields.size());
   // The partition count comes from the frames themselves (the merge is
   // run on behalf of the original, non-partial request): the first

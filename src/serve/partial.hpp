@@ -2,20 +2,19 @@
 // (docs/PROTOCOL.md, "Partial-aggregate execution"; DESIGN.md §5e).
 //
 // Every query kind is one QueryKindSpec in one table: name, scheduler
-// lane, whether it takes the mention filter, and how it renders.
-// Parsing, lane choice, the router's relay-vs-scatter choice,
-// RenderQuery and the gdelt_query help all read that table.
+// lane, whether it takes the mention filter, whether the router scatters
+// it, and its frame. Parsing, lane choice, the router's relay-vs-scatter
+// choice, RenderQuery and the gdelt_query help all read that table.
 //
-// stats, quarterly and tone are order-dependent float reductions: they
-// render whole, and the router relays them to one shard. The other eight
-// decompose. Each has one compute kernel, which takes its partition (an
-// event range, a mention-row range with the request's selection bitmap,
-// or the source ids and quarters it owns, id % of), and one finish,
-// which renders the partial. Its frame is an ordered list of named
-// fields, each of one shape: a summed u64 vector or scalar, a summed
-// count matrix, a carried value every frame repeats, an appended
-// candidate list, or slot-owned rows. One encoder and one decoder per
-// shape serve every kind, and the decoder enforces every frame bound.
+// Each kind has one compute kernel, which takes its partition (an event
+// range, a mention-row range with the request's selection bitmap, whole
+// 1024-event tone blocks, or the source ids and quarters it owns,
+// id % of), and one finish, which renders the partial. Its frame is an
+// ordered list of named fields, each of one shape: a summed u64 vector or
+// scalar, a summed count matrix, a carried value every frame repeats, an
+// appended candidate list, or slot-owned rows. One encoder and one
+// decoder per shape serve every kind, and the decoder enforces every
+// frame bound.
 //
 // A single node renders partition 0 of 1 straight through the finish; a
 // `"partial":true` request encodes partition `shard` of `of` as a
@@ -61,8 +60,7 @@ inline constexpr std::uint64_t kMaxQuarterSlots = 4096;
 /// the cheap interactive kinds keep their latency under load.
 enum class Lane { kInteractive, kBatch };
 
-/// A decomposable kind's frame fields, compute kernel and finish
-/// (partial.cpp).
+/// A kind's frame fields, compute kernel and finish (partial.cpp).
 struct KindFrame;
 
 /// One query kind.
@@ -70,13 +68,10 @@ struct QueryKindSpec {
   std::string_view name;
   Lane lane;
   bool filtered;  ///< takes from/to/min_confidence; other kinds ignore them
-  /// Renders a whole-only kind; null for decomposable kinds, which render
-  /// as partition 0 of 1 of `frame`.
-  Result<RenderedQuery> (*render)(const engine::Database&, const Request&,
-                                  const util::CancelToken*);
-  const KindFrame* frame;  ///< null for whole-only kinds
-
-  bool decomposes() const noexcept { return frame != nullptr; }
+  /// The router scatters the kind over its shards; it relays the others
+  /// (stats, quarterly, tone) whole to one shard.
+  bool scatter;
+  const KindFrame& frame;
 };
 
 /// Every query kind, in the order the CLI lists them.

@@ -75,7 +75,7 @@ bool IsBatchQueryKind(std::string_view kind) noexcept {
 
 bool IsPartialQueryKind(std::string_view kind) noexcept {
   const QueryKindSpec* spec = FindQueryKind(kind);
-  return spec != nullptr && spec->decomposes();
+  return spec != nullptr && spec->scatter;
 }
 
 bool Request::IsQuery() const noexcept { return IsKnownQueryKind(kind); }
@@ -170,10 +170,6 @@ Result<Request> ParseRequest(std::string_view line) {
     if (spec == nullptr) {
       return status::InvalidArgument(
           "'partial' applies only to query kinds");
-    }
-    if (!spec->decomposes()) {
-      return status::InvalidArgument("query '" + r.kind +
-                                     "' does not decompose into partials");
     }
     if (r.shard >= r.of) {
       return status::InvalidArgument("'shard' must be < 'of'");

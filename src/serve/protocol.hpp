@@ -82,8 +82,9 @@ bool IsKnownQueryKind(std::string_view kind) noexcept;
 /// True for the kinds the scheduler runs on the batch lane.
 bool IsBatchQueryKind(std::string_view kind) noexcept;
 
-/// True for kinds that decompose into mergeable partial aggregates
-/// (`"partial":true` requests); the router relays the others whole.
+/// True for the kinds the router scatters over its shards as
+/// `"partial":true` requests (QueryKindSpec::scatter); it relays the
+/// others whole. Every kind answers a partial request.
 bool IsPartialQueryKind(std::string_view kind) noexcept;
 
 /// Parses one request line (strict; see file comment).

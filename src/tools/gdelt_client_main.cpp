@@ -1,8 +1,8 @@
 // gdelt_client: sends requests to a running gdelt_serve daemon.
 //
 // One-shot:  gdelt_client --port 7450 --request '{"query":"stats"}'
-// Batch:     printf '%s\n' '{"query":"stats"}' '{"query":"quarterly"}' \
-//              | gdelt_client --port 7450
+// Batch:     printf '%s\n' '{"query":"stats"}' '{"query":"quarterly"}' |
+//              gdelt_client --port 7450
 //
 // Responses are printed one JSON line each to stdout, in request order.
 // Exit code is 0 only if every response had "ok":true.

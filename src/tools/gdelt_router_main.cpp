@@ -1,10 +1,10 @@
 // gdelt_router: scatter/gather front-end over gdelt_serve shard backends.
 //
 // Speaks the same NDJSON-over-TCP protocol as gdelt_serve, so clients
-// point here unchanged. Decomposable queries are split into per-shard
-// partial-aggregate sub-requests, scattered under one deadline and
-// merged into text byte-identical to a single-node answer; the rest are
-// relayed whole to one backend. See docs/OPERATIONS.md for the topology
+// point here unchanged. The query kinds the registry scatters are split
+// into per-shard partial-aggregate sub-requests, scattered under one
+// deadline and merged into text byte-identical to a single-node answer;
+// the rest are relayed whole to one backend. See docs/OPERATIONS.md for the topology
 // format, health-check behavior and the degraded-mode runbook.
 //
 // Usage: gdelt_router --shards "h:p[,h:p...][;h:p...]" [--port 0] ...

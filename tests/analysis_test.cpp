@@ -329,35 +329,35 @@ TEST(DistributionTest, EventSizeHistogram) {
   builder.AddMention(e3, 301, "b.com");
   auto db = builder.Build(dir.path());
   ASSERT_TRUE(db.ok());
-  const auto hist = EventSizeDistribution(*db);
-  ASSERT_EQ(hist.size(), 4u);
-  EXPECT_EQ(hist[1], 2u);
-  EXPECT_EQ(hist[2], 0u);
-  EXPECT_EQ(hist[3], 1u);
-  EXPECT_DOUBLE_EQ(AverageArticlesPerEvent(*db), 5.0 / 3.0);
+  EXPECT_EQ(EventSizeDistribution(*db), (EventSizes{{1, 2}, {3, 1}}));
+  // An event range counts only its own events.
+  EXPECT_EQ(EventSizeDistribution(*db, {1, 3}), (EventSizes{{1, 2}}));
+  EXPECT_DOUBLE_EQ(ComputeDatasetStatistics(*db).weighted_avg_articles_per_event,
+                   5.0 / 3.0);
 }
 
 TEST(DistributionTest, PowerLawMleRecoversAlpha) {
   Xoshiro256 rng(55);
   const double true_alpha = 2.35;
-  std::vector<std::uint64_t> samples(200000);
-  for (auto& s : samples) {
+  EventSizes samples;
+  for (int i = 0; i < 200000; ++i) {
     const double u = UniformDouble(rng);
-    s = static_cast<std::uint64_t>(
-        std::pow(1.0 - u, -1.0 / (true_alpha - 1.0)));
-    s = std::max<std::uint64_t>(s, 1);
+    ++samples[std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(
+            std::pow(1.0 - u, -1.0 / (true_alpha - 1.0))),
+        1)];
   }
   // Discreteness biases the continuous MLE at xmin=1; with xmin=8 the
   // estimate should land near the true exponent.
-  const double alpha = PowerLawAlphaMle(samples, 8);
+  const double alpha = PowerLawAlpha(samples, 8);
   EXPECT_NEAR(alpha, true_alpha, 0.12);
 }
 
 TEST(DistributionTest, MleEdgeCases) {
-  EXPECT_DOUBLE_EQ(PowerLawAlphaMle({}, 1), 0.0);
-  const std::vector<std::uint64_t> one{5};
-  EXPECT_DOUBLE_EQ(PowerLawAlphaMle(one, 1), 0.0);
-  EXPECT_DOUBLE_EQ(PowerLawAlphaMle(one, 0), 0.0);
+  EXPECT_DOUBLE_EQ(PowerLawAlpha({}, 1), 0.0);
+  const EventSizes one{{5, 1}};
+  EXPECT_DOUBLE_EQ(PowerLawAlpha(one, 1), 0.0);
+  EXPECT_DOUBLE_EQ(PowerLawAlpha(one, 0), 0.0);
 }
 
 // ---------------------------------------------------------------------------

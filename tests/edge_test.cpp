@@ -94,8 +94,8 @@ TEST_F(EmptyDatabaseTest, AllAnalysesAreSafe) {
   for (const auto c : country.pair_counts) EXPECT_EQ(c, 0u);
   const auto first = analysis::ComputeFirstReports(*db_);
   EXPECT_EQ(first.events_broken_within_hour, 0u);
-  const auto tone = analysis::ToneByQuadClass(*db_);
-  EXPECT_EQ(tone.tone[1].count, 0u);
+  const auto tone = analysis::ToneByBin(*db_);
+  EXPECT_EQ(tone[analysis::QuadToneBin(1)].count, 0u);
   EXPECT_DOUBLE_EQ(analysis::EventSizePowerLawAlpha(*db_, 1), 0.0);
 }
 

@@ -2,7 +2,7 @@
 // against naive per-kind loops written straight from the paper's
 // definitions.
 //
-// Each kernel of a decomposable query kind must reproduce its naive
+// Each kernel of a query kind must reproduce its naive
 // reference bit for bit at the smallest morsel size (64 rows) and at one
 // whole-range morsel, and the kernel run over a 3-way SplitRange of its
 // partition axis (event rows, mention rows, the listed sources, the
@@ -473,13 +473,8 @@ TEST_F(MorselInvarianceTest, ToneSumsAreBitIdenticalAtAnyPoolAndMorselSize) {
   using Sums = std::vector<std::pair<double, std::uint64_t>>;
   const auto run = [] {
     Sums out;
-    for (const MeanAccumulator& m : AverageToneByCountry(*db_)) {
+    for (const MeanAccumulator& m : ToneByBin(*db_)) {
       out.emplace_back(m.sum, m.count);
-    }
-    const QuadClassTone quad = ToneByQuadClass(*db_);
-    for (std::size_t q = 0; q < quad.tone.size(); ++q) {
-      out.emplace_back(quad.tone[q].sum, quad.tone[q].count);
-      out.emplace_back(quad.goldstein[q].sum, quad.goldstein[q].count);
     }
     return out;
   };
@@ -503,8 +498,9 @@ TEST_F(MorselInvarianceTest, ToneSumsAreBitIdenticalAtAnyPoolAndMorselSize) {
     ++naive[c].second;
   }
   for (std::size_t c = 0; c < naive.size(); ++c) {
-    EXPECT_EQ(runs.front()[c].second, naive[c].second) << "country " << c;
-    EXPECT_NEAR(runs.front()[c].first, naive[c].first,
+    const auto& got = runs.front()[CountryToneBin(static_cast<CountryId>(c))];
+    EXPECT_EQ(got.second, naive[c].second) << "country " << c;
+    EXPECT_NEAR(got.first, naive[c].first,
                 1e-9 * (1.0 + std::abs(naive[c].first)))
         << "country " << c;
   }
@@ -757,28 +753,30 @@ TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
     for (std::size_t k = 0; k < by_source.size(); ++k) {
       expect_series(by_source[k], per_source[k]);
     }
-    const QuarterlyTone tone = QuarterlyAverageTone(db);
-    EXPECT_EQ(tone.first_quarter, first);
-    ASSERT_EQ(tone.values.size(), nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      EXPECT_EQ(tone.values[q].count, events[q]) << "quarter " << q;
-      EXPECT_EQ(tone.values[q].sum, 0.0) << "quarter " << q;
-    }
     for (std::uint32_t of = 1; of <= 3; ++of) {
       QuarterlyDelay joined;
       joined.average.assign(nq, 0.0);
       joined.median.assign(nq, 0);
+      std::vector<std::uint64_t> joined_active(nq, 0);
+      std::vector<std::uint64_t> joined_articles(nq, 0);
       for (std::uint32_t shard = 0; shard < of; ++shard) {
         const auto got = QuarterlyDelayStats(db, shard, of);
+        const auto activity = engine::QuarterlyActivity(db, shard, of);
         EXPECT_EQ(got.first_quarter, first);
+        EXPECT_EQ(activity.first_quarter, first);
         ASSERT_EQ(got.average.size(), nq);
+        ASSERT_EQ(activity.articles.size(), nq);
         for (std::size_t q = shard; q < nq; q += of) {
           joined.average[q] = got.average[q];
           joined.median[q] = got.median[q];
+          joined_active[q] = activity.active_sources[q];
+          joined_articles[q] = activity.articles[q];
         }
       }
       EXPECT_EQ(joined.average, naive.average) << "of " << of;
       EXPECT_EQ(joined.median, naive.median) << "of " << of;
+      EXPECT_EQ(joined_active, active_count) << "of " << of;
+      EXPECT_EQ(joined_articles, articles) << "of " << of;
     }
   });
 }

@@ -1,5 +1,5 @@
 // Round-trip tests for the partial-aggregate layer (serve/partial.hpp):
-// every decomposable query kind, rendered as per-shard frames and merged
+// every query kind, rendered as per-shard frames and merged
 // back, must reproduce the single-node renderer's text byte for byte —
 // at 1 to 64 shards (more shards than the database has rows included),
 // under both matrix encodings, restricted and not.
@@ -13,7 +13,11 @@
 
 #include "analysis/country.hpp"
 #include "analysis/delay.hpp"
+#include "analysis/tone.hpp"
+#include "convert/converter.hpp"
 #include "engine/database.hpp"
+#include "gen/emit.hpp"
+#include "gen/generator.hpp"
 #include "gtime/timestamp.hpp"
 #include "parallel/morsel.hpp"
 #include "partial_fixture.hpp"
@@ -37,11 +41,11 @@ using ::gdelt::testing::TestDbBuilder;
 /// are empty.
 constexpr std::uint32_t kShardCounts[] = {1, 2, 3, 4, 8, 64};
 
-/// The registry's decomposable kinds, or only those that take a filter.
+/// The registry's kinds, or only those that take a filter.
 std::vector<std::string> PartialKinds(bool filtered_only = false) {
   std::vector<std::string> out;
   for (const QueryKindSpec& spec : QueryKinds()) {
-    if (spec.decomposes() && (spec.filtered || !filtered_only)) {
+    if (spec.filtered || !filtered_only) {
       out.emplace_back(spec.name);
     }
   }
@@ -82,10 +86,11 @@ class PartialMergeTest : public ::testing::Test {
     return rendered.ok() ? rendered->text : std::string();
   }
 
-  /// Renders every partition of `r`, parses the frames and merges them.
+  /// Renders every partition of `r`, parses the frames and merges them,
+  /// last shard first: a router merges frames in arrival order.
   Result<std::string> ViaPartials(const Request& r, std::uint32_t of) {
     std::vector<JsonValue> frames;
-    for (std::uint32_t shard = 0; shard < of; ++shard) {
+    for (std::uint32_t shard = of; shard-- > 0;) {
       Request sub = r;
       sub.partial = true;
       sub.shard = shard;
@@ -227,6 +232,43 @@ TEST_F(PartialMergeTest, MoreShardsThanEventsRoundTrips) {
   EXPECT_EQ(*merged, truth);
 }
 
+TEST_F(PartialMergeTest, GeneratedMultiBlockDatabaseRoundTripsAtAnyOf) {
+  // A generated database of several 1024-event tone blocks (the last one
+  // short) and several quarters: every kind's merge equals its whole
+  // render at every partition count from 1 to 32, so past the block and
+  // quarter counts too, where the tail partitions own nothing.
+  auto cfg = gen::GeneratorConfig::Tiny();
+  cfg.end_date = {2015, 8, 18, 0, 0, 0};
+  cfg.intervals_per_chunk = 672;
+  cfg.events_per_interval_mean = 0.3;
+  cfg.defect_missing_archives = 0;
+  ASSERT_TRUE(gen::EmitDataset(gen::GenerateDataset(cfg), cfg,
+                               dir_->path() + "/raw")
+                  .ok());
+  convert::ConvertOptions options;
+  options.input_dir = dir_->path() + "/raw";
+  options.output_dir = dir_->path() + "/gen_db";
+  ASSERT_TRUE(convert::ConvertDataset(options).ok());
+  auto db = engine::Database::Load(options.output_dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::make_unique<engine::Database>(std::move(*db));
+  ASSERT_GT(db_->num_events(), 4 * analysis::kToneBlockEvents);
+  ASSERT_NE(db_->num_events() % analysis::kToneBlockEvents, 0u);
+  ASSERT_LT(analysis::NumToneBlocks(*db_), 32u);
+
+  for (const std::string& kind : PartialKinds()) {
+    const Request r = MakeRequest(kind, 3);
+    const std::string truth = SingleNode(r);
+    ASSERT_FALSE(truth.empty()) << kind;
+    for (std::uint32_t of = 1; of <= 32; ++of) {
+      auto merged = ViaPartials(r, of);
+      ASSERT_TRUE(merged.ok())
+          << kind << " of=" << of << ": " << merged.status().ToString();
+      EXPECT_EQ(*merged, truth) << kind << " of=" << of;
+    }
+  }
+}
+
 TEST_F(PartialMergeTest, SubsetOfFramesMergesDegraded) {
   // Degraded mode: merging only shard 0 of 2 must still succeed (the
   // router reports the missing shard separately); the text undercounts
@@ -272,8 +314,9 @@ TEST_F(PartialMergeTest, WireLineReproducesInProcessFrame) {
 
 TEST_F(PartialMergeTest, PreCancelledTokenSkipsTheScanMorsels) {
   // The mention-range histogram of an unrestricted shard partial, the two
-  // country-coreport passes and the quarterly-delay scan poll the cancel
-  // token per morsel, so a token cancelled up front skips their morsels.
+  // country-coreport passes, the quarterly-delay scan and the stats,
+  // quarterly and tone kernels poll the cancel token per morsel, so a
+  // token cancelled up front skips their morsels.
   util::CancelToken cancelled;
   cancelled.Cancel(util::CancelReason::kDisconnect);
   const auto skipped = [] {
@@ -297,6 +340,14 @@ TEST_F(PartialMergeTest, PreCancelledTokenSkipsTheScanMorsels) {
   before = skipped();
   (void)analysis::QuarterlyDelayStats(*db_, 0, 1, &cancelled);
   EXPECT_GT(skipped(), before);
+  // The whole renders of the kinds the router relays whole.
+  for (const char* kind : {"stats", "quarterly", "tone"}) {
+    SCOPED_TRACE(kind);
+    before = skipped();
+    const auto whole = RenderQuery(*db_, MakeRequest(kind, 3), &cancelled);
+    EXPECT_EQ(whole.status().code(), StatusCode::kCancelled);
+    EXPECT_GT(skipped(), before);
+  }
 }
 
 TEST_F(PartialMergeTest, MergerRejectsBadFrames) {
@@ -473,8 +524,60 @@ TEST_F(PartialMergeTest, MergerRejectsMismatchedLabelCounts) {
       << merged.status().ToString();
 }
 
+TEST_F(PartialMergeTest, PlantedValuesNeverSizeAnAllocation) {
+  // Values no honest shard sends, planted in the first element of a
+  // 1-shard frame's array: the merger rejects an index out of its range
+  // or a length off its dimension, and sizes nothing from a value.
+  const auto merge_planted = [this](const std::string& kind,
+                                    const std::string& key,
+                                    const std::string& value) {
+    const Request r = MakeRequest(kind, 3);
+    Request sub = r;
+    sub.partial = true;
+    auto frame = RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+    std::string text = frame.ok() ? frame->text : std::string();
+    const std::size_t open = text.find("\"" + key + "\":[");
+    EXPECT_NE(open, std::string::npos) << text;
+    if (open == std::string::npos) {
+      return Result<std::string>(status::Internal(key));
+    }
+    const std::size_t at = open + key.size() + 4;
+    text.replace(at, text.find_first_of(",]", at) - at, value);
+    auto parsed = JsonValue::Parse(text);
+    EXPECT_TRUE(parsed.ok()) << text;
+    std::vector<JsonValue> frames;
+    frames.push_back(std::move(*parsed));
+    return MergePartialFrames(r, frames);
+  };
+  constexpr const char* kHuge = "4611686018427387904";  // 2^62
+  // An event size of 2^62 is only the largest size: the histogram merge
+  // sorts the sizes and never indexes by one.
+  const auto stats = merge_planted("stats", "sizes", kHuge);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("4,611,686,018,427,387,904"), std::string::npos)
+      << *stats;
+  // A tone block of 2^62 only sorts last; a bin past the bins is refused.
+  EXPECT_TRUE(merge_planted("tone", "block", kHuge).ok());
+  const auto bin = merge_planted("tone", "bin", kHuge);
+  EXPECT_EQ(bin.status().code(), StatusCode::kInvalidArgument)
+      << bin.status().ToString();
+  EXPECT_NE(bin.status().ToString().find("tone bin out of range"),
+            std::string::npos)
+      << bin.status().ToString();
+  // A quarter slot past q_count, and a per-quarter sum one too long.
+  const auto slot = merge_planted("quarterly", "q_slots", kHuge);
+  EXPECT_NE(slot.status().ToString().find("slot out of range"),
+            std::string::npos)
+      << slot.status().ToString();
+  const auto sum = merge_planted("quarterly", "events", "7,7");
+  EXPECT_NE(sum.status().ToString().find("does not match its dimension"),
+            std::string::npos)
+      << sum.status().ToString();
+}
+
 TEST_F(PartialMergeTest, FrameMutationsNeverCrashTheMerger) {
-  // Deterministic frame fuzzing: each decomposable kind's 3-shard frames,
+  // Deterministic frame fuzzing: each kind's 3-shard frames,
   // one frame mutated at a time and merged alone and with the other two.
   // Every structural edit (drop or append an array element, delete a
   // member) is tried; the value edits (a number set to 2^62 or -1, a
@@ -537,12 +640,16 @@ TEST_F(PartialMergeTest, FrameMutationsNeverCrashTheMerger) {
 }
 
 TEST_F(PartialMergeTest, ParserRejectsBadPartialRequests) {
-  // Partial execution of an order-sensitive kind is refused up front.
-  EXPECT_FALSE(
+  // Every kind parses as a partial request, the ones the router relays
+  // whole included.
+  EXPECT_TRUE(
       ParseRequest(R"({"query":"stats","partial":true})").ok());
-  EXPECT_FALSE(
+  EXPECT_TRUE(
       ParseRequest(R"({"query":"tone","partial":true,"shard":0,"of":2})")
           .ok());
+  // An unknown kind.
+  EXPECT_FALSE(
+      ParseRequest(R"({"query":"no-such-kind","partial":true})").ok());
   // Shard out of range.
   EXPECT_FALSE(
       ParseRequest(

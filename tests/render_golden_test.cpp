@@ -3,7 +3,7 @@
 // Renders the partial fixture (partial_fixture.hpp) through RenderQuery
 // for every query kind, at top 3 and 50, unfiltered and (for the kinds
 // that take a filter) under a time window and a confidence floor, plus
-// every partial frame of a 3-way scatter of the decomposable kinds, and
+// every partial frame of a 3-way scatter of every kind, and
 // compares the bytes with the files under tests/golden/. The round-trip
 // tests only compare single-node output with merged output; a change
 // that alters both sides alike shows up only here.
@@ -145,7 +145,6 @@ TEST_F(RenderGoldenTest, SingleNodeTextAndNotes) {
 TEST_F(RenderGoldenTest, PartialFramesOfThreeShards) {
   Sections sections;
   for (const QueryKindSpec& spec : QueryKinds()) {
-    if (!spec.decomposes()) continue;
     const std::string kind(spec.name);
     for (const std::size_t top : {3u, 50u}) {
       for (const std::string& filter : FiltersFor(spec)) {

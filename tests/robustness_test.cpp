@@ -411,7 +411,9 @@ TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer timer;
   // Burn a little CPU deterministically.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 2000000; ++i) {
+    sink = sink + static_cast<std::uint64_t>(i);
+  }
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   EXPECT_GE(timer.ElapsedMicros(), 0u);
   const double before = timer.ElapsedSeconds();

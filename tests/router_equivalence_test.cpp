@@ -1,7 +1,7 @@
 // End-to-end router tests over real loopback sockets: a topology of
 // gdelt_serve backends behind a Router must answer every supported query
 // kind with `"text"` byte-identical to a single-node server (scattered
-// kinds via partial-aggregate merge, order-sensitive kinds via relay),
+// kinds via partial-aggregate merge, stats/quarterly/tone via relay),
 // degrade structurally when a shard dies, and reject what it cannot do.
 // Plus topology parsing and the LineClient connect retry policy against
 // a dropped listener.
@@ -257,7 +257,7 @@ TEST_F(RouterTest, FourShardsByteIdenticalForAllKinds) {
   }
 }
 
-/// Pins every registry entry's (lane, filtered, decomposes) against a
+/// Pins every registry entry's (lane, filtered, scatter) against a
 /// literal table, so a flipped flag fails here, and checks what the
 /// protocol, the server and the router derive from it.
 TEST_F(RouterTest, RegistryPinsEveryKind) {
@@ -266,7 +266,7 @@ TEST_F(RouterTest, RegistryPinsEveryKind) {
     const char* name;
     Lane lane;
     bool filtered;
-    bool decomposes;
+    bool scatter;
   };
   constexpr Expected kExpected[] = {
       {"stats", Lane::kInteractive, false, false},
@@ -293,16 +293,15 @@ TEST_F(RouterTest, RegistryPinsEveryKind) {
     EXPECT_EQ(kinds[k].name, name);
     EXPECT_EQ(kinds[k].lane, want.lane);
     EXPECT_EQ(kinds[k].filtered, want.filtered);
-    EXPECT_EQ(kinds[k].decomposes(), want.decomposes);
+    EXPECT_EQ(kinds[k].scatter, want.scatter);
     EXPECT_EQ(serve::FindQueryKind(name), &kinds[k]);
     EXPECT_TRUE(serve::IsKnownQueryKind(name));
     EXPECT_EQ(serve::IsBatchQueryKind(name), want.lane == Lane::kBatch);
-    EXPECT_EQ(serve::IsPartialQueryKind(name), want.decomposes);
-    // "partial":true parses exactly for the decomposable kinds.
-    EXPECT_EQ(
+    EXPECT_EQ(serve::IsPartialQueryKind(name), want.scatter);
+    // "partial":true parses for every kind, scattered or not.
+    EXPECT_TRUE(
         serve::ParseRequest("{\"query\":\"" + name + "\",\"partial\":true}")
-            .ok(),
-        want.decomposes);
+            .ok());
     // A window is accepted on every kind; the unfiltered ones ignore it,
     // routed and single-node alike.
     ExpectRouterMatchesSingleNode(

@@ -53,7 +53,7 @@ STEP="generate and convert"
 
 STEP="start shards"
 # Both shard backends serve the full converted database; the router
-# assigns each one a partition of every decomposable query.
+# assigns each one a partition of every scattered query.
 "$BIN_DIR/gdelt_serve" --db "$WORK/db" --port 0 --workers 2 \
     > "$WORK/s1.out" 2> "$WORK/s1.log" &
 S1_PID=$!

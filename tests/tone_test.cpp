@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "convert/converter.hpp"
 #include "gen/emit.hpp"
 #include "gen/generator.hpp"
@@ -41,26 +44,25 @@ class ToneTest : public ::testing::Test {
 };
 
 TEST_F(ToneTest, ConflictClassesAreNegative) {
-  const QuadClassTone result = ToneByQuadClass(*db_);
+  const auto bins = ToneByBin(*db_);
   // Classes 1/2 = cooperation (positive), 3/4 = conflict (negative).
   for (const std::size_t q : {1u, 2u}) {
-    EXPECT_GT(result.tone[q].Mean(), 0.0) << "quad " << q;
-    EXPECT_GT(result.goldstein[q].Mean(), 0.0) << "quad " << q;
-    EXPECT_GT(result.tone[q].count, 0u);
+    EXPECT_GT(bins[QuadToneBin(q)].Mean(), 0.0) << "quad " << q;
+    EXPECT_GT(bins[QuadGoldsteinBin(q)].Mean(), 0.0) << "quad " << q;
+    EXPECT_GT(bins[QuadToneBin(q)].count, 0u);
   }
   for (const std::size_t q : {3u, 4u}) {
-    EXPECT_LT(result.tone[q].Mean(), 0.0) << "quad " << q;
-    EXPECT_LT(result.goldstein[q].Mean(), 0.0) << "quad " << q;
+    EXPECT_LT(bins[QuadToneBin(q)].Mean(), 0.0) << "quad " << q;
+    EXPECT_LT(bins[QuadGoldsteinBin(q)].Mean(), 0.0) << "quad " << q;
   }
   // Every event is in exactly one class 1..4.
   std::uint64_t total = 0;
-  for (std::size_t q = 1; q <= 4; ++q) total += result.tone[q].count;
+  for (std::size_t q = 1; q <= 4; ++q) total += bins[QuadToneBin(q)].count;
   EXPECT_EQ(total, db_->num_events());
-  EXPECT_EQ(result.tone[0].count, 0u);
 }
 
 TEST_F(ToneTest, ByCountryMatchesBruteForce) {
-  const auto by_country = AverageToneByCountry(*db_);
+  const auto bins = ToneByBin(*db_);
   // Brute force for the USA (the event-richest country) from the events
   // table itself (tone values round-trip the wire format at 2 decimals).
   const auto country = db_->event_country();
@@ -74,21 +76,36 @@ TEST_F(ToneTest, ByCountryMatchesBruteForce) {
     }
   }
   ASSERT_GT(count, 0u);
-  EXPECT_EQ(by_country[country::kUSA].count, count);
-  EXPECT_NEAR(by_country[country::kUSA].Mean(), sum / count, 1e-9);
+  const MeanAccumulator& usa = bins[CountryToneBin(country::kUSA)];
+  EXPECT_EQ(usa.count, count);
+  EXPECT_NEAR(usa.Mean(), sum / count, 1e-9);
 }
 
-TEST_F(ToneTest, QuarterlyToneCoversAllEvents) {
-  const QuarterlyTone q = QuarterlyAverageTone(*db_);
-  std::uint64_t total = 0;
-  for (const auto& acc : q.values) {
-    total += acc.count;
-    if (acc.count > 0) {
-      EXPECT_GT(acc.Mean(), -10.0);
-      EXPECT_LT(acc.Mean(), 10.0);
+TEST_F(ToneTest, PartitionedBlocksMergeToTheWholeBits) {
+  // Partitions own whole blocks; their sums, concatenated last partition
+  // first, merge to the bits of the whole table at any partition count.
+  ASSERT_GT(NumToneBlocks(*db_), 2u);
+  const auto whole = ToneByBin(*db_);
+  std::vector<CountryId> every(Countries().size());
+  for (std::size_t c = 0; c < every.size(); ++c) {
+    every[c] = static_cast<CountryId>(c);
+  }
+  for (const std::size_t of : {2u, 3u, 64u}) {
+    const auto ranges = SplitRange(NumToneBlocks(*db_), of);
+    std::vector<ToneEntry> all;
+    for (auto it = ranges.rbegin(); it != ranges.rend(); ++it) {
+      const auto part = ComputeToneBlocks(*db_, *it, every);
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    const auto merged = MergeToneBlocks(std::move(all));
+    ASSERT_EQ(merged.size(), whole.size());
+    for (std::size_t b = 0; b < whole.size(); ++b) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(merged[b].sum),
+                std::bit_cast<std::uint64_t>(whole[b].sum))
+          << "of " << of << " bin " << b;
+      EXPECT_EQ(merged[b].count, whole[b].count) << "of " << of << " bin " << b;
     }
   }
-  EXPECT_EQ(total, db_->num_events());
 }
 
 TEST(MeanAccumulatorTest, EmptyIsZero) {
