@@ -2,9 +2,9 @@
 // cost vs the narrowed aggregation, against the full-table kernels.
 //
 // The paper's engine is built for "user-defined queries"; the common
-// restriction patterns are a time window (one quarter of a crisis) and a
-// country slice. This bench shows that a selection bitmap amortizes:
-// select once, run several aggregates over the subset.
+// restriction patterns are a time window (one quarter of a crisis) and an
+// extraction-confidence cut. This bench shows that a selection bitmap
+// amortizes: select once, run several aggregates over the subset.
 #include <algorithm>
 
 #include "common/fixture.hpp"
@@ -28,7 +28,7 @@ void BM_SelectQuarterWindow(benchmark::State& state) {
   const auto& db = Db();
   const auto f = QuarterWindowFilter();
   for (auto _ : state) {
-    auto rows = engine::SelectMentions(db, f);
+    auto rows = engine::SelectMentionsBitmap(db, f).ToRows();
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(db.num_mentions()) *
@@ -58,19 +58,6 @@ void BM_FullTableAggregate(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FullTableAggregate);
-
-void BM_SelectPublisherCountry(benchmark::State& state) {
-  const auto& db = Db();
-  engine::MentionFilter f;
-  f.publisher_country = country::kUK;
-  for (auto _ : state) {
-    auto rows = engine::SelectMentions(db, f);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(db.num_mentions()) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SelectPublisherCountry);
 
 /// SIMD-vs-scalar on the bitmap path (same pool, same morsel size; the
 /// only variable is the compare kernels).
@@ -104,7 +91,7 @@ double BestOf(int reps, Body&& body) {
 void Print() {
   const auto& db = Db();
   const auto f = QuarterWindowFilter();
-  const auto rows = engine::SelectMentions(db, f);
+  const auto rows = engine::SelectMentionsBitmap(db, f).ToRows();
   std::printf("\n=== Ablation: user-defined (filtered) queries ===\n");
   std::printf("quarter-window selection: %zu of %zu mentions (%.1f%%); "
               "aggregates over the row set touch only that fraction.\n",

@@ -64,7 +64,6 @@ std::vector<DelayStats> PerSourceDelayStats(
   const auto event_when = db.mention_event_interval();
   std::vector<DelayStats> stats(sources.size());
   if (sources.empty()) return stats;
-  db.mentions_by_source();  // force the memoized index outside the region
 
   // Per-source work is skewed (article counts follow a power law, and the
   // usual caller asks for the top sources), so every source is its own

@@ -248,10 +248,7 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
   const bool interval_pass = filter.begin_interval != INT64_MIN ||
                              filter.end_interval != INT64_MAX;
   const bool conf_pass = filter.min_confidence > 0;
-  const bool pub_pass = filter.publisher_country != kNoCountry;
-  const bool event_pass =
-      filter.event_country != kNoCountry || filter.exclude_orphans;
-  if (!interval_pass && !conf_pass && !pub_pass && !event_pass) {
+  if (!interval_pass && !conf_pass) {
     sel.words.assign(nw, ~std::uint64_t{0});
     if (const std::size_t tail = n & 63; tail != 0) {
       sel.words[nw - 1] = ~std::uint64_t{0} >> (64 - tail);
@@ -291,10 +288,6 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
   const bool simd = SimdEnabled();
   const auto at = db.mention_interval();
   const auto conf = db.mention_confidence();
-  const auto src = db.mention_source_id();
-  const auto source_country = db.source_country();
-  const auto event_row = db.mention_event_row();
-  const auto event_country = db.event_country();
 
   parallel::PoolParallelFor(
       sel.end_word - sel.begin_word,
@@ -306,7 +299,6 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
           const std::size_t row0 = w * 64;
           const std::size_t rows_here = std::min<std::size_t>(64, n - row0);
           std::uint64_t bits = ~std::uint64_t{0} >> (64 - rows_here);
-          // Sequential-column passes first (SIMD-friendly, cheapest).
           if (zone == ZoneMatch::kPartial) {
             bits &= IntervalWord(simd, at.data() + row0, rows_here,
                                  filter.begin_interval, filter.end_interval);
@@ -315,46 +307,11 @@ SelectionBitmap SelectMentionsBitmap(const Database& db,
             bits &= ConfidenceWord(simd, conf.data() + row0, rows_here,
                                    filter.min_confidence);
           }
-          // Gather-dependent passes only visit surviving bits, so a
-          // selective window never touches the indirection columns for
-          // rejected rows (and whole zero words are skipped outright).
-          if (bits != 0 && pub_pass) {
-            std::uint64_t scan = bits;
-            while (scan) {
-              const auto b = static_cast<unsigned>(std::countr_zero(scan));
-              scan &= scan - 1;
-              if (source_country[src[row0 + b]] != filter.publisher_country) {
-                bits &= ~(std::uint64_t{1} << b);
-              }
-            }
-          }
-          if (bits != 0 && event_pass) {
-            std::uint64_t scan = bits;
-            while (scan) {
-              const auto b = static_cast<unsigned>(std::countr_zero(scan));
-              scan &= scan - 1;
-              const std::uint32_t row = event_row[row0 + b];
-              bool keep;
-              if (row == convert::kOrphanEventRow) {
-                keep = !filter.exclude_orphans &&
-                       filter.event_country == kNoCountry;
-              } else {
-                keep = filter.event_country == kNoCountry ||
-                       event_country[row] == filter.event_country;
-              }
-              if (!keep) bits &= ~(std::uint64_t{1} << b);
-            }
-          }
           sel.words[w] = bits;
         }
       },
       WordsPerMorsel());
   return sel;
-}
-
-std::vector<std::uint64_t> SelectMentions(const Database& db,
-                                          const MentionFilter& filter) {
-  return SelectMentionsBitmap(db, filter).ToRows();
 }
 
 std::vector<std::uint64_t> ArticlesPerSource(const Database& db,
@@ -402,60 +359,6 @@ CountryCrossReport CountryCrossReporting(const Database& db,
       },
       cancel);
   return CountryCrossReport::FromBins(nc, std::move(bins));
-}
-
-QuarterSeries ArticlesPerQuarter(const Database& db,
-                                 std::span<const std::uint64_t> rows) {
-  const QuarterWindow w = QuartersOf(db);
-  const auto when = db.mention_interval();
-  QuarterSeries series;
-  series.first_quarter = w.first;
-  series.values = parallel::PoolHistogram(
-      {0, rows.size()}, static_cast<std::size_t>(w.count),
-      [&](std::size_t k) { return w.Of(when[rows[k]]).value_or(SIZE_MAX); });
-  return series;
-}
-
-QuarterSeries ArticlesPerQuarter(const Database& db,
-                                 const SelectionBitmap& sel) {
-  const QuarterWindow w = QuartersOf(db);
-  QuarterSeries series;
-  series.first_quarter = w.first;
-  series.values = QuarterRunHistogram(
-      db, w, sel.RowSpan(), [&](IndexRange run) { return sel.CountSet(run); });
-  return series;
-}
-
-std::uint64_t DistinctEvents(const Database& db,
-                             std::span<const std::uint64_t> rows) {
-  const auto event_row = db.mention_event_row();
-  // Flag array over events; orphans tracked separately by global id being
-  // unavailable — they are excluded from the distinct count.
-  std::vector<std::uint8_t> seen(db.num_events() + 1, 0);
-  for (const std::uint64_t i : rows) {
-    const std::uint32_t row = event_row[i];
-    if (row != convert::kOrphanEventRow) seen[row] = 1;
-  }
-  std::uint64_t count = 0;
-  for (const std::uint8_t s : seen) count += s;
-  return count;
-}
-
-std::uint64_t DistinctEvents(const Database& db, const SelectionBitmap& sel) {
-  const auto event_row = db.mention_event_row();
-  std::vector<std::uint8_t> seen(db.num_events() + 1, 0);
-  for (std::size_t w = sel.begin_word; w < sel.end_word; ++w) {
-    std::uint64_t bits = sel.words[w];
-    while (bits) {
-      const auto b = static_cast<unsigned>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const std::uint32_t row = event_row[w * 64 + b];
-      if (row != convert::kOrphanEventRow) seen[row] = 1;
-    }
-  }
-  std::uint64_t count = 0;
-  for (const std::uint8_t s : seen) count += s;
-  return count;
 }
 
 }  // namespace gdelt::engine

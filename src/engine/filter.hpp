@@ -4,14 +4,13 @@
 // The paper's engine processes "user-defined queries ... optimized for
 // in-memory handling" (Section IV). The headline tables are full-table
 // aggregates, but real use restricts by time window (one quarter, one
-// week of a crisis), by GDELT's extraction confidence, or by
-// publisher/event country. A MentionFilter captures those predicates; the
-// filtered kernel overloads then aggregate only the selected rows.
+// week of a crisis) or by GDELT's extraction confidence. A MentionFilter
+// captures those predicates; the filtered kernels then aggregate only the
+// selected rows.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "engine/database.hpp"
@@ -27,18 +26,11 @@ struct MentionFilter {
   std::int64_t end_interval = INT64_MAX;
   /// Minimum GDELT extraction confidence (0 = any).
   std::uint8_t min_confidence = 0;
-  /// Restrict to articles from this country's press (kNoCountry = any).
-  CountryId publisher_country = kNoCountry;
-  /// Restrict to events located in this country (kNoCountry = any).
-  CountryId event_country = kNoCountry;
-  /// Drop mentions whose event row is unknown (lost archives).
-  bool exclude_orphans = false;
 
   /// True if every mention passes (the no-op filter).
   bool IsAll() const noexcept {
     return begin_interval == INT64_MIN && end_interval == INT64_MAX &&
-           min_confidence == 0 && publisher_country == kNoCountry &&
-           event_country == kNoCountry && !exclude_orphans;
+           min_confidence == 0;
   }
 };
 
@@ -73,18 +65,12 @@ struct SelectionBitmap {
 };
 
 /// Column-at-a-time vectorized selection: AVX2 compare kernels for the
-/// interval-window and min-confidence columns, zero-word-skipping scalar
-/// passes for the gather-dependent country/orphan predicates. Runs on
-/// the shared morsel pool. The database's zone map prunes the window
-/// first: blocks whose interval range misses it are never read, blocks
-/// inside it skip the interval compare.
+/// interval-window and min-confidence columns, on the shared morsel
+/// pool. The database's zone map prunes the window first: blocks whose
+/// interval range misses it are never read, blocks inside it skip the
+/// interval compare.
 SelectionBitmap SelectMentionsBitmap(const Database& db,
                                      const MentionFilter& filter);
-
-/// Mention rows matching the filter, ascending
-/// (= SelectMentionsBitmap(...).ToRows()).
-std::vector<std::uint64_t> SelectMentions(const Database& db,
-                                          const MentionFilter& filter);
 
 /// Runtime SIMD toggle. Defaults to CPU detection, and
 /// GDELT_DISABLE_SIMD=1 pins it off for the whole process; benches and
@@ -100,14 +86,6 @@ bool SimdEnabled() noexcept;
 /// any bound.
 std::uint64_t IntervalWord(bool simd, const std::int32_t* at, std::size_t rows,
                            std::int64_t begin, std::int64_t end);
-
-/// Articles per quarter over a row subset.
-QuarterSeries ArticlesPerQuarter(const Database& db,
-                                 std::span<const std::uint64_t> rows);
-
-/// Distinct events touched by a row subset.
-std::uint64_t DistinctEvents(const Database& db,
-                             std::span<const std::uint64_t> rows);
 
 // The mention-range kernels: each aggregates the rows of `mentions`, or
 // with a non-null `sel` only the rows it selects there, without
@@ -128,9 +106,5 @@ CountryCrossReport CountryCrossReporting(
     const Database& db, IndexRange mentions = kWholeRange,
     const SelectionBitmap* sel = nullptr,
     const util::CancelToken* cancel = nullptr);
-
-QuarterSeries ArticlesPerQuarter(const Database& db,
-                                 const SelectionBitmap& sel);
-std::uint64_t DistinctEvents(const Database& db, const SelectionBitmap& sel);
 
 }  // namespace gdelt::engine

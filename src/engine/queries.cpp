@@ -55,16 +55,6 @@ QuarterWindow QuartersOf(const Database& db) {
   return none;
 }
 
-QuarterSeries ArticlesPerQuarter(const Database& db) {
-  TRACE_SPAN("engine.articles_per_quarter");
-  const QuarterWindow w = QuartersOf(db);
-  QuarterSeries series;
-  series.first_quarter = w.first;
-  series.values = QuarterRunHistogram(
-      db, w, kWholeRange, [](IndexRange run) { return run.size(); });
-  return series;
-}
-
 QuarterSeries EventsPerQuarter(const Database& db, IndexRange events,
                                const util::CancelToken* cancel) {
   TRACE_SPAN("engine.events_per_quarter");
@@ -112,11 +102,6 @@ QuarterActivity QuarterlyActivity(const Database& db, std::uint32_t shard,
       },
       /*morsel_rows=*/1, cancel);
   return out;
-}
-
-QuarterSeries ActiveSourcesPerQuarter(const Database& db) {
-  QuarterActivity activity = QuarterlyActivity(db);
-  return {activity.first_quarter, std::move(activity.active_sources)};
 }
 
 std::vector<QuarterSeries> SourceArticlesPerQuarter(

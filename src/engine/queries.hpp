@@ -237,9 +237,6 @@ void ForEachRunInQuarter(const Database& db, const QuarterWindow& w,
   }
 }
 
-/// Articles observed per quarter (Fig 5).
-QuarterSeries ArticlesPerQuarter(const Database& db);
-
 /// Events of `events` observed per quarter, by DATEADDED (Fig 4).
 QuarterSeries EventsPerQuarter(const Database& db,
                                IndexRange events = kWholeRange,
@@ -256,9 +253,6 @@ struct QuarterActivity {
 QuarterActivity QuarterlyActivity(const Database& db, std::uint32_t shard = 0,
                                   std::uint32_t of = 1,
                                   const util::CancelToken* cancel = nullptr);
-
-/// Sources with at least one article in each quarter (Fig 3).
-QuarterSeries ActiveSourcesPerQuarter(const Database& db);
 
 /// Per-quarter article counts for each requested source (Fig 6 series).
 std::vector<QuarterSeries> SourceArticlesPerQuarter(

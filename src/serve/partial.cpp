@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -19,9 +20,9 @@
 #include "analysis/tone.hpp"
 #include "engine/filter.hpp"
 #include "engine/queries.hpp"
+#include "gtime/timestamp.hpp"
 #include "parallel/parallel.hpp"
 #include "schema/countries.hpp"
-#include "serve/render_text.hpp"
 #include "util/strings.hpp"
 
 namespace gdelt::serve {
@@ -52,9 +53,9 @@ struct Part {
   }
   IndexRange events() const { return Of(db.num_events()); }
   IndexRange mentions() const { return Of(db.num_mentions()); }
-  /// Strided ownership, for source ids and quarters: slot s belongs to
-  /// partition s % of.
-  bool Owns(std::uint64_t slot) const { return slot % of == shard; }
+  /// Strided ownership, for source ids and quarters: id k belongs to
+  /// partition k % of.
+  bool Owns(std::uint64_t k) const { return k % of == shard; }
 };
 
 // ---------------------------------------------------------------------------
@@ -108,23 +109,47 @@ Strings DomainsOf(const engine::Database& db,
   return out;
 }
 
-/// Text labels of every string, or of the ranked ids `ids`.
-std::vector<std::string> Labels(const Strings& strings) {
-  std::vector<std::string> out;
-  for (std::size_t k = 0; k < strings.size(); ++k) {
-    out.emplace_back(strings[k]);
-  }
-  return out;
-}
-std::vector<std::string> Labels(const Strings& strings,
-                                std::span<const std::uint32_t> ids) {
-  std::vector<std::string> out;
-  for (const std::uint32_t s : ids) out.emplace_back(strings[s]);
-  return out;
+/// Ids 0..counts.size() ranked by count, descending, truncated to
+/// `top_k`. Deliberately NO tie-break (ties keep partial_sort's order):
+/// this is the historical restricted-ranking comparator; the finish runs
+/// it on the same count vector on a single node and at the router, so
+/// both rank identically.
+std::vector<std::uint32_t> RankSources(
+    const std::vector<std::uint64_t>& counts, std::size_t top_k) {
+  std::vector<std::uint32_t> ids(counts.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  const std::size_t take = std::min(top_k, ids.size());
+  std::partial_sort(ids.begin(),
+                    ids.begin() + static_cast<std::ptrdiff_t>(take),
+                    ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+                      return counts[a] > counts[b];
+                    });
+  ids.resize(take);
+  return ids;
 }
 
-std::vector<CountryId> CountryIds(const std::vector<std::uint64_t>& ids) {
-  return {ids.begin(), ids.end()};
+// ---------------------------------------------------------------------------
+// Text pieces several finishes share.
+
+/// Starts a table row: two spaces, then `label` padded to 28 columns.
+void AppendRowLabel(std::string& out, std::string_view label) {
+  Appendf(out, "  %-28.*s", static_cast<int>(label.size()), label.data());
+}
+
+/// Country `id`'s name, for a %s column.
+std::string NameOf(std::uint64_t id) {
+  return std::string(CountryName(static_cast<CountryId>(id)));
+}
+
+/// A Figs 3-5 series: `label`, then one line per quarter from `first`.
+void AppendQuarterSeries(std::string& out, const char* label, QuarterId first,
+                         const std::vector<std::uint64_t>& values) {
+  Appendf(out, "%s\n", label);
+  for (std::size_t q = 0; q < values.size(); ++q) {
+    Appendf(out, "  %s  %s\n",
+            QuarterLabel(first + static_cast<QuarterId>(q)).c_str(),
+            WithThousands(values[q]).c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +161,8 @@ enum class Shape : std::uint8_t {
   kMatrix,  ///< n x n count matrix, summed; dense or sparse on the wire
   kCarry,   ///< a value every frame must repeat byte-for-byte
   kAppend,  ///< a candidate list: the frames' elements concatenated
-  kSlots,   ///< slot-owned rows: each frame fills the rows it owns
+  kOwned,   ///< a full-length row whose elements each belong to one
+            ///< partition; the others ship 0 there
 };
 
 enum class Elem : std::uint8_t { kU64, kI64, kF64, kStr };
@@ -163,22 +189,18 @@ struct Field {
   Elem elem = Elem::kU64;
   /// The dimension this field's length (a matrix: its n) must equal: an
   /// earlier field's length, or its value when that field is a scalar;
-  /// else kOwnLength or kCountries. A kSlots field whose dim is a carried
-  /// field lists the slots a frame owns (each < that dimension); one
-  /// whose dim is such a slot list holds the owned rows, in slot order.
+  /// else kOwnLength or kCountries. A kOwned field's dim is a carried
+  /// field.
   int dim = kOwnLength;
   Bound bound = Bound::kNone;
   bool scalar = false;  ///< kSum/kCarry: one number, not an array
   bool sym = false;     ///< kMatrix: only the upper triangle ships
 };
 
-bool IsSlotRows(std::span<const Field> fields, const Field& f) {
-  return f.shape == Shape::kSlots && fields[f.dim].shape == Shape::kSlots;
-}
-
 /// What the decoder relies on: every dim names an earlier field, only
-/// u64 fields are summed, matrix dimensions are bounded, slot lists index
-/// a carried dimension, and a scalar that sizes rows carries a bound.
+/// u64 fields are summed, matrix dimensions are bounded, owned rows are
+/// numbers as long as a carried dimension, and a scalar that sizes rows
+/// carries a bound.
 constexpr bool ValidFields(std::span<const Field> fields) {
   for (std::size_t k = 0; k < fields.size(); ++k) {
     const Field& f = fields[k];
@@ -191,9 +213,9 @@ constexpr bool ValidFields(std::span<const Field> fields) {
         f.bound != Bound::kTopK) {
       return false;
     }
-    if (f.shape == Shape::kSlots &&
-        (f.dim < 0 || (fields[f.dim].shape != Shape::kSlots &&
-                       fields[f.dim].shape != Shape::kCarry))) {
+    if (f.shape == Shape::kOwned &&
+        (f.elem == Elem::kStr || f.dim < 0 ||
+         fields[f.dim].shape != Shape::kCarry)) {
       return false;
     }
     if (f.dim >= 0 && fields[f.dim].scalar &&
@@ -271,8 +293,7 @@ void AppendCountMatrix(std::string& out, const std::vector<std::uint64_t>& full,
   out += "]}";
 }
 
-/// Writes partial `x` as the members of a frame's "data". Slot rows ship
-/// only the rows of the slots the partition owns.
+/// Writes partial `x` as the members of a frame's "data".
 void EncodeFrame(std::span<const Field> fields, const Partial& x,
                  std::string& out) {
   for (std::size_t k = 0; k < fields.size(); ++k) {
@@ -290,13 +311,10 @@ void EncodeFrame(std::span<const Field> fields, const Partial& x,
       AppendElem(out, f.elem, c, 0);
       continue;
     }
-    const std::vector<std::uint64_t>* slots =
-        IsSlotRows(fields, f) ? &x[f.dim].u : nullptr;
-    const std::size_t count = slots ? slots->size() : Len(f, c);
     out += '[';
-    for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < Len(f, c); ++i) {
       if (i) out += ',';
-      AppendElem(out, f.elem, c, slots ? (*slots)[i] : i);
+      AppendElem(out, f.elem, c, i);
     }
     out += ']';
   }
@@ -478,7 +496,7 @@ Status CheckBound(const Field& f, const Request& r, const Column& c,
       return Status::Ok();
     }
     case Bound::kQuarterSlots:
-      // It sizes the quarterly rows; a hostile 2^62 would be an OOM.
+      // The span kQuarter's check assumes.
       if (c.u[0] > kMaxQuarterSlots) {
         return FrameError("quarterly span too large");
       }
@@ -526,8 +544,7 @@ Status DecodeFrame(std::span<const Field> fields, const Request& r,
     GDELT_RETURN_IF_ERROR(ParseField(f, data, c));
     const std::size_t len = Len(f, c);
     dims[k] = f.scalar ? c.u[0] : len;
-    const bool slot_list = f.shape == Shape::kSlots && !IsSlotRows(fields, f);
-    if (f.dim != kOwnLength && !slot_list && len != dim_of(f.dim)) {
+    if (f.dim != kOwnLength && len != dim_of(f.dim)) {
       return FieldError(f, "length does not match its dimension");
     }
     GDELT_RETURN_IF_ERROR(CheckBound(f, r, c, len));
@@ -553,24 +570,19 @@ Status DecodeFrame(std::span<const Field> fields, const Request& r,
         a.s.views().insert(a.s.views().end(), c.s.views().begin(),
                            c.s.views().end());
         break;
-      case Shape::kSlots: {
-        if (slot_list) {
-          for (const std::uint64_t slot : c.u) {
-            if (slot >= dim_of(f.dim)) {
-              return FieldError(f, "slot out of range");
-            }
-          }
-          break;  // stays in `cur` for the rows that follow
-        }
-        const std::vector<std::uint64_t>& slots = cur[f.dim].u;
+      case Shape::kOwned:
+        // Its carried dim fixes the length, so every frame's row is as
+        // long. Only the owner ships an element non-zero.
         if (first) {
-          // gdelt-astcheck: allow(bounded-alloc) — the rows number a
-          // carried array's length, or a scalar with a Bound (ValidFields).
-          a.u.assign(dim_of(fields[f.dim].dim), 0);
+          a = std::move(c);
+          break;
         }
-        for (std::size_t i = 0; i < slots.size(); ++i) a.u[slots[i]] = c.u[i];
+        for (std::size_t i = 0; i < len; ++i) {
+          if (c.u[i] == 0) continue;
+          if (a.u[i] != 0) return Disagree(f);
+          a.u[i] = c.u[i];
+        }
         break;
-      }
       case Shape::kMatrix:
         break;
     }
@@ -581,7 +593,7 @@ Status DecodeFrame(std::span<const Field> fields, const Request& r,
 // ---------------------------------------------------------------------------
 // The query kinds. Each declares its frame fields and two steps:
 //   Compute  runs the kind's one kernel over a partition;
-//   Finish   renders a partial, computed whole or decoded and summed from
+//   Finish   prints a partial, computed whole or decoded and merged from
 //            frames, as the query's text.
 // A single node is Finish(Compute(partition 0 of 1)); a shard is
 // EncodeFrame(Compute(partition k of n)); the router is Finish of the
@@ -652,11 +664,16 @@ struct TopSources {
     const auto ids =
         r.restricted ? RankSources(counts, r.top_k)
                      : engine::RankByCount<std::uint32_t>(counts, r.top_k);
-    std::vector<std::uint64_t> ranked;
-    for (const std::uint32_t s : ids) ranked.push_back(counts[s]);
     std::string text;
-    AppendTopSourcesText(text, Labels(x[kDomains].s, ids), ranked,
-                         r.restricted);
+    if (r.restricted) {
+      Appendf(text, "Top %zu sources (restricted):\n", ids.size());
+    } else {
+      Appendf(text, "Top %zu sources by article count:\n", ids.size());
+    }
+    for (const std::uint32_t s : ids) {
+      AppendRowLabel(text, x[kDomains].s[s]);
+      Appendf(text, " %s\n", WithThousands(counts[s]).c_str());
+    }
     return text;
   }
 };
@@ -691,14 +708,15 @@ struct TopEvents {
     for (std::size_t k = 0; k < x[kRows].u.size(); ++k) {
       top.Offer({x[kRows].u[k], x[kArticles].u[k], x[kUrls].s[k]});
     }
-    std::vector<std::uint32_t> articles;
-    std::vector<std::string> urls;
-    for (const Candidate& c : std::move(top).Take()) {
-      articles.push_back(static_cast<std::uint32_t>(c.articles));
-      urls.emplace_back(c.url);
-    }
+    const std::vector<Candidate> events = std::move(top).Take();
     std::string text;
-    AppendTopEventsText(text, articles, urls);
+    Appendf(text, "Top %zu most reported events (cf. Table III):\n",
+            events.size());
+    Appendf(text, "  %-9s %s\n", "Mentions", "Event source URL");
+    for (const Candidate& c : events) {
+      Appendf(text, "  %-9u %.*s\n", static_cast<std::uint32_t>(c.articles),
+              static_cast<int>(c.url.size()), c.url.data());
+    }
     return text;
   }
 };
@@ -706,15 +724,14 @@ struct TopEvents {
 /// Figs 3-5: the active sources and articles of the quarters a partition
 /// owns (quarter % of), and the events per quarter of an event range.
 struct Quarterly {
-  enum { kQFirst, kQCount, kQSlots, kActive, kArticles, kEvents };
+  enum { kQFirst, kQCount, kActive, kArticles, kEvents };
   static constexpr Field kFields[] = {
       {.name = "q_first", .shape = Shape::kCarry, .elem = Elem::kI64,
        .bound = Bound::kQuarter, .scalar = true},
       {.name = "q_count", .shape = Shape::kCarry,
        .bound = Bound::kQuarterSlots, .scalar = true},
-      {"q_slots", Shape::kSlots, Elem::kU64, kQCount},
-      {"active", Shape::kSlots, Elem::kU64, kQSlots},
-      {"articles", Shape::kSlots, Elem::kU64, kQSlots},
+      {"active", Shape::kOwned, Elem::kU64, kQCount},
+      {"articles", Shape::kOwned, Elem::kU64, kQCount},
       {"events", Shape::kSum, Elem::kU64, kQCount},
   };
 
@@ -724,9 +741,6 @@ struct Quarterly {
     x[kQFirst].u = {static_cast<std::uint64_t>(
         static_cast<std::int64_t>(activity.first_quarter))};
     x[kQCount].u = {activity.articles.size()};
-    for (std::size_t q = 0; q < activity.articles.size(); ++q) {
-      if (p.Owns(q)) x[kQSlots].u.push_back(q);
-    }
     x[kActive].u = std::move(activity.active_sources);
     x[kArticles].u = std::move(activity.articles);
     x[kEvents].u =
@@ -737,12 +751,12 @@ struct Quarterly {
     const auto first =
         static_cast<QuarterId>(static_cast<std::int64_t>(x[kQFirst].u[0]));
     std::string text;
-    AppendQuarterSeries(text, "Active sources per quarter (Fig 3):",
-                        {first, std::move(x[kActive].u)});
-    AppendQuarterSeries(text, "Events per quarter (Fig 4):",
-                        {first, std::move(x[kEvents].u)});
-    AppendQuarterSeries(text, "Articles per quarter (Fig 5):",
-                        {first, std::move(x[kArticles].u)});
+    AppendQuarterSeries(text, "Active sources per quarter (Fig 3):", first,
+                        x[kActive].u);
+    AppendQuarterSeries(text, "Events per quarter (Fig 4):", first,
+                        x[kEvents].u);
+    AppendQuarterSeries(text, "Articles per quarter (Fig 5):", first,
+                        x[kArticles].u);
     return text;
   }
 };
@@ -782,8 +796,23 @@ struct Coreport {
                    matrix.mutable_counts().begin(), [](std::uint64_t v) {
                      return static_cast<std::uint32_t>(v);
                    });
+    const Strings& domains = x[kDomains].s;
     std::string text;
-    AppendCoreportText(text, Labels(x[kDomains].s), matrix, r.restricted);
+    if (r.restricted) {
+      Appendf(text,
+              "Co-reporting (Jaccard) among top %zu sources (restricted):\n",
+              domains.size());
+    } else {
+      Appendf(text, "Co-reporting (Jaccard) among top %zu sources:\n",
+              domains.size());
+    }
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      AppendRowLabel(text, domains[i]);
+      for (std::size_t j = 0; j < domains.size(); ++j) {
+        Appendf(text, " %.3f", matrix.Jaccard(i, j));
+      }
+      text += '\n';
+    }
     return text;
   }
 };
@@ -815,8 +844,23 @@ struct Follow {
     matrix.n = x[kMatrix].n;
     matrix.follow_counts = std::move(x[kMatrix].u);
     matrix.articles = std::move(x[kArticles].u);
+    const Strings& domains = x[kDomains].s;
     std::string text;
-    AppendFollowText(text, Labels(x[kDomains].s), matrix);
+    Appendf(text,
+            "Follow-reporting f_ij among top %zu sources (cf. Table IV):\n",
+            domains.size());
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      AppendRowLabel(text, domains[i]);
+      for (std::size_t j = 0; j < domains.size(); ++j) {
+        Appendf(text, " %.3f", matrix.F(i, j));
+      }
+      text += '\n';
+    }
+    AppendRowLabel(text, "Sum");
+    for (std::size_t j = 0; j < domains.size(); ++j) {
+      Appendf(text, " %.3f", matrix.ColumnSum(j));
+    }
+    text += '\n';
     return text;
   }
 };
@@ -844,8 +888,24 @@ struct CountryCoreport {
     analysis::CountryCoReport report;
     report.n = x[kPairs].n;
     report.pair_counts = std::move(x[kPairs].u);
-    std::string text;
-    AppendCountryCoreportText(text, CountryIds(x[kTop].u), report);
+    const std::vector<std::uint64_t>& top = x[kTop].u;
+    std::string text =
+        StrFormat("Country co-reporting (Jaccard, cf. Table V):\n  %-14s", "");
+    for (const std::uint64_t c : top) {
+      Appendf(text, " %-12s", NameOf(c).c_str());
+    }
+    text += '\n';
+    for (const std::uint64_t c : top) {
+      Appendf(text, "  %-14s", NameOf(c).c_str());
+      for (const std::uint64_t d : top) {
+        if (c == d) {
+          Appendf(text, " %-12s", "-");
+        } else {
+          Appendf(text, " %-12.3f", report.Jaccard(c, d));
+        }
+      }
+      text += '\n';
+    }
     return text;
   }
 };
@@ -891,39 +951,64 @@ struct CrossReport {
     const auto report =
         engine::CountryCrossReport::FromBins(x[kCounts].n, std::move(bins));
     std::string text;
-    AppendCrossReportText(text, CountryIds(x[kReported].u),
-                          CountryIds(x[kPublishing].u), report,
-                          r.restricted);
+    // A row per reported country: its counts, or Table VII's percentages.
+    const auto append_rows = [&](bool percent) {
+      for (const std::uint64_t id : x[kReported].u) {
+        const auto rep = static_cast<CountryId>(id);
+        Appendf(text, "  %-14s", NameOf(rep).c_str());
+        for (const std::uint64_t pub_id : x[kPublishing].u) {
+          const auto pub = static_cast<CountryId>(pub_id);
+          if (percent) {
+            Appendf(text, " %-12.2f", report.Percent(rep, pub));
+          } else {
+            Appendf(text, " %-12s",
+                    WithThousands(report.At(rep, pub)).c_str());
+          }
+        }
+        text += '\n';
+      }
+    };
+    if (r.restricted) {
+      text += "Country cross-reporting (restricted window):\n";
+      append_rows(false);
+      return text;
+    }
+    text += "Country cross-reporting counts (cf. Table VI):\n";
+    Appendf(text, "  %-14s", "");
+    for (const std::uint64_t pub : x[kPublishing].u) {
+      Appendf(text, " %-12s", NameOf(pub).c_str());
+    }
+    text += '\n';
+    append_rows(false);
+    text += "\nAs percentage of publisher's articles (cf. Table VII):\n";
+    append_rows(true);
     return text;
   }
 };
 
 /// Table VIII rows of the top sources a partition owns (source id % of)
 /// and the Fig 10 quarters it owns (quarter % of): whole-source and
-/// whole-quarter floats that must not be split.
+/// whole-quarter floats that must not be split. Each row is full length,
+/// 0 (also the bits of 0.0) where another partition owns the element.
 struct Delay {
   enum {
-    kTop, kDomains,
-    kSlots, kCount, kMin, kMax, kAvg, kMedian,
-    kQFirst, kQCount,
-    kQSlots, kQAvg, kQMedian,
+    kTop, kDomains, kCount, kMin, kMax, kAvg, kMedian,
+    kQFirst, kQCount, kQAvg, kQMedian,
   };
   static constexpr Field kFields[] = {
       {"top", Shape::kCarry},
       {"domains", Shape::kCarry, Elem::kStr, kTop},
-      {"slots", Shape::kSlots, Elem::kU64, kTop},
-      {"count", Shape::kSlots, Elem::kU64, kSlots},
-      {"min", Shape::kSlots, Elem::kI64, kSlots},
-      {"max", Shape::kSlots, Elem::kI64, kSlots},
-      {"avg", Shape::kSlots, Elem::kF64, kSlots},
-      {"median", Shape::kSlots, Elem::kI64, kSlots},
+      {"count", Shape::kOwned, Elem::kU64, kTop},
+      {"min", Shape::kOwned, Elem::kI64, kTop},
+      {"max", Shape::kOwned, Elem::kI64, kTop},
+      {"avg", Shape::kOwned, Elem::kF64, kTop},
+      {"median", Shape::kOwned, Elem::kI64, kTop},
       {.name = "q_first", .shape = Shape::kCarry, .elem = Elem::kI64,
        .bound = Bound::kQuarter, .scalar = true},
       {.name = "q_count", .shape = Shape::kCarry,
        .bound = Bound::kQuarterSlots, .scalar = true},
-      {"q_slots", Shape::kSlots, Elem::kU64, kQCount},
-      {"q_avg", Shape::kSlots, Elem::kF64, kQSlots},
-      {"q_median", Shape::kSlots, Elem::kI64, kQSlots},
+      {"q_avg", Shape::kOwned, Elem::kF64, kQCount},
+      {"q_median", Shape::kOwned, Elem::kI64, kQCount},
   };
 
   static Partial Compute(const Part& p) {
@@ -939,12 +1024,11 @@ struct Delay {
     x[kTop].u.assign(top.begin(), top.end());
     x[kDomains].s = DomainsOf(p.db, top);
     for (const int rows : {kCount, kMin, kMax, kAvg, kMedian}) {
-      x[rows].u.assign(top.size(), 0);  // 0 is also the bits of 0.0
+      x[rows].u.assign(top.size(), 0);
     }
     for (std::size_t k = 0, j = 0; k < top.size(); ++k) {
       if (!p.Owns(top[k])) continue;
       const analysis::DelayStats& st = stats[j++];
-      x[kSlots].u.push_back(k);
       x[kCount].u[k] = st.article_count;
       x[kMin].u[k] = static_cast<std::uint64_t>(st.min);
       x[kMax].u[k] = static_cast<std::uint64_t>(st.max);
@@ -954,32 +1038,33 @@ struct Delay {
     x[kQFirst].u = {static_cast<std::uint64_t>(
         static_cast<std::int64_t>(quarterly.first_quarter))};
     x[kQCount].u = {quarterly.average.size()};
-    for (std::size_t q = 0; q < quarterly.average.size(); ++q) {
-      if (p.Owns(q)) x[kQSlots].u.push_back(q);
-    }
     std::transform(quarterly.average.begin(), quarterly.average.end(),
                    std::back_inserter(x[kQAvg].u), Bits);
     x[kQMedian].u.assign(quarterly.median.begin(), quarterly.median.end());
     return x;
   }
   static std::string Finish(const Request&, Partial x) {
-    const auto i64 = [](std::uint64_t v) {
-      return static_cast<std::int64_t>(v);
-    };
-    std::vector<analysis::DelayStats> stats(x[kTop].u.size());
-    for (std::size_t k = 0; k < stats.size(); ++k) {
-      stats[k] = {x[kCount].u[k], i64(x[kMin].u[k]), i64(x[kMax].u[k]),
-                  Double(x[kAvg].u[k]), i64(x[kMedian].u[k])};
-    }
-    analysis::QuarterlyDelay quarterly;
-    quarterly.first_quarter = static_cast<QuarterId>(i64(x[kQFirst].u[0]));
-    std::transform(x[kQAvg].u.begin(), x[kQAvg].u.end(),
-                   std::back_inserter(quarterly.average), Double);
-    for (const std::uint64_t m : x[kQMedian].u) {
-      quarterly.median.push_back(i64(m));
-    }
+    const auto i64 = [](std::uint64_t v) { return static_cast<long long>(v); };
+    const Strings& domains = x[kDomains].s;
     std::string text;
-    AppendDelayText(text, Labels(x[kDomains].s), stats, quarterly);
+    Appendf(text,
+            "Publication delay for top %zu sources "
+            "(cf. Table VIII; 15-min intervals):\n",
+            domains.size());
+    Appendf(text, "  %-28s %8s %8s %8s %8s\n", "Publisher", "Min", "Max",
+            "Average", "Median");
+    for (std::size_t k = 0; k < domains.size(); ++k) {
+      AppendRowLabel(text, domains[k]);
+      Appendf(text, " %8lld %8lld %8.0f %8lld\n", i64(x[kMin].u[k]),
+              i64(x[kMax].u[k]), Double(x[kAvg].u[k]), i64(x[kMedian].u[k]));
+    }
+    text += "\nQuarterly delay (Fig 10):\n";
+    const auto first = static_cast<QuarterId>(i64(x[kQFirst].u[0]));
+    for (std::size_t q = 0; q < x[kQAvg].u.size(); ++q) {
+      Appendf(text, "  %s  avg %.1f  median %lld\n",
+              QuarterLabel(first + static_cast<QuarterId>(q)).c_str(),
+              Double(x[kQAvg].u[q]), i64(x[kQMedian].u[q]));
+    }
     return text;
   }
 };
@@ -1015,19 +1100,20 @@ struct FirstReports {
     stats.first_reports = std::move(x[kBreaks].u);
     stats.repeat_articles = std::move(x[kRepeats].u);
     const std::vector<std::uint64_t>& articles = x[kArticles].u;
-    const auto by_breaks = RankSources(stats.first_reports, r.top_k);
-    std::vector<std::uint64_t> breaks;
-    std::vector<std::uint64_t> ranked_articles;
-    std::vector<double> rate_pct;
-    for (const std::uint32_t s : by_breaks) {
-      breaks.push_back(stats.first_reports[s]);
-      ranked_articles.push_back(articles[s]);
-      rate_pct.push_back(100.0 * stats.RepeatRate(s, articles[s]));
+    std::string text =
+        "Sources breaking the most stories (wildfire pool candidates):\n";
+    Appendf(text, "  %-28s %10s %10s %12s\n", "Source", "breaks", "articles",
+            "repeat-rate");
+    for (const std::uint32_t s : RankSources(stats.first_reports, r.top_k)) {
+      AppendRowLabel(text, x[kDomains].s[s]);
+      Appendf(text, " %10s %10s %11.1f%%\n",
+              WithThousands(stats.first_reports[s]).c_str(),
+              WithThousands(articles[s]).c_str(),
+              100.0 * stats.RepeatRate(s, articles[s]));
     }
-    std::string text;
-    AppendFirstReportsText(text, Labels(x[kDomains].s, by_breaks), breaks,
-                           ranked_articles, rate_pct, x[kWithinHour].u[0],
-                           x[kNumEvents].u[0]);
+    Appendf(text, "\nevents first reported within 1 hour: %s of %s\n",
+            WithThousands(x[kWithinHour].u[0]).c_str(),
+            WithThousands(x[kNumEvents].u[0]).c_str());
     return text;
   }
 };
@@ -1078,12 +1164,11 @@ struct Tone {
               WithThousands(tone.count).c_str());
     }
     Appendf(text, "\nAverage event tone by located country:\n");
-    for (const CountryId c : CountryIds(x[kReported].u)) {
+    for (const std::uint64_t c : x[kReported].u) {
       const analysis::MeanAccumulator& tone =
-          bins[analysis::CountryToneBin(c)];
-      Appendf(text, "  %-14s %+6.2f  (%s events)\n",
-              std::string(CountryName(c)).c_str(), tone.Mean(),
-              WithThousands(tone.count).c_str());
+          bins[analysis::CountryToneBin(static_cast<CountryId>(c))];
+      Appendf(text, "  %-14s %+6.2f  (%s events)\n", NameOf(c).c_str(),
+              tone.Mean(), WithThousands(tone.count).c_str());
     }
     return text;
   }

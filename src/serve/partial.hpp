@@ -6,15 +6,16 @@
 // it, and its frame. Parsing, lane choice, the router's relay-vs-scatter
 // choice, RenderQuery and the gdelt_query help all read that table.
 //
-// Each kind has one compute kernel, which takes its partition (an event
+// A kind is its kernel plus one frame struct in partial.cpp: the frame's
+// fields, a Compute that runs the kernel over a partition (an event
 // range, a mention-row range with the request's selection bitmap, whole
 // 1024-event tone blocks, or the source ids and quarters it owns,
-// id % of), and one finish, which renders the partial. Its frame is an
-// ordered list of named fields, each of one shape: a summed u64 vector or
-// scalar, a summed count matrix, a carried value every frame repeats, an
-// appended candidate list, or slot-owned rows. One encoder and one
-// decoder per shape serve every kind, and the decoder enforces every
-// frame bound.
+// id % of), and a Finish that prints the partial as the query's text.
+// The fields are an ordered list, each of one shape: a summed u64 vector
+// or scalar, a summed count matrix, a carried value every frame repeats,
+// an appended candidate list, or an owned row (full length, 0 wherever
+// another partition owns the element). One encoder and one decoder per
+// shape serve every kind, and the decoder enforces every frame bound.
 //
 // A single node renders partition 0 of 1 straight through the finish; a
 // `"partial":true` request encodes partition `shard` of `of` as a
@@ -40,7 +41,7 @@ namespace gdelt::serve {
 
 /// Version stamped into every frame as `"v"`; the merger rejects frames
 /// from a different protocol revision instead of mis-summing them.
-inline constexpr int kPartialVersion = 1;
+inline constexpr int kPartialVersion = 2;
 
 /// Upper bound on a frame's `of` (partition count). Matches the clamp
 /// ParseRequest applies to the request-side `of`; a frame claiming more
@@ -49,10 +50,10 @@ inline constexpr int kPartialVersion = 1;
 /// before anything allocates from it.
 inline constexpr std::int64_t kMaxPartitions = 4096;
 
-/// Upper bound on the quarterly-delay span a frame may carry. GDELT
+/// Upper bound on the quarter span (`q_count`) a frame may carry. GDELT
 /// coverage is a few hundred quarters; 4096 (a millennium) is far past
-/// any real dataset while keeping the merge-side `assign(q_count, ...)`
-/// allocations bounded against hostile frames.
+/// any real dataset, and the bound keeps the finish's quarter labels
+/// (q_first + q) inside the QuarterId range.
 inline constexpr std::uint64_t kMaxQuarterSlots = 4096;
 
 /// The scheduler lane a kind runs on. The whole-table matrix kernels can

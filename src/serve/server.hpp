@@ -73,7 +73,7 @@ class Server {
   int port() const noexcept { return front_.port(); }
 
   /// Current cache epoch (the delta store's ingest generation, 0 if none).
-  std::uint64_t Epoch() const noexcept {
+  std::uint64_t Epoch() const {
     return delta_ ? delta_->Generation() : 0;
   }
 

@@ -131,7 +131,8 @@ DeltaStore::DeltaStore(const engine::Database* base)
       base_event_row_of_.emplace(gids[r], static_cast<std::uint32_t>(r));
     }
   }
-  snapshot_.store(std::move(initial), std::memory_order_release);
+  sync::MutexLock lock(snapshot_mu_);
+  snapshot_ = std::move(initial);
 }
 
 std::uint32_t DeltaStore::SourceIdForLocked(std::string_view domain,
@@ -217,7 +218,8 @@ void DeltaStore::PublishCsv(std::string_view events_csv,
   // with a single generation bump, or neither. Copying the snapshot
   // copies chunk pointers and the tick-count-sized offset tables, never
   // rows, so a tick costs O(new rows).
-  const auto cur = snapshot_.load(std::memory_order_acquire);
+  // mu_ serializes writers, so `cur` stays the published snapshot.
+  const auto cur = Acquire();
   auto next = std::make_shared<DeltaSnapshot>(*cur);
   next->generation_ = cur->generation_ + 1;
   next->malformed_rows_ = malformed_rows_;
@@ -228,7 +230,8 @@ void DeltaStore::PublishCsv(std::string_view events_csv,
       next->source_offset_.back() +
       static_cast<std::uint32_t>(chunk->new_sources.size()));
   next->chunks_.push_back(std::move(chunk));
-  snapshot_.store(std::move(next), std::memory_order_release);
+  sync::MutexLock swap(snapshot_mu_);
+  snapshot_ = std::move(next);
 }
 
 void DeltaStore::ApplyEventsCsvLocked(std::string_view csv,

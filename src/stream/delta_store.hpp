@@ -15,13 +15,14 @@
 // Concurrency model: RCU-style snapshot publication. All delta state a
 // reader can observe lives in an immutable `DeltaSnapshot` — the chunks,
 // the new-source dictionary, and the ingest generation baked into the
-// same object — published by a single release-store `shared_ptr` swap.
-// A request that acquires once and then calls any number of `Combined*`
-// accessors gets counts consistent with exactly one generation, however
-// many ticks land meanwhile. Readers take no lock and copy no rows.
-// Ingest builds the next snapshot off to the side (chunk sharing makes a
-// tick O(new rows)), and the store's mutex serializes only writers (and
-// the fetch-policy swap).
+// same object — published by swapping one `shared_ptr`. A request that
+// acquires once and then calls any number of `Combined*` accessors gets
+// counts consistent with exactly one generation, however many ticks land
+// meanwhile. A reader holds the snapshot mutex only to copy that pointer,
+// and copies no rows. Ingest builds the next snapshot off to the side
+// (chunk sharing makes a tick O(new rows)) under the writer mutex, which
+// serializes writers (and the fetch-policy swap) and which readers never
+// take, so a reader never waits on a decode.
 //
 // The convenience accessors directly on DeltaStore (`delta_events()`,
 // `CombinedMentionCount()`, ...) each acquire their own snapshot, so two
@@ -30,7 +31,6 @@
 // generation — must hold one snapshot and read everything from it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -160,11 +160,12 @@ class DeltaStore {
   /// outlive the store.
   explicit DeltaStore(const engine::Database* base);
 
-  /// The current immutable snapshot (never null). One atomic
-  /// acquire-load; no lock, no row copies. Hold it for the duration of a
+  /// The current immutable snapshot (never null): a pointer copy under
+  /// the snapshot mutex, no row copies. Hold it for the duration of a
   /// request to get cross-accessor consistency.
-  std::shared_ptr<const DeltaSnapshot> Acquire() const noexcept {
-    return snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<const DeltaSnapshot> Acquire() const {
+    sync::MutexLock lock(snapshot_mu_);
+    return snapshot_;
   }
 
   /// Parses one pair of chunk archives (store-mode .zip as produced by
@@ -189,13 +190,11 @@ class DeltaStore {
   // --- snapshot-forwarding accessors ---
   // Each call acquires its own snapshot; see the header comment for the
   // consistency contract across multiple calls.
-  std::uint64_t delta_events() const noexcept {
-    return Acquire()->delta_events();
-  }
-  std::uint64_t delta_mentions() const noexcept {
+  std::uint64_t delta_events() const { return Acquire()->delta_events(); }
+  std::uint64_t delta_mentions() const {
     return Acquire()->delta_mentions();
   }
-  std::uint64_t malformed_rows() const noexcept {
+  std::uint64_t malformed_rows() const {
     return Acquire()->malformed_rows();
   }
 
@@ -204,14 +203,10 @@ class DeltaStore {
   /// (query, generation) invalidate as soon as new data lands and a
   /// reader can never observe post-ingest rows paired with the
   /// pre-ingest epoch — both live in the same immutable object.
-  std::uint64_t Generation() const noexcept {
-    return Acquire()->generation();
-  }
+  std::uint64_t Generation() const { return Acquire()->generation(); }
 
   /// Total sources across base + newly discovered ones.
-  std::uint32_t num_sources() const noexcept {
-    return Acquire()->num_sources();
-  }
+  std::uint32_t num_sources() const { return Acquire()->num_sources(); }
 
   /// Domain for a combined source id. Returned by value: the backing
   /// string lives in a snapshot this call releases before returning.
@@ -224,7 +219,7 @@ class DeltaStore {
       const util::CancelToken* cancel = nullptr) const {
     return Acquire()->CombinedArticlesPerSource(cancel);
   }
-  std::uint64_t CombinedMentionCount() const noexcept {
+  std::uint64_t CombinedMentionCount() const {
     return Acquire()->CombinedMentionCount();
   }
   std::vector<std::uint32_t> CombinedTopSources(
@@ -256,9 +251,12 @@ class DeltaStore {
   const engine::Database* base_;    ///< may be null
   std::uint32_t base_sources_ = 0;  ///< set once in the constructor
 
-  /// The published snapshot; readers acquire-load it, PublishCsv
-  /// release-stores the successor. Never null after construction.
-  std::atomic<std::shared_ptr<const DeltaSnapshot>> snapshot_;
+  /// Guards only the snapshot pointer: Acquire copies it, PublishCsv
+  /// swaps in the successor. No other lock is taken while it is held.
+  mutable sync::Mutex snapshot_mu_;
+  /// The published snapshot. Never null after construction.
+  std::shared_ptr<const DeltaSnapshot> snapshot_
+      GDELT_GUARDED_BY(snapshot_mu_);
 
   /// Writer-side mutex: serializes ingests and guards the mutable lookup
   /// state below. Readers never take it.

@@ -115,18 +115,41 @@ std::string_view TopLevelDomain(std::string_view url_or_host) noexcept {
   return tld;
 }
 
-std::string StrFormat(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
+namespace {
+
+/// Formats into a stack buffer; a longer result is formatted again in
+/// place at the end of `out`.
+void VAppendf(std::string& out, const char* fmt, va_list args) {
+  char stack_buf[512];
   va_list copy;
   va_copy(copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<std::size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  const int needed = std::vsnprintf(stack_buf, sizeof(stack_buf), fmt, args);
+  if (needed >= 0 && static_cast<std::size_t>(needed) < sizeof(stack_buf)) {
+    out.append(stack_buf, static_cast<std::size_t>(needed));
+  } else if (needed >= 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(needed) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(needed) + 1, fmt,
+                   copy);
+    out.resize(at + static_cast<std::size_t>(needed));
   }
+  va_end(copy);
+}
+
+}  // namespace
+
+void Appendf(std::string& out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  VAppendf(out, fmt, args);
+  va_end(args);
+}
+
+std::string StrFormat(const char* fmt, ...) {
+  std::string out;
+  va_list args;
+  va_start(args, fmt);
+  VAppendf(out, fmt, args);
   va_end(args);
   return out;
 }

@@ -49,6 +49,10 @@ std::string_view TopLevelDomain(std::string_view url_or_host) noexcept;
 /// Extracts the host part from a URL ("http://a.b.c/d" -> "a.b.c").
 std::string_view HostOfUrl(std::string_view url) noexcept;
 
+/// printf-style formatting appended to `out`.
+void Appendf(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

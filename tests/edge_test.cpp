@@ -64,12 +64,15 @@ TEST_F(EmptyDatabaseTest, AllEngineQueriesAreSafe) {
   EXPECT_TRUE(engine::ArticlesPerSource(*db_).empty());
   EXPECT_TRUE(engine::TopSourcesByArticles(*db_, 10).empty());
   EXPECT_TRUE(engine::TopReportedEvents(*db_, 10).empty());
-  EXPECT_TRUE(engine::ArticlesPerQuarter(*db_).values.empty());
+  const auto activity = engine::QuarterlyActivity(*db_);
+  EXPECT_TRUE(activity.articles.empty());
+  EXPECT_TRUE(activity.active_sources.empty());
   EXPECT_TRUE(engine::EventsPerQuarter(*db_).values.empty());
-  EXPECT_TRUE(engine::ActiveSourcesPerQuarter(*db_).values.empty());
   const auto cross = engine::CountryCrossReporting(*db_);
   for (const auto v : cross.counts) EXPECT_EQ(v, 0u);
-  EXPECT_TRUE(engine::SelectMentions(*db_, engine::MentionFilter{}).empty());
+  EXPECT_TRUE(engine::SelectMentionsBitmap(*db_, engine::MentionFilter{})
+                  .ToRows()
+                  .empty());
   // Every partition of the (empty) mention axis is empty too.
   for (const IndexRange part : SplitRange(db_->num_mentions(), 4)) {
     const auto partial = engine::CountryCrossReporting(*db_, part);
@@ -115,9 +118,10 @@ TEST(SingleMentionTest, AllPathsWork) {
   const auto follow = analysis::ComputeFollowReporting(
       *db, std::vector<std::uint32_t>{0});
   EXPECT_EQ(follow.FollowCount(0, 0), 0u);
-  const auto active = engine::ActiveSourcesPerQuarter(*db);
-  ASSERT_EQ(active.values.size(), 1u);
-  EXPECT_EQ(active.values[0], 1u);
+  const auto activity = engine::QuarterlyActivity(*db);
+  ASSERT_EQ(activity.active_sources.size(), 1u);
+  EXPECT_EQ(activity.active_sources[0], 1u);
+  EXPECT_EQ(activity.articles[0], 1u);
 }
 
 TEST(LoggingTest, LevelFilteringAndThreadSafety) {

@@ -118,9 +118,9 @@ TEST_F(EngineTest, TopSourcesSortedDescending) {
 }
 
 TEST_F(EngineTest, QuarterlySeriesSumToTotals) {
-  const auto articles = ArticlesPerQuarter(*db_);
+  const auto activity = QuarterlyActivity(*db_);
   std::uint64_t article_sum = 0;
-  for (const auto v : articles.values) article_sum += v;
+  for (const auto v : activity.articles) article_sum += v;
   EXPECT_EQ(article_sum, db_->num_mentions());
 
   const auto events = EventsPerQuarter(*db_);
@@ -130,8 +130,8 @@ TEST_F(EngineTest, QuarterlySeriesSumToTotals) {
 }
 
 TEST_F(EngineTest, ActiveSourcesNeverExceedsTotal) {
-  const auto active = ActiveSourcesPerQuarter(*db_);
-  for (const auto v : active.values) {
+  const auto activity = QuarterlyActivity(*db_);
+  for (const auto v : activity.active_sources) {
     EXPECT_LE(v, db_->num_sources());
     EXPECT_GT(v, 0u);
   }

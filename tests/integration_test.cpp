@@ -94,7 +94,9 @@ TEST_F(PipelineTest, EventSizeDistributionMatchesBruteForce) {
 }
 
 TEST_F(PipelineTest, QuarterlyArticleSeriesMatchesBruteForce) {
-  const auto series = engine::ArticlesPerQuarter(*db_);
+  const auto activity = engine::QuarterlyActivity(*db_);
+  const engine::QuarterSeries series{activity.first_quarter,
+                                     activity.articles};
   std::map<QuarterId, std::uint64_t> expected;
   for (const auto& m : dataset_->mentions) {
     ++expected[QuarterOfUnixSeconds(

@@ -669,15 +669,6 @@ TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
   ASSERT_EQ(one_quarter_blocks, 2u);
   ASSERT_EQ(straddling_blocks, 2u);
 
-  engine::MentionFilter filter;
-  filter.begin_interval = y2015 + 91 * 96;
-  filter.end_interval = y2017 + 20;
-  filter.min_confidence = 40;
-  const engine::SelectionBitmap sel = engine::SelectMentionsBitmap(db, filter);
-  const std::vector<std::uint64_t> selected = sel.ToRows();
-  ASSERT_GT(selected.size(), 0u);
-  ASSERT_LT(selected.size(), kRows);
-
   std::vector<std::uint32_t> some_sources;
   for (const char* domain : {"s3.com", "s0.com", "s5.com"}) {
     some_sources.push_back(*db.sources().Find(domain));
@@ -688,7 +679,6 @@ TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
   }
 
   std::vector<std::uint64_t> articles(nq, 0);
-  std::vector<std::uint64_t> articles_selected(nq, 0);
   std::vector<std::uint64_t> slow(nq, 0);
   std::vector<std::set<std::uint32_t>> active(nq);
   std::vector<std::vector<std::uint64_t>> per_source(
@@ -698,7 +688,6 @@ TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
   for (std::size_t i = 0; i < kRows; ++i) {
     const std::size_t q = quarter_of(when[i]);
     ++articles[q];
-    if (sel.Test(i)) ++articles_selected[q];
     active[q].insert(src[i]);
     if (slot_of[src[i]] >= 0) {
       ++per_source[static_cast<std::size_t>(slot_of[src[i]])][q];
@@ -742,11 +731,7 @@ TEST(QuarterRunInvarianceTest, QuarterKernelsMatchCivilDatesOutOfCaptureOrder) {
     EXPECT_EQ(got.values, want);
   };
   AtEachPoolAndMorselSize([&] {
-    expect_series(engine::ArticlesPerQuarter(db), articles);
-    expect_series(engine::ArticlesPerQuarter(db, sel), articles_selected);
-    expect_series(engine::ArticlesPerQuarter(db, selected), articles_selected);
     expect_series(engine::EventsPerQuarter(db), events);
-    expect_series(engine::ActiveSourcesPerQuarter(db), active_count);
     expect_series(SlowArticlesPerQuarter(db), slow);
     const auto by_source = engine::SourceArticlesPerQuarter(db, some_sources);
     ASSERT_EQ(by_source.size(), some_sources.size());

@@ -368,12 +368,12 @@ TEST_F(PartialMergeTest, MergerRejectsBadFrames) {
     return MergePartialFrames(r, frames);
   };
 
-  // Wrong protocol revision.
+  // An older protocol revision.
   {
     std::string bad = good;
-    const auto pos = bad.find("\"v\":1");
+    const auto pos = bad.find("\"v\":2");
     ASSERT_NE(pos, std::string::npos) << good;
-    bad.replace(pos, 5, "\"v\":2");
+    bad.replace(pos, 5, "\"v\":1");
     EXPECT_FALSE(merge_one(bad).ok());
   }
   // Frame for a different kind.
@@ -524,6 +524,64 @@ TEST_F(PartialMergeTest, MergerRejectsMismatchedLabelCounts) {
       << merged.status().ToString();
 }
 
+TEST_F(PartialMergeTest, OwnedRowsRefuseTwoOwnersAndShortRows) {
+  // Each element of an owned row belongs to one partition, and the
+  // others ship 0 there. Shard 0's frame relabelled as shard 1 fills the
+  // same elements twice, which no honest scatter does: the merge refuses
+  // it as a disagreement instead of keeping either value.
+  for (const char* kind : {"delay", "quarterly"}) {
+    SCOPED_TRACE(kind);
+    const Request r = MakeRequest(kind, 3);
+    Request sub = r;
+    sub.partial = true;
+    sub.shard = 0;
+    sub.of = 2;
+    auto frame = RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    std::string twin = frame->text;
+    const std::size_t shard = twin.find("\"shard\":0");
+    ASSERT_NE(shard, std::string::npos) << twin;
+    twin.replace(shard, 9, "\"shard\":1");
+    auto a = JsonValue::Parse(frame->text);
+    auto b = JsonValue::Parse(twin);
+    ASSERT_TRUE(a.ok() && b.ok());
+    std::vector<JsonValue> frames;
+    frames.push_back(std::move(*a));
+    frames.push_back(std::move(*b));
+    const auto merged = MergePartialFrames(r, frames);
+    EXPECT_EQ(merged.status().code(), StatusCode::kInternal)
+        << merged.status().ToString();
+    EXPECT_NE(merged.status().ToString().find("disagree"), std::string::npos)
+        << merged.status().ToString();
+  }
+  // A row one element short of its `top` or `q_count`.
+  const std::pair<const char*, const char*> rows[] = {
+      {"delay", "min"}, {"delay", "q_avg"}, {"quarterly", "articles"}};
+  for (const auto& [kind, key] : rows) {
+    SCOPED_TRACE(std::string(kind) + " " + key);
+    const Request r = MakeRequest(kind, 3);
+    Request sub = r;
+    sub.partial = true;
+    auto frame = RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    std::string text = frame->text;
+    const std::string open = "\"" + std::string(key) + "\":[";
+    const std::size_t row = text.find(open);
+    ASSERT_NE(row, std::string::npos) << text;
+    const std::size_t at = row + open.size();
+    const std::size_t end = text.find_first_of(",]", at);
+    text.erase(at, end - at + (text[end] == ',' ? 1 : 0));
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const auto merged = MergePartialFrames(r, std::span(&*parsed, 1));
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument)
+        << merged.status().ToString();
+    EXPECT_NE(merged.status().ToString().find("does not match its dimension"),
+              std::string::npos)
+        << merged.status().ToString();
+  }
+}
+
 TEST_F(PartialMergeTest, PlantedValuesNeverSizeAnAllocation) {
   // Values no honest shard sends, planted in the first element of a
   // 1-shard frame's array: the merger rejects an index out of its range
@@ -565,11 +623,31 @@ TEST_F(PartialMergeTest, PlantedValuesNeverSizeAnAllocation) {
   EXPECT_NE(bin.status().ToString().find("tone bin out of range"),
             std::string::npos)
       << bin.status().ToString();
-  // A quarter slot past q_count, and a per-quarter sum one too long.
-  const auto slot = merge_planted("quarterly", "q_slots", kHuge);
-  EXPECT_NE(slot.status().ToString().find("slot out of range"),
-            std::string::npos)
-      << slot.status().ToString();
+  // A q_count of 2^62 over a row one short: refused, and nothing is
+  // sized from the count.
+  {
+    const Request r = MakeRequest("quarterly", 3);
+    Request sub = r;
+    sub.partial = true;
+    auto frame = RenderPartialFrame(*db_, sub, parallel::Backend::kMorselPool);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    std::string text = frame->text;
+    const std::size_t count = text.find("\"q_count\":");
+    ASSERT_NE(count, std::string::npos) << text;
+    const std::size_t digits = count + 10;
+    text.replace(digits, text.find(',', digits) - digits, kHuge);
+    const std::size_t row = text.find("\"active\":[");
+    ASSERT_NE(row, std::string::npos) << text;
+    const std::size_t at = row + 10;
+    const std::size_t end = text.find_first_of(",]", at);
+    text.erase(at, end - at + (text[end] == ',' ? 1 : 0));
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const auto merged = MergePartialFrames(r, std::span(&*parsed, 1));
+    EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument)
+        << merged.status().ToString();
+  }
+  // A per-quarter sum one too long.
   const auto sum = merge_planted("quarterly", "events", "7,7");
   EXPECT_NE(sum.status().ToString().find("does not match its dimension"),
             std::string::npos)

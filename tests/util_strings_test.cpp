@@ -113,6 +113,16 @@ INSTANTIATE_TEST_SUITE_P(
                       TldCase{"1.2.3.4", ""},
                       TldCase{"", ""}));
 
+TEST(FormatTest, AppendfAppendsPastTheStackBuffer) {
+  std::string out = "x";
+  Appendf(out, "%d-%s", 7, "y");
+  EXPECT_EQ(out, "x7-y");
+  const std::string wide(1000, 'w');
+  Appendf(out, "[%s]", wide.c_str());
+  EXPECT_EQ(out, "x7-y[" + wide + "]");
+  EXPECT_EQ(StrFormat("%s", wide.c_str()), wide);
+}
+
 TEST(FormatTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
